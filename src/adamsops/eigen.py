@@ -2,19 +2,21 @@
 
 The unitary matrix for psi^l has simple spectrum l^n, l^(n-1), ..., l and a
 basis of common eigenvectors independent of l.  The eigenvector for the
-eigenvalue l^(n-k) is written in closed form through the polynomials
-produced by the even Taylor coefficients of (t/sinh t)^y: coefficient j is a
-degree-j polynomial in y satisfying a Bernoulli-number recurrence.  This
-module computes those polynomials, the eigenvectors, and exact
-characteristic-polynomial (spectrum) checks for every supported family.
+eigenvalue l^(n-k) is written in closed form through the even Taylor
+coefficients of (t/sinh t)^y: coefficient j is a degree-j polynomial q_j(y)
+satisfying a Bernoulli-number recurrence.  `eigenvector` runs that
+recurrence on numbers at y = n; `sinh_pow_coeff_poly` builds the polynomials
+themselves and serves as the independent check on it.  The module also
+gives exact characteristic polynomials (Berkowitz's division-free
+algorithm over the integers) and spectrum checks for every supported family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, lcm
+from operator import mul
 from typing import Sequence
 
 from .exactmath import UniPoly, bernoulli_even
@@ -34,26 +36,35 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+def _recurrence_weights(j: int) -> list[Fraction]:
+    """The weights c_k = 2^(2k) B_{2k} / (2k)! for k = 0..j (c_0 unused)."""
+    return [
+        Fraction(2 ** (2 * k), factorial(2 * k)) * bernoulli_even(2 * k) for k in range(j + 1)
+    ]
+
+
 def sinh_pow_coeff_poly(j: int) -> UniPoly:
     """The coefficient of t^(2j) in (t/sinh t)^y, as a polynomial in y.
 
     Defined by the recurrence
 
         q_0(y) = 1,
-        q_j(y) = -(y / 2j) * sum_{k=1}^{j} (2^(2k) B_{2k} / (2k)!) q_{j-k}(y),
+        q_j(y) = -(y / 2j) * sum_{k=1}^{j} c_k q_{j-k}(y),
+        c_k = 2^(2k) B_{2k} / (2k)!,
 
-    with B_{2k} the Bernoulli numbers; q_j has degree exactly j.
+    with B_{2k} the Bernoulli numbers; q_j has degree exactly j.  The
+    recurrence runs as a loop, so no index is too deep for the stack.
     """
     if j < 0:
         raise ValueError(f"coefficient index must be nonnegative, got {j}")
-    if j == 0:
-        return UniPoly((1,))
-    acc = UniPoly()
-    for k in range(1, j + 1):
-        c = Fraction(2 ** (2 * k), factorial(2 * k)) * bernoulli_even(2 * k)
-        acc = acc + sinh_pow_coeff_poly(j - k) * c
-    return UniPoly((0, Fraction(-1, 2 * j))) * acc
+    c = _recurrence_weights(j)
+    q = [UniPoly((1,))]
+    for i in range(1, j + 1):
+        acc = UniPoly()
+        for k in range(1, i + 1):
+            acc = acc + q[i - k] * c[k]
+        q.append(UniPoly((0, Fraction(-1, 2 * i))) * acc)
+    return q[j]
 
 
 @dataclass(frozen=True)
@@ -76,21 +87,34 @@ def eigenvector(n: int, k: int) -> Eigenvector:
         (-1)^(i-1) * sum_{j=0}^{floor(k/2)} q_j(n) / (k-2j)! * (n-2i)^(k-2j),
 
     with q_j the sinh-power coefficient polynomials and 0^0 = 1.
+
+    The numbers q_j(n) come from the recurrence of `sinh_pow_coeff_poly`
+    run at y = n.  The weights q_j(n) / (k-2j)! are put over one common
+    denominator D, so each coordinate is a single integer Horner evaluation
+    in (n-2i)^2, times (n-2i) when k is odd, divided by D.
     """
     if n < 1:
         raise ValueError(f"rank must be positive, got n={n}")
     if not 0 <= k <= n - 1:
         raise ValueError(f"level must satisfy 0 <= k <= n-1, got k={k}, n={n}")
+    half = k // 2
+    c = _recurrence_weights(half)
+    q = [Fraction(1)]
+    for j in range(1, half + 1):
+        q.append(Fraction(-n, 2 * j) * sum(c[m] * q[j - m] for m in range(1, j + 1)))
+    weights = [q[j] / factorial(k - 2 * j) for j in range(half + 1)]
+    den = lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (den // w.denominator) for w in weights]
     coords = []
     for i in range(1, n + 1):
-        s = Fraction(0)
-        for j in range(k // 2 + 1):
-            s += (
-                sinh_pow_coeff_poly(j)(Fraction(n))
-                / factorial(k - 2 * j)
-                * (n - 2 * i) ** (k - 2 * j)
-            )
-        coords.append(-s if (i - 1) % 2 else s)
+        x = n - 2 * i
+        square = x * x
+        s = 0
+        for a in ints:
+            s = s * square + a
+        if k % 2:
+            s *= x
+        coords.append(Fraction(s if i % 2 else -s, den))
     return Eigenvector(n, k, tuple(coords))
 
 
@@ -144,33 +168,40 @@ def eigenbasis_determinant(n: int) -> Fraction:
 
 
 def char_poly(entries: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Coefficients (ascending, monic) of det(x*I - M) for an integer
-    matrix, via fraction-free determinants at x = 0..dim and exact
-    Lagrange interpolation."""
+    """Coefficients (ascending, monic) of det(x*I - M) for a square integer
+    matrix, by Berkowitz's division-free algorithm (Berkowitz 1984).
+
+    Write the leading (r+1)x(r+1) block as [[A, S], [R, a]] with A the
+    leading r x r block.  Its characteristic polynomial is the lower
+    triangular Toeplitz matrix with first column 1, -a, -R.S, -R.A.S, ...,
+    -R.A^(r-1).S times that of A.  Only integer products and sums occur: no
+    pivoting and no division.  Each Krylov product R.A^m.S takes half of
+    the powers of A from the row side and half from the column side, which
+    keeps the intermediate integers about half as long.
+    """
     d = len(entries)
-    xs = list(range(d + 1))
-    ys = []
-    for x in xs:
-        shifted = [
-            [(x if i == j else 0) - entries[i][j] for j in range(d)] for i in range(d)
+    if any(len(row) != d for row in entries):
+        raise ValueError(
+            f"char_poly needs a square matrix, got {d} rows of lengths "
+            f"{sorted({len(row) for row in entries})}"
+        )
+    cols = list(zip(*entries))
+    poly = [1]  # descending coefficients of det(x*I - A)
+    for r in range(d):
+        block_rows = [row[:r] for row in entries[:r]]
+        block_cols = [col[:r] for col in cols[:r]]
+        top = max(r - 1, 0) // 2  # A^0..A^top from the column side, the rest from the row
+        col_side = [cols[r][:r]]  # S, A.S, A^2.S, ...
+        for _ in range(top):
+            col_side.append([sum(map(mul, row, col_side[-1])) for row in block_rows])
+        row_side = [entries[r][:r]]  # R, R.A, R.A^2, ...
+        for _ in range(r - 1 - top):
+            row_side.append([sum(map(mul, row_side[-1], col)) for col in block_cols])
+        toeplitz = [1, -entries[r][r]] + [
+            -sum(map(mul, row_side[m - min(m, top)], col_side[min(m, top)])) for m in range(r)
         ]
-        ys.append(_bareiss_det(shifted))
-    poly = UniPoly()
-    for i, xi in enumerate(xs):
-        num = UniPoly((1,))
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = num * UniPoly((-xj, 1))
-                denom *= xi - xj
-        poly = poly + num * (Fraction(ys[i]) / denom)
-    coeffs = list(poly.coeffs) + [Fraction(0)] * (d + 1 - len(poly.coeffs))
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ValueError(f"interpolation produced a non-integer coefficient {c}")
-        out.append(int(c))
-    return tuple(out)
+        poly = [sum(map(mul, poly, toeplitz[i::-1])) for i in range(r + 2)]
+    return tuple(reversed(poly))
 
 
 def family_exponents(group: GroupSpec) -> tuple[int, ...]:
@@ -193,10 +224,11 @@ def family_exponents(group: GroupSpec) -> tuple[int, ...]:
 
 def expected_char_poly(group: GroupSpec, l: int) -> tuple[int, ...]:
     """Coefficients of prod_i (x - l^(m_i + 1))."""
-    poly = UniPoly((1,))
+    coeffs = [1]
     for m in family_exponents(group):
-        poly = poly * UniPoly((-(l ** (m + 1)), 1))
-    return tuple(int(c) for c in poly.coeffs)
+        root = l ** (m + 1)
+        coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
+import inspect
+import random
+import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from adamsops.eigen import (
+    _bareiss_det,
     char_poly,
     eigenbasis_determinant,
     eigenvector,
@@ -13,7 +18,7 @@ from adamsops.eigen import (
     verify_eigen_relation,
 )
 from adamsops.exactmath import UniPoly, t_over_sinh_pow
-from adamsops.ktheory import GroupSpec, adams_matrix
+from adamsops.ktheory import FAMILIES, GroupSpec, adams_matrix
 
 
 def test_coefficient_polynomials_small():
@@ -25,6 +30,18 @@ def test_coefficient_polynomials_small():
 def test_coefficient_polynomial_degree():
     for j in range(13):
         assert sinh_pow_coeff_poly(j).degree == j
+
+
+def test_coefficient_polynomial_needs_no_deep_stack():
+    # the recurrence over j must not recurse: a stack only 50 frames deeper
+    # than the caller's is enough for any index
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        poly = sinh_pow_coeff_poly(60)
+    finally:
+        sys.setrecursionlimit(old)
+    assert poly.degree == 60
 
 
 def test_coefficient_polynomials_match_series():
@@ -51,6 +68,24 @@ def test_eigenvector_frozen_values():
     assert eigenvector(4, 3).coords == (0, 0, 0, 8)
 
 
+def test_eigenvector_matches_polynomial_oracle():
+    # the docstring formula evaluated through the coefficient polynomials
+    polys = [sinh_pow_coeff_poly(j) for j in range(6)]
+    for n in range(1, 13):
+        for k in range(n):
+            want = tuple(
+                (-1) ** (i - 1)
+                * sum(
+                    polys[j](n) / factorial(k - 2 * j) * (n - 2 * i) ** (k - 2 * j)
+                    for j in range(k // 2 + 1)
+                )
+                for i in range(1, n + 1)
+            )
+            got = eigenvector(n, k).coords
+            assert got == want, (n, k)
+            assert all(type(c) is Fraction for c in got), (n, k)
+
+
 def test_eigenvector_validation():
     with pytest.raises(ValueError):
         eigenvector(0, 0)
@@ -69,6 +104,7 @@ def test_relation_holds():
     for n in range(1, 7):
         for l in (2, 3, 5):
             assert all(ok for _, ok in verify_eigen_relation(n, l))
+    assert all(ok for _, ok in verify_eigen_relation(30, 2))
 
 
 def test_relation_exactness_is_fractional():
@@ -90,6 +126,31 @@ def test_eigenbasis_independent():
 # characteristic polynomials
 
 
+def _char_poly_reference(entries):
+    """det(x*I - M) by fraction-free determinants at x = 0..d and exact
+    Lagrange interpolation: the reference route for `char_poly`."""
+    d = len(entries)
+    xs = list(range(d + 1))
+    ys = []
+    for x in xs:
+        shifted = [
+            [(x if i == j else 0) - entries[i][j] for j in range(d)] for i in range(d)
+        ]
+        ys.append(_bareiss_det(shifted))
+    poly = UniPoly()
+    for i, xi in enumerate(xs):
+        num = UniPoly((1,))
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                num = num * UniPoly((-xj, 1))
+                denom *= xi - xj
+        poly = poly + num * (Fraction(ys[i]) / denom)
+    coeffs = list(poly.coeffs) + [Fraction(0)] * (d + 1 - len(poly.coeffs))
+    assert all(c.denominator == 1 for c in coeffs), coeffs
+    return tuple(int(c) for c in coeffs)
+
+
 def test_char_poly_known_matrices():
     assert char_poly(((1, 0), (0, 1))) == (1, -2, 1)
     assert char_poly(((0, 1), (0, 0))) == (0, 0, 1)
@@ -101,9 +162,45 @@ def test_char_poly_known_matrices():
 
 
 def test_char_poly_zero_pivot_path():
-    # leading minor vanishes, forcing the row swap inside the determinant
+    # a zero leading entry would need a pivot in an elimination method
     entries = ((0, 2), (3, 0))
     assert char_poly(entries) == (-6, 0, 1)
+    assert char_poly(()) == (1,)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [((1, 2, 3), (4, 5, 6)), ((1, 2), (3, 4), (5, 6)), ((1, 2), (3,)), ((1,), (2, 3))],
+)
+def test_char_poly_rejects_non_square(entries):
+    with pytest.raises(ValueError, match="square"):
+        char_poly(entries)
+
+
+def test_char_poly_matches_reference_for_families():
+    for family in FAMILIES:
+        ranks = [2] if family == "G2" else range(1, 9)
+        for n in ranks:
+            try:
+                group = GroupSpec(family, n)
+            except ValueError:
+                continue  # below the family's minimum rank
+            for l in (2, 3, 5):
+                entries = adams_matrix(group, l).entries
+                assert char_poly(entries) == _char_poly_reference(entries), (str(group), l)
+
+
+def test_char_poly_matches_reference_on_random_matrices():
+    rng = random.Random(20240515)
+    for d in range(13):
+        for density in (1.0, 0.5, 0.2):
+            entries = [
+                [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(d)]
+                for _ in range(d)
+            ]
+            if d and density < 1.0:
+                entries[0] = [0] * d  # zero leading row: no nonzero pivot at the top
+            assert char_poly(entries) == _char_poly_reference(entries), entries
 
 
 def test_family_exponents():
