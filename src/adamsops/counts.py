@@ -1,23 +1,37 @@
 """Bounded-composition counts.
 
 mu(n, l, k, p) is the number of integer tuples (k_1, ..., k_n) with
-0 <= k_r <= l-1 and k_1 + ... + k_n = l*k - p.  These counts are the raw
+0 <= k_r <= l-1 and k_1 + ... + k_n = l*k - p, that is, the coefficient of
+x^(l*k - p) in (1 + x + ... + x^(l-1))^n.  These counts are the raw
 coefficients of the Adams operation psi^l on the primitive K-theory classes
 of U(n); the symplectic and spin matrices use the symmetrized combinations
 alpha and beta.
 
-Two independent algorithms are provided and cross-checked by the test
-suite: a dynamic-programming count (`mu_enumerate`) and an
-inclusion-exclusion closed form (`mu_closed`).
+There are two independent routes to the counts:
+
+* the production route, `count_table`: one coefficient row of
+  (1 + x + ... + x^(l-1))^n, built by n prefix-sum convolutions, of which
+  only the block mu(n, l, k, p), 0 <= k, p <= n, is kept in a bounded
+  cache.  The matrix assembly in `ktheory`, `mu_enumerate`, `alpha` and
+  `beta` read it.
+* the oracle, `mu_closed`: an inclusion-exclusion sum over binomials,
+  which the test suite and `adamsops mu --check` compare the table with.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 
 from .exactmath import binomial
 
-__all__ = ["mu_enumerate", "mu_closed", "alpha", "beta"]
+__all__ = ["count_table", "mu_enumerate", "mu_closed", "alpha", "beta"]
+
+# Distinct (n, l) blocks kept.  Sweeps over every family at ranks up to 10
+# with l up to 144 touch about 350 blocks of 2-20 KiB each; one block at
+# n = 80, l = 50 takes about 520 KiB.
+_TABLE_CACHE_SIZE = 512
 
 
 def _validate(n: int, l: int, k: int) -> None:
@@ -29,30 +43,51 @@ def _validate(n: int, l: int, k: int) -> None:
         raise ValueError(f"wedge degree must be nonnegative, got k={k}")
 
 
-@lru_cache(maxsize=None)
-def _dp_table(n: int, l: int) -> tuple[int, ...]:
-    """Row n of the part-count table: entry s = number of n-tuples with
-    parts in 0..l-1 summing to s, for 0 <= s <= n*(l-1)."""
-    row = [1]
-    for r in range(1, n + 1):
-        top = r * (l - 1)
-        prev = row
-        row = [0] * (top + 1)
-        for s in range(top + 1):
-            lo = max(0, s - (l - 1))
-            hi = min(s, (r - 1) * (l - 1))
-            row[s] = sum(prev[j] for j in range(lo, hi + 1))
-    return tuple(row)
+def _count_row(n: int, l: int) -> list[int]:
+    """The coefficients of (1 + x + ... + x^(l-1))^n: entry s is the number
+    of n-tuples with parts in 0..l-1 summing to s, for 0 <= s <= n*(l-1).
+
+    Each factor is one prefix-sum convolution: new entry s is the running
+    sum of old[s] - old[s-l].  Every row is a palindrome, so each pass
+    computes only the entries up to the middle, reading the old row's
+    upper entries from its lower ones.
+    """
+    half, top = [1], 0  # entries 0..top//2 of the row, whose degree is top
+    pad = [0] * l
+    for _ in range(n):
+        old = half + half[: top + 1 - len(half)][::-1] + pad
+        top += l - 1
+        del old[top // 2 + 1 :]
+        half = list(accumulate(map(sub, old, pad + old)))
+    return half + half[: top + 1 - len(half)][::-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def count_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
+    """The block T[k][p] = mu(n, l, k, p) for 0 <= k, p <= n.
+
+    Row k reads the count row backwards from degree l*k down to l*k - n.
+    Only the block is cached; the count row, of n*(l-1) + 1 entries, is
+    dropped once the block is read.
+    """
+    _validate(n, l, 0)
+    ext = [0] * n + _count_row(n, l) + [0] * n  # degree s sits at s + n
+    return tuple(tuple(ext[l * k : l * k + n + 1][::-1]) for k in range(n + 1))
+
+
 def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
-    """Count the tuples directly, by dynamic programming over the parts."""
+    """The count as a coefficient of (1 + x + ... + x^(l-1))^n.
+
+    Inside the block 0 <= k, p <= n it is read from `count_table`; outside
+    it the coefficient row is rebuilt, uncached.
+    """
     _validate(n, l, k)
+    if k <= n and 0 <= p <= n:
+        return count_table(n, l)[k][p]
     s = l * k - p
     if s < 0 or s > n * (l - 1):
         return 0
-    return _dp_table(n, l)[s]
+    return _count_row(n, l)[s]
 
 
 @lru_cache(maxsize=None)
@@ -79,9 +114,9 @@ def mu_closed(n: int, l: int, k: int, p: int) -> int:
 
 def alpha(n: int, l: int, k: int, p: int) -> int:
     """mu(n, l, k, p) + mu(n, l, k, n-p)."""
-    return mu_closed(n, l, k, p) + mu_closed(n, l, k, n - p)
+    return mu_enumerate(n, l, k, p) + mu_enumerate(n, l, k, n - p)
 
 
 def beta(n: int, l: int, k: int, p: int) -> int:
     """mu(n, l, k, p) - mu(n, l, k, n-p); antisymmetric under p -> n-p."""
-    return mu_closed(n, l, k, p) - mu_closed(n, l, k, n - p)
+    return mu_enumerate(n, l, k, p) - mu_enumerate(n, l, k, n - p)

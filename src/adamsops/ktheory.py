@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .counts import alpha, beta, mu_closed
+from .counts import count_table
 
 __all__ = [
     "FAMILIES",
@@ -76,6 +76,7 @@ class GroupSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        _require_int("rank", self.n)
         if self.family == "G2":
             object.__setattr__(self, "n", 2)
             return
@@ -186,27 +187,34 @@ class AdamsMatrix:
         )
 
 
+def _require_int(name: str, value: object) -> None:
+    """Reject bools, floats and anything else that is not an int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _require_l(l: int) -> None:
+    _require_int("Adams operation index l", l)
     if l < 1:
         raise ValueError(f"Adams operation index must be a positive integer, got l={l}")
 
 
-def _finalize(group: GroupSpec, l: int, cols: Sequence[Sequence[Fraction]]) -> AdamsMatrix:
-    """Turn columns of exact rationals into an AdamsMatrix, insisting that
-    every entry is an integer despite the rational intermediates."""
-    d = len(cols)
-    entries = []
-    for p in range(d):
-        row = []
-        for k in range(d):
-            v = cols[k][p]
-            if v.denominator != 1:
-                raise ConsistencyError(
-                    f"non-integer entry {v} at row {p}, column {k} for {group}, l={l}"
-                )
-            row.append(int(v))
-        entries.append(tuple(row))
-    return AdamsMatrix(group, l, tuple(entries))
+def _finalize(
+    group: GroupSpec, l: int, cols: Sequence[Sequence[int | Fraction]]
+) -> AdamsMatrix:
+    """Turn columns into an AdamsMatrix.  Columns of ints pass as they are;
+    a column with rational entries must have only integral ones."""
+    checked = []
+    for k, col in enumerate(cols):
+        if not all(type(v) is int for v in col):
+            for p, v in enumerate(col):
+                if v.denominator != 1:
+                    raise ConsistencyError(
+                        f"non-integer entry {v} at row {p}, column {k} for {group}, l={l}"
+                    )
+            col = [int(v) for v in col]
+        checked.append(col)
+    return AdamsMatrix(group, l, tuple(zip(*checked)))
 
 
 def _sign(e: int) -> int:
@@ -222,8 +230,9 @@ def unitary_adams_matrix(n: int, l: int) -> AdamsMatrix:
     (-1)^(k+p) * l * mu(n, l, k, p)."""
     group = GroupSpec("U", n)
     _require_l(l)
+    table = count_table(n, l)
     cols = [
-        [Fraction(_sign(k + p) * l * mu_closed(n, l, k, p)) for p in range(1, n + 1)]
+        [_sign(k + p) * l * table[k][p] for p in range(1, n + 1)]
         for k in range(1, n + 1)
     ]
     return _finalize(group, l, cols)
@@ -244,10 +253,12 @@ def symplectic_adams_matrix(n: int, l: int) -> AdamsMatrix:
     group = GroupSpec("Sp", n)
     _require_l(l)
     m = 2 * n
+    table = count_table(m, l)
     cols = []
     for k in range(1, n + 1):
-        col = [Fraction(_sign(k + p) * l * alpha(m, l, k, p)) for p in range(1, n)]
-        col.append(Fraction(_sign(k + n) * l * mu_closed(m, l, k, n)))
+        mu = table[k]
+        col = [_sign(k + p) * l * (mu[p] + mu[m - p]) for p in range(1, n)]
+        col.append(_sign(k + n) * l * mu[n])
         cols.append(col)
     return _finalize(group, l, cols)
 
@@ -259,25 +270,41 @@ def spin_odd_adams_matrix(n: int, l: int) -> AdamsMatrix:
     group = GroupSpec("SpinOdd", n)
     _require_l(l)
     m = 2 * n + 1
-    d = n
-    cols = []
-    for k in range(1, n):
-        col = [
-            Fraction(_sign(k) * l * (_sign(p) * beta(m, l, k, p) - _sign(n) * beta(m, l, k, n)))
-            for p in range(1, n)
-        ]
-        col.append(Fraction(_sign(k + n) * l * (2 ** (n + 1)) * beta(m, l, k, n)))
-        cols.append(col)
-    spin_col = [Fraction(0)] * d
-    for p in range(1, n):
-        s = sum(
-            _sign(k) * (_sign(p) * beta(m, l, k, p) - _sign(n) * beta(m, l, k, n))
-            for k in range(1, n + 1)
-        )
-        spin_col[p - 1] = Fraction(l, 2 ** (n + 1)) * s
-    spin_col[d - 1] = Fraction(l * sum(_sign(k + n) * beta(m, l, k, n) for k in range(1, n + 1)))
+    table = count_table(m, l)[: n + 1]
+    beta_n = [mu[n] - mu[m - n] for mu in table]  # beta(m, l, k, n)
+    # w[k][p-1] = (-1)^p beta(m, l, k, p) - (-1)^n beta(m, l, k, n), p < n
+    w = [
+        [_sign(p) * (mu[p] - mu[m - p]) - _sign(n) * b for p in range(1, n)]
+        for mu, b in zip(table, beta_n)
+    ]
+    cols = [
+        [_sign(k) * l * v for v in w[k]] + [_sign(k + n) * l * 2 ** (n + 1) * beta_n[k]]
+        for k in range(1, n)
+    ]
+    spin_col: list[int | Fraction] = [
+        Fraction(l * sum(_sign(k) * w[k][i] for k in range(1, n + 1)), 2 ** (n + 1))
+        for i in range(n - 1)
+    ]
+    spin_col.append(l * sum(_sign(k + n) * beta_n[k] for k in range(1, n + 1)))
     cols.append(spin_col)
     return _finalize(group, l, cols)
+
+
+def _half_spin_columns(
+    sum_img: Sequence[int | Fraction], n: int, l: int
+) -> tuple[list[Fraction], list[Fraction]]:
+    """The images of d(S+) and d(S-) for Spin(2n), given the image of
+    d(S+)+d(S-): half of it, plus or minus half of l^n (d(S+)-d(S-)), since
+    d(S+)-d(S-) is an eigenvector with eigenvalue l^n.  S+ and S- are the
+    last two basis positions."""
+    half_diff = Fraction(l**n, 2)
+    col_plus = [Fraction(v, 2) for v in sum_img]
+    col_minus = list(col_plus)
+    col_plus[n - 2] += half_diff
+    col_plus[n - 1] -= half_diff
+    col_minus[n - 2] -= half_diff
+    col_minus[n - 1] += half_diff
+    return col_plus, col_minus
 
 
 def spin_even_adams_matrix(n: int, l: int) -> AdamsMatrix:
@@ -292,56 +319,39 @@ def spin_even_adams_matrix(n: int, l: int) -> AdamsMatrix:
     _require_l(l)
     m = 2 * n
     d = n
-    idx = {k: k - 1 for k in range(1, n - 1)}  # wedge degree -> position
-    pos_plus, pos_minus = n - 2, n - 1
+    pos_plus, pos_minus = n - 2, n - 1  # wedge degree q sits at position q - 1
+    table = count_table(m, l)
 
-    cols = []
+    def alpha(k: int, p: int) -> int:
+        return table[k][p] + table[k][m - p]
+
+    cols: list[list[int | Fraction]] = []
     for k in range(1, n - 1):
         f = _sign(k + n) * l
-        mu_n = mu_closed(m, l, k, n)
-        a_top = alpha(m, l, k, n - 1)
-        col = [Fraction(0)] * d
-        p = 1
-        while n - 2 * p >= 1:
-            col[idx[n - 2 * p]] += f * (alpha(m, l, k, n - 2 * p) - 2 * mu_n)
-            p += 1
-        p = 1
-        while n - 1 - 2 * p >= 1:
-            col[idx[n - 1 - 2 * p]] -= f * (alpha(m, l, k, n - 2 * p - 1) - a_top)
-            p += 1
-        spin_coeff = Fraction(-f * 2 ** (n - 1) * (a_top - 2 * mu_n))
-        col[pos_plus] += spin_coeff
-        col[pos_minus] += spin_coeff
+        mu_n = table[k][n]
+        a_top = alpha(k, n - 1)
+        col = [0] * d
+        for q in range(n - 2, 0, -2):
+            col[q - 1] = f * (alpha(k, q) - 2 * mu_n)
+        for q in range(n - 3, 0, -2):
+            col[q - 1] = -f * (alpha(k, q) - a_top)
+        col[pos_plus] = col[pos_minus] = -f * 2 ** (n - 1) * (a_top - 2 * mu_n)
         cols.append(col)
 
-    # image of d(S+) + d(S-)
-    sum_img = [Fraction(0)] * d
-    wedge_scale = Fraction(l, 2 ** (n - 1))
-    j = n - 1
-    while j >= 1:
-        mu_n = mu_closed(m, l, j, n)
-        a_top = alpha(m, l, j, n - 1)
-        p = 1
-        while n - 2 * p - 1 >= 1:
-            sum_img[idx[n - 2 * p - 1]] += wedge_scale * (alpha(m, l, j, n - 2 * p - 1) - a_top)
-            p += 1
-        p = 1
-        while n - 2 * p >= 1:
-            sum_img[idx[n - 2 * p]] -= wedge_scale * (alpha(m, l, j, n - 2 * p) - 2 * mu_n)
-            p += 1
-        sum_img[pos_plus] += l * (a_top - 2 * mu_n)
-        sum_img[pos_minus] += l * (a_top - 2 * mu_n)
-        j -= 2
+    # image of d(S+) + d(S-): wedge coordinates carry the factor l / 2^(n-1)
+    wedge_sum = [0] * (n - 2)
+    spin_sum = 0
+    for j in range(n - 1, 0, -2):
+        mu_n = table[j][n]
+        a_top = alpha(j, n - 1)
+        for q in range(n - 3, 0, -2):
+            wedge_sum[q - 1] += alpha(j, q) - a_top
+        for q in range(n - 2, 0, -2):
+            wedge_sum[q - 1] -= alpha(j, q) - 2 * mu_n
+        spin_sum += a_top - 2 * mu_n
+    sum_img = [Fraction(l * v, 2 ** (n - 1)) for v in wedge_sum] + [l * spin_sum] * 2
 
-    half_diff = Fraction(l**n, 2)
-    col_plus = [v / 2 for v in sum_img]
-    col_minus = [v / 2 for v in sum_img]
-    col_plus[pos_plus] += half_diff
-    col_plus[pos_minus] -= half_diff
-    col_minus[pos_plus] -= half_diff
-    col_minus[pos_minus] += half_diff
-    cols.append(col_plus)
-    cols.append(col_minus)
+    cols.extend(_half_spin_columns(sum_img, n, l))
     return _finalize(group, l, cols)
 
 
@@ -457,21 +467,29 @@ def reduction_table(group: GroupSpec) -> ReductionTable:
     return ReductionTable(group, tuple(tuple(r) for r in rows))
 
 
-def _wedge_image(group: GroupSpec, l: int, k: int) -> list[Fraction]:
-    """The reduced image of d(wedge^k of the defining representation): the
-    unitary formula over all degrees 1..m, each pushed through the table."""
+def _wedge_images(group: GroupSpec, l: int, degrees: range) -> list[list[int]]:
+    """The reduced images of d(wedge^k of the defining representation), one
+    per k in `degrees`: the unitary formula over all degrees 1..m, each
+    pushed through the reduction table."""
     m = defining_dimension(group)
-    table = reduction_table(group)
+    table = count_table(m, l)
     d = len(basis(group))
-    acc = [Fraction(0)] * d
-    for p in range(1, m + 1):
-        c = _sign(k + p) * l * mu_closed(m, l, k, p)
-        if c:
-            row = table.rows[p]
-            for i in range(d):
-                if row[i]:
-                    acc[i] += c * row[i]
-    return acc
+    # the nonzero entries of reduction-table rows 1..m
+    rows = [
+        (p, [(i, v) for i, v in enumerate(row) if v])
+        for p, row in enumerate(reduction_table(group).rows[1:], start=1)
+    ]
+    images = []
+    for k in degrees:
+        mu = table[k]
+        acc = [0] * d
+        for p, row in rows:
+            c = _sign(k + p) * l * mu[p]
+            if c:
+                for i, v in row:
+                    acc[i] += c * v
+        images.append(acc)
+    return images
 
 
 def pullback_adams_matrix(group: GroupSpec, l: int) -> AdamsMatrix:
@@ -485,43 +503,22 @@ def pullback_adams_matrix(group: GroupSpec, l: int) -> AdamsMatrix:
     if f in ("U", "SU"):
         raise ValueError(f"pullback pipeline applies to Sp, SpinOdd, SpinEven, G2; got {group}")
     _require_l(l)
-    d = len(basis(group))
 
-    cols: list[list[Fraction]] = []
+    cols: list[list[int | Fraction]]
     if f == "Sp":
-        cols = [_wedge_image(group, l, k) for k in range(1, n + 1)]
+        cols = _wedge_images(group, l, range(1, n + 1))
     elif f == "SpinOdd":
-        cols = [_wedge_image(group, l, k) for k in range(1, n)]
-        spin_col = [Fraction(0)] * d
-        for j in range(1, n + 1):
-            img = _wedge_image(group, l, j)
-            for i in range(d):
-                spin_col[i] += img[i]
-        scale = Fraction(1, 2 ** (n + 1))
-        cols.append([scale * v for v in spin_col])
+        images = _wedge_images(group, l, range(1, n + 1))
+        cols = images[: n - 1]
+        cols.append([Fraction(sum(v), 2 ** (n + 1)) for v in zip(*images)])
     elif f == "SpinEven":
-        cols = [_wedge_image(group, l, k) for k in range(1, n - 1)]
-        sum_img = [Fraction(0)] * d
-        j = n - 1
-        while j >= 1:
-            img = _wedge_image(group, l, j)
-            for i in range(d):
-                sum_img[i] += img[i]
-            j -= 2
-        scale = Fraction(1, 2 ** (n - 1))
-        sum_img = [scale * v for v in sum_img]
-        half_diff = Fraction(l**n, 2)
-        col_plus = [v / 2 for v in sum_img]
-        col_minus = [v / 2 for v in sum_img]
-        col_plus[n - 2] += half_diff
-        col_plus[n - 1] -= half_diff
-        col_minus[n - 2] -= half_diff
-        col_minus[n - 1] += half_diff
-        cols.append(col_plus)
-        cols.append(col_minus)
+        images = _wedge_images(group, l, range(1, n))
+        cols = images[: n - 2]
+        summed = images[n - 2 :: -2]  # wedges n-1, n-3, ...
+        sum_img = [Fraction(sum(v), 2 ** (n - 1)) for v in zip(*summed)]
+        cols.extend(_half_spin_columns(sum_img, n, l))
     else:  # G2
-        img1 = _wedge_image(group, l, 1)
-        img2 = _wedge_image(group, l, 2)
+        img1, img2 = _wedge_images(group, l, range(1, 3))
         cols = [img1, [a - b for a, b in zip(img2, img1)]]
 
     return _finalize(group, l, cols)
@@ -551,7 +548,7 @@ def adams_matrix(group: GroupSpec, l: int, cross_check: bool = True) -> AdamsMat
 
     With cross_check (the default), the families that have both a closed
     form and a pipeline route compute both and must agree exactly;
-    ConsistencyError otherwise.
+    ConsistencyError otherwise, naming the first differing entry.
     """
     f = group.family
     if f == "U":
@@ -568,8 +565,15 @@ def adams_matrix(group: GroupSpec, l: int, cross_check: bool = True) -> AdamsMat
     if cross_check:
         piped = pullback_adams_matrix(group, l)
         if piped.entries != closed.entries:
+            i, j = next(
+                (i, j)
+                for i, (row_c, row_p) in enumerate(zip(closed.entries, piped.entries))
+                for j, (x, y) in enumerate(zip(row_c, row_p))
+                if x != y
+            )
             raise ConsistencyError(
-                f"closed form and pipeline disagree for {group}, l={l}: "
-                f"{closed.entries} != {piped.entries}"
+                f"closed form and pipeline disagree for {group}, l={l}: first at "
+                f"row {i}, column {j}: closed form {closed.entries[i][j]} != "
+                f"pipeline {piped.entries[i][j]}"
             )
     return closed

@@ -1,6 +1,9 @@
+import random
+import time
+
 import pytest
 
-from adamsops.counts import alpha, beta, mu_closed, mu_enumerate
+from adamsops.counts import alpha, beta, count_table, mu_closed, mu_enumerate
 from adamsops.exactmath import binomial
 
 
@@ -118,3 +121,54 @@ def test_row_sum_counts_every_tuple():
                 lo, hi = l * k - n * (l - 1), l * k
                 total = sum(mu_closed(n, l, k, p) for p in range(lo - 1, hi + 2))
                 assert total == l**n
+
+
+def test_table_matches_closed_form_on_random_draws():
+    # The production table against the inclusion-exclusion oracle, inside the
+    # block (read through count_table) and outside it (k > n, p < 0, p > n).
+    rng = random.Random(20261018)
+    draws = [(rng.randint(1, 80), 50) for _ in range(6)] + [(80, 50)]
+    draws += [(7, rng.randint(2, 1000)) for _ in range(6)] + [(7, 1000)]
+    draws += [(rng.randint(1, 30), rng.randint(1, 12)) for _ in range(10)]
+    for n, l in draws:
+        table = count_table(n, l)
+        assert len(table) == n + 1 and all(len(row) == n + 1 for row in table)
+        for _ in range(12):
+            k, p = rng.randint(0, n), rng.randint(0, n)
+            assert table[k][p] == mu_closed(n, l, k, p), (n, l, k, p)
+            assert mu_enumerate(n, l, k, p) == table[k][p]
+            assert alpha(n, l, k, p) == table[k][p] + mu_closed(n, l, k, n - p)
+            assert beta(n, l, k, p) == table[k][p] - mu_closed(n, l, k, n - p)
+        for _ in range(4):
+            k, p = rng.randint(0, n + 3), rng.randint(-n - 3, 2 * n + 3)
+            assert mu_enumerate(n, l, k, p) == mu_closed(n, l, k, p), (n, l, k, p)
+
+
+def test_table_whole_block_small():
+    for n in range(1, 9):
+        for l in range(1, 7):
+            expected = tuple(
+                tuple(mu_closed(n, l, k, p) for p in range(n + 1)) for k in range(n + 1)
+            )
+            assert count_table(n, l) == expected, (n, l)
+
+
+def test_table_validation():
+    for bad in [(0, 2), (3, 0), (-1, 4)]:
+        with pytest.raises(ValueError):
+            count_table(*bad)
+
+
+def test_table_cache_is_bounded():
+    maxsize = count_table.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
+def test_large_l_enumeration_is_fast():
+    # The earlier O(n*S*l) dynamic program took about 1.4 s here.
+    count_table.cache_clear()
+    t0 = time.perf_counter()
+    value = mu_enumerate(3, 3000, 1, 1)
+    elapsed = time.perf_counter() - t0
+    assert value == mu_closed(3, 3000, 1, 1)
+    assert elapsed < 0.25, elapsed

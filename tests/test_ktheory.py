@@ -6,8 +6,11 @@ functoriality pipeline for everything else -- and then frozen, so these
 tests pin both routes at once.
 """
 
+from fractions import Fraction
+
 import pytest
 
+from adamsops import ktheory
 from adamsops.ktheory import (
     FAMILIES,
     ConsistencyError,
@@ -252,3 +255,51 @@ def test_spinor_difference_is_an_eigenvector():
 
 def test_families_constant():
     assert FAMILIES == ("U", "SU", "Sp", "SpinOdd", "SpinEven", "G2")
+
+
+def test_group_spec_rejects_non_int_rank():
+    for family in FAMILIES:
+        for bad in (True, False, 2.5, 3.0, "3", None):
+            with pytest.raises(ValueError):
+                GroupSpec(family, bad)
+
+
+def test_l_rejects_bool_and_non_int():
+    # l=True used to pass as 1 and return the identity
+    for fam, n in [("U", 3), ("SU", 3), ("Sp", 2), ("SpinOdd", 2), ("SpinEven", 3), ("G2", 2)]:
+        for bad in (True, False, 2.0, 2.5, "2"):
+            with pytest.raises(ValueError):
+                adams_matrix(GroupSpec(fam, n), bad)
+    with pytest.raises(ValueError):
+        pullback_adams_matrix(GroupSpec("Sp", 2), True)
+    with pytest.raises(ValueError):
+        unitary_adams_matrix(3, 2.0)
+
+
+def test_entries_are_plain_ints():
+    for fam, n in [("U", 5), ("SU", 4), ("Sp", 4), ("SpinOdd", 4), ("SpinEven", 5), ("G2", 2)]:
+        for cross_check in (True, False):
+            mat = adams_matrix(GroupSpec(fam, n), 7, cross_check=cross_check)
+            assert all(type(e) is int for row in mat.entries for e in row), (fam, n)
+
+
+def test_finalize_rejects_a_fractional_entry():
+    with pytest.raises(ConsistencyError, match="row 1, column 0"):
+        ktheory._finalize(GroupSpec("U", 2), 2, [[4, Fraction(1, 2)], [0, 2]])
+
+
+def test_consistency_error_names_the_first_difference(monkeypatch):
+    group, l = GroupSpec("Sp", 20), 50
+    good = pullback_adams_matrix(group, l)
+    entries = [list(row) for row in good.entries]
+    entries[3][5] += 1
+    wrong = ktheory.AdamsMatrix(group, l, tuple(tuple(row) for row in entries))
+    monkeypatch.setattr(ktheory, "pullback_adams_matrix", lambda g, m: wrong)
+    with pytest.raises(ConsistencyError) as info:
+        adams_matrix(group, l)
+    message = str(info.value)
+    assert "Sp(20)" in message and "l=50" in message
+    assert "closed form" in message and "pipeline" in message
+    assert "row 3, column 5" in message
+    assert str(good.entries[3][5]) in message and str(entries[3][5]) in message
+    assert len(message) < 400, len(message)
