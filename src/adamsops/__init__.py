@@ -9,7 +9,7 @@ basis for the unitary case, and ships independent brute-force oracles
 against which every closed form is cross-checked.
 """
 
-from .counts import alpha, beta, count_table, mu_closed, mu_enumerate
+from .counts import alpha, beta, mu_closed, mu_enumerate
 from .eigen import (
     Eigenvector,
     SpectrumReport,
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # counts
-    "count_table",
     "mu_enumerate",
     "mu_closed",
     "alpha",

@@ -9,11 +9,12 @@ alpha and beta.
 
 There are two independent routes to the counts:
 
-* the production route, `count_table`: one coefficient row of
-  (1 + x + ... + x^(l-1))^n, built by n prefix-sum convolutions, of which
-  only the block mu(n, l, k, p), 0 <= k, p <= n, is kept in a bounded
-  cache.  The matrix assembly in `ktheory`, `mu_enumerate`, `alpha` and
-  `beta` read it.
+* the production route, `count_table`: the block mu(n, l, k, p),
+  0 <= k, p <= n, kept in a bounded cache.  Up to l = n(n+1) it is read off
+  one coefficient row of (1 + x + ... + x^(l-1))^n, built by n prefix-sum
+  convolutions; above that, where the row would be long and the block
+  small, it is extrapolated in l from the blocks at l = n+1..2n.  The
+  matrix assembly in `ktheory`, `mu_enumerate`, `alpha` and `beta` read it.
 * the oracle, `mu_closed`: an inclusion-exclusion sum over binomials,
   which the test suite and `adamsops mu --check` compare the table with.
 """
@@ -21,8 +22,8 @@ There are two independent routes to the counts:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 
 from .exactmath import binomial
 
@@ -48,31 +49,41 @@ def _count_row(n: int, l: int) -> list[int]:
     of n-tuples with parts in 0..l-1 summing to s, for 0 <= s <= n*(l-1).
 
     Each factor is one prefix-sum convolution: new entry s is the running
-    sum of old[s] - old[s-l].  Every row is a palindrome, so each pass
-    computes only the entries up to the middle, reading the old row's
-    upper entries from its lower ones.
+    sum of old[s] - old[s-l].
     """
-    half, top = [1], 0  # entries 0..top//2 of the row, whose degree is top
-    pad = [0] * l
+    row, pad = [1], [0] * l
     for _ in range(n):
-        old = half + half[: top + 1 - len(half)][::-1] + pad
-        top += l - 1
-        del old[top // 2 + 1 :]
-        half = list(accumulate(map(sub, old, pad + old)))
-    return half + half[: top + 1 - len(half)][::-1]
+        row = list(accumulate(map(sub, row + pad, pad + row)))[: len(row) + l - 1]
+    return row
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def count_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     """The block T[k][p] = mu(n, l, k, p) for 0 <= k, p <= n.
 
-    Row k reads the count row backwards from degree l*k down to l*k - n.
-    Only the block is cached; the count row, of n*(l-1) + 1 entries, is
-    dropped once the block is read.
+    Up to l = n(n+1), row k reads the count row backwards from degree l*k
+    down to l*k - n; the row, of n*(l-1) + 1 entries, is dropped once the
+    block is read.  For l >= n+1 the inclusion-exclusion terms that are
+    active do not depend on l, so every entry is a polynomial in l of
+    degree < n, fixed by its values at l = n+1..2n.  Above l = n(n+1),
+    where building the row costs more, Newton's forward differences over
+    those n blocks give the block in integers.  The bound n(n+1) is about
+    where the two routes take equal time, and keeps the n blocks it starts
+    from on the row route.
     """
     _validate(n, l, 0)
-    ext = [0] * n + _count_row(n, l) + [0] * n  # degree s sits at s + n
-    return tuple(tuple(ext[l * k : l * k + n + 1][::-1]) for k in range(n + 1))
+    w = n + 1
+    if l <= n * w:
+        ext = [0] * n + _count_row(n, l) + [0] * n  # degree s sits at s + n
+        return tuple(tuple(ext[l * k : l * k + w][::-1]) for k in range(w))
+    level = [sum(count_table(n, n + 1 + i), ()) for i in range(n)]
+    t = l - n - 1
+    flat, c = [0] * (w * w), 1  # c = binomial(t, i)
+    for i in range(n):
+        flat = list(map(add, flat, map(mul, level[0], repeat(c))))
+        level = [list(map(sub, b, a)) for a, b in zip(level, level[1:])]
+        c = c * (t - i) // (i + 1)
+    return tuple(tuple(flat[k * w : k * w + w]) for k in range(w))
 
 
 def mu_enumerate(n: int, l: int, k: int, p: int) -> int:

@@ -153,6 +153,18 @@ def test_table_whole_block_small():
             assert count_table(n, l) == expected, (n, l)
 
 
+def test_table_above_the_route_bound_matches_closed_form():
+    # Above l = n(n+1) the block is extrapolated in l from the blocks at
+    # l = n+1..2n rather than read off the count row.
+    for n in range(1, 13):
+        edge = n * (n + 1)
+        for l in (edge, edge + 1, edge + 2, 3 * edge + 1, 997):
+            expected = tuple(
+                tuple(mu_closed(n, l, k, p) for p in range(n + 1)) for k in range(n + 1)
+            )
+            assert count_table(n, l) == expected, (n, l)
+
+
 def test_table_validation():
     for bad in [(0, 2), (3, 0), (-1, 4)]:
         with pytest.raises(ValueError):
