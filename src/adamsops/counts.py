@@ -11,18 +11,31 @@ There are two independent routes to the counts:
 
 * the production route, `count_table`: the block mu(n, l, k, p),
   0 <= k, p <= n, kept in a bounded cache.  Up to l = n(n+1) it is read off
-  one coefficient row of (1 + x + ... + x^(l-1))^n, built by n prefix-sum
-  convolutions; above that, where the row would be long and the block
-  small, it is extrapolated in l from the blocks at l = n+1..2n.  The
-  matrix assembly in `ktheory`, `mu_enumerate`, `alpha` and `beta` read it.
+  one coefficient row of (1 + x + ... + x^(l-1))^n; above that, where the
+  row would be long and the block small, it is extrapolated in l from the
+  blocks at l = n+1..2n.  The matrix assembly in `ktheory`, `mu_enumerate`,
+  `alpha` and `beta` read it.
 * the oracle, `mu_closed`: an inclusion-exclusion sum over binomials,
   which the test suite and `adamsops mu --check` compare the table with.
+
+The row is P-recursive.  f = P^n with P = (1 - x^l)/(1 - x) has the
+logarithmic derivative f'/f = n P'/P, which clears to
+
+    (1 - x)(1 - x^l) f' = n [(1 - x^l) - l x^(l-1) (1 - x)] f.
+
+Comparing the coefficients of x^s on both sides gives, for a_s = [x^s] f,
+
+    (s+1) a[s+1] = (s+n) a[s] + (s-l+1-n*l) a[s-l+1] + (n(l-1)-s+l) a[s-l],
+
+with a[0] = 1 and a[s] = 0 for s < 0: each coefficient from three earlier
+ones, O(n*l) big-integer steps for the whole row.  The row is a palindrome,
+a[s] = a[n(l-1) - s], so only its first half is computed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import add, mul, sub
 
 from .exactmath import binomial
@@ -35,7 +48,17 @@ __all__ = ["count_table", "mu_enumerate", "mu_closed", "alpha", "beta"]
 _TABLE_CACHE_SIZE = 512
 
 
-def _validate(n: int, l: int, k: int) -> None:
+def _require_int(name: str, value: object) -> None:
+    """Reject bools, floats and anything else that is not an int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _validate(n: int, l: int, k: int = 0, p: int = 0) -> None:
+    _require_int("number of parts n", n)
+    _require_int("part bound parameter l", l)
+    _require_int("wedge degree k", k)
+    _require_int("offset p", p)
     if n < 1:
         raise ValueError(f"number of parts must be positive, got n={n}")
     if l < 1:
@@ -48,16 +71,32 @@ def _count_row(n: int, l: int) -> list[int]:
     """The coefficients of (1 + x + ... + x^(l-1))^n: entry s is the number
     of n-tuples with parts in 0..l-1 summing to s, for 0 <= s <= n*(l-1).
 
-    Each factor is one prefix-sum convolution: new entry s is the running
-    sum of old[s] - old[s-l].
+    The first half of the row comes from the three-term recurrence of the
+    module docstring,
+
+        (s+1) a[s+1] = (s+n) a[s] + (s-l+1-n*l) a[s-l+1] + (n(l-1)-s+l) a[s-l],
+
+    which clears the differential equation of (1 + ... + x^(l-1))^n; the
+    second half mirrors it.  Every step divides exactly by s+1, since each
+    a[s+1] is a count; a remainder means the recurrence is wrong and raises.
     """
-    row, pad = [1], [0] * l
-    for _ in range(n):
-        row = list(accumulate(map(sub, row + pad, pad + row)))[: len(row) + l - 1]
-    return row
+    size = n * (l - 1) + 1
+    half = (size + 1) // 2
+    nl = n * l
+    a = [0] * l + [1]  # a[s] sits at index s + l; the l zeros are a[-l..-1]
+    for s in range(half - 1):
+        q, r = divmod(
+            (s + n) * a[s + l] + (s - l + 1 - nl) * a[s + 1] + (nl - n - s + l) * a[s],
+            s + 1,
+        )
+        if r:
+            raise ArithmeticError(f"count row of n={n}, l={l}: step s={s} leaves remainder {r}")
+        a.append(q)
+    del a[:l]
+    return a + a[: size - half][::-1]
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
 def count_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     """The block T[k][p] = mu(n, l, k, p) for 0 <= k, p <= n.
 
@@ -67,11 +106,11 @@ def count_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     active do not depend on l, so every entry is a polynomial in l of
     degree < n, fixed by its values at l = n+1..2n.  Above l = n(n+1),
     where building the row costs more, Newton's forward differences over
-    those n blocks give the block in integers.  The bound n(n+1) is about
-    where the two routes take equal time, and keeps the n blocks it starts
-    from on the row route.
+    those n blocks give the block in integers.  The two routes take equal
+    time between l = n(n+1) and 2n(n+1) (timeit, n = 2..16), and the bound
+    n(n+1) keeps the n blocks the extrapolation starts from on the row route.
     """
-    _validate(n, l, 0)
+    _validate(n, l)
     w = n + 1
     if l <= n * w:
         ext = [0] * n + _count_row(n, l) + [0] * n  # degree s sits at s + n
@@ -92,7 +131,7 @@ def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
     Inside the block 0 <= k, p <= n it is read from `count_table`; outside
     it the coefficient row is rebuilt, uncached.
     """
-    _validate(n, l, k)
+    _validate(n, l, k, p)
     if k <= n and 0 <= p <= n:
         return count_table(n, l)[k][p]
     s = l * k - p
@@ -101,7 +140,7 @@ def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
     return _count_row(n, l)[s]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def mu_closed(n: int, l: int, k: int, p: int) -> int:
     """The same count by inclusion-exclusion over parts that overflow l-1:
 
@@ -112,7 +151,7 @@ def mu_closed(n: int, l: int, k: int, p: int) -> int:
     for p <= 0, where the q = k term is nonzero; for p >= 1 the two ranges
     agree.  The guard also settles k = 0: mu = 1 iff p = 0.
     """
-    _validate(n, l, k)
+    _validate(n, l, k, p)
     s = l * k - p
     if s < 0 or s > n * (l - 1):
         return 0

@@ -26,9 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import add, mul, sub
 from typing import Sequence
 
-from .counts import count_table
+from .counts import _require_int, count_table
 
 __all__ = [
     "FAMILIES",
@@ -58,7 +60,30 @@ _MIN_RANK = {"U": 1, "SU": 2, "Sp": 1, "SpinOdd": 1, "SpinEven": 3, "G2": 2}
 
 
 class ConsistencyError(Exception):
-    """Two computation routes disagreed, or a necessarily-integer entry was not one."""
+    """Two computation routes disagreed, or a necessarily-integer entry was not one.
+
+    Raised by the matrix builders, it also carries the failure as fields: the
+    `group` and `l` computed, the `routes` involved (both routes of a
+    disagreement, or the one route that produced a non-integer entry), the
+    first bad `cell` as (row, column) and its `values`, one per route.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        group: "GroupSpec | None" = None,
+        l: int | None = None,
+        routes: tuple[str, ...] = (),
+        cell: tuple[int, int] | None = None,
+        values: tuple[int | Fraction, ...] = (),
+    ) -> None:
+        super().__init__(message)
+        self.group = group
+        self.l = l
+        self.routes = routes
+        self.cell = cell
+        self.values = values
 
 
 @dataclass(frozen=True)
@@ -187,12 +212,6 @@ class AdamsMatrix:
         )
 
 
-def _require_int(name: str, value: object) -> None:
-    """Reject bools, floats and anything else that is not an int."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 def _require_l(l: int) -> None:
     _require_int("Adams operation index l", l)
     if l < 1:
@@ -200,25 +219,33 @@ def _require_l(l: int) -> None:
 
 
 def _finalize(
-    group: GroupSpec, l: int, cols: Sequence[Sequence[int | Fraction]]
+    group: GroupSpec,
+    l: int,
+    cols: Sequence[Sequence[int]],
+    route: str,
+    rational: Sequence[Sequence[int | Fraction]] = (),
 ) -> AdamsMatrix:
-    """Turn columns into an AdamsMatrix.  Columns of ints pass as they are;
-    a column with rational entries must have only integral ones."""
-    checked = []
-    for k, col in enumerate(cols):
-        if not all(type(v) is int for v in col):
-            for p, v in enumerate(col):
-                if v.denominator != 1:
-                    raise ConsistencyError(
-                        f"non-integer entry {v} at row {p}, column {k} for {group}, l={l}"
-                    )
-            col = [int(v) for v in col]
-        checked.append(col)
+    """Turn the columns `route` computed into an AdamsMatrix: `cols`, whose
+    entries are ints and pass as they are, followed by the `rational`
+    columns, whose entries must all be integral."""
+    checked = list(cols)
+    for k, col in enumerate(rational, start=len(checked)):
+        for p, v in enumerate(col):
+            if v.denominator != 1:
+                raise ConsistencyError(
+                    f"non-integer entry {v} at row {p}, column {k} for {group}, l={l}",
+                    group=group, l=l, routes=(route,), cell=(p, k), values=(v,),
+                )
+        checked.append([int(v) for v in col])
     return AdamsMatrix(group, l, tuple(zip(*checked)))
 
 
-def _sign(e: int) -> int:
-    return -1 if e % 2 else 1
+def _signs(f: int, k: int, size: int) -> list[int]:
+    """A list, at least `size` long, whose entry p is (-1)^(k+p) * f: the
+    sign pattern of the unitary formula, multiplied into a row of counts by
+    map(mul, ...)."""
+    s = -f if k % 2 else f
+    return [s, -s] * ((size + 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +258,8 @@ def unitary_adams_matrix(n: int, l: int) -> AdamsMatrix:
     group = GroupSpec("U", n)
     _require_l(l)
     table = count_table(n, l)
-    cols = [
-        [_sign(k + p) * l * table[k][p] for p in range(1, n + 1)]
-        for k in range(1, n + 1)
-    ]
-    return _finalize(group, l, cols)
+    cols = [list(map(mul, table[k], _signs(l, k, n + 1)))[1:] for k in range(1, n + 1)]
+    return _finalize(group, l, cols, "closed form")
 
 
 def special_unitary_adams_matrix(n: int, l: int) -> AdamsMatrix:
@@ -257,10 +281,10 @@ def symplectic_adams_matrix(n: int, l: int) -> AdamsMatrix:
     cols = []
     for k in range(1, n + 1):
         mu = table[k]
-        col = [_sign(k + p) * l * (mu[p] + mu[m - p]) for p in range(1, n)]
-        col.append(_sign(k + n) * l * mu[n])
-        cols.append(col)
-    return _finalize(group, l, cols)
+        # alpha(m, l, k, p) = mu[p] + mu[m - p] at p = 0..n-1, then mu[n]
+        sym = list(map(add, mu[:n], mu[m:n:-1])) + [mu[n]]
+        cols.append(list(map(mul, sym, _signs(l, k, n + 1)))[1:])
+    return _finalize(group, l, cols, "closed form")
 
 
 def spin_odd_adams_matrix(n: int, l: int) -> AdamsMatrix:
@@ -271,23 +295,27 @@ def spin_odd_adams_matrix(n: int, l: int) -> AdamsMatrix:
     _require_l(l)
     m = 2 * n + 1
     table = count_table(m, l)[: n + 1]
-    beta_n = [mu[n] - mu[m - n] for mu in table]  # beta(m, l, k, n)
+    # betas[k][p] = beta(m, l, k, p) = mu[p] - mu[m - p], p = 0..n
+    betas = [list(map(sub, mu[: n + 1], mu[m:n:-1])) for mu in table]
+    beta_n = [b[n] for b in betas]
+    sign_n = -1 if n % 2 else 1
+    alternating = _signs(1, 0, n)  # (-1)^p
     # w[k][p-1] = (-1)^p beta(m, l, k, p) - (-1)^n beta(m, l, k, n), p < n
     w = [
-        [_sign(p) * (mu[p] - mu[m - p]) - _sign(n) * b for p in range(1, n)]
-        for mu, b in zip(table, beta_n)
+        list(map(sub, map(mul, b[1:n], alternating[1:]), repeat(sign_n * b[n])))
+        for b in betas
     ]
+    sign_k = _signs(l, 0, n + 1)  # (-1)^k l
     cols = [
-        [_sign(k) * l * v for v in w[k]] + [_sign(k + n) * l * 2 ** (n + 1) * beta_n[k]]
+        [sign_k[k] * v for v in w[k]] + [sign_k[k] * sign_n * 2 ** (n + 1) * beta_n[k]]
         for k in range(1, n)
     ]
-    spin_col: list[int | Fraction] = [
-        Fraction(l * sum(_sign(k) * w[k][i] for k in range(1, n + 1)), 2 ** (n + 1))
-        for i in range(n - 1)
-    ]
-    spin_col.append(l * sum(_sign(k + n) * beta_n[k] for k in range(1, n + 1)))
-    cols.append(spin_col)
-    return _finalize(group, l, cols)
+    spin_sum = [0] * (n - 1)  # sum over k = 1..n of (-1)^k w[k]
+    for k in range(1, n + 1):
+        spin_sum = list(map(sub if k % 2 else add, spin_sum, w[k]))
+    spin_col: list[int | Fraction] = [Fraction(l * v, 2 ** (n + 1)) for v in spin_sum]
+    spin_col.append(sign_n * sum(map(mul, beta_n[1:], sign_k[1:])))
+    return _finalize(group, l, cols, "closed form", [spin_col])
 
 
 def _half_spin_columns(
@@ -318,41 +346,34 @@ def spin_even_adams_matrix(n: int, l: int) -> AdamsMatrix:
     group = GroupSpec("SpinEven", n)
     _require_l(l)
     m = 2 * n
-    d = n
-    pos_plus, pos_minus = n - 2, n - 1  # wedge degree q sits at position q - 1
     table = count_table(m, l)
+    # alpha(m, l, k, q) - alpha(m, l, k, n) for n - q even, and
+    # alpha(m, l, k, n-1) - alpha(m, l, k, q) for n - q odd, at q = 1..n-2;
+    # alpha(m, l, k, n) = 2 mu(m, l, k, n)
+    parts, tops = [], []
+    for mu in table[:n]:
+        a = list(map(add, mu[: n + 1], mu[m : n - 1 : -1]))  # alpha(m, l, k, p), p = 0..n
+        parts.append(
+            [a[q] - a[n] if (n - q) % 2 == 0 else a[n - 1] - a[q] for q in range(1, n - 1)]
+        )
+        tops.append(a[n] - a[n - 1])
 
-    def alpha(k: int, p: int) -> int:
-        return table[k][p] + table[k][m - p]
+    sign_k = _signs(l, n, n)  # (-1)^(k+n) l
+    cols = [
+        [sign_k[k] * v for v in parts[k]] + [sign_k[k] * 2 ** (n - 1) * tops[k]] * 2
+        for k in range(1, n - 1)
+    ]
 
-    cols: list[list[int | Fraction]] = []
-    for k in range(1, n - 1):
-        f = _sign(k + n) * l
-        mu_n = table[k][n]
-        a_top = alpha(k, n - 1)
-        col = [0] * d
-        for q in range(n - 2, 0, -2):
-            col[q - 1] = f * (alpha(k, q) - 2 * mu_n)
-        for q in range(n - 3, 0, -2):
-            col[q - 1] = -f * (alpha(k, q) - a_top)
-        col[pos_plus] = col[pos_minus] = -f * 2 ** (n - 1) * (a_top - 2 * mu_n)
-        cols.append(col)
-
-    # image of d(S+) + d(S-): wedge coordinates carry the factor l / 2^(n-1)
+    # image of d(S+) + d(S-), summed over the wedges j = n-1, n-3, ...: wedge
+    # coordinates carry the factor l / 2^(n-1)
     wedge_sum = [0] * (n - 2)
     spin_sum = 0
     for j in range(n - 1, 0, -2):
-        mu_n = table[j][n]
-        a_top = alpha(j, n - 1)
-        for q in range(n - 3, 0, -2):
-            wedge_sum[q - 1] += alpha(j, q) - a_top
-        for q in range(n - 2, 0, -2):
-            wedge_sum[q - 1] -= alpha(j, q) - 2 * mu_n
-        spin_sum += a_top - 2 * mu_n
+        wedge_sum = list(map(sub, wedge_sum, parts[j]))
+        spin_sum -= tops[j]
     sum_img = [Fraction(l * v, 2 ** (n - 1)) for v in wedge_sum] + [l * spin_sum] * 2
 
-    cols.extend(_half_spin_columns(sum_img, n, l))
-    return _finalize(group, l, cols)
+    return _finalize(group, l, cols, "closed form", _half_spin_columns(sum_img, n, l))
 
 
 def g2_closed_columns(l: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
@@ -474,20 +495,19 @@ def _wedge_images(group: GroupSpec, l: int, degrees: range) -> list[list[int]]:
     m = defining_dimension(group)
     table = count_table(m, l)
     d = len(basis(group))
-    # the nonzero entries of reduction-table rows 1..m
-    rows = [
-        (p, [(i, v) for i, v in enumerate(row) if v])
-        for p, row in enumerate(reduction_table(group).rows[1:], start=1)
+    # the nonzero entries (p, i, v) of the reduction table, v at row p, position i
+    nonzero = [
+        (p, i, row[i])
+        for p, row in enumerate(reduction_table(group).rows)
+        for i in compress(range(d), row)
     ]
     images = []
     for k in degrees:
-        mu = table[k]
+        # coordinate p of the unitary image: (-1)^(k+p) l mu(m, l, k, p)
+        uni = list(map(mul, table[k], _signs(l, k, m + 1)))
         acc = [0] * d
-        for p, row in rows:
-            c = _sign(k + p) * l * mu[p]
-            if c:
-                for i, v in row:
-                    acc[i] += c * v
+        for p, i, v in nonzero:
+            acc[i] += uni[p] * v
         images.append(acc)
     return images
 
@@ -504,24 +524,24 @@ def pullback_adams_matrix(group: GroupSpec, l: int) -> AdamsMatrix:
         raise ValueError(f"pullback pipeline applies to Sp, SpinOdd, SpinEven, G2; got {group}")
     _require_l(l)
 
-    cols: list[list[int | Fraction]]
+    rational: Sequence[Sequence[int | Fraction]] = ()
     if f == "Sp":
         cols = _wedge_images(group, l, range(1, n + 1))
     elif f == "SpinOdd":
         images = _wedge_images(group, l, range(1, n + 1))
         cols = images[: n - 1]
-        cols.append([Fraction(sum(v), 2 ** (n + 1)) for v in zip(*images)])
+        rational = [[Fraction(sum(v), 2 ** (n + 1)) for v in zip(*images)]]
     elif f == "SpinEven":
         images = _wedge_images(group, l, range(1, n))
         cols = images[: n - 2]
         summed = images[n - 2 :: -2]  # wedges n-1, n-3, ...
         sum_img = [Fraction(sum(v), 2 ** (n - 1)) for v in zip(*summed)]
-        cols.extend(_half_spin_columns(sum_img, n, l))
+        rational = _half_spin_columns(sum_img, n, l)
     else:  # G2
         img1, img2 = _wedge_images(group, l, range(1, 3))
         cols = [img1, [a - b for a, b in zip(img2, img1)]]
 
-    return _finalize(group, l, cols)
+    return _finalize(group, l, cols, "pipeline", rational)
 
 
 def g2_adams_matrix(l: int) -> AdamsMatrix:
@@ -534,7 +554,9 @@ def g2_adams_matrix(l: int) -> AdamsMatrix:
             if expected[k][p] != mat.entries[p][k]:
                 raise ConsistencyError(
                     f"G2 pipeline disagrees with the closed expression at "
-                    f"row {p}, column {k}, l={l}: {mat.entries[p][k]} != {expected[k][p]}"
+                    f"row {p}, column {k}, l={l}: {mat.entries[p][k]} != {expected[k][p]}",
+                    group=mat.group, l=l, routes=("pipeline", "closed expression"),
+                    cell=(p, k), values=(mat.entries[p][k], expected[k][p]),
                 )
     return mat
 
@@ -574,6 +596,8 @@ def adams_matrix(group: GroupSpec, l: int, cross_check: bool = True) -> AdamsMat
             raise ConsistencyError(
                 f"closed form and pipeline disagree for {group}, l={l}: first at "
                 f"row {i}, column {j}: closed form {closed.entries[i][j]} != "
-                f"pipeline {piped.entries[i][j]}"
+                f"pipeline {piped.entries[i][j]}",
+                group=group, l=l, routes=("closed form", "pipeline"),
+                cell=(i, j), values=(closed.entries[i][j], piped.entries[i][j]),
             )
     return closed

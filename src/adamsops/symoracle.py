@@ -89,6 +89,8 @@ class SymPoly:
     def __mul__(self, other: "SymPoly | int") -> "SymPoly":
         if isinstance(other, int):
             return SymPoly(self.n, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, SymPoly):
+            return NotImplemented
         self._check(other)
         out: Dict[Exponents, int] = {}
         for e1, c1 in self.terms.items():
@@ -102,7 +104,7 @@ class SymPoly:
         return SymPoly(self.n, out)
 
     def __rmul__(self, other: int) -> "SymPoly":
-        return self * other
+        return self.__mul__(other)
 
     def truncate(self, max_degree: int) -> "SymPoly":
         """Drop every term of total degree above max_degree."""

@@ -1,10 +1,21 @@
 import random
 import time
+from itertools import accumulate
+from operator import sub
 
 import pytest
 
-from adamsops.counts import alpha, beta, count_table, mu_closed, mu_enumerate
+from adamsops.counts import _count_row, alpha, beta, count_table, mu_closed, mu_enumerate
 from adamsops.exactmath import binomial
+
+
+def _count_row_reference(n, l):
+    """The coefficients of (1 + x + ... + x^(l-1))^n by n prefix-sum
+    convolutions: new entry s is the running sum of old[s] - old[s-l]."""
+    row, pad = [1], [0] * l
+    for _ in range(n):
+        row = list(accumulate(map(sub, row + pad, pad + row)))[: len(row) + l - 1]
+    return row
 
 
 def test_known_values():
@@ -50,6 +61,24 @@ def test_argument_validation():
             mu_closed(*bad)
         with pytest.raises(ValueError):
             mu_enumerate(*bad)
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, "2", None])
+def test_count_functions_reject_bool_and_non_int(position, bad):
+    # True == 1 and hashes like 1, so a cache shared by both would hand back
+    # the l = 1 counts for l = True; warm those entries first.
+    for f in (mu_enumerate, mu_closed, alpha, beta):
+        f(3, 1, 1, 1)
+    count_table(3, 1)
+    args = [3, 2, 1, 1]
+    args[position] = bad
+    for f in (mu_enumerate, mu_closed, alpha, beta):
+        with pytest.raises(ValueError, match="must be an int"):
+            f(*args)
+    if position < 2:
+        with pytest.raises(ValueError, match="must be an int"):
+            count_table(*args[:2])
 
 
 def test_closed_matches_enumeration_small():
@@ -184,3 +213,30 @@ def test_large_l_enumeration_is_fast():
     elapsed = time.perf_counter() - t0
     assert value == mu_closed(3, 3000, 1, 1)
     assert elapsed < 0.25, elapsed
+
+
+def test_row_matches_the_convolution_reference():
+    for n in range(1, 31):
+        for l in range(1, 41):
+            assert _count_row(n, l) == _count_row_reference(n, l), (n, l)
+    for l in (2, 3, 5, 7, 11, 50):
+        assert _count_row(80, l) == _count_row_reference(80, l), (80, l)
+
+
+def test_row_is_a_palindrome_of_the_right_length():
+    # L = n(l-1) + 1 entries: odd L has a middle entry, even L has none
+    for n, l in [(3, 2), (5, 3), (4, 4), (7, 6), (2, 1), (1, 5), (9, 8)]:
+        row = _count_row(n, l)
+        size = n * (l - 1) + 1
+        assert len(row) == size and row == row[::-1], (n, l)
+        assert sum(row) == l**n
+    assert [len(_count_row(n, l)) % 2 for n, l in [(3, 2), (4, 4)]] == [0, 1]
+
+
+def test_enumeration_outside_the_block_matches_closed_form():
+    # k > n, p < 0 and p > n rebuild the row instead of reading the table
+    for n in range(1, 9):
+        for l in (1, 2, 3, 7, 50):
+            for k in range(n + 4):
+                for p in list(range(-n - 3, 0)) + list(range(n + 1, 2 * n + 4)):
+                    assert mu_enumerate(n, l, k, p) == mu_closed(n, l, k, p), (n, l, k, p)

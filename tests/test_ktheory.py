@@ -284,8 +284,19 @@ def test_entries_are_plain_ints():
 
 
 def test_finalize_rejects_a_fractional_entry():
-    with pytest.raises(ConsistencyError, match="row 1, column 0"):
-        ktheory._finalize(GroupSpec("U", 2), 2, [[4, Fraction(1, 2)], [0, 2]])
+    group = GroupSpec("U", 2)
+    with pytest.raises(ConsistencyError, match="row 1, column 0") as info:
+        ktheory._finalize(group, 2, [], "closed form", [[4, Fraction(1, 2)], [0, 2]])
+    err = info.value
+    assert (err.group, err.l, err.routes) == (group, 2, ("closed form",))
+    assert (err.cell, err.values) == ((1, 0), (Fraction(1, 2),))
+    # rational columns follow the integer ones, and are numbered after them
+    with pytest.raises(ConsistencyError, match="row 0, column 1") as info:
+        ktheory._finalize(group, 2, [[4, 0]], "pipeline", [[Fraction(3, 4), 2]])
+    assert (info.value.routes, info.value.cell) == (("pipeline",), (0, 1))
+    mat = ktheory._finalize(group, 2, [[4, 0]], "pipeline", [[Fraction(6, 3), 2]])
+    assert mat.entries == ((4, 2), (0, 2))
+    assert all(type(e) is int for row in mat.entries for e in row)
 
 
 def test_consistency_error_names_the_first_difference(monkeypatch):
@@ -303,3 +314,33 @@ def test_consistency_error_names_the_first_difference(monkeypatch):
     assert "row 3, column 5" in message
     assert str(good.entries[3][5]) in message and str(entries[3][5]) in message
     assert len(message) < 400, len(message)
+    err = info.value
+    assert (err.group, err.l, err.routes) == (group, l, ("closed form", "pipeline"))
+    assert err.cell == (3, 5)
+    assert err.values == (good.entries[3][5], entries[3][5])
+    assert message == (
+        f"closed form and pipeline disagree for Sp(20), l=50: first at row 3, column 5: "
+        f"closed form {good.entries[3][5]} != pipeline {entries[3][5]}"
+    )
+
+
+def test_g2_consistency_error_fields(monkeypatch):
+    good = pullback_adams_matrix(GroupSpec("G2"), 3)
+    entries = ((good.entries[0][0], good.entries[0][1]), (good.entries[1][0] - 1, good.entries[1][1]))
+    wrong = ktheory.AdamsMatrix(good.group, 3, entries)
+    monkeypatch.setattr(ktheory, "pullback_adams_matrix", lambda g, m: wrong)
+    with pytest.raises(ConsistencyError) as info:
+        adams_matrix(GroupSpec("G2"), 3)
+    err = info.value
+    assert str(err) == (
+        f"G2 pipeline disagrees with the closed expression at row 1, column 0, l=3: "
+        f"{entries[1][0]} != {good.entries[1][0]}"
+    )
+    assert (err.group, err.l, err.routes) == (GroupSpec("G2"), 3, ("pipeline", "closed expression"))
+    assert (err.cell, err.values) == ((1, 0), (entries[1][0], good.entries[1][0]))
+
+
+def test_consistency_error_fields_default_to_empty():
+    err = ConsistencyError("forced disagreement")
+    assert str(err) == "forced disagreement"
+    assert (err.group, err.l, err.routes, err.cell, err.values) == (None, None, (), None, ())

@@ -1,0 +1,58 @@
+"""Properties checked on randomly drawn inputs, wider than the fixed grids.
+
+Each property runs MAX_EXAMPLES examples, each under DEADLINE_MS; on a
+2-vCPU Xeon VM the three take about a second together, and the deadlines
+bound them at 3 * 100 * 0.5 s.
+The module is skipped where `hypothesis` is not installed.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from adamsops.counts import _count_row, count_table, mu_closed  # noqa: E402
+from adamsops.ktheory import FAMILIES, GroupSpec, _MIN_RANK, adams_matrix  # noqa: E402
+
+MAX_EXAMPLES = 100
+DEADLINE_MS = 500
+
+budget = settings(max_examples=MAX_EXAMPLES, deadline=DEADLINE_MS)
+
+
+@st.composite
+def groups(draw, max_rank=12):
+    family = draw(st.sampled_from(FAMILIES))
+    if family == "G2":
+        return GroupSpec("G2")
+    return GroupSpec(family, draw(st.integers(_MIN_RANK[family], max_rank)))
+
+
+@budget
+@given(n=st.integers(1, 80), l=st.integers(1, 200), data=st.data())
+def test_row_and_table_match_closed_form(n, l, data):
+    row = _count_row(n, l)
+    assert len(row) == n * (l - 1) + 1
+    s = data.draw(st.integers(0, len(row) - 1))
+    k = -(-s // l)  # coefficient s is mu(n, l, k, l*k - s) for this k
+    assert row[s] == mu_closed(n, l, k, l * k - s)
+    k, p = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    assert count_table(n, l)[k][p] == mu_closed(n, l, k, p)
+
+
+@budget
+@given(group=groups(), a=st.integers(1, 12), b=st.integers(1, 12))
+def test_composition_law(group, a, b):
+    # M(a) . M(b) = M(ab): psi^a psi^b = psi^(ab)
+    assert adams_matrix(group, a).compose(adams_matrix(group, b)) == adams_matrix(group, a * b)
+
+
+@budget
+@given(group=groups(max_rank=40), l=st.integers(1, 1000))
+def test_entries_are_integers_on_both_routes(group, l):
+    # adams_matrix cross-checks the two routes; both must give plain ints
+    for cross_check in (True, False):
+        mat = adams_matrix(group, l, cross_check=cross_check)
+        assert all(type(e) is int for row in mat.entries for e in row)

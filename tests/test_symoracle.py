@@ -39,6 +39,17 @@ def test_sympoly_rejects_mixed_variable_counts():
         SymPoly.monomial(2, (1, 0)) + SymPoly.monomial(3, (1, 0, 0))
 
 
+def test_sympoly_times_a_non_integer_is_a_type_error():
+    # it used to raise AttributeError from inside __mul__
+    x = SymPoly.monomial(2, (1, 0), 3)
+    for bad in (2.5, "2", None, [1]):
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad * x
+    assert x * 2 == 2 * x == SymPoly.monomial(2, (1, 0), 6)
+
+
 def test_elementary_and_complete_small():
     e2 = symmetric_basis(3, 2, "elementary")
     assert e2 == _sym(3, [((1, 1, 0), 1), ((1, 0, 1), 1), ((0, 1, 1), 1)])
