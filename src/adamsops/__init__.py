@@ -25,9 +25,11 @@ from .eigen import (
 from .exactmath import TruncSeries, UniPoly, bernoulli_even, binomial, t_over_sinh_pow
 from .ktheory import (
     FAMILIES,
+    FAMILY_TABLE,
     AdamsMatrix,
     BasisElement,
     ConsistencyError,
+    Family,
     GroupSpec,
     ReductionTable,
     adams_matrix,
@@ -70,6 +72,8 @@ __all__ = [
     "TruncSeries",
     # groups and matrices
     "FAMILIES",
+    "FAMILY_TABLE",
+    "Family",
     "GroupSpec",
     "BasisElement",
     "AdamsMatrix",

@@ -1,5 +1,12 @@
 """Command-line surface: matrices, eigenvectors, raw counts, verification.
 
+Each verification suite is a list of checks, one row per property: its
+name, a lazy search for counterexamples, and the domain it sweeps; one loop
+runs the rows.  The suite table `_SUITES` gives each suite its default and
+least `--max-rank`/`--max-l`; below the least values a check would sweep
+nothing, so `verify` rejects them.  The groups of the matrix sweeps and of
+`--group` come from the family table, `ktheory.FAMILY_TABLE`.
+
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 a verification property failed, 2 invalid arguments, 3 an internal
 consistency assertion failed (independent computation routes disagreed, or
@@ -14,7 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .counts import beta, mu_closed, mu_enumerate
 from .eigen import (
@@ -27,6 +34,7 @@ from .eigen import (
 from .exactmath import binomial, t_over_sinh_pow
 from .ktheory import (
     FAMILIES,
+    FAMILY_TABLE,
     AdamsMatrix,
     ConsistencyError,
     GroupSpec,
@@ -64,298 +72,189 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, counterexample: str | None, swept: str) -> CheckResult:
-    if counterexample is None:
-        return CheckResult(name, True, swept)
-    return CheckResult(name, False, counterexample)
+def _run_checks(checks: Sequence[tuple[str, Iterator[str], str]]) -> list[CheckResult]:
+    """One result per (name, counterexamples, swept domain) row, in order.
+    The counterexamples are a lazy search: a check fails with the first one
+    it finds, and passes, reporting the domain it swept, if there is none."""
+    results = []
+    for name, counterexamples, swept in checks:
+        first = next(counterexamples, None)
+        results.append(CheckResult(name, first is None, swept if first is None else first))
+    return results
 
 
 def counts_suite(max_rank: int = 8, max_l: int = 6) -> list[CheckResult]:
-    results = []
-
-    def closed_vs_enumerated() -> str | None:
-        for n in range(1, max_rank + 1):
-            for l in range(1, max_l + 1):
-                for k in range(n + 1):
-                    for p in range(l * n + 1):
-                        if mu_closed(n, l, k, p) != mu_enumerate(n, l, k, p):
-                            return f"n={n}, l={l}, k={k}, p={p}"
-        return None
-
-    results.append(
-        _result(
+    ranks, ls = range(1, max_rank + 1), range(1, max_l + 1)
+    top = max(10, max_rank)
+    return _run_checks([
+        (
             "count: closed form equals enumeration",
-            closed_vs_enumerated(),
+            (
+                f"n={n}, l={l}, k={k}, p={p}"
+                for n in ranks for l in ls for k in range(n + 1) for p in range(l * n + 1)
+                if mu_closed(n, l, k, p) != mu_enumerate(n, l, k, p)
+            ),
             f"n<={max_rank}, l<={max_l}, 0<=k<=n, 0<=p<=l*n",
-        )
-    )
-
-    def duality() -> str | None:
-        for n in range(1, max_rank + 1):
-            for l in range(1, max_l + 1):
-                for k in range(n + 1):
-                    for p in range(l * n + 1):
-                        if mu_closed(n, l, k, p) != mu_closed(n, l, n - k, n - p):
-                            return f"n={n}, l={l}, k={k}, p={p}"
-        return None
-
-    results.append(
-        _result(
+        ),
+        (
             "count: duality under (k, p) -> (n-k, n-p)",
-            duality(),
+            (
+                f"n={n}, l={l}, k={k}, p={p}"
+                for n in ranks for l in ls for k in range(n + 1) for p in range(l * n + 1)
+                if mu_closed(n, l, k, p) != mu_closed(n, l, n - k, n - p)
+            ),
             f"n<={max_rank}, l<={max_l}",
-        )
-    )
-
-    def multiplicativity() -> str | None:
-        for n in range(1, max_rank + 1):
-            for l in range(1, max_l + 1):
-                for m in range(1, max_l + 1):
-                    for k in range(1, n + 1):
-                        for q in range(1, n + 1):
-                            lhs = sum(
-                                mu_closed(n, l, k, p) * mu_closed(n, m, p, q)
-                                for p in range(1, n + 1)
-                            )
-                            if lhs != mu_closed(n, m * l, k, q):
-                                return f"n={n}, l={l}, m={m}, k={k}, q={q}"
-        return None
-
-    results.append(
-        _result(
+        ),
+        (
             "count: composition convolution",
-            multiplicativity(),
+            (
+                f"n={n}, l={l}, m={m}, k={k}, q={q}"
+                for n in ranks for l in ls for m in ls
+                for k in range(1, n + 1) for q in range(1, n + 1)
+                if sum(mu_closed(n, l, k, p) * mu_closed(n, m, p, q) for p in range(1, n + 1))
+                != mu_closed(n, m * l, k, q)
+            ),
             f"n<={max_rank}, l,m<={max_l}, 1<=k,q<=n",
-        )
-    )
-
-    def square_case() -> str | None:
-        top = max(10, max_rank)
-        for n in range(1, top + 1):
-            for k in range(n + 1):
-                for p in range(2 * n + 1):
-                    if mu_closed(n, 2, k, p) != binomial(n, 2 * k - p):
-                        return f"n={n}, k={k}, p={p}"
-        return None
-
-    results.append(
-        _result(
+        ),
+        (
             "count: l=2 collapses to a single binomial",
-            square_case(),
-            f"n<={max(10, max_rank)}, 0<=k<=n, 0<=p<=2n",
-        )
-    )
-
-    def antisymmetry() -> str | None:
-        for n in range(1, max_rank + 1):
-            for l in range(1, max_l + 1):
-                for k in range(n + 1):
-                    for p in range(n + 1):
-                        if beta(n, l, k, p) != -beta(n, l, k, n - p):
-                            return f"n={n}, l={l}, k={k}, p={p}"
-        return None
-
-    results.append(
-        _result(
+            (
+                f"n={n}, k={k}, p={p}"
+                for n in range(1, top + 1) for k in range(n + 1) for p in range(2 * n + 1)
+                if mu_closed(n, 2, k, p) != binomial(n, 2 * k - p)
+            ),
+            f"n<={top}, 0<=k<=n, 0<=p<=2n",
+        ),
+        (
             "count: difference is antisymmetric in p -> n-p",
-            antisymmetry(),
+            (
+                f"n={n}, l={l}, k={k}, p={p}"
+                for n in ranks for l in ls for k in range(n + 1) for p in range(n + 1)
+                if beta(n, l, k, p) != -beta(n, l, k, n - p)
+            ),
             f"n<={max_rank}, l<={max_l}",
-        )
-    )
-    return results
+        ),
+    ])
 
 
 def _matrix_groups(max_rank: int, reducible_only: bool = False) -> list[GroupSpec]:
-    groups: list[GroupSpec] = []
-    if not reducible_only:
-        groups += [GroupSpec("U", n) for n in range(1, max_rank + 1)]
-        groups += [GroupSpec("SU", n) for n in range(2, max_rank + 1)]
-    groups += [GroupSpec("Sp", n) for n in range(1, max_rank + 1)]
-    groups += [GroupSpec("SpinOdd", n) for n in range(1, max_rank + 1)]
-    groups += [GroupSpec("SpinEven", n) for n in range(3, max_rank + 1)]
-    groups.append(GroupSpec("G2"))
-    return groups
+    """Every group of rank <= max_rank (a fixed-rank family regardless), family
+    by family; with reducible_only, only the families with a pipeline route."""
+    return [
+        GroupSpec(family.name, n)
+        for family in FAMILY_TABLE.values()
+        if family.pipeline or not reducible_only
+        for n in (
+            [family.fixed_rank] if family.fixed_rank else range(family.min_rank, max_rank + 1)
+        )
+    ]
+
+
+def _consistency_error(group: GroupSpec, l: int, cross_check: bool) -> ConsistencyError | None:
+    try:
+        adams_matrix(group, l, cross_check=cross_check)
+    except ConsistencyError as exc:
+        return exc
+    return None
 
 
 def matrices_suite(max_rank: int = 5, max_l: int = 4) -> list[CheckResult]:
-    results = []
-
-    def closed_vs_pipeline() -> str | None:
-        for group in _matrix_groups(max_rank, reducible_only=True):
-            for l in range(1, max_l + 1):
-                try:
-                    adams_matrix(group, l, cross_check=True)
-                except ConsistencyError as exc:
-                    return f"{group}, l={l}: {exc}"
-        return None
-
-    results.append(
-        _result(
+    groups, ls = _matrix_groups(max_rank), range(1, max_l + 1)
+    piped = "/".join(family.name for family in FAMILY_TABLE.values() if family.pipeline)
+    return _run_checks([
+        (
             "matrix: closed forms equal the functoriality pipeline",
-            closed_vs_pipeline(),
-            f"Sp/SpinOdd/SpinEven/G2, rank<={max_rank}, l<={max_l}",
-        )
-    )
-
-    def composition() -> str | None:
-        for group in _matrix_groups(max_rank):
-            for l in range(1, max_l + 1):
-                for m in range(1, max_l + 1):
-                    left = adams_matrix(group, m, cross_check=False).compose(
-                        adams_matrix(group, l, cross_check=False)
-                    )
-                    direct = adams_matrix(group, m * l, cross_check=False)
-                    if left.entries != direct.entries:
-                        return f"{group}, l={l}, m={m}"
-        return None
-
-    results.append(
-        _result(
+            (
+                f"{group}, l={l}: {exc}"
+                for group in _matrix_groups(max_rank, reducible_only=True) for l in ls
+                if (exc := _consistency_error(group, l, cross_check=True))
+            ),
+            f"{piped}, rank<={max_rank}, l<={max_l}",
+        ),
+        (
             "matrix: composition M(m).M(l) = M(m*l)",
-            composition(),
+            (
+                f"{group}, l={l}, m={m}"
+                for group in groups for l in ls for m in ls
+                if adams_matrix(group, m, cross_check=False)
+                .compose(adams_matrix(group, l, cross_check=False))
+                .entries
+                != adams_matrix(group, m * l, cross_check=False).entries
+            ),
             f"all families, rank<={max_rank}, l,m<={max_l}",
-        )
-    )
-
-    def identity() -> str | None:
-        for group in _matrix_groups(max_rank):
-            if not adams_matrix(group, 1, cross_check=False).is_identity():
-                return str(group)
-        return None
-
-    results.append(
-        _result("matrix: l=1 gives the identity", identity(), f"all families, rank<={max_rank}")
-    )
-
-    def integrality() -> str | None:
-        # re-assembly raises ConsistencyError on any fractional entry
-        try:
-            for group in _matrix_groups(max_rank):
-                for l in range(1, max_l + 1):
-                    adams_matrix(group, l, cross_check=False)
-        except ConsistencyError as exc:
-            return str(exc)
-        return None
-
-    results.append(
-        _result(
+        ),
+        (
+            "matrix: l=1 gives the identity",
+            (
+                str(group)
+                for group in groups
+                if not adams_matrix(group, 1, cross_check=False).is_identity()
+            ),
+            f"all families, rank<={max_rank}",
+        ),
+        (
+            # re-assembly raises ConsistencyError on any fractional entry
             "matrix: every entry is an integer",
-            integrality(),
+            (
+                str(exc)
+                for group in groups for l in ls
+                if (exc := _consistency_error(group, l, cross_check=False))
+            ),
             f"all families, rank<={max_rank}, l<={max_l}",
-        )
-    )
-    return results
+        ),
+    ])
 
 
 def eigen_suite(max_rank: int = 8, levels: Iterable[int] = (2, 3, 5)) -> list[CheckResult]:
     levels = tuple(levels)
-    results = []
+    ranks, small = range(1, max_rank + 1), min(max_rank, 6)
 
-    def relation() -> str | None:
-        for n in range(1, max_rank + 1):
-            for l in levels:
-                for k, ok in verify_eigen_relation(n, l):
-                    if not ok:
-                        return f"n={n}, l={l}, k={k}"
-        return None
-
-    results.append(
-        _result(
-            "eigen: closed-form vectors are eigenvectors",
-            relation(),
-            f"n<={max_rank}, l in {levels}, all levels",
-        )
-    )
-
-    def independence() -> str | None:
-        for n in range(1, max_rank + 1):
-            if eigenbasis_determinant(n) == 0:
-                return f"n={n}"
-        return None
-
-    results.append(
-        _result(
-            "eigen: the n vectors are linearly independent",
-            independence(),
-            f"n<={max_rank}",
-        )
-    )
-
-    def recurrence_vs_series() -> str | None:
+    def recurrence_vs_series() -> Iterator[str]:
         series = {y: t_over_sinh_pow(y, 22) for y in range(11)}
         for j in range(11):
             poly = sinh_pow_coeff_poly(j)
             if poly.degree != j:
-                return f"degree of coefficient polynomial {j} is {poly.degree}"
+                yield f"degree of coefficient polynomial {j} is {poly.degree}"
             for y in range(11):
                 if poly(y) != series[y].coefficient(2 * j):
-                    return f"j={j}, y={y}"
-        return None
+                    yield f"j={j}, y={y}"
 
-    results.append(
-        _result(
+    return _run_checks([
+        (
+            "eigen: closed-form vectors are eigenvectors",
+            (
+                f"n={n}, l={l}, k={k}"
+                for n in ranks for l in levels for k, ok in verify_eigen_relation(n, l)
+                if not ok
+            ),
+            f"n<={max_rank}, l in {levels}, all levels",
+        ),
+        (
+            "eigen: the n vectors are linearly independent",
+            (f"n={n}" for n in ranks if eigenbasis_determinant(n) == 0),
+            f"n<={max_rank}",
+        ),
+        (
             "eigen: recurrence matches the series expansion",
             recurrence_vs_series(),
             "y<=10, j<=10, degrees exact",
-        )
-    )
-
-    def spectrum() -> str | None:
-        for group in _matrix_groups(min(max_rank, 6)):
-            for l in levels:
-                report = spectrum_check(group, l)
-                if not report.ok:
-                    return f"{group}, l={l}: {report.char_coeffs} != {report.expected_coeffs}"
-        return None
-
-    results.append(
-        _result(
+        ),
+        (
             "eigen: characteristic polynomial matches the exponents",
-            spectrum(),
-            f"all families, rank<={min(max_rank, 6)}, l in {levels}",
-        )
-    )
-    return results
+            (
+                f"{group}, l={l}: {report.char_coeffs} != {report.expected_coeffs}"
+                for group in _matrix_groups(small) for l in levels
+                if not (report := spectrum_check(group, l)).ok
+            ),
+            f"all families, rank<={small}, l in {levels}",
+        ),
+    ])
 
 
 def oracle_suite(max_rank: int = 5, max_l: int = 4, max_degree: int = 12) -> list[CheckResult]:
-    results = []
+    ranks, ls = range(1, max_rank + 1), range(1, max_l + 1)
 
-    def specialization() -> str | None:
-        for n in range(1, max_rank + 1):
-            for l in range(1, max_l + 1):
-                for k in range(1, n + 1):
-                    coeffs = adams_symbolic_coefficients(n, l, k)
-                    for p in range(1, n + 1):
-                        if coeffs[p - 1].specialize_ones() != mu_closed(n, l, k, p):
-                            return f"n={n}, l={l}, k={k}, p={p}"
-        return None
-
-    results.append(
-        _result(
-            "oracle: specializing the symbolic coefficients at 1 gives the counts",
-            specialization(),
-            f"n<={max_rank}, l<={max_l}, 1<=k,p<=n",
-        )
-    )
-
-    def identities() -> str | None:
-        for n in range(1, max_rank + 1):
-            for l in range(1, max_l + 1):
-                ok, detail = verify_product_identity(n, l, max_degree)
-                if not ok:
-                    return detail
-        return None
-
-    results.append(
-        _result(
-            "oracle: geometric product and coefficient identities",
-            identities(),
-            f"n<={max_rank}, l<={max_l}, degree<={max_degree}",
-        )
-    )
-
-    def conversion() -> str | None:
+    def conversion() -> Iterator[str]:
         n_vars = min(max_rank, 4)
         for size in range(1, 7):
             m, m_inv = conversion_matrices(n_vars, size)
@@ -366,35 +265,11 @@ def oracle_suite(max_rank: int = 5, max_l: int = 4, max_degree: int = 12) -> lis
                         prod = prod + m[i][r] * m_inv[r][j]
                     want = SymPoly.one(n_vars) if i == j else SymPoly.zero(n_vars)
                     if prod != want:
-                        return f"size={size}, entry ({i}, {j})"
-        return None
+                        yield f"size={size}, entry ({i}, {j})"
 
-    results.append(
-        _result(
-            "oracle: triangular conversion matrices are mutually inverse",
-            conversion(),
-            "sizes <= 6",
-        )
-    )
-
-    def h_recursion() -> str | None:
-        for n in range(1, max_rank + 1):
-            for c in range(0, 9):
-                if complete_by_recursion(n, c) != symmetric_basis(n, c, "complete"):
-                    return f"n={n}, degree={c}"
-        return None
-
-    results.append(
-        _result(
-            "oracle: recursive complete symmetric polynomials match the definition",
-            h_recursion(),
-            f"n<={max_rank}, degree<=8",
-        )
-    )
-
-    def weight_expansion() -> str | None:
-        for n in range(1, max_rank + 1):
-            for l in range(1, max_l + 1):
+    def weight_expansion() -> Iterator[str]:
+        for n in ranks:
+            for l in ls:
                 for k in range(1, n + 1):
                     vec = subset_power_expansion(n, l, k)
                     for i in range(n):
@@ -407,38 +282,66 @@ def oracle_suite(max_rank: int = 5, max_l: int = 4, max_degree: int = 12) -> lis
                             ) * SymPoly.monomial(n, tuple(exps))
                             expected = expected + (-term if j % 2 == 0 else term)
                         if vec[i] != expected:
-                            return f"n={n}, l={l}, k={k}, i={i}"
-        return None
+                            yield f"n={n}, l={l}, k={k}, i={i}"
 
-    results.append(
-        _result(
-            "oracle: subset expansion equals its alternating rewriting",
-            weight_expansion(),
-            f"n<={max_rank}, l<={max_l}, 1<=k<=n",
-        )
-    )
-
-    def symmetry() -> str | None:
+    def symmetry() -> Iterator[str]:
         for n in range(2, max_rank + 1):
             swap = (1, 0) + tuple(range(2, n))
             cycle = tuple(range(1, n)) + (0,)
-            for l in range(1, max_l + 1):
+            for l in ls:
                 for k in range(1, n + 1):
                     for poly in adams_symbolic_coefficients(n, l, k):
                         if poly.permute_variables(swap) != poly:
-                            return f"n={n}, l={l}, k={k} (transposition)"
+                            yield f"n={n}, l={l}, k={k} (transposition)"
                         if poly.permute_variables(cycle) != poly:
-                            return f"n={n}, l={l}, k={k} (cycle)"
-        return None
+                            yield f"n={n}, l={l}, k={k} (cycle)"
 
-    results.append(
-        _result(
+    return _run_checks([
+        (
+            "oracle: specializing the symbolic coefficients at 1 gives the counts",
+            (
+                f"n={n}, l={l}, k={k}, p={p}"
+                for n in ranks for l in ls for k in range(1, n + 1)
+                for p, poly in enumerate(adams_symbolic_coefficients(n, l, k), start=1)
+                if poly.specialize_ones() != mu_closed(n, l, k, p)
+            ),
+            f"n<={max_rank}, l<={max_l}, 1<=k,p<=n",
+        ),
+        (
+            "oracle: geometric product and coefficient identities",
+            (
+                detail
+                for n in ranks for l in ls
+                for ok, detail in [verify_product_identity(n, l, max_degree)]
+                if not ok
+            ),
+            f"n<={max_rank}, l<={max_l}, degree<={max_degree}",
+        ),
+        (
+            "oracle: triangular conversion matrices are mutually inverse",
+            conversion(),
+            "sizes <= 6",
+        ),
+        (
+            "oracle: recursive complete symmetric polynomials match the definition",
+            (
+                f"n={n}, degree={c}"
+                for n in ranks for c in range(9)
+                if complete_by_recursion(n, c) != symmetric_basis(n, c, "complete")
+            ),
+            f"n<={max_rank}, degree<=8",
+        ),
+        (
+            "oracle: subset expansion equals its alternating rewriting",
+            weight_expansion(),
+            f"n<={max_rank}, l<={max_l}, 1<=k<=n",
+        ),
+        (
             "oracle: symbolic coefficients are symmetric in the variables",
             symmetry(),
             f"n<={max_rank}, l<={max_l}",
-        )
-    )
-    return results
+        ),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +353,7 @@ def _fail(message: str) -> None:
 
 
 def _group_from_args(family: str, rank: int | None) -> GroupSpec:
-    if family == "G2":
-        return GroupSpec("G2")
+    rank = FAMILY_TABLE[family].fixed_rank or rank  # a fixed-rank family ignores --rank
     if rank is None:
         raise ValueError(f"--rank is required for family {family}")
     return GroupSpec(family, rank)
@@ -572,41 +474,35 @@ def cmd_mu(args: argparse.Namespace) -> int:
     return 0
 
 
-_SUITES: dict[str, Callable[[argparse.Namespace], list[CheckResult]]] = {}
-
-
-def _run_counts(args: argparse.Namespace) -> list[CheckResult]:
-    return counts_suite(args.max_rank or 8, args.max_l or 6)
-
-
-def _run_matrices(args: argparse.Namespace) -> list[CheckResult]:
-    return matrices_suite(args.max_rank or 5, args.max_l or 4)
-
-
-def _run_eigen(args: argparse.Namespace) -> list[CheckResult]:
-    levels = (2, 3, 5) if args.max_l is None else tuple(range(2, args.max_l + 1))
-    return eigen_suite(args.max_rank or 8, levels)
-
-
-def _run_oracle(args: argparse.Namespace) -> list[CheckResult]:
-    return oracle_suite(args.max_rank or 5, args.max_l or 4)
-
-
-_SUITES.update(
-    {
-        "counts": _run_counts,
-        "matrices": _run_matrices,
-        "eigen": _run_eigen,
-        "oracle": _run_oracle,
-    }
-)
+# name: (suite called as f(max_rank, max_l), defaults of --max-rank and
+# --max-l, least --max-rank and --max-l).  Below the least values some check
+# of the suite would sweep nothing and pass.  The lambdas look the suite
+# functions up when called, so a wrapped or replaced suite is the one run.
+_SUITES: dict[str, tuple[Callable[[int, int | None], list[CheckResult]], tuple, tuple]] = {
+    "counts": (lambda r, l: counts_suite(r, l), (8, 6), (1, 1)),
+    "matrices": (lambda r, l: matrices_suite(r, l), (5, 4), (1, 1)),
+    # --max-l sweeps l = 2..max-l in place of the default levels 2, 3, 5
+    "eigen": (
+        lambda r, l: eigen_suite(r) if l is None else eigen_suite(r, range(2, l + 1)),
+        (8, None),
+        (1, 2),
+    ),
+    "oracle": (lambda r, l: oracle_suite(r, l), (5, 4), (2, 1)),
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    given = (args.max_rank, args.max_l)
+    for name in names:
+        for flag, value, least in zip(("--max-rank", "--max-l"), given, _SUITES[name][2]):
+            if value is not None and value < least:
+                _fail(f"{flag} must be at least {least} for the {name} suite, got {value}")
+                return 2
     all_results: list[CheckResult] = []
     for name in names:
-        all_results.extend(_SUITES[name](args))
+        suite, defaults, _ = _SUITES[name]
+        all_results += suite(*(d if v is None else v for v, d in zip(given, defaults)))
     for r in all_results:
         status = "PASS" if r.ok else "FAIL"
         print(f"{status}  {r.name}  [{r.detail}]")
@@ -657,7 +553,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant sweeps")
     p_verify.add_argument(
-        "--suite", choices=("all", "counts", "matrices", "eigen", "oracle"), default="all"
+        "--suite", choices=("all", *_SUITES), default="all"
     )
     p_verify.add_argument("--max-rank", type=int, dest="max_rank")
     p_verify.add_argument(

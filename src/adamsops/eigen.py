@@ -20,7 +20,7 @@ from operator import mul
 from typing import Sequence
 
 from .exactmath import UniPoly, bernoulli_even
-from .ktheory import GroupSpec, adams_matrix, unitary_adams_matrix
+from .ktheory import FAMILY_TABLE, GroupSpec, adams_matrix, unitary_adams_matrix
 
 __all__ = [
     "sinh_pow_coeff_poly",
@@ -210,16 +210,7 @@ def family_exponents(group: GroupSpec) -> tuple[int, ...]:
     U(n): 0..n-1; SU(n): 1..n-1; Sp(n) and Spin(2n+1): 1, 3, ..., 2n-1;
     Spin(2n): 1, 3, ..., 2n-3 together with n-1; G2: 1, 5.
     """
-    f, n = group.family, group.n
-    if f == "U":
-        return tuple(range(n))
-    if f == "SU":
-        return tuple(range(1, n))
-    if f in ("Sp", "SpinOdd"):
-        return tuple(range(1, 2 * n, 2))
-    if f == "SpinEven":
-        return tuple(sorted(list(range(1, 2 * n - 2, 2)) + [n - 1]))
-    return (1, 5)
+    return FAMILY_TABLE[group.family].exponents(group.n)
 
 
 def expected_char_poly(group: GroupSpec, l: int) -> tuple[int, ...]:

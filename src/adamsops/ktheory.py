@@ -16,6 +16,12 @@ that matrix by two independent routes:
 `adams_matrix` runs both routes and raises ConsistencyError when they
 disagree, or when an entry that must be an integer is not.
 
+What a family is lives in one place: the `Family` records of `FAMILY_TABLE`
+at the end of the module give each family's ranks, defining dimension,
+basis, display name, exponents, reduction rows and routes, and every
+function here reads them.  Adding a family means one record plus its
+closed-form builder.
+
 Convention: entries[p][k] is the coefficient of basis element p in the
 image of basis element k (columns are images), so composition is the plain
 matrix product M(m) . M(l) = M(m*l).
@@ -28,12 +34,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import add, mul, sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .counts import _require_int, count_table
 
 __all__ = [
     "FAMILIES",
+    "FAMILY_TABLE",
+    "Family",
     "ConsistencyError",
     "GroupSpec",
     "BasisElement",
@@ -48,15 +56,14 @@ __all__ = [
     "spin_even_adams_matrix",
     "g2_adams_matrix",
     "g2_closed_columns",
-    "g2_wedge_square_closed_column",
     "reduction_table",
     "pullback_adams_matrix",
     "adams_matrix",
 ]
 
-FAMILIES = ("U", "SU", "Sp", "SpinOdd", "SpinEven", "G2")
-
-_MIN_RANK = {"U": 1, "SU": 2, "Sp": 1, "SpinOdd": 1, "SpinEven": 3, "G2": 2}
+# Groups kept by the `basis` and `reduction_table` caches.  A sweep over
+# every family at ranks up to 40 touches about 200 groups.
+_GROUP_CACHE_SIZE = 256
 
 
 class ConsistencyError(Exception):
@@ -99,25 +106,20 @@ class GroupSpec:
     n: int = 2
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        family = FAMILY_TABLE.get(self.family)
+        if family is None:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         _require_int("rank", self.n)
-        if self.family == "G2":
-            object.__setattr__(self, "n", 2)
-            return
-        if self.n < _MIN_RANK[self.family]:
+        if family.fixed_rank is not None:
+            object.__setattr__(self, "n", family.fixed_rank)
+        elif self.n < family.min_rank:
             raise ValueError(
-                f"rank {self.n} too small for {self.family} (minimum {_MIN_RANK[self.family]})"
+                f"rank {self.n} too small for {self.family} (minimum {family.min_rank})"
             )
 
     def __str__(self) -> str:
-        if self.family == "G2":
-            return "G2"
-        if self.family == "SpinOdd":
-            return f"Spin({2 * self.n + 1})"
-        if self.family == "SpinEven":
-            return f"Spin({2 * self.n})"
-        return f"{self.family}({self.n})"
+        family = FAMILY_TABLE[self.family]
+        return family.display.format(n=self.n, m=family.dimension(self.n))
 
 
 @dataclass(frozen=True)
@@ -127,40 +129,53 @@ class BasisElement:
     label: str
 
 
+@dataclass(frozen=True)
+class Family:
+    """One family of groups, as every function of the package sees it; n is
+    the rank parameter.
+
+    * `display` is the group's name, a `str.format` template over n and the
+      defining dimension m; `min_rank` is the least n, and a family of fixed
+      rank has `fixed_rank`, to which `GroupSpec` normalizes n.
+    * `dimension(n)` is m.  The basis is the wedge classes 1..`wedges(n)`
+      of the defining representation, then the `extra` classes.
+    * `exponents(n)` are the m_i; the psi^l eigenvalues are l^(m_i + 1).
+    * `closed` names this module's closed-form builder, called as f(n, l).
+      It is a name, looked up when called, so that wrapping or replacing
+      the module attribute reaches every call.  None marks G2, whose
+      pipeline `g2_adams_matrix` checks against closed expressions.
+    * A family with a pipeline route gives `middle_rows(n)`, its reduction
+      rows w+1..m//2 with w = wedges(n) (see `reduction_table`), and
+      `pipeline(group, l)`, which reads the reduced wedge images and returns
+      the integer columns and then the rational columns of the matrix.
+    """
+
+    name: str
+    display: str
+    min_rank: int
+    dimension: Callable[[int], int]
+    wedges: Callable[[int], int]
+    exponents: Callable[[int], tuple[int, ...]]
+    closed: str | None
+    extra: tuple[BasisElement, ...] = ()
+    middle_rows: Callable[[int], list[list[int]]] | None = None
+    pipeline: Callable[[GroupSpec, int], tuple[list, Sequence]] | None = None
+    fixed_rank: int | None = None
+
+
 def defining_dimension(group: GroupSpec) -> int:
     """Dimension of the defining representation whose exterior powers feed
     the pipeline: n, n, 2n, 2n+1, 2n, 7 for U, SU, Sp, SpinOdd, SpinEven, G2."""
-    f, n = group.family, group.n
-    if f in ("U", "SU"):
-        return n
-    if f == "Sp" or f == "SpinEven":
-        return 2 * n
-    if f == "SpinOdd":
-        return 2 * n + 1
-    return 7
+    return FAMILY_TABLE[group.family].dimension(group.n)
 
 
-def _wedge(k: int, m: int) -> BasisElement:
-    return BasisElement("wedge", k, f"d(L^{k} s_{m})")
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def basis(group: GroupSpec) -> tuple[BasisElement, ...]:
     """The fixed, ordered basis of primitive generators for the group."""
-    f, n = group.family, group.n
-    m = defining_dimension(group)
-    if f == "U" or f == "Sp":
-        return tuple(_wedge(k, m) for k in range(1, n + 1))
-    if f == "SU":
-        return tuple(_wedge(k, m) for k in range(1, n))
-    if f == "SpinOdd":
-        return tuple(_wedge(k, m) for k in range(1, n)) + (BasisElement("spin", 0, "d(S)"),)
-    if f == "SpinEven":
-        return tuple(_wedge(k, m) for k in range(1, n - 1)) + (
-            BasisElement("spin+", 0, "d(S+)"),
-            BasisElement("spin-", 0, "d(S-)"),
-        )
-    return (BasisElement("rho1", 0, "d(rho1)"), BasisElement("rho2", 0, "d(rho2)"))
+    family = FAMILY_TABLE[group.family]
+    m = family.dimension(group.n)
+    wedges = range(1, family.wedges(group.n) + 1)
+    return tuple(BasisElement("wedge", k, f"d(L^{k} s_{m})") for k in wedges) + family.extra
 
 
 @dataclass(frozen=True)
@@ -389,12 +404,6 @@ def g2_closed_columns(l: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction
     return col1, col2
 
 
-def g2_wedge_square_closed_column(l: int) -> tuple[Fraction, Fraction]:
-    """Closed expression for the image of d(L^2 rho1) over (d(rho1), d(rho2))."""
-    _require_l(l)
-    return (Fraction(13 * l**2 - 10 * l**6, 3), Fraction(5 * l**6 + l**2, 6))
-
-
 # ---------------------------------------------------------------------------
 # reduction tables and the functoriality pipeline
 
@@ -414,78 +423,35 @@ class ReductionTable:
         return self.rows[p]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def reduction_table(group: GroupSpec) -> ReductionTable:
-    """Build the rewrite table for Sp, SpinOdd, SpinEven or G2.
+    """Build the rewrite table for a family with a pipeline route: Sp,
+    SpinOdd, SpinEven or G2.
 
-    Sp(n): wedge p > n is isomorphic to wedge 2n-p.  Spin(2n+1): the tensor
+    With m the defining dimension and w the number of wedge classes in the
+    basis, rows 1..w are the unit vectors of those classes, and row p > m/2
+    is row m-p, since wedge p is isomorphic to wedge m-p.  The family gives
+    the middle rows w+1..m//2.  Sp(n) has none.  Spin(2n+1): the tensor
     square of the spin class decomposes into wedges 0..n, giving row n =
-    2^(n+1) unit(S) - sum of the lower wedges; wedge p > n reduces to wedge
-    2n+1-p.  Spin(2n): the sum/product decompositions of the half-spin
-    classes give rows n and n-1 over 2^n (S+ + S-) resp. 2^(n-1) (S+ + S-)
-    minus lower wedges; wedge p > n reduces to wedge 2n-p.  G2: wedges 2..5
+    2^(n+1) unit(S) - sum of the lower wedges.  Spin(2n): the sum/product
+    decompositions of the half-spin classes give rows n and n-1 over 2^n
+    (S+ + S-) resp. 2^(n-1) (S+ + S-) minus lower wedges.  G2: wedges 1..3
     of the 7-dimensional class rewrite into the two fundamental classes by
-    the derivation rule d(rho * sigma) = dim(sigma) d(rho) + dim(rho) d(sigma);
-    wedge 6 is the class itself by self-duality.
+    the derivation rule d(rho * sigma) = dim(sigma) d(rho) + dim(rho) d(sigma).
     """
-    f, n = group.family, group.n
-    if f in ("U", "SU"):
+    family = FAMILY_TABLE[group.family]
+    if family.middle_rows is None:
         raise ValueError(f"{group} needs no reduction table")
-    d = len(basis(group))
-    m = defining_dimension(group)
-
-    def unit(i: int) -> list[int]:
-        row = [0] * d
-        row[i] = 1
-        return row
-
-    zero = [0] * d
-    rows: list[list[int]] = [list(zero) for _ in range(m + 1)]
-
-    if f == "Sp":
-        for p in range(1, n + 1):
-            rows[p] = unit(p - 1)
-        for p in range(n + 1, m):
-            rows[p] = list(rows[m - p])
-    elif f == "SpinOdd":
-        for p in range(1, n):
-            rows[p] = unit(p - 1)
-        row_n = [0] * d
-        row_n[d - 1] = 2 ** (n + 1)
-        for p in range(1, n):
-            row_n[p - 1] -= 1
-        rows[n] = row_n
-        for p in range(n + 1, m):
-            rows[p] = list(rows[m - p])
-    elif f == "SpinEven":
-        for p in range(1, n - 1):
-            rows[p] = unit(p - 1)
-        row_top = [0] * d  # wedge n-1
-        row_top[n - 2] = row_top[n - 1] = 2 ** (n - 1)
-        p = 1
-        while n - 2 * p - 1 >= 1:
-            row_top[(n - 2 * p - 1) - 1] -= 1
-            p += 1
-        rows[n - 1] = row_top
-        row_mid = [0] * d  # wedge n
-        row_mid[n - 2] = row_mid[n - 1] = 2**n
-        p = 1
-        while n - 2 * p >= 1:
-            row_mid[(n - 2 * p) - 1] -= 2
-            p += 1
-        rows[n] = row_mid
-        for p in range(n + 1, m):
-            rows[p] = list(rows[m - p])
-    else:  # G2
-        rho1, rho2 = unit(0), unit(1)
-        rows[1] = rho1
-        rows[2] = [a + b for a, b in zip(rho1, rho2)]
-        rows[3] = [14 * a - b for a, b in zip(rho1, rho2)]
-        rows[4] = list(rows[3])
-        rows[5] = list(rows[2])
-        rows[6] = list(rho1)
-
-    return ReductionTable(group, tuple(tuple(r) for r in rows))
+    n, m = group.n, family.dimension(group.n)
+    d, w = len(basis(group)), family.wedges(n)
+    rows = [[0] * d for _ in range(m + 1)]
+    for p in range(1, w + 1):
+        rows[p][p - 1] = 1
+    for p, row in enumerate(family.middle_rows(n), start=w + 1):
+        rows[p] = row
+    for p in range(m // 2 + 1, m):
+        rows[p] = rows[m - p]
+    return ReductionTable(group, tuple(map(tuple, rows)))
 
 
 def _wedge_images(group: GroupSpec, l: int, degrees: range) -> list[list[int]]:
@@ -519,29 +485,36 @@ def pullback_adams_matrix(group: GroupSpec, l: int) -> AdamsMatrix:
     factor 2^-(n+1); the half-spin columns are the halved image of
     d(S+)+d(S-) (wedges n-1, n-3, ... with factor 2^-(n-1)) plus or minus
     half of l^n (d(S+)-d(S-))."""
-    f, n = group.family, group.n
-    if f in ("U", "SU"):
-        raise ValueError(f"pullback pipeline applies to Sp, SpinOdd, SpinEven, G2; got {group}")
+    family = FAMILY_TABLE[group.family]
+    if family.pipeline is None:
+        piped = ", ".join(f.name for f in FAMILY_TABLE.values() if f.pipeline)
+        raise ValueError(f"pullback pipeline applies to {piped}; got {group}")
     _require_l(l)
-
-    rational: Sequence[Sequence[int | Fraction]] = ()
-    if f == "Sp":
-        cols = _wedge_images(group, l, range(1, n + 1))
-    elif f == "SpinOdd":
-        images = _wedge_images(group, l, range(1, n + 1))
-        cols = images[: n - 1]
-        rational = [[Fraction(sum(v), 2 ** (n + 1)) for v in zip(*images)]]
-    elif f == "SpinEven":
-        images = _wedge_images(group, l, range(1, n))
-        cols = images[: n - 2]
-        summed = images[n - 2 :: -2]  # wedges n-1, n-3, ...
-        sum_img = [Fraction(sum(v), 2 ** (n - 1)) for v in zip(*summed)]
-        rational = _half_spin_columns(sum_img, n, l)
-    else:  # G2
-        img1, img2 = _wedge_images(group, l, range(1, 3))
-        cols = [img1, [a - b for a, b in zip(img2, img1)]]
-
+    cols, rational = family.pipeline(group, l)
     return _finalize(group, l, cols, "pipeline", rational)
+
+
+def _symplectic_pipeline(group: GroupSpec, l: int) -> tuple[list, Sequence]:
+    return _wedge_images(group, l, range(1, group.n + 1)), ()
+
+
+def _spin_odd_pipeline(group: GroupSpec, l: int) -> tuple[list, Sequence]:
+    n = group.n
+    images = _wedge_images(group, l, range(1, n + 1))
+    return images[: n - 1], [[Fraction(sum(v), 2 ** (n + 1)) for v in zip(*images)]]
+
+
+def _spin_even_pipeline(group: GroupSpec, l: int) -> tuple[list, Sequence]:
+    n = group.n
+    images = _wedge_images(group, l, range(1, n))
+    summed = images[n - 2 :: -2]  # wedges n-1, n-3, ...
+    sum_img = [Fraction(sum(v), 2 ** (n - 1)) for v in zip(*summed)]
+    return images[: n - 2], _half_spin_columns(sum_img, n, l)
+
+
+def _g2_pipeline(group: GroupSpec, l: int) -> tuple[list, Sequence]:
+    img1, img2 = _wedge_images(group, l, range(1, 3))
+    return [img1, [a - b for a, b in zip(img2, img1)]], ()
 
 
 def g2_adams_matrix(l: int) -> AdamsMatrix:
@@ -572,19 +545,11 @@ def adams_matrix(group: GroupSpec, l: int, cross_check: bool = True) -> AdamsMat
     form and a pipeline route compute both and must agree exactly;
     ConsistencyError otherwise, naming the first differing entry.
     """
-    f = group.family
-    if f == "U":
-        return unitary_adams_matrix(group.n, l)
-    if f == "SU":
-        return special_unitary_adams_matrix(group.n, l)
-    if f == "G2":
+    family = FAMILY_TABLE[group.family]
+    if family.closed is None:
         return g2_adams_matrix(l) if cross_check else pullback_adams_matrix(group, l)
-    closed = {
-        "Sp": symplectic_adams_matrix,
-        "SpinOdd": spin_odd_adams_matrix,
-        "SpinEven": spin_even_adams_matrix,
-    }[f](group.n, l)
-    if cross_check:
+    closed = globals()[family.closed](group.n, l)
+    if cross_check and family.pipeline is not None:
         piped = pullback_adams_matrix(group, l)
         if piped.entries != closed.entries:
             i, j = next(
@@ -601,3 +566,66 @@ def adams_matrix(group: GroupSpec, l: int, cross_check: bool = True) -> AdamsMat
                 cell=(i, j), values=(closed.entries[i][j], piped.entries[i][j]),
             )
     return closed
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+def _odd_exponents(n: int) -> tuple[int, ...]:
+    return tuple(range(1, 2 * n, 2))
+
+
+def _spin_even_rows(n: int) -> list[list[int]]:
+    """Rows n-1 and n of the Spin(2n) reduction table: 2^(n-1) (S+ + S-)
+    minus the wedges n-3, n-5, ..., and 2^n (S+ + S-) minus twice the
+    wedges n-2, n-4, ..."""
+    top, mid = [0] * (n - 2) + [2 ** (n - 1)] * 2, [0] * (n - 2) + [2**n] * 2
+    for q in range(n - 3, 0, -2):
+        top[q - 1] = -1
+    for q in range(n - 2, 0, -2):
+        mid[q - 1] = -2
+    return [top, mid]
+
+
+FAMILY_TABLE: dict[str, Family] = {
+    f.name: f
+    for f in (
+        Family(
+            "U", "U({n})", 1, dimension=lambda n: n, wedges=lambda n: n,
+            exponents=lambda n: tuple(range(n)), closed="unitary_adams_matrix",
+        ),
+        Family(
+            "SU", "SU({n})", 2, dimension=lambda n: n, wedges=lambda n: n - 1,
+            exponents=lambda n: tuple(range(1, n)), closed="special_unitary_adams_matrix",
+        ),
+        Family(
+            "Sp", "Sp({n})", 1, dimension=lambda n: 2 * n, wedges=lambda n: n,
+            exponents=_odd_exponents, closed="symplectic_adams_matrix",
+            middle_rows=lambda n: [], pipeline=_symplectic_pipeline,
+        ),
+        Family(
+            "SpinOdd", "Spin({m})", 1, dimension=lambda n: 2 * n + 1, wedges=lambda n: n - 1,
+            exponents=_odd_exponents, closed="spin_odd_adams_matrix",
+            extra=(BasisElement("spin", 0, "d(S)"),),
+            middle_rows=lambda n: [[-1] * (n - 1) + [2 ** (n + 1)]],
+            pipeline=_spin_odd_pipeline,
+        ),
+        Family(
+            "SpinEven", "Spin({m})", 3, dimension=lambda n: 2 * n, wedges=lambda n: n - 2,
+            exponents=lambda n: tuple(sorted([*range(1, 2 * n - 2, 2), n - 1])),
+            closed="spin_even_adams_matrix",
+            extra=(BasisElement("spin+", 0, "d(S+)"), BasisElement("spin-", 0, "d(S-)")),
+            middle_rows=_spin_even_rows, pipeline=_spin_even_pipeline,
+        ),
+        Family(
+            "G2", "G2", 2, dimension=lambda n: 7, wedges=lambda n: 0,
+            exponents=lambda n: (1, 5), closed=None,
+            extra=(BasisElement("rho1", 0, "d(rho1)"), BasisElement("rho2", 0, "d(rho2)")),
+            middle_rows=lambda n: [[1, 0], [1, 1], [14, -1]],
+            pipeline=_g2_pipeline, fixed_rank=2,
+        ),
+    )
+}
+
+FAMILIES = tuple(FAMILY_TABLE)

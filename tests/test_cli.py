@@ -190,3 +190,27 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+@pytest.mark.parametrize("argv, flag, least, suite, value", [
+    (["--suite", "counts", "--max-rank", "0"], "--max-rank", 1, "counts", 0),
+    (["--suite", "matrices", "--max-l", "0"], "--max-l", 1, "matrices", 0),
+    (["--suite", "counts", "--max-rank", "-3"], "--max-rank", 1, "counts", -3),
+    (["--suite", "eigen", "--max-l", "1"], "--max-l", 2, "eigen", 1),
+    (["--suite", "oracle", "--max-rank", "1"], "--max-rank", 2, "oracle", 1),
+    (["--max-rank", "1", "--max-l", "2"], "--max-rank", 2, "oracle", 1),
+])
+def test_verify_rejects_an_empty_sweep(capsys, argv, flag, least, suite, value):
+    # each of these used to sweep nothing, or silently run the defaults, and exit 0
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be at least {least} for the {suite} suite, got {value}\n"
+
+
+def test_verify_runs_at_the_least_sweep(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "eigen", "--max-rank", "1", "--max-l", "2")
+    assert code == 0
+    assert "l in (2,)" in out
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-rank", "2", "--max-l", "1")
+    assert (code, out.splitlines()[-1]) == (0, "6/6 checks passed")

@@ -344,3 +344,24 @@ def test_consistency_error_fields_default_to_empty():
     err = ConsistencyError("forced disagreement")
     assert str(err) == "forced disagreement"
     assert (err.group, err.l, err.routes, err.cell, err.values) == (None, None, (), None, ())
+
+
+def test_group_caches_are_bounded():
+    for cache in (basis, reduction_table):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
+
+def test_family_table_covers_every_family(monkeypatch):
+    assert tuple(ktheory.FAMILY_TABLE) == FAMILIES
+    for name, family in ktheory.FAMILY_TABLE.items():
+        assert family.name == name
+        n = family.fixed_rank or family.min_rank
+        group = GroupSpec(name, n)
+        assert len(basis(group)) == len(family.exponents(n))
+        # a pipeline needs a reduction table, and the other way round
+        assert (family.pipeline is None) == (family.middle_rows is None)
+        # the closed builders are named, so that they are looked up when called
+        assert family.closed is None or callable(getattr(ktheory, family.closed))
+    monkeypatch.setattr(ktheory, "symplectic_adams_matrix", lambda n, l: ("replaced", n, l))
+    assert adams_matrix(GroupSpec("Sp", 3), 2, cross_check=False) == ("replaced", 3, 2)

@@ -14,7 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from adamsops.counts import _count_row, count_table, mu_closed  # noqa: E402
-from adamsops.ktheory import FAMILIES, GroupSpec, _MIN_RANK, adams_matrix  # noqa: E402
+from adamsops.ktheory import FAMILIES, FAMILY_TABLE, GroupSpec, adams_matrix  # noqa: E402
 
 MAX_EXAMPLES = 100
 DEADLINE_MS = 500
@@ -27,7 +27,7 @@ def groups(draw, max_rank=12):
     family = draw(st.sampled_from(FAMILIES))
     if family == "G2":
         return GroupSpec("G2")
-    return GroupSpec(family, draw(st.integers(_MIN_RANK[family], max_rank)))
+    return GroupSpec(family, draw(st.integers(FAMILY_TABLE[family].min_rank, max_rank)))
 
 
 @budget
