@@ -75,10 +75,14 @@ class CheckResult:
 def _run_checks(checks: Sequence[tuple[str, Iterator[str], str]]) -> list[CheckResult]:
     """One result per (name, counterexamples, swept domain) row, in order.
     The counterexamples are a lazy search: a check fails with the first one
-    it finds, and passes, reporting the domain it swept, if there is none."""
+    it finds, and passes, reporting the domain it swept, if there is none.
+    A ConsistencyError raised by the search is its first counterexample."""
     results = []
     for name, counterexamples, swept in checks:
-        first = next(counterexamples, None)
+        try:
+            first = next(counterexamples, None)
+        except ConsistencyError as exc:
+            first = str(exc)
         results.append(CheckResult(name, first is None, swept if first is None else first))
     return results
 
@@ -150,12 +154,13 @@ def _matrix_groups(max_rank: int, reducible_only: bool = False) -> list[GroupSpe
     ]
 
 
-def _consistency_error(group: GroupSpec, l: int, cross_check: bool) -> ConsistencyError | None:
-    try:
-        adams_matrix(group, l, cross_check=cross_check)
-    except ConsistencyError as exc:
-        return exc
-    return None
+def _build_all(groups: Iterable[GroupSpec], ls: range, cross_check: bool) -> Iterator[str]:
+    """Build every matrix and yield nothing: `adams_matrix` raises
+    ConsistencyError on a failure, which `_run_checks` reports."""
+    for group in groups:
+        for l in ls:
+            adams_matrix(group, l, cross_check=cross_check)
+    yield from ()
 
 
 def matrices_suite(max_rank: int = 5, max_l: int = 4) -> list[CheckResult]:
@@ -164,11 +169,7 @@ def matrices_suite(max_rank: int = 5, max_l: int = 4) -> list[CheckResult]:
     return _run_checks([
         (
             "matrix: closed forms equal the functoriality pipeline",
-            (
-                f"{group}, l={l}: {exc}"
-                for group in _matrix_groups(max_rank, reducible_only=True) for l in ls
-                if (exc := _consistency_error(group, l, cross_check=True))
-            ),
+            _build_all(_matrix_groups(max_rank, reducible_only=True), ls, cross_check=True),
             f"{piped}, rank<={max_rank}, l<={max_l}",
         ),
         (
@@ -195,11 +196,7 @@ def matrices_suite(max_rank: int = 5, max_l: int = 4) -> list[CheckResult]:
         (
             # re-assembly raises ConsistencyError on any fractional entry
             "matrix: every entry is an integer",
-            (
-                str(exc)
-                for group in groups for l in ls
-                if (exc := _consistency_error(group, l, cross_check=False))
-            ),
+            _build_all(groups, ls, cross_check=False),
             f"all families, rank<={max_rank}, l<={max_l}",
         ),
     ])
@@ -369,18 +366,33 @@ def _matrix_document(mat: AdamsMatrix) -> dict:
     }
 
 
-def _print_pretty_matrix(mat: AdamsMatrix) -> None:
+def _pretty_matrix_lines(mat: AdamsMatrix) -> Iterator[str]:
     labels = [b.label for b in mat.basis]
     width = max(
         max((len(str(e)) for row in mat.entries for e in row), default=1),
         max(len(s) for s in labels),
     )
-    print(f"psi^{mat.l} on {mat.group}  (columns are images of basis elements)")
-    header = " " * (width + 2) + "  ".join(s.rjust(width) for s in labels)
-    print(header)
+    yield f"psi^{mat.l} on {mat.group}  (columns are images of basis elements)"
+    yield " " * (width + 2) + "  ".join(s.rjust(width) for s in labels)
     for label, row in zip(labels, mat.entries):
         cells = "  ".join(str(e).rjust(width) for e in row)
-        print(f"{label.rjust(width)}  {cells}")
+        yield f"{label.rjust(width)}  {cells}"
+
+
+def _write(
+    fmt: str, doc: dict, header: list[str], rows: Iterable[list], pretty_lines: Iterable[str]
+) -> None:
+    """Print one result as `fmt`: the json document, the csv header and rows,
+    or the pretty lines."""
+    if fmt == "json":
+        print(json.dumps(doc, indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for line in pretty_lines:
+            print(line)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -393,15 +405,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     except ConsistencyError as exc:
         _fail(f"internal consistency failure: {exc}")
         return 3
-    if args.format == "json":
-        print(json.dumps(_matrix_document(mat), indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow([b.label for b in mat.basis])
-        for row in mat.entries:
-            writer.writerow([str(e) for e in row])
-    else:
-        _print_pretty_matrix(mat)
+    rows = ([str(e) for e in row] for row in mat.entries)
+    labels = [b.label for b in mat.basis]
+    _write(args.format, _matrix_document(mat), labels, rows, _pretty_matrix_lines(mat))
     return 0
 
 
@@ -415,44 +421,22 @@ def cmd_eigen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         _fail(str(exc))
         return 2
-    n = args.rank
     labels = [b.label for b in basis(group)]
-    levels = list(range(n))
-    coord_rows = [v.coords for v in vectors]
-    if args.integral:
-        # display variant: scale each vector by the lcm of its denominators
-        # (any nonzero multiple of an eigenvector is an eigenvector)
-        coord_rows = [
-            tuple(c * lcm(*(x.denominator for x in coords)) for c in coords)
-            for coords in coord_rows
-        ]
-    if args.l is None:
-        eigenvalues = [f"l^{n - k}" for k in levels]
-    else:
-        eigenvalues = [str(args.l ** (n - k)) for k in levels]
-    doc: dict = {"group": "U", "rank": n}
-    if mat is not None:
-        doc["l"] = mat.l
-    doc["basis"] = labels
-    if mat is not None:
-        doc["matrix"] = [[str(e) for e in row] for row in mat.entries]
-    doc["eigen"] = {
-        "levels": levels,
-        "eigenvalues": eigenvalues,
-        "vectors": [[str(c) for c in coords] for coords in coord_rows],
-    }
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["level", "eigenvalue"] + labels)
-        for k, coords in zip(levels, coord_rows):
-            writer.writerow([k, eigenvalues[k]] + [str(c) for c in coords])
-    else:
-        print(f"eigenvectors of the Adams operations on U({n})")
-        for k, coords in zip(levels, coord_rows):
-            joined = ", ".join(str(c) for c in coords)
-            print(f"  level {k}  eigenvalue {eigenvalues[k]}  ({joined})")
+    # display variant: --integral scales each vector by the lcm of its
+    # denominators (any nonzero multiple of an eigenvector is an eigenvector)
+    scales = [lcm(*(c.denominator for c in v.coords)) if args.integral else 1 for v in vectors]
+    coords = [[str(c * s) for c in v.coords] for v, s in zip(vectors, scales)]
+    eigenvalues = [
+        f"l^{v.eigenvalue_exponent}" if args.l is None else str(args.l**v.eigenvalue_exponent)
+        for v in vectors
+    ]
+    doc = _matrix_document(mat) if mat else {"group": "U", "rank": args.rank, "basis": labels}
+    doc["eigen"] = {"levels": [v.k for v in vectors], "eigenvalues": eigenvalues, "vectors": coords}
+    rows = [[v.k, value, *row] for v, value, row in zip(vectors, eigenvalues, coords)]
+    pretty = [f"eigenvectors of the Adams operations on U({args.rank})"] + [
+        f"  level {k}  eigenvalue {value}  ({', '.join(row)})" for k, value, *row in rows
+    ]
+    _write(args.format, doc, ["level", "eigenvalue", *labels], rows, pretty)
     return 0
 
 

@@ -47,6 +47,10 @@ __all__ = ["count_table", "mu_enumerate", "mu_closed", "alpha", "beta"]
 # n = 80, l = 50 takes about 520 KiB.
 _TABLE_CACHE_SIZE = 512
 
+# Oracle counts kept.  `adamsops verify` at its defaults leaves 11,773
+# entries; 2^15 gives that 2.8x headroom and takes about 5 MB when full.
+_ORACLE_CACHE_SIZE = 2**15
+
 
 def _require_int(name: str, value: object) -> None:
     """Reject bools, floats and anything else that is not an int."""
@@ -140,7 +144,7 @@ def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
     return _count_row(n, l)[s]
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=_ORACLE_CACHE_SIZE, typed=True)
 def mu_closed(n: int, l: int, k: int, p: int) -> int:
     """The same count by inclusion-exclusion over parts that overflow l-1:
 

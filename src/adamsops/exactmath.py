@@ -40,16 +40,26 @@ def binomial(a: int, b: int) -> int:
     return comb(a, b)
 
 
-@lru_cache(maxsize=None)
+# Bernoulli numbers kept: the eigenvectors of U(n), n <= 256, read at most 128.
+_BERNOULLI_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_BERNOULLI_CACHE_SIZE)
 def _bernoulli(m: int) -> Fraction:
-    # Recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 with B_0 = 1, which fixes
-    # the convention B_1 = -1/2.
+    """B_m for even m >= 0 from the tangent numbers T_1..T_k, k = m/2:
+
+        B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+
+    The T_k come from Brent and Harvey's integer triangle, O(k^2) steps in
+    a loop, so no index needs a deep stack or its lower indices cached."""
     if m == 0:
         return Fraction(1)
-    acc = Fraction(0)
-    for j in range(m):
-        acc += comb(m + 1, j) * _bernoulli(j)
-    return -acc / (m + 1)
+    k = m // 2
+    t = [0] + [factorial(i - 1) for i in range(1, k + 1)]
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return Fraction(2 * k * t[k] if k % 2 else -2 * k * t[k], 4**k * (4**k - 1))
 
 
 def bernoulli_even(m: int) -> Fraction:

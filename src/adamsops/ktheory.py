@@ -142,8 +142,7 @@ class Family:
     * `exponents(n)` are the m_i; the psi^l eigenvalues are l^(m_i + 1).
     * `closed` names this module's closed-form builder, called as f(n, l).
       It is a name, looked up when called, so that wrapping or replacing
-      the module attribute reaches every call.  None marks G2, whose
-      pipeline `g2_adams_matrix` checks against closed expressions.
+      the module attribute reaches every call.
     * A family with a pipeline route gives `middle_rows(n)`, its reduction
       rows w+1..m//2 with w = wedges(n) (see `reduction_table`), and
       `pipeline(group, l)`, which reads the reduced wedge images and returns
@@ -156,7 +155,7 @@ class Family:
     dimension: Callable[[int], int]
     wedges: Callable[[int], int]
     exponents: Callable[[int], tuple[int, ...]]
-    closed: str | None
+    closed: str
     extra: tuple[BasisElement, ...] = ()
     middle_rows: Callable[[int], list[list[int]]] | None = None
     pipeline: Callable[[GroupSpec, int], tuple[list, Sequence]] | None = None
@@ -404,6 +403,12 @@ def g2_closed_columns(l: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction
     return col1, col2
 
 
+def _g2_closed_matrix(n: int, l: int) -> AdamsMatrix:
+    """G2's closed form: the expressions of `g2_closed_columns`, each of which
+    must come out integral."""
+    return _finalize(GroupSpec("G2", n), l, [], "closed form", g2_closed_columns(l))
+
+
 # ---------------------------------------------------------------------------
 # reduction tables and the functoriality pipeline
 
@@ -518,20 +523,8 @@ def _g2_pipeline(group: GroupSpec, l: int) -> tuple[list, Sequence]:
 
 
 def g2_adams_matrix(l: int) -> AdamsMatrix:
-    """The 2x2 matrix for G2, computed by the pipeline and asserted equal to
-    the closed polynomial expressions."""
-    mat = pullback_adams_matrix(GroupSpec("G2"), l)
-    expected = g2_closed_columns(l)
-    for k in range(2):
-        for p in range(2):
-            if expected[k][p] != mat.entries[p][k]:
-                raise ConsistencyError(
-                    f"G2 pipeline disagrees with the closed expression at "
-                    f"row {p}, column {k}, l={l}: {mat.entries[p][k]} != {expected[k][p]}",
-                    group=mat.group, l=l, routes=("pipeline", "closed expression"),
-                    cell=(p, k), values=(mat.entries[p][k], expected[k][p]),
-                )
-    return mat
+    """The 2x2 matrix for G2: `adams_matrix` with its cross-check."""
+    return adams_matrix(GroupSpec("G2"), l)
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +536,10 @@ def adams_matrix(group: GroupSpec, l: int, cross_check: bool = True) -> AdamsMat
 
     With cross_check (the default), the families that have both a closed
     form and a pipeline route compute both and must agree exactly;
-    ConsistencyError otherwise, naming the first differing entry.
+    ConsistencyError otherwise, naming the first differing entry.  Without
+    it, every family returns its closed form.
     """
     family = FAMILY_TABLE[group.family]
-    if family.closed is None:
-        return g2_adams_matrix(l) if cross_check else pullback_adams_matrix(group, l)
     closed = globals()[family.closed](group.n, l)
     if cross_check and family.pipeline is not None:
         piped = pullback_adams_matrix(group, l)
@@ -620,7 +612,7 @@ FAMILY_TABLE: dict[str, Family] = {
         ),
         Family(
             "G2", "G2", 2, dimension=lambda n: 7, wedges=lambda n: 0,
-            exponents=lambda n: (1, 5), closed=None,
+            exponents=lambda n: (1, 5), closed="_g2_closed_matrix",
             extra=(BasisElement("rho1", 0, "d(rho1)"), BasisElement("rho2", 0, "d(rho2)")),
             middle_rows=lambda n: [[1, 0], [1, 1], [14, -1]],
             pipeline=_g2_pipeline, fixed_rank=2,

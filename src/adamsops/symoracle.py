@@ -175,8 +175,12 @@ def complete_by_recursion(n: int, k: int) -> SymPoly:
         raise ValueError(f"complete_by_recursion: degree must be nonnegative, got {k}")
     if k == 0:
         return SymPoly.one(n)
+    # fill the cache bottom-up, so that every call below finds its own lower
+    # degrees cached and no call recurses more than one level deep
+    for lower in range(1, k):
+        complete_by_recursion(n, lower)
     acc = SymPoly.zero(n)
-    for j in range(1, k + 1):
+    for j in range(1, min(k, n) + 1):  # s_j vanishes for j > n
         term = _elementary(n, j) * complete_by_recursion(n, k - j)
         acc = acc + (term if j % 2 else -term)
     return acc

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from adamsops.cli import main
-from adamsops.ktheory import ConsistencyError
+from adamsops.ktheory import ConsistencyError, GroupSpec, adams_matrix
 
 
 def run(capsys, *argv):
@@ -172,6 +172,27 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-rank", "2", "--max-l", "2")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_reports_a_consistency_error_from_any_check(capsys, monkeypatch):
+    def broken(group, l, cross_check=True):
+        if (group, l, cross_check) == (GroupSpec("SpinOdd", 3), 2, False):
+            raise ConsistencyError("forced non-integer entry for Spin(7), l=2")
+        return adams_matrix(group, l, cross_check=cross_check)
+
+    monkeypatch.setattr("adamsops.cli.adams_matrix", broken)
+    # the composition check meets the error before the integrality check does
+    code, out, err = run(capsys, "verify", "--suite", "matrices", "--max-rank", "3", "--max-l", "2")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "PASS  matrix: closed forms equal the functoriality pipeline  "
+        "[Sp/SpinOdd/SpinEven/G2, rank<=3, l<=2]",
+        "FAIL  matrix: composition M(m).M(l) = M(m*l)  "
+        "[forced non-integer entry for Spin(7), l=2]",
+        "PASS  matrix: l=1 gives the identity  [all families, rank<=3]",
+        "FAIL  matrix: every entry is an integer  [forced non-integer entry for Spin(7), l=2]",
+        "2/4 checks passed",
+    ]
 
 
 def test_verify_all_small(capsys):

@@ -201,8 +201,9 @@ def test_table_validation():
 
 
 def test_table_cache_is_bounded():
-    maxsize = count_table.cache_info().maxsize
-    assert maxsize is not None and maxsize > 0
+    for cache in (count_table, mu_closed):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
 
 
 def test_large_l_enumeration_is_fast():

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+from adamsops import exactmath
 from adamsops.exactmath import (
     TruncSeries,
     UniPoly,
@@ -88,6 +90,41 @@ def test_bernoulli_against_generating_series():
         assert gen.coefficient(m) == bernoulli_even(m) / factorial(m)
     for m in range(3, order, 2):
         assert gen.coefficient(m) == 0
+
+
+def _bernoulli_reference(top):
+    # sum_{j=0}^{m} C(m+1, j) B_j = 0 with B_0 = 1, every index up to top
+    b = [Fraction(1)]
+    for m in range(1, top + 1):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def test_bernoulli_against_the_recurrence():
+    reference = _bernoulli_reference(160)
+    assert bernoulli_even(40) == Fraction(-261082718496449122051, 13530)
+    for m in range(0, 161, 2):
+        assert bernoulli_even(m) == reference[m], m
+
+
+def test_bernoulli_far_above_the_cache_bound():
+    # the cache is bounded, and an index far above the bound is one miss:
+    # it neither thrashes the cache nor recurses
+    maxsize = exactmath._bernoulli.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+    m = 8 * maxsize
+    exactmath._bernoulli.cache_clear()
+    t0 = time.perf_counter()
+    value = bernoulli_even(m)
+    elapsed = time.perf_counter() - t0
+    assert exactmath._bernoulli.cache_info().misses == 1
+    assert elapsed < 2.0, elapsed
+    # von Staudt-Clausen: B_m + sum of 1/p over the primes p with (p-1) | m
+    # is an integer; for m = 1024 those primes are 2, 3, 5, 17 and 257
+    assert m == 1024
+    primes = (2, 3, 5, 17, 257)
+    assert value.denominator == 2 * 3 * 5 * 17 * 257
+    assert (value + sum(Fraction(1, p) for p in primes)).denominator == 1
 
 
 # ---------------------------------------------------------------------------

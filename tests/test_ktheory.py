@@ -235,6 +235,24 @@ def test_pipeline_agrees_with_closed_forms():
             assert closed.entries == piped.entries, (str(g), l)
 
 
+def test_g2_closed_route_is_its_polynomial_expressions(monkeypatch):
+    g2 = GroupSpec("G2")
+    for l in range(1, 301):
+        col1, col2 = ktheory.g2_closed_columns(l)
+        closed = adams_matrix(g2, l, cross_check=False)
+        assert closed.entries == tuple(zip(col1, col2)), l
+        assert closed.entries == pullback_adams_matrix(g2, l).entries, l
+    # without the cross-check the pipeline does not run
+    monkeypatch.setattr(ktheory, "pullback_adams_matrix", lambda g, m: pytest.fail("pipeline ran"))
+    closed = adams_matrix(g2, 1000, cross_check=False)
+    assert closed.entries[0][1] == 52 * 10**6 * (1 - 10**12) // 15
+    # a non-integral expression is rejected like any other closed form's entry
+    monkeypatch.setattr(ktheory, "g2_closed_columns", lambda l: ((1, Fraction(1, 2)), (0, 1)))
+    with pytest.raises(ConsistencyError) as info:
+        adams_matrix(g2, 5, cross_check=False)
+    assert (info.value.routes, info.value.cell) == (("closed form",), (1, 0))
+
+
 def test_cross_check_flag_runs_both_routes():
     # must not raise anywhere in a quick sweep
     for fam, n in [("Sp", 3), ("SpinOdd", 3), ("SpinEven", 4)]:
@@ -332,12 +350,13 @@ def test_g2_consistency_error_fields(monkeypatch):
     with pytest.raises(ConsistencyError) as info:
         adams_matrix(GroupSpec("G2"), 3)
     err = info.value
+    # the same message shape as every other family's
     assert str(err) == (
-        f"G2 pipeline disagrees with the closed expression at row 1, column 0, l=3: "
-        f"{entries[1][0]} != {good.entries[1][0]}"
+        f"closed form and pipeline disagree for G2, l=3: first at row 1, column 0: "
+        f"closed form {good.entries[1][0]} != pipeline {entries[1][0]}"
     )
-    assert (err.group, err.l, err.routes) == (GroupSpec("G2"), 3, ("pipeline", "closed expression"))
-    assert (err.cell, err.values) == ((1, 0), (entries[1][0], good.entries[1][0]))
+    assert (err.group, err.l, err.routes) == (GroupSpec("G2"), 3, ("closed form", "pipeline"))
+    assert (err.cell, err.values) == ((1, 0), (good.entries[1][0], entries[1][0]))
 
 
 def test_consistency_error_fields_default_to_empty():
@@ -362,6 +381,6 @@ def test_family_table_covers_every_family(monkeypatch):
         # a pipeline needs a reduction table, and the other way round
         assert (family.pipeline is None) == (family.middle_rows is None)
         # the closed builders are named, so that they are looked up when called
-        assert family.closed is None or callable(getattr(ktheory, family.closed))
+        assert callable(getattr(ktheory, family.closed))
     monkeypatch.setattr(ktheory, "symplectic_adams_matrix", lambda n, l: ("replaced", n, l))
     assert adams_matrix(GroupSpec("Sp", 3), 2, cross_check=False) == ("replaced", 3, 2)

@@ -2,6 +2,9 @@
 everywhere the two can both be afforded; that agreement is what makes the
 module usable as an independent oracle for the counting layer."""
 
+import inspect
+import sys
+
 import pytest
 
 from adamsops.counts import mu_closed
@@ -58,6 +61,19 @@ def test_elementary_and_complete_small():
     # elementary polynomials vanish above the variable count
     assert symmetric_basis(2, 3, "elementary").is_zero()
     assert symmetric_basis(3, 0, "complete") == SymPoly.one(3)
+
+
+def test_complete_recursion_needs_no_deep_stack():
+    # the cache is filled bottom-up, so a stack only 50 frames deeper than
+    # the caller's is enough for any degree
+    complete_by_recursion.cache_clear()
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        h = complete_by_recursion(1, 1500)
+    finally:
+        sys.setrecursionlimit(old)
+    assert h == SymPoly.monomial(1, (1500,))
 
 
 def test_complete_recursion_matches_definition():
