@@ -5,15 +5,18 @@ Spin(2n+1), Spin(2n) and G2 -- the operation psi^l acts on the stated
 integral generators of the primitive part of K^*(G) by an integer matrix.
 This package assembles those matrices exactly (arbitrary-precision
 integers and rationals throughout), provides the rational eigenvector
-basis for the unitary case, and ships independent brute-force oracles
+basis for the unitary case and, by restriction, an integer eigenbasis for
+every family, and ships independent brute-force oracles
 against which every closed form is cross-checked.
 """
 
 from .counts import alpha, beta, mu_closed, mu_enumerate
 from .eigen import (
+    Eigenbasis,
     Eigenvector,
     SpectrumReport,
     char_poly,
+    eigenbasis,
     eigenbasis_determinant,
     eigenvector,
     expected_char_poly,
@@ -96,6 +99,8 @@ __all__ = [
     "sinh_pow_coeff_poly",
     "verify_eigen_relation",
     "eigenbasis_determinant",
+    "Eigenbasis",
+    "eigenbasis",
     "char_poly",
     "family_exponents",
     "expected_char_poly",

@@ -4,23 +4,49 @@ The unitary matrix for psi^l has simple spectrum l^n, l^(n-1), ..., l and a
 basis of common eigenvectors independent of l.  The eigenvector for the
 eigenvalue l^(n-k) is written in closed form through the even Taylor
 coefficients of (t/sinh t)^y: coefficient j is a degree-j polynomial q_j(y)
-satisfying a Bernoulli-number recurrence.  `eigenvector` runs that
-recurrence on numbers at y = n; `sinh_pow_coeff_poly` builds the polynomials
-themselves and serves as the independent check on it.  The module also
-gives exact characteristic polynomials (Berkowitz's division-free
-algorithm over the integers) and spectrum checks for every supported family.
+satisfying a Bernoulli-number recurrence.  One cached run of that recurrence
+on numbers at y = n serves every level, and the levels of U(n) are cached as
+integer numerators over one denominator per level; `eigenvector` and
+`eigenbasis_determinant` read them.  `sinh_pow_coeff_poly` builds the
+polynomials themselves and serves as the independent check on the numbers.
+
+Every other family gets its eigenvectors by restriction from U(m), m the
+defining dimension.  The restriction R from the primitives of U(m) to those
+of G (the identity for U, the top coordinate dropped for SU, the reduction
+table for the rest) satisfies R.M_U(m)(l) = M_G(l).R, so R.v_k is zero or an
+eigenvector with eigenvalue l^(m-k).  `eigenbasis(group)` collects them,
+scaled to primitive integer columns, plus the eigenvectors restriction
+misses (d(S+) - d(S-) for Spin(2n)); it does not depend on l and is kept in
+a bounded cache.
+
+`spectrum_check` proves char(M) = prod_i (x - l^(m_i + 1)) with that basis V
+as a certificate: V has one column per basis element with exactly the
+eigenvalue exponents m_i + 1, det V is nonzero modulo a fixed prime
+(checked once per group), and M.w = l^e.w holds exactly for every column w
+(checked on every call).  Only if a part fails does it compute the
+characteristic polynomial, by Berkowitz's division-free algorithm over the
+integers (`char_poly`), which is also the check on the certificate in the
+tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
-from operator import mul
+from functools import cached_property, lru_cache
+from math import factorial, gcd, lcm, prod
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .exactmath import UniPoly, bernoulli_even
-from .ktheory import FAMILY_TABLE, GroupSpec, adams_matrix, unitary_adams_matrix
+from .ktheory import (
+    FAMILY_TABLE,
+    GroupSpec,
+    _restriction_entries,
+    adams_matrix,
+    basis,
+    unitary_adams_matrix,
+)
 
 __all__ = [
     "sinh_pow_coeff_poly",
@@ -28,12 +54,23 @@ __all__ = [
     "eigenvector",
     "verify_eigen_relation",
     "eigenbasis_determinant",
+    "Eigenbasis",
+    "eigenbasis",
     "char_poly",
     "family_exponents",
     "expected_char_poly",
     "SpectrumReport",
     "spectrum_check",
 ]
+
+# Ranks and groups kept by each eigen cache.  eigen-spectrum's lap touches
+# 5 unitary ranks and 26 groups.  The levels of U(80) take about 0.4 MB and
+# the eigenbasis of Spin(161) about 0.7 MB (tracemalloc).
+_BASIS_CACHE_SIZE = 64
+
+# det V is taken modulo this prime (2^61 - 1); a nonzero residue proves
+# det V != 0.
+_PRIME = 2**61 - 1
 
 
 def _recurrence_weights(j: int) -> list[Fraction]:
@@ -67,6 +104,49 @@ def sinh_pow_coeff_poly(j: int) -> UniPoly:
     return q[j]
 
 
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _sinh_values(y: int) -> tuple[Fraction, ...]:
+    """q_j(y) for j = 0..(y-1)//2, enough for every level of U(y): the
+    recurrence of `sinh_pow_coeff_poly` run once on numbers."""
+    top = (y - 1) // 2
+    c = _recurrence_weights(top)
+    q = [Fraction(1)]
+    for j in range(1, top + 1):
+        q.append(Fraction(-y, 2 * j) * sum(c[m] * q[j - m] for m in range(1, j + 1)))
+    return tuple(q)
+
+
+def _unitary_level(n: int, k: int, q: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Level k of U(n) as integer numerators over one positive denominator,
+    with q = `_sinh_values(n)`; `eigenvector` gives the formula.
+
+    The weights q_j(n) / (k-2j)! are put over one common denominator D, so
+    each numerator is a single integer Horner evaluation in (n-2i)^2, times
+    (n-2i) when k is odd.
+    """
+    weights = [q[j] / factorial(k - 2 * j) for j in range(k // 2 + 1)]
+    den = lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (den // w.denominator) for w in weights]
+    nums = []
+    for i in range(1, n + 1):
+        x = n - 2 * i
+        square = x * x
+        s = 0
+        for a in ints:
+            s = s * square + a
+        if k % 2:
+            s *= x
+        nums.append(s if i % 2 else -s)
+    return tuple(nums), den
+
+
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _unitary_basis(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every level k = 0..n-1 of U(n), as `_unitary_level` gives it."""
+    q = _sinh_values(n)
+    return tuple(_unitary_level(n, k, q) for k in range(n))
+
+
 @dataclass(frozen=True)
 class Eigenvector:
     """The closed-form eigenvector of the U(n) Adams matrices at level k;
@@ -89,33 +169,14 @@ def eigenvector(n: int, k: int) -> Eigenvector:
     with q_j the sinh-power coefficient polynomials and 0^0 = 1.
 
     The numbers q_j(n) come from the recurrence of `sinh_pow_coeff_poly`
-    run at y = n.  The weights q_j(n) / (k-2j)! are put over one common
-    denominator D, so each coordinate is a single integer Horner evaluation
-    in (n-2i)^2, times (n-2i) when k is odd, divided by D.
+    run at y = n; the coordinates are read from the cached levels of U(n).
     """
     if n < 1:
         raise ValueError(f"rank must be positive, got n={n}")
     if not 0 <= k <= n - 1:
         raise ValueError(f"level must satisfy 0 <= k <= n-1, got k={k}, n={n}")
-    half = k // 2
-    c = _recurrence_weights(half)
-    q = [Fraction(1)]
-    for j in range(1, half + 1):
-        q.append(Fraction(-n, 2 * j) * sum(c[m] * q[j - m] for m in range(1, j + 1)))
-    weights = [q[j] / factorial(k - 2 * j) for j in range(half + 1)]
-    den = lcm(*(w.denominator for w in weights))
-    ints = [w.numerator * (den // w.denominator) for w in weights]
-    coords = []
-    for i in range(1, n + 1):
-        x = n - 2 * i
-        square = x * x
-        s = 0
-        for a in ints:
-            s = s * square + a
-        if k % 2:
-            s *= x
-        coords.append(Fraction(s if i % 2 else -s, den))
-    return Eigenvector(n, k, tuple(coords))
+    nums, den = _unitary_basis(n)[k]
+    return Eigenvector(n, k, tuple(Fraction(s, den) for s in nums))
 
 
 def verify_eigen_relation(n: int, l: int) -> tuple[tuple[int, bool], ...]:
@@ -156,15 +217,99 @@ def _bareiss_det(rows: list[list[int]]) -> int:
 
 def eigenbasis_determinant(n: int) -> Fraction:
     """Determinant of the matrix whose rows are the n eigenvectors of U(n);
-    nonzero means the closed-form vectors are linearly independent."""
-    rows = []
-    scale = Fraction(1)
-    for k in range(n):
-        coords = eigenvector(n, k).coords
-        mult = lcm(*(c.denominator for c in coords)) if coords else 1
-        rows.append([int(c * mult) for c in coords])
-        scale *= mult
-    return Fraction(_bareiss_det(rows)) / scale
+    nonzero means the closed-form vectors are linearly independent.
+
+    It equals 2^(n(n-1)/2).  Coordinate i of level k is (-1)^(i-1) p_k(x_i)
+    with x_i = n - 2i and p_k a polynomial of degree k whose leading
+    coefficient is 1/k!.  So the matrix is a lower triangular matrix with
+    diagonal 1/k! times the Vandermonde matrix (x_i^k) times the diagonal
+    signs (-1)^(i-1), and its determinant is
+
+        prod_k 1/k! * prod_{i<j} (x_j - x_i) * (-1)^(n(n-1)/2)
+          = prod_k 1/k! * 2^(n(n-1)/2) prod_{i<j} (j - i) = 2^(n(n-1)/2),
+
+    since x_j - x_i = -2(j - i) and prod_{i<j} (j - i) = prod_k k!.  The
+    tests hold the computation, one Bareiss pass over the cached integer
+    numerators, to that value.
+    """
+    levels = _unitary_basis(n)
+    rows = [list(nums) for nums, _ in levels]
+    return Fraction(_bareiss_det(rows), prod(den for _, den in levels))
+
+
+def _det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Determinant of a square integer matrix modulo the prime p, by
+    Gaussian elimination over the integers mod p."""
+    m = [[x % p for x in row] for row in rows]
+    d, det = len(m), 1
+    for i in range(d):
+        pivot = next((r for r in range(i, d) if m[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            det = -det
+        top = m[i]
+        det = det * top[i] % p
+        inverse = pow(top[i], -1, p)
+        for r in range(i + 1, d):
+            f = m[r][i] * inverse % p
+            if f:
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], top)]
+    return det % p
+
+
+@dataclass(frozen=True)
+class Eigenbasis:
+    """Integer eigenvectors of every psi^l matrix of the group, over its
+    primitive basis: column j has eigenvalue l^eigenvalue_exponents[j] for
+    every l >= 1.  Each column is primitive (its entries have gcd 1)."""
+
+    group: GroupSpec
+    eigenvalue_exponents: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def independent(self) -> bool:
+        """Whether the columns form a square matrix whose determinant is
+        nonzero modulo 2^61 - 1, which proves them linearly independent.
+        Computed once per record."""
+        d = len(self.columns)
+        return all(len(col) == d for col in self.columns) and _det_mod(self.columns, _PRIME) != 0
+
+
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def eigenbasis(group: GroupSpec) -> Eigenbasis:
+    """The l-independent eigenbasis of the group's psi^l matrices, by
+    restriction from U(m), m the defining dimension.
+
+    Only the levels k of U(m) whose eigenvalue exponent m - k is one of the
+    m_i + 1 are built.  Each is restricted (U: the identity; SU: the top
+    coordinate dropped; the other families: row p of the reduction table is
+    the image of wedge p), a zero image is dropped and a nonzero one divided
+    by the gcd of its entries.  The family's `extra_eigenvectors` follow,
+    and the columns are ordered by exponent.  `spectrum_check` does not
+    trust the result: it checks it on every call.
+    """
+    family = FAMILY_TABLE[group.family]
+    n, m, d = group.n, family.dimension(group.n), len(basis(group))
+    links = _restriction_entries(group)
+    wanted = {e + 1 for e in family.exponents(n)}
+    q = _sinh_values(m)
+    found = []
+    for k in range(m):
+        if m - k not in wanted:
+            continue
+        nums, _ = _unitary_level(m, k, q)
+        col = [0] * d
+        for p, i, v in links:
+            col[i] += nums[p - 1] * v
+        g = gcd(*col)
+        if g:
+            found.append((m - k, tuple(x // g for x in col)))
+    found += family.extra_eigenvectors(n)
+    found.sort(key=itemgetter(0))
+    return Eigenbasis(group, tuple(e for e, _ in found), tuple(col for _, col in found))
 
 
 def char_poly(entries: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -232,11 +377,32 @@ class SpectrumReport:
     expected_coeffs: tuple[int, ...]
 
 
+def _certifies(vb: Eigenbasis, entries: Sequence[Sequence[int]], l: int) -> bool:
+    """Whether V = vb.columns proves that the matrix `entries` has the
+    characteristic polynomial prod_i (x - l^(m_i + 1)): one column per row,
+    exponents equal to the m_i + 1 as a multiset, M.w = l^e.w exactly for
+    every column, and det V != 0."""
+    return (
+        len(vb.columns) == len(entries)
+        and sorted(vb.eigenvalue_exponents) == sorted(m + 1 for m in family_exponents(vb.group))
+        and all(
+            [sum(map(mul, row, col)) for row in entries] == [l**e * x for x in col]
+            for e, col in zip(vb.eigenvalue_exponents, vb.columns)
+        )
+        and vb.independent
+    )
+
+
 def spectrum_check(group: GroupSpec, l: int) -> SpectrumReport:
     """Compare the characteristic polynomial of the group's psi^l matrix
-    with the product of (x - l^(m_i + 1)) over the family exponents."""
+    with the product of (x - l^(m_i + 1)) over the family exponents.
+
+    The group's cached `eigenbasis` proves the equality when it certifies
+    the matrix; only when it does not is the characteristic polynomial
+    computed, by `char_poly`, to fill the report.
+    """
     mat = adams_matrix(group, l)
-    got = char_poly(mat.entries)
     want = expected_char_poly(group, l)
+    got = want if _certifies(eigenbasis(group), mat.entries, l) else char_poly(mat.entries)
     eigenvalues = tuple(sorted(l ** (m + 1) for m in family_exponents(group)))
     return SpectrumReport(group, l, got == want, eigenvalues, got, want)

@@ -147,6 +147,9 @@ class Family:
       rows w+1..m//2 with w = wedges(n) (see `reduction_table`), and
       `pipeline(group, l)`, which reads the reduced wedge images and returns
       the integer columns and then the rational columns of the matrix.
+    * `extra_eigenvectors(n)` lists, as (e, column) pairs, the eigenvectors
+      of every psi^l, with eigenvalue l^e, that restriction from U(m) misses
+      (see `eigen.eigenbasis`): d(S+) - d(S-) for Spin(2n), none otherwise.
     """
 
     name: str
@@ -160,6 +163,7 @@ class Family:
     middle_rows: Callable[[int], list[list[int]]] | None = None
     pipeline: Callable[[GroupSpec, int], tuple[list, Sequence]] | None = None
     fixed_rank: int | None = None
+    extra_eigenvectors: Callable[[int], list[tuple[int, tuple[int, ...]]]] = lambda n: []
 
 
 def defining_dimension(group: GroupSpec) -> int:
@@ -332,20 +336,25 @@ def spin_odd_adams_matrix(n: int, l: int) -> AdamsMatrix:
     return _finalize(group, l, cols, "closed form", [spin_col])
 
 
+def _spin_difference(n: int) -> tuple[int, ...]:
+    """d(S+) - d(S-) over the basis of Spin(2n), where S+ and S- are the
+    last two positions: an eigenvector of every psi^l, with eigenvalue l^n."""
+    return (0,) * (n - 2) + (1, -1)
+
+
 def _half_spin_columns(
     sum_img: Sequence[int | Fraction], n: int, l: int
 ) -> tuple[list[Fraction], list[Fraction]]:
     """The images of d(S+) and d(S-) for Spin(2n), given the image of
     d(S+)+d(S-): half of it, plus or minus half of l^n (d(S+)-d(S-)), since
-    d(S+)-d(S-) is an eigenvector with eigenvalue l^n.  S+ and S- are the
-    last two basis positions."""
+    d(S+)-d(S-) is an eigenvector with eigenvalue l^n."""
     half_diff = Fraction(l**n, 2)
     col_plus = [Fraction(v, 2) for v in sum_img]
     col_minus = list(col_plus)
-    col_plus[n - 2] += half_diff
-    col_plus[n - 1] -= half_diff
-    col_minus[n - 2] -= half_diff
-    col_minus[n - 1] += half_diff
+    for i, x in enumerate(_spin_difference(n)):
+        if x:
+            col_plus[i] += x * half_diff
+            col_minus[i] -= x * half_diff
     return col_plus, col_minus
 
 
@@ -459,6 +468,22 @@ def reduction_table(group: GroupSpec) -> ReductionTable:
     return ReductionTable(group, tuple(map(tuple, rows)))
 
 
+def _restriction_entries(group: GroupSpec) -> list[tuple[int, int, int]]:
+    """The restriction from the primitives of U(m), m the defining
+    dimension, to those of the group, as its nonzero entries (p, i, v): it
+    sends d(wedge^p) to the sum of v times basis element i.  For U and SU
+    these are the wedge classes 1..d themselves (SU drops wedge n); for the
+    other families, the rows of the reduction table."""
+    d = len(basis(group))
+    if FAMILY_TABLE[group.family].middle_rows is None:
+        return [(p, p - 1, 1) for p in range(1, d + 1)]
+    return [
+        (p, i, row[i])
+        for p, row in enumerate(reduction_table(group).rows)
+        for i in compress(range(d), row)
+    ]
+
+
 def _wedge_images(group: GroupSpec, l: int, degrees: range) -> list[list[int]]:
     """The reduced images of d(wedge^k of the defining representation), one
     per k in `degrees`: the unitary formula over all degrees 1..m, each
@@ -466,12 +491,7 @@ def _wedge_images(group: GroupSpec, l: int, degrees: range) -> list[list[int]]:
     m = defining_dimension(group)
     table = count_table(m, l)
     d = len(basis(group))
-    # the nonzero entries (p, i, v) of the reduction table, v at row p, position i
-    nonzero = [
-        (p, i, row[i])
-        for p, row in enumerate(reduction_table(group).rows)
-        for i in compress(range(d), row)
-    ]
+    nonzero = _restriction_entries(group)
     images = []
     for k in degrees:
         # coordinate p of the unitary image: (-1)^(k+p) l mu(m, l, k, p)
@@ -609,6 +629,7 @@ FAMILY_TABLE: dict[str, Family] = {
             closed="spin_even_adams_matrix",
             extra=(BasisElement("spin+", 0, "d(S+)"), BasisElement("spin-", 0, "d(S-)")),
             middle_rows=_spin_even_rows, pipeline=_spin_even_pipeline,
+            extra_eigenvectors=lambda n: [(n, _spin_difference(n))],
         ),
         Family(
             "G2", "G2", 2, dimension=lambda n: 7, wedges=lambda n: 0,

@@ -1,14 +1,22 @@
 import inspect
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
+from pathlib import Path
 
 import pytest
 
+import adamsops.eigen as eigen
 from adamsops.eigen import (
+    SpectrumReport,
     _bareiss_det,
+    _certifies,
+    _sinh_values,
+    _unitary_basis,
     char_poly,
+    eigenbasis,
     eigenbasis_determinant,
     eigenvector,
     expected_char_poly,
@@ -18,7 +26,19 @@ from adamsops.eigen import (
     verify_eigen_relation,
 )
 from adamsops.exactmath import UniPoly, t_over_sinh_pow
-from adamsops.ktheory import FAMILIES, GroupSpec, adams_matrix
+from adamsops.ktheory import FAMILIES, FAMILY_TABLE, AdamsMatrix, GroupSpec, adams_matrix
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _groups(max_rank):
+    """Every group of every family up to the given rank."""
+    for family in FAMILIES:
+        record = FAMILY_TABLE[family]
+        if record.fixed_rank is not None:
+            yield GroupSpec(family)
+        else:
+            yield from (GroupSpec(family, n) for n in range(record.min_rank, max_rank + 1))
 
 
 def test_coefficient_polynomials_small():
@@ -51,6 +71,26 @@ def test_coefficient_polynomials_match_series():
         poly = sinh_pow_coeff_poly(j)
         for y in range(11):
             assert poly(y) == series[y].coefficient(2 * j), (j, y)
+
+
+def test_sinh_values_match_the_polynomials():
+    # the recurrence run once on numbers, against the polynomial oracle
+    polys = [sinh_pow_coeff_poly(j) for j in range(20)]
+    for m in range(1, 41):
+        values = _sinh_values(m)
+        assert len(values) == (m - 1) // 2 + 1, m
+        assert values == tuple(polys[j](m) for j in range(len(values))), m
+
+
+def test_eigenvectors_share_one_run_of_the_recurrence(monkeypatch):
+    # every level of U(30) takes the weights of one recurrence: B_0..B_28
+    calls, real = [], eigen.bernoulli_even
+    monkeypatch.setattr(eigen, "bernoulli_even", lambda k: calls.append(k) or real(k))
+    _sinh_values.cache_clear()
+    _unitary_basis.cache_clear()
+    for k in range(30):
+        eigenvector(30, k)
+    assert sorted(calls) == list(range(0, 30, 2))
 
 
 def test_eigenvector_frozen_values():
@@ -120,6 +160,10 @@ def test_eigenbasis_independent():
     for n in range(1, 9):
         assert eigenbasis_determinant(n) != 0
     assert abs(eigenbasis_determinant(2)) == 2
+    # the closed form of the docstring: a triangular transform of a
+    # Vandermonde matrix in n - 2i
+    for n in range(1, 41):
+        assert eigenbasis_determinant(n) == 2 ** (n * (n - 1) // 2), n
 
 
 # ---------------------------------------------------------------------------
@@ -248,3 +292,90 @@ def test_spectrum_sweep():
     for g in groups:
         for l in (2, 3):
             assert spectrum_check(g, l).ok, (str(g), l)
+
+
+# ---------------------------------------------------------------------------
+# eigenbases by restriction, and the spectrum certificate
+
+
+def test_eigenbasis_certifies_every_family():
+    # the report equals the one Berkowitz fills, field for field, and the
+    # certificate alone proved it
+    for group in _groups(12):
+        vb = eigenbasis(group)
+        assert vb.independent, str(group)
+        assert all(gcd(*col) == 1 for col in vb.columns), str(group)
+        for l in (1, 2, 3, 5):
+            entries = adams_matrix(group, l).entries
+            got, want = char_poly(entries), expected_char_poly(group, l)
+            eigenvalues = tuple(sorted(l ** (m + 1) for m in family_exponents(group)))
+            assert spectrum_check(group, l) == SpectrumReport(
+                group, l, got == want, eigenvalues, got, want
+            ), (str(group), l)
+            assert got == want and _certifies(vb, entries, l), (str(group), l)
+
+
+def test_eigenbasis_restricts_the_unitary_levels():
+    assert eigenbasis(GroupSpec("U", 3)).columns == ((0, 0, 1), (1, 1, -3), (1, -1, 1))
+    # SU drops the top coordinate of the levels with eigenvalue l^2..l^n
+    assert eigenbasis(GroupSpec("SU", 3)).columns == ((1, 1), (1, -1))
+    spin8 = eigenbasis(GroupSpec("SpinEven", 4))
+    assert spin8.eigenvalue_exponents == (2, 4, 4, 6)
+    assert (0, 0, 1, -1) in spin8.columns  # d(S+) - d(S-), from the family record
+    assert eigenbasis(GroupSpec("G2")).eigenvalue_exponents == (2, 6)
+
+
+@pytest.mark.parametrize("group", list(_groups(4)), ids=str)
+def test_spectrum_check_reports_a_changed_matrix(monkeypatch, group):
+    def changed(group, l):
+        entries = [list(row) for row in adams_matrix(group, l).entries]
+        entries[0][0] += 1
+        return AdamsMatrix(group, l, tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(eigen, "adams_matrix", changed)
+    report = spectrum_check(group, 3)
+    assert not report.ok
+    assert report.char_coeffs == char_poly(changed(group, 3).entries)
+    assert report.expected_coeffs == expected_char_poly(group, 3)
+
+
+def test_spectrum_check_falls_back_on_a_singular_basis(monkeypatch):
+    # Spin(8) has l^4 twice: putting one l^4 column in place of the other
+    # keeps the exponents and every M.w = l^4 w, but not the rank
+    group = GroupSpec("SpinEven", 4)
+    vb = eigenbasis(group)
+    first, second = (j for j, e in enumerate(vb.eigenvalue_exponents) if e == 4)
+    columns = list(vb.columns)
+    columns[second] = columns[first]
+    singular = replace(vb, columns=tuple(columns))
+    assert not singular.independent
+    calls = []
+    monkeypatch.setattr(eigen, "eigenbasis", lambda g: singular)
+    monkeypatch.setattr(eigen, "char_poly", lambda entries: calls.append(1) or char_poly(entries))
+    report = spectrum_check(group, 2)
+    assert report.ok and calls == [1]
+    assert report.char_coeffs == expected_char_poly(group, 2)
+    # a wrong exponent also sends it to the characteristic polynomial
+    wrong = replace(vb, eigenvalue_exponents=(2, 4, 6, 6))
+    monkeypatch.setattr(eigen, "eigenbasis", lambda g: wrong)
+    assert spectrum_check(group, 2).ok and calls == [1, 1]
+
+
+def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
+    caches = (eigenbasis, _unitary_basis, _sinh_values)
+    for cache in caches:
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1024
+    eigenbasis(GroupSpec("Sp", 3))
+    eigenvector(5, 2)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        import workloads
+
+        found = workloads.library_caches()
+        assert all(any(c is cache for c in found) for cache in caches)
+        workloads.clear_library_caches()
+    finally:
+        for name in ("workloads", "reference"):
+            sys.modules.pop(name, None)
+    assert all(cache.cache_info().currsize == 0 for cache in caches)

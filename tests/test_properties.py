@@ -1,8 +1,8 @@
 """Properties checked on randomly drawn inputs, wider than the fixed grids.
 
 Each property runs MAX_EXAMPLES examples, each under DEADLINE_MS; on a
-2-vCPU Xeon VM the three take about a second together, and the deadlines
-bound them at 3 * 100 * 0.5 s.
+2-vCPU Xeon VM the four take about two seconds together, and the deadlines
+bound them at 4 * 100 * 0.5 s.
 The module is skipped where `hypothesis` is not installed.
 """
 
@@ -14,6 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from adamsops.counts import _count_row, count_table, mu_closed  # noqa: E402
+from adamsops.eigen import spectrum_check  # noqa: E402
 from adamsops.ktheory import FAMILIES, FAMILY_TABLE, GroupSpec, adams_matrix  # noqa: E402
 
 MAX_EXAMPLES = 100
@@ -56,3 +57,10 @@ def test_entries_are_integers_on_both_routes(group, l):
     for cross_check in (True, False):
         mat = adams_matrix(group, l, cross_check=cross_check)
         assert all(type(e) is int for row in mat.entries for e in row)
+
+
+@budget
+@given(group=groups(max_rank=20), l=st.integers(1, 1000))
+def test_spectrum_is_the_powers_of_l(group, l):
+    # the eigenvalues of psi^l are l^(m_i + 1), the m_i the family exponents
+    assert spectrum_check(group, l).ok
