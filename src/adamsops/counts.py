@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub
 
-from .exactmath import binomial
+from .exactmath import _require_int, binomial
 
 __all__ = ["count_table", "mu_enumerate", "mu_closed", "alpha", "beta"]
 
@@ -50,12 +50,6 @@ _TABLE_CACHE_SIZE = 512
 # Oracle counts kept.  `adamsops verify` at its defaults leaves 11,773
 # entries; 2^15 gives that 2.8x headroom and takes about 5 MB when full.
 _ORACLE_CACHE_SIZE = 2**15
-
-
-def _require_int(name: str, value: object) -> None:
-    """Reject bools, floats and anything else that is not an int."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _validate(n: int, l: int, k: int = 0, p: int = 0) -> None:

@@ -6,8 +6,8 @@ eigenvalue l^(n-k) is written in closed form through the even Taylor
 coefficients of (t/sinh t)^y: coefficient j is a degree-j polynomial q_j(y)
 satisfying a Bernoulli-number recurrence.  One cached run of that recurrence
 on numbers at y = n serves every level, and the levels of U(n) are cached as
-integer numerators over one denominator per level; `eigenvector` and
-`eigenbasis_determinant` read them.  `sinh_pow_coeff_poly` builds the
+integer numerators over one denominator per level; `eigenvector`,
+`eigenbasis_determinant` and `verify_eigen_relation` read them.  `sinh_pow_coeff_poly` builds the
 polynomials themselves and serves as the independent check on the numbers.
 
 Every other family gets its eigenvectors by restriction from U(m), m the
@@ -38,11 +38,12 @@ from math import factorial, gcd, lcm, prod
 from operator import itemgetter, mul
 from typing import Sequence
 
-from .exactmath import UniPoly, bernoulli_even
+from .exactmath import UniPoly, _require_int, bernoulli_even
 from .ktheory import (
     FAMILY_TABLE,
     GroupSpec,
     _restriction_entries,
+    _times,
     adams_matrix,
     basis,
     unitary_adams_matrix,
@@ -92,6 +93,7 @@ def sinh_pow_coeff_poly(j: int) -> UniPoly:
     with B_{2k} the Bernoulli numbers; q_j has degree exactly j.  The
     recurrence runs as a loop, so no index is too deep for the stack.
     """
+    _require_int("coefficient index j", j)
     if j < 0:
         raise ValueError(f"coefficient index must be nonnegative, got {j}")
     c = _recurrence_weights(j)
@@ -147,6 +149,12 @@ def _unitary_basis(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(_unitary_level(n, k, q) for k in range(n))
 
 
+def _require_rank(n: int) -> None:
+    _require_int("rank n", n)
+    if n < 1:
+        raise ValueError(f"rank must be positive, got n={n}")
+
+
 @dataclass(frozen=True)
 class Eigenvector:
     """The closed-form eigenvector of the U(n) Adams matrices at level k;
@@ -171,25 +179,26 @@ def eigenvector(n: int, k: int) -> Eigenvector:
     The numbers q_j(n) come from the recurrence of `sinh_pow_coeff_poly`
     run at y = n; the coordinates are read from the cached levels of U(n).
     """
-    if n < 1:
-        raise ValueError(f"rank must be positive, got n={n}")
+    _require_rank(n)
+    _require_int("level k", k)
     if not 0 <= k <= n - 1:
         raise ValueError(f"level must satisfy 0 <= k <= n-1, got k={k}, n={n}")
     nums, den = _unitary_basis(n)[k]
     return Eigenvector(n, k, tuple(Fraction(s, den) for s in nums))
 
 
+def _is_eigenvector(entries: Sequence[Sequence[int]], v: Sequence[int], value: int) -> bool:
+    """Whether M.v = value.v holds exactly, M given by its integer rows."""
+    return _times(entries, v) == [value * x for x in v]
+
+
 def verify_eigen_relation(n: int, l: int) -> tuple[tuple[int, bool], ...]:
     """For each level k = 0..n-1, whether the U(n) matrix maps the level-k
-    eigenvector to l^(n-k) times itself, exactly."""
-    mat = unitary_adams_matrix(n, l)
-    results = []
-    for k in range(n):
-        v = eigenvector(n, k)
-        image = mat.apply(v.coords)
-        expected = tuple(Fraction(l ** (n - k)) * c for c in v.coords)
-        results.append((k, image == expected))
-    return tuple(results)
+    eigenvector to l^(n-k) times itself, exactly.  The check runs on the
+    level's integer numerators: its one denominator is positive and cancels."""
+    entries = unitary_adams_matrix(n, l).entries
+    levels = enumerate(_unitary_basis(n))
+    return tuple((k, _is_eigenvector(entries, nums, l ** (n - k))) for k, (nums, _) in levels)
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -232,6 +241,7 @@ def eigenbasis_determinant(n: int) -> Fraction:
     tests hold the computation, one Bareiss pass over the cached integer
     numerators, to that value.
     """
+    _require_rank(n)
     levels = _unitary_basis(n)
     rows = [list(nums) for nums, _ in levels]
     return Fraction(_bareiss_det(rows), prod(den for _, den in levels))
@@ -338,10 +348,10 @@ def char_poly(entries: Sequence[Sequence[int]]) -> tuple[int, ...]:
         top = max(r - 1, 0) // 2  # A^0..A^top from the column side, the rest from the row
         col_side = [cols[r][:r]]  # S, A.S, A^2.S, ...
         for _ in range(top):
-            col_side.append([sum(map(mul, row, col_side[-1])) for row in block_rows])
+            col_side.append(_times(block_rows, col_side[-1]))
         row_side = [entries[r][:r]]  # R, R.A, R.A^2, ...
         for _ in range(r - 1 - top):
-            row_side.append([sum(map(mul, row_side[-1], col)) for col in block_cols])
+            row_side.append(_times(block_cols, row_side[-1]))
         toeplitz = [1, -entries[r][r]] + [
             -sum(map(mul, row_side[m - min(m, top)], col_side[min(m, top)])) for m in range(r)
         ]
@@ -360,6 +370,7 @@ def family_exponents(group: GroupSpec) -> tuple[int, ...]:
 
 def expected_char_poly(group: GroupSpec, l: int) -> tuple[int, ...]:
     """Coefficients of prod_i (x - l^(m_i + 1))."""
+    _require_int("Adams operation index l", l)
     coeffs = [1]
     for m in family_exponents(group):
         root = l ** (m + 1)
@@ -386,7 +397,7 @@ def _certifies(vb: Eigenbasis, entries: Sequence[Sequence[int]], l: int) -> bool
         len(vb.columns) == len(entries)
         and sorted(vb.eigenvalue_exponents) == sorted(m + 1 for m in family_exponents(vb.group))
         and all(
-            [sum(map(mul, row, col)) for row in entries] == [l**e * x for x in col]
+            _is_eigenvector(entries, col, l**e)
             for e, col in zip(vb.eigenvalue_exponents, vb.columns)
         )
         and vb.independent

@@ -25,6 +25,12 @@ __all__ = [
 Scalar = Union[int, Fraction]
 
 
+def _require_int(name: str, value: object) -> None:
+    """Reject bools, floats and anything else that is not an int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def binomial(a: int, b: int) -> int:
     """Binomial coefficient C(a, b) with the out-of-range convention.
 

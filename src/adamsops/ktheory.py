@@ -36,7 +36,8 @@ from itertools import compress, repeat
 from operator import add, mul, sub
 from typing import Callable, Sequence
 
-from .counts import _require_int, count_table
+from .counts import count_table
+from .exactmath import _require_int
 
 __all__ = [
     "FAMILIES",
@@ -181,6 +182,11 @@ def basis(group: GroupSpec) -> tuple[BasisElement, ...]:
     return tuple(BasisElement("wedge", k, f"d(L^{k} s_{m})") for k in wedges) + family.extra
 
 
+def _times(rows: Sequence[Sequence[int]], v: Sequence[int | Fraction]) -> list:
+    """The matrix with these rows times the column v, exactly."""
+    return [sum(map(mul, row, v)) for row in rows]
+
+
 @dataclass(frozen=True)
 class AdamsMatrix:
     """The integer matrix of psi^l on the group's primitive basis."""
@@ -203,24 +209,14 @@ class AdamsMatrix:
     def apply(self, coords: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         if len(coords) != self.dim:
             raise ValueError(f"vector length {len(coords)} != matrix dimension {self.dim}")
-        return tuple(
-            sum((Fraction(row[j]) * coords[j] for j in range(self.dim)), Fraction(0))
-            for row in self.entries
-        )
+        return tuple(map(Fraction, _times(self.entries, coords)))
 
     def compose(self, other: "AdamsMatrix") -> "AdamsMatrix":
         """Matrix product self . other, i.e. apply `other` first."""
         if self.group != other.group:
             raise ValueError(f"group mismatch: {self.group} != {other.group}")
-        d = self.dim
-        prod = tuple(
-            tuple(
-                sum(self.entries[i][r] * other.entries[r][j] for r in range(d))
-                for j in range(d)
-            )
-            for i in range(d)
-        )
-        return AdamsMatrix(self.group, self.l * other.l, prod)
+        cols = (_times(self.entries, col) for col in zip(*other.entries))
+        return AdamsMatrix(self.group, self.l * other.l, tuple(zip(*cols)))
 
     def is_identity(self) -> bool:
         return all(

@@ -17,6 +17,8 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from typing import Dict, Tuple
 
+from .exactmath import _require_int
+
 __all__ = [
     "SymPoly",
     "symmetric_basis",
@@ -227,6 +229,9 @@ def adams_symbolic_coefficients(n: int, l: int, k: int) -> tuple[SymPoly, ...]:
     with h from the triangular recursion.  Entry p of the result is at
     index p-1.
     """
+    _require_int("number of variables n", n)
+    _require_int("Adams operation index l", l)
+    _require_int("wedge degree k", k)
     if not 1 <= k <= n:
         raise ValueError(f"adams_symbolic_coefficients: need 1 <= k <= n, got k={k}, n={n}")
     if l < 1:

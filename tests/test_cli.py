@@ -3,10 +3,13 @@ import io
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from adamsops.cli import main
+import adamsops.cli as cli
+from adamsops.cli import MAX_DIMENSION, MAX_ROW, main
 from adamsops.ktheory import ConsistencyError, GroupSpec, adams_matrix
 
 
@@ -235,3 +238,112 @@ def test_verify_runs_at_the_least_sweep(capsys):
     assert "l in (2,)" in out
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-rank", "2", "--max-l", "1")
     assert (code, out.splitlines()[-1]) == (0, "6/6 checks passed")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (
+        ["compute", "--group", "U", "--rank", str(MAX_DIMENSION + 1), "--l", "1"],
+        "U(257) at l=1: defining dimension is 257, above the work cap MAX_DIMENSION = 256",
+    ),
+    (
+        ["compute", "--group", "SpinOdd", "--rank", str(MAX_DIMENSION // 2), "--l", "2"],
+        "Spin(257) at l=2: defining dimension is 257, above the work cap MAX_DIMENSION = 256",
+    ),
+    (
+        ["compute", "--group", "U", "--rank", "256", "--l", str(MAX_ROW // 256 + 1)],
+        "U(256) at l=1025: defining dimension times l is 262400, above the work cap "
+        "MAX_ROW = 262144",
+    ),
+    (
+        ["compute", "--group", "Sp", "--rank", "128", "--l", str(MAX_ROW // 256 + 1)],
+        "Sp(128) at l=1025: defining dimension times l is 262400, above the work cap "
+        "MAX_ROW = 262144",
+    ),
+    (
+        ["compute", "--group", "G2", "--l", str(MAX_ROW // 7 + 1)],
+        "G2 at l=37450: defining dimension times l is 262150, above the work cap "
+        "MAX_ROW = 262144",
+    ),
+    (
+        ["mu", str(MAX_DIMENSION + 1), "2", "1", "1", "--check"],
+        "mu --check at l=2: n is 257, above the work cap MAX_DIMENSION = 256",
+    ),
+    (
+        ["mu", "3", str(MAX_ROW // 3 + 1), "1", "1", "--check"],
+        "mu --check at l=87382: n times l is 262146, above the work cap MAX_ROW = 262144",
+    ),
+    (
+        ["mu", "3000", "3000", "1", "1", "--check"],
+        "mu --check at l=3000: n is 3000, above the work cap MAX_DIMENSION = 256",
+    ),
+])
+def test_work_cap_rejects_before_any_count(capsys, monkeypatch, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a count was built")
+
+    for name in ("adams_matrix", "mu_closed", "mu_enumerate"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_work_cap_exits_at_once_from_the_command_line():
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "adamsops", "mu", "256", "1025", "1", "1", "--check"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "MAX_ROW = 262144" in proc.stderr
+    assert time.perf_counter() - start < 30
+
+
+def test_work_cap_admits_its_bounds_and_leaves_plain_mu(capsys):
+    code, out, _ = run(capsys, "mu", "300", "2", "1", "1")
+    assert (code, out) == (0, "300\n")
+    code, out, _ = run(capsys, "mu", "256", "2", "1", "1", "--check")
+    assert (code, out) == (0, "256\n")
+    # both caps are inclusive
+    cli._require_within_caps("U(256) at l=1024", "defining dimension", 256, MAX_ROW // 256)
+
+
+@pytest.mark.parametrize("family, rank", [("U", 80), ("SpinOdd", 80)])
+def test_work_cap_admits_the_north_star_sizes(capsys, family, rank):
+    # U(80) and Spin(161) at l = 50
+    code, out, err = run(
+        capsys, "compute", "--group", family, "--rank", str(rank), "--l", "50", "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == rank + 1
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_work_cap_admits_the_benchmark_commands(capsys, monkeypatch):
+    # every compute and mu --check command of perfbench's cli-cold laps
+    real = cli._require_within_caps
+
+    def admit(*args):
+        real(*args)
+        raise _Admitted
+
+    monkeypatch.setattr(cli, "_require_within_caps", admit)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+
+        checked = 0
+        for seed in range(1, 11):
+            laps = workloads.CliCold().laps(seed)
+            for _ in range(3):
+                for op in next(laps):
+                    if op[0] in ("compute", "mu"):
+                        with pytest.raises(_Admitted):
+                            main(workloads.CliCold.argv(op))
+                        checked += 1
+    finally:
+        for name in ("workloads", "reference"):
+            sys.modules.pop(name, None)
+    assert checked == 10 * 3 * 15

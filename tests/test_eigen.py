@@ -135,6 +135,30 @@ def test_eigenvector_validation():
         eigenvector(3, -1)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2), "2", None])
+def test_eigen_rejects_non_int_arguments(bad):
+    # a bool or a float is rejected at the boundary, not computed with as
+    # an int or failed on deep inside
+    with pytest.raises(ValueError, match="rank n must be an int"):
+        eigenvector(bad, 0)
+    with pytest.raises(ValueError, match="level k must be an int"):
+        eigenvector(3, bad)
+    with pytest.raises(ValueError, match="rank n must be an int"):
+        eigenbasis_determinant(bad)
+    with pytest.raises(ValueError, match="coefficient index j must be an int"):
+        sinh_pow_coeff_poly(bad)
+    with pytest.raises(ValueError, match="Adams operation index l must be an int"):
+        expected_char_poly(GroupSpec("U", 3), bad)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_eigenbasis_determinant_rejects_a_nonpositive_rank(n):
+    with pytest.raises(ValueError, match=f"rank must be positive, got n={n}"):
+        eigenbasis_determinant(n)
+    with pytest.raises(ValueError, match=f"rank must be positive, got n={n}"):
+        eigenvector(n, 0)
+
+
 def test_eigenvalue_exponent():
     v = eigenvector(5, 2)
     assert v.eigenvalue_exponent == 3
@@ -145,6 +169,41 @@ def test_relation_holds():
         for l in (2, 3, 5):
             assert all(ok for _, ok in verify_eigen_relation(n, l))
     assert all(ok for _, ok in verify_eigen_relation(30, 2))
+
+
+def test_relation_matches_the_rational_route():
+    # the integer check on the level numerators against the rational route:
+    # each eigenvector's coordinates through `AdamsMatrix.apply` in Fraction
+    for n in range(1, 31):
+        for l in (1, 2, 3, 5, 50):
+            mat = adams_matrix(GroupSpec("U", n), l)
+            want = tuple(
+                (k, mat.apply(v.coords) == tuple(l ** (n - k) * c for c in v.coords))
+                for k, v in ((k, eigenvector(n, k)) for k in range(n))
+            )
+            assert verify_eigen_relation(n, l) == want, (n, l)
+            assert all(ok for _, ok in want), (n, l)
+
+
+def test_relation_fails_on_a_changed_matrix(monkeypatch):
+    # one raised entry must break the relation for some level, never all
+    real = eigen.unitary_adams_matrix
+
+    def changed(n, l):
+        mat = real(n, l)
+        rows = [list(row) for row in mat.entries]
+        rows[1][2] += 1
+        return AdamsMatrix(mat.group, l, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(eigen, "unitary_adams_matrix", changed)
+    results = verify_eigen_relation(5, 3)
+    assert [k for k, _ in results] == [0, 1, 2, 3, 4]
+    assert not all(ok for _, ok in results)
+
+
+def test_eigen_never_applies_a_matrix_in_fractions():
+    assert ".apply(" not in inspect.getsource(eigen)
+    assert "Fraction" not in inspect.getsource(eigen.verify_eigen_relation)
 
 
 def test_relation_exactness_is_fractional():

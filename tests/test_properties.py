@@ -1,8 +1,8 @@
 """Properties checked on randomly drawn inputs, wider than the fixed grids.
 
 Each property runs MAX_EXAMPLES examples, each under DEADLINE_MS; on a
-2-vCPU Xeon VM the four take about two seconds together, and the deadlines
-bound them at 4 * 100 * 0.5 s.
+2-vCPU Xeon VM the five take about 2.2 seconds together, and the deadlines
+bound them at 5 * 100 * 0.5 s.
 The module is skipped where `hypothesis` is not installed.
 """
 
@@ -41,6 +41,19 @@ def test_row_and_table_match_closed_form(n, l, data):
     assert row[s] == mu_closed(n, l, k, l * k - s)
     k, p = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
     assert count_table(n, l)[k][p] == mu_closed(n, l, k, p)
+
+
+@budget
+@given(n=st.integers(1, 80), l=st.integers(1, 200), data=st.data())
+def test_count_duality(n, l, data):
+    # reversing every part, k_r -> l-1-k_r, sends the tuples counted by
+    # mu(n, l, k, p) to those counted by mu(n, l, n-k, n-p)
+    k = data.draw(st.integers(0, n))
+    p = data.draw(st.integers(0, n))
+    table = count_table(n, l)
+    assert table[k][p] == table[n - k][n - p]
+    p = data.draw(st.integers(-2 * l * n - 2, 2 * l * n + 2))
+    assert mu_closed(n, l, k, p) == mu_closed(n, l, n - k, n - p)
 
 
 @budget

@@ -179,3 +179,14 @@ def test_validation():
         adams_symbolic_coefficients(3, 0, 1)
     with pytest.raises(ValueError):
         subset_power_expansion(3, 2, 4)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2", None])
+def test_symbolic_coefficients_reject_non_int_arguments(bad):
+    # True would be computed with as l = 1 and 2.0 would fail deep inside
+    with pytest.raises(ValueError, match="number of variables n must be an int"):
+        adams_symbolic_coefficients(bad, 2, 1)
+    with pytest.raises(ValueError, match="Adams operation index l must be an int"):
+        adams_symbolic_coefficients(2, bad, 1)
+    with pytest.raises(ValueError, match="wedge degree k must be an int"):
+        adams_symbolic_coefficients(2, 2, bad)
