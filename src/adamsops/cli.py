@@ -7,7 +7,7 @@ least `--max-rank`/`--max-l`; below the least values a check would sweep
 nothing, so `verify` rejects them.  The groups of the matrix sweeps and of
 `--group` come from the family table, `ktheory.FAMILY_TABLE`.
 
-`compute` and `mu --check` refuse work above two caps, `MAX_DIMENSION` and
+`compute` and `mu` refuse work above two caps, `MAX_DIMENSION` and
 `MAX_ROW`, before they build any count.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
@@ -350,10 +350,11 @@ def oracle_suite(max_rank: int = 5, max_l: int = 4, max_degree: int = 12) -> lis
 # ---------------------------------------------------------------------------
 # commands
 
-# Work caps of `compute` and `mu --check`.  Each builds one count row of
-# m*(l-1) + 1 integers of up to m*log2(l) bits and an (m+1)^2 block of them,
-# m the defining dimension (the n of `mu`): the row grows like m*l and the
-# block like m^2.  At the corners, `compute --group U --format csv` takes
+# Work caps of `compute` and `mu`.  `compute` and `mu --check` build one
+# count row of m*(l-1) + 1 integers of up to m*log2(l) bits and an (m+1)^2
+# block of them, m the defining dimension (the n of `mu`): the row grows like
+# m*l and the block like m^2.  Plain `mu` sums at most m + 1 binomials of the
+# same size.  At the corners, `compute --group U --format csv` takes
 # 3.8 s and 110 MB peak RSS at rank 256, l = 1024, 1.8 s and 62 MB at rank
 # 256, l = 64, and 0.8 s and 48 MB at rank 128, l = 2048 (2-vCPU Xeon VM,
 # Python 3.11.7).  Under the caps an entry has at most about 800 digits.
@@ -473,8 +474,8 @@ def cmd_eigen(args: argparse.Namespace) -> int:
 
 def cmd_mu(args: argparse.Namespace) -> int:
     try:
-        if args.check:
-            _require_within_caps(f"mu --check at l={args.l}", "n", args.n, args.l)
+        command = "mu --check" if args.check else "mu"
+        _require_within_caps(f"{command} at l={args.l}", "n", args.n, args.l)
         value = mu_closed(args.n, args.l, args.k, args.p)
     except ValueError as exc:
         _fail(str(exc))

@@ -9,12 +9,23 @@ Z[lambda_1, ..., lambda_n] -- via elementary/complete symmetric polynomials
 and the triangular conversion between them, never by enumerating
 compositions -- so that it is an oracle fully independent of the `counts`
 module.  Specializing every variable to 1 must reproduce mu(n, l, k, p).
+
+Every polynomial that rewriting builds is symmetric, so it is held as a
+partition table: {lambda: coefficient}, one entry per partition lambda (a
+non-increasing length-n exponent tuple) standing for its whole orbit of
+monomials.  Each product has one sparse factor, e_j in the recursion for h
+and e_q(lambda^l) in B_p, whose monomials put `step` (1, resp. l) on j
+positions; the product's coefficient at lambda is the sum, over the
+j-subsets S of the positions with lambda_i >= step, of the other factor's
+coefficient at sort(lambda - step * 1_S).  Only the returned values are
+expanded into monomials, as `SymPoly`s.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import add
 from typing import Dict, Tuple
 
 from .exactmath import _require_int
@@ -31,6 +42,14 @@ __all__ = [
 ]
 
 Exponents = Tuple[int, ...]
+# a symmetric polynomial by its coefficients at non-increasing exponent tuples
+Table = Dict[Exponents, int]
+
+# Entries kept by each oracle cache.  `adamsops verify --suite oracle` at its
+# defaults leaves 60 coefficient tables, 53 runs of complete-polynomial tables
+# and 45 complete polynomials, 1.2 MB in all (tracemalloc); the largest run,
+# h_0 .. h_19 in five variables, holds 933 partitions in 34 KB.
+_TABLE_CACHE_SIZE = 256
 
 
 class SymPoly:
@@ -51,7 +70,7 @@ class SymPoly:
             for exps, coeff in terms.items():
                 if coeff == 0:
                     continue
-                if len(exps) != n or any(e < 0 for e in exps):
+                if len(exps) != n or min(exps) < 0:
                     raise ValueError(f"SymPoly: bad exponent tuple {exps!r} for n={n}")
                 self.terms[exps] = coeff
 
@@ -97,7 +116,7 @@ class SymPoly:
         out: Dict[Exponents, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 c = out.get(key, 0) + c1 * c2
                 if c:
                     out[key] = c
@@ -163,35 +182,72 @@ def symmetric_basis(n: int, k: int, kind: str) -> SymPoly:
     return SymPoly(n, terms)
 
 
-@lru_cache(maxsize=None)
-def _elementary(n: int, k: int) -> SymPoly:
-    return symmetric_basis(n, k, "elementary")
+def _partitions(n: int, d: int) -> list[Exponents]:
+    """Every partition of d into at most n parts, as a non-increasing
+    length-n tuple padded with zeros."""
+    out = []
+    stack = [((), d)] if d >= 0 else []
+    while stack:
+        head, rest = stack.pop()
+        if rest == 0:
+            out.append(head + (0,) * (n - len(head)))
+        elif len(head) < n:
+            # the next part is at most the last one, and with the parts after
+            # it (no larger) it must be able to make up the rest
+            top = min(rest, head[-1]) if head else rest
+            for part in range(-(-rest // (n - len(head))), top + 1):
+                stack.append((head + (part,), rest - part))
+    return out
 
 
-@lru_cache(maxsize=None)
+def _times_elementary(n: int, degree: int, step: int, factors: list[Table]) -> Table:
+    """The partition table of sum_j (-1)^j e_j(lambda^step) * factors[j] at
+    the given degree."""
+    table = {}
+    for lam in _partitions(n, degree):
+        movable = range(sum(1 for part in lam if part >= step))  # a prefix of lam
+        coeff = 0
+        for j, factor in enumerate(factors):
+            for picks in combinations(movable, j):
+                rest = list(lam)
+                for i in picks:
+                    rest[i] -= step
+                coeff += (-1) ** j * factor.get(tuple(sorted(rest, reverse=True)), 0)
+        if coeff:
+            table[lam] = coeff
+    return table
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _complete_tables(n: int, top: int) -> tuple[Table, ...]:
+    """The partition tables of h_0 .. h_top, computed bottom-up by the
+    triangular recursion h_c = -sum_{j=1}^{min(c, n)} (-1)^j e_j h_{c-j}
+    (e_j vanishes for j > n)."""
+    tables: list[Table] = [{(0,) * n: 1}]
+    for c in range(1, top + 1):
+        # slot j = 0 is left empty: h_c is what the terms j >= 1 sum to
+        below = [{}] + [tables[c - j] for j in range(1, min(c, n) + 1)]
+        tables.append({lam: -v for lam, v in _times_elementary(n, c, 1, below).items()})
+    return tuple(tables)
+
+
+def _expand(n: int, table: Table) -> SymPoly:
+    """The polynomial whose monomials are the orbits of the table's partitions."""
+    terms: Dict[Exponents, int] = {}
+    for lam, coeff in table.items():
+        terms.update(dict.fromkeys(permutations(lam), coeff))
+    return SymPoly(n, terms)
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def complete_by_recursion(n: int, k: int) -> SymPoly:
     """h_k computed from the elementary polynomials by the triangular
     recursion h_{i+1} = s_1 h_i - s_2 h_{i-1} + ... + (-1)^i s_{i+1},
-    rather than from the defining sum over multisets."""
+    rather than from the defining sum over multisets.  The recursion runs
+    bottom-up on partition tables, so no call recurses at all."""
     if k < 0:
         raise ValueError(f"complete_by_recursion: degree must be nonnegative, got {k}")
-    if k == 0:
-        return SymPoly.one(n)
-    # fill the cache bottom-up, so that every call below finds its own lower
-    # degrees cached and no call recurses more than one level deep
-    for lower in range(1, k):
-        complete_by_recursion(n, lower)
-    acc = SymPoly.zero(n)
-    for j in range(1, min(k, n) + 1):  # s_j vanishes for j > n
-        term = _elementary(n, j) * complete_by_recursion(n, k - j)
-        acc = acc + (term if j % 2 else -term)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _elementary_power(n: int, q: int, l: int) -> SymPoly:
-    # e_q evaluated on the l-th powers of the variables
-    return _elementary(n, q).substitute_power(l)
+    return _expand(n, _complete_tables(n, k)[k])
 
 
 def subset_power_expansion(n: int, l: int, k: int) -> tuple[SymPoly, ...]:
@@ -236,16 +292,18 @@ def adams_symbolic_coefficients(n: int, l: int, k: int) -> tuple[SymPoly, ...]:
         raise ValueError(f"adams_symbolic_coefficients: need 1 <= k <= n, got k={k}, n={n}")
     if l < 1:
         raise ValueError(f"adams_symbolic_coefficients: need l >= 1, got {l}")
+    return tuple(_expand(n, table) for table in _coefficient_tables(n, l, k))
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _coefficient_tables(n: int, l: int, k: int) -> tuple[Table, ...]:
+    # the partition tables of B_1 .. B_n; the q-th term of B_p has degree
+    # d - l*q in h, d = l*k - p, so q runs up to d // l <= k - 1
+    h = _complete_tables(n, l * k - 1)
     out = []
     for p in range(1, n + 1):
-        acc = SymPoly.zero(n)
-        for q in range(k):
-            c = l * (k - q) - p
-            if c < 0:
-                continue
-            term = _elementary_power(n, q, l) * complete_by_recursion(n, c)
-            acc = acc + (-term if q % 2 else term)
-        out.append(acc)
+        d = l * k - p
+        out.append(_times_elementary(n, d, l, [h[d - l * q] for q in range(d // l + 1)]))
     return tuple(out)
 
 

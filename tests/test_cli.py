@@ -298,9 +298,33 @@ def test_work_cap_exits_at_once_from_the_command_line():
     assert time.perf_counter() - start < 30
 
 
-def test_work_cap_admits_its_bounds_and_leaves_plain_mu(capsys):
-    code, out, _ = run(capsys, "mu", "300", "2", "1", "1")
-    assert (code, out) == (0, "300\n")
+@pytest.mark.parametrize("argv, message", [
+    (
+        ["mu", "10000", "3", "5000", "1"],
+        "mu at l=3: n is 10000, above the work cap MAX_DIMENSION = 256",
+    ),
+    (
+        ["mu", "300", "2", "1", "1"],
+        "mu at l=2: n is 300, above the work cap MAX_DIMENSION = 256",
+    ),
+    (
+        ["mu", "3", str(MAX_ROW // 3 + 1), "1", "1"],
+        "mu at l=87382: n times l is 262146, above the work cap MAX_ROW = 262144",
+    ),
+])
+def test_work_cap_applies_to_plain_mu(capsys, monkeypatch, argv, message):
+    # `mu 10000 3 5000 1` took 47 s before plain `mu` had the cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("a count was built")
+
+    monkeypatch.setattr(cli, "mu_closed", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_work_cap_admits_its_bounds(capsys):
+    code, out, _ = run(capsys, "mu", "256", "2", "1", "1")
+    assert (code, out) == (0, "256\n")
     code, out, _ = run(capsys, "mu", "256", "2", "1", "1", "--check")
     assert (code, out) == (0, "256\n")
     # both caps are inclusive

@@ -1,8 +1,10 @@
 """Properties checked on randomly drawn inputs, wider than the fixed grids.
 
-Each property runs MAX_EXAMPLES examples, each under DEADLINE_MS; on a
-2-vCPU Xeon VM the five take about 2.2 seconds together, and the deadlines
-bound them at 5 * 100 * 0.5 s.
+Each property runs MAX_EXAMPLES examples, each under DEADLINE_MS (the
+symbolic oracle's under ORACLE_DEADLINE_MS, since one uncached call at
+n = 5, l = 6 takes about 0.2 s); on a 2-vCPU Xeon VM the six take about
+2.1 seconds together, and the deadlines bound them at 5 * 100 * 0.5 s plus
+100 * 2 s.
 The module is skipped where `hypothesis` is not installed.
 """
 
@@ -16,11 +18,17 @@ from hypothesis import strategies as st  # noqa: E402
 from adamsops.counts import _count_row, count_table, mu_closed  # noqa: E402
 from adamsops.eigen import spectrum_check  # noqa: E402
 from adamsops.ktheory import FAMILIES, FAMILY_TABLE, GroupSpec, adams_matrix  # noqa: E402
+from adamsops.symoracle import (  # noqa: E402
+    adams_symbolic_coefficients,
+    bounded_composition_poly,
+)
 
 MAX_EXAMPLES = 100
 DEADLINE_MS = 500
 
 budget = settings(max_examples=MAX_EXAMPLES, deadline=DEADLINE_MS)
+
+ORACLE_DEADLINE_MS = 2000
 
 
 @st.composite
@@ -77,3 +85,13 @@ def test_entries_are_integers_on_both_routes(group, l):
 def test_spectrum_is_the_powers_of_l(group, l):
     # the eigenvalues of psi^l are l^(m_i + 1), the m_i the family exponents
     assert spectrum_check(group, l).ok
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=ORACLE_DEADLINE_MS)
+@given(n=st.integers(1, 5), l=st.integers(1, 6), data=st.data())
+def test_symbolic_coefficients_are_bounded_composition_sums(n, l, data):
+    # the partition-table rewriting against the brute-force sum over the
+    # l^n tuples with parts below l
+    k = data.draw(st.integers(1, n))
+    p = data.draw(st.integers(1, n))
+    assert adams_symbolic_coefficients(n, l, k)[p - 1] == bounded_composition_poly(n, l, k, p)

@@ -76,6 +76,53 @@ def test_complete_recursion_needs_no_deep_stack():
     assert h == SymPoly.monomial(1, (1500,))
 
 
+def _reference_complete(n, top):
+    # the monomial-by-monomial route the partition tables replaced: h_0 ..
+    # h_top by the triangular recursion over whole SymPoly products
+    h = [SymPoly.one(n)]
+    for c in range(1, top + 1):
+        acc = SymPoly.zero(n)
+        for j in range(1, min(c, n) + 1):
+            term = symmetric_basis(n, j, "elementary") * h[c - j]
+            acc = acc + (term if j % 2 else -term)
+        h.append(acc)
+    return h
+
+
+def _reference_coefficients(n, l, k, h):
+    # B_p = sum_{q<k} (-1)^q e_q(lambda^l) h_{l(k-q)-p}, h from _reference_complete
+    out = []
+    for p in range(1, n + 1):
+        acc = SymPoly.zero(n)
+        for q in range(k):
+            c = l * (k - q) - p
+            if c < 0:
+                continue
+            term = symmetric_basis(n, q, "elementary").substitute_power(l) * h[c]
+            acc = acc + (-term if q % 2 else term)
+        out.append(acc)
+    return tuple(out)
+
+
+def test_partition_tables_match_the_monomial_route():
+    for n, max_l in [(1, 5), (2, 5), (3, 5), (4, 5), (5, 3)]:
+        h = _reference_complete(n, max(12, max_l * n - 1))
+        for c in range(13):
+            assert complete_by_recursion(n, c) == h[c], (n, c)
+        for l in range(1, max_l + 1):
+            for k in range(1, n + 1):
+                assert adams_symbolic_coefficients(n, l, k) == _reference_coefficients(
+                    n, l, k, h
+                ), (n, l, k)
+
+
+def test_sympoly_rejects_bad_exponent_tuples():
+    for exps in [(1,), (1, 0, 0), (1, -1), ()]:
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            SymPoly(2, {exps: 1})
+    assert SymPoly(2, {(1, -1): 0}).is_zero()  # zero terms are dropped unchecked
+
+
 def test_complete_recursion_matches_definition():
     for n in range(1, 6):
         for k in range(9):
