@@ -11,20 +11,6 @@ against which every closed form is cross-checked.
 """
 
 from .counts import alpha, beta, mu_closed, mu_enumerate
-from .eigen import (
-    Eigenbasis,
-    Eigenvector,
-    SpectrumReport,
-    char_poly,
-    eigenbasis,
-    eigenbasis_determinant,
-    eigenvector,
-    expected_char_poly,
-    family_exponents,
-    sinh_pow_coeff_poly,
-    spectrum_check,
-    verify_eigen_relation,
-)
 from .exactmath import TruncSeries, UniPoly, bernoulli_even, binomial, t_over_sinh_pow
 from .ktheory import (
     FAMILIES,
@@ -46,16 +32,6 @@ from .ktheory import (
     spin_odd_adams_matrix,
     symplectic_adams_matrix,
     unitary_adams_matrix,
-)
-from .symoracle import (
-    SymPoly,
-    adams_symbolic_coefficients,
-    bounded_composition_poly,
-    complete_by_recursion,
-    conversion_matrices,
-    subset_power_expansion,
-    symmetric_basis,
-    verify_product_identity,
 )
 
 __version__ = "0.1.0"
@@ -116,3 +92,50 @@ __all__ = [
     "bounded_composition_poly",
     "verify_product_identity",
 ]
+
+# The names of `eigen` and `symoracle` are served on first use (PEP 562):
+# each command-line call pays for every module it imports, and most use
+# neither.  They are looked up in their module on every access, never
+# stored here, so a replaced module attribute is the one returned.
+_LAZY = dict.fromkeys(
+    (
+        "Eigenvector",
+        "eigenvector",
+        "sinh_pow_coeff_poly",
+        "verify_eigen_relation",
+        "eigenbasis_determinant",
+        "Eigenbasis",
+        "eigenbasis",
+        "char_poly",
+        "family_exponents",
+        "expected_char_poly",
+        "SpectrumReport",
+        "spectrum_check",
+    ),
+    "eigen",
+) | dict.fromkeys(
+    (
+        "SymPoly",
+        "symmetric_basis",
+        "complete_by_recursion",
+        "subset_power_expansion",
+        "adams_symbolic_coefficients",
+        "conversion_matrices",
+        "bounded_composition_poly",
+        "verify_product_identity",
+    ),
+    "symoracle",
+)
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -7,8 +7,10 @@ least `--max-rank`/`--max-l`; below the least values a check would sweep
 nothing, so `verify` rejects them.  The groups of the matrix sweeps and of
 `--group` come from the family table, `ktheory.FAMILY_TABLE`.
 
-`compute` and `mu` refuse work above two caps, `MAX_DIMENSION` and
-`MAX_ROW`, before they build any count.
+`compute`, `eigen` and `mu` refuse work above two caps, `MAX_DIMENSION`
+and `MAX_ROW`, before they build any count or eigenvector.  Each command
+pays for its imports at start-up, so `eigen` and `symoracle` are imported
+only by the commands and suites that use them.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 a verification property failed, 2 invalid arguments, 3 an internal
@@ -22,18 +24,10 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .counts import beta, mu_closed, mu_enumerate
-from .eigen import (
-    eigenbasis_determinant,
-    eigenvector,
-    sinh_pow_coeff_poly,
-    spectrum_check,
-    verify_eigen_relation,
-)
 from .exactmath import binomial, t_over_sinh_pow
 from .ktheory import (
     FAMILIES,
@@ -45,15 +39,7 @@ from .ktheory import (
     basis,
     defining_dimension,
 )
-from .symoracle import (
-    adams_symbolic_coefficients,
-    complete_by_recursion,
-    conversion_matrices,
-    subset_power_expansion,
-    symmetric_basis,
-    SymPoly,
-    verify_product_identity,
-)
+from .record import Record
 
 __all__ = [
     "MAX_DIMENSION",
@@ -71,8 +57,7 @@ __all__ = [
 # verification suites
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     ok: bool
     detail: str
@@ -209,6 +194,13 @@ def matrices_suite(max_rank: int = 5, max_l: int = 4) -> list[CheckResult]:
 
 
 def eigen_suite(max_rank: int = 8, levels: Iterable[int] = (2, 3, 5)) -> list[CheckResult]:
+    from .eigen import (
+        eigenbasis_determinant,
+        sinh_pow_coeff_poly,
+        spectrum_check,
+        verify_eigen_relation,
+    )
+
     levels = tuple(levels)
     ranks, small = range(1, max_rank + 1), min(max_rank, 6)
 
@@ -255,6 +247,16 @@ def eigen_suite(max_rank: int = 8, levels: Iterable[int] = (2, 3, 5)) -> list[Ch
 
 
 def oracle_suite(max_rank: int = 5, max_l: int = 4, max_degree: int = 12) -> list[CheckResult]:
+    from .symoracle import (
+        SymPoly,
+        adams_symbolic_coefficients,
+        complete_by_recursion,
+        conversion_matrices,
+        subset_power_expansion,
+        symmetric_basis,
+        verify_product_identity,
+    )
+
     ranks, ls = range(1, max_rank + 1), range(1, max_l + 1)
 
     def conversion() -> Iterator[str]:
@@ -350,14 +352,17 @@ def oracle_suite(max_rank: int = 5, max_l: int = 4, max_degree: int = 12) -> lis
 # ---------------------------------------------------------------------------
 # commands
 
-# Work caps of `compute` and `mu`.  `compute` and `mu --check` build one
-# count row of m*(l-1) + 1 integers of up to m*log2(l) bits and an (m+1)^2
-# block of them, m the defining dimension (the n of `mu`): the row grows like
-# m*l and the block like m^2.  Plain `mu` sums at most m + 1 binomials of the
-# same size.  At the corners, `compute --group U --format csv` takes
-# 3.8 s and 110 MB peak RSS at rank 256, l = 1024, 1.8 s and 62 MB at rank
-# 256, l = 64, and 0.8 s and 48 MB at rank 128, l = 2048 (2-vCPU Xeon VM,
-# Python 3.11.7).  Under the caps an entry has at most about 800 digits.
+# Work caps of `compute`, `eigen` and `mu`.  `compute` and `mu --check` build
+# one count row of m*(l-1) + 1 integers of up to m*log2(l) bits and an
+# (m+1)^2 block of them, m the defining dimension (the n of `mu`, the rank of
+# `eigen`): the row grows like m*l and the block like m^2.  Plain `mu` sums
+# at most m + 1 binomials of the same size; `eigen` builds m vectors of m
+# rationals, and with --l the matrix of U(m).  At the corners,
+# `compute --group U --format csv` takes 3.8 s and 110 MB peak RSS at rank
+# 256, l = 1024, 1.8 s and 62 MB at rank 256, l = 64, and 0.8 s and 48 MB at
+# rank 128, l = 2048; `eigen --rank 256` takes 2.4 s and 97 MB, and 3.6 s
+# and 179 MB with --l 1024 --format csv (2-vCPU Xeon VM, Python 3.11.7).
+# Under the caps an entry has at most about 800 digits.
 MAX_DIMENSION = 256
 MAX_ROW = 2**18
 
@@ -447,6 +452,10 @@ def cmd_eigen(args: argparse.Namespace) -> int:
     try:
         if args.rank < 1:
             raise ValueError(f"rank must be positive, got {args.rank}")
+        at_l = "" if args.l is None else f" at l={args.l}"
+        _require_within_caps(f"eigen{at_l}", "rank", args.rank, args.l or 0)
+        from .eigen import eigenvector
+
         group = GroupSpec("U", args.rank)
         vectors = [eigenvector(args.rank, k) for k in range(args.rank)]
         mat = adams_matrix(group, args.l) if args.l is not None else None

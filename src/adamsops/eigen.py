@@ -31,7 +31,6 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
@@ -48,6 +47,7 @@ from .ktheory import (
     basis,
     unitary_adams_matrix,
 )
+from .record import Record
 
 __all__ = [
     "sinh_pow_coeff_poly",
@@ -155,8 +155,7 @@ def _require_rank(n: int) -> None:
         raise ValueError(f"rank must be positive, got n={n}")
 
 
-@dataclass(frozen=True)
-class Eigenvector:
+class Eigenvector(Record):
     """The closed-form eigenvector of the U(n) Adams matrices at level k;
     its eigenvalue under psi^l is l^(n-k) for every l >= 1 simultaneously."""
 
@@ -269,8 +268,7 @@ def _det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
     return det % p
 
 
-@dataclass(frozen=True)
-class Eigenbasis:
+class Eigenbasis(Record):
     """Integer eigenvectors of every psi^l matrix of the group, over its
     primitive basis: column j has eigenvalue l^eigenvalue_exponents[j] for
     every l >= 1.  Each column is primitive (its entries have gcd 1)."""
@@ -378,8 +376,7 @@ def expected_char_poly(group: GroupSpec, l: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     group: GroupSpec
     l: int
     ok: bool

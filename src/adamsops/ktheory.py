@@ -29,7 +29,6 @@ matrix product M(m) . M(l) = M(m*l).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
@@ -38,6 +37,7 @@ from typing import Callable, Sequence
 
 from .counts import count_table
 from .exactmath import _require_int
+from .record import Record
 
 __all__ = [
     "FAMILIES",
@@ -94,8 +94,7 @@ class ConsistencyError(Exception):
         self.values = values
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """A group family tag plus its rank parameter n.
 
     U(n): n >= 1; SU(n): n >= 2; Sp(n): n >= 1; SpinOdd is Spin(2n+1) with
@@ -123,15 +122,13 @@ class GroupSpec:
         return family.display.format(n=self.n, m=family.dimension(self.n))
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(Record):
     kind: str  # "wedge" | "spin" | "spin+" | "spin-" | "rho1" | "rho2"
     index: int  # wedge degree when kind == "wedge", else 0
     label: str
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """One family of groups, as every function of the package sees it; n is
     the rank parameter.
 
@@ -187,8 +184,7 @@ def _times(rows: Sequence[Sequence[int]], v: Sequence[int | Fraction]) -> list:
     return [sum(map(mul, row, v)) for row in rows]
 
 
-@dataclass(frozen=True)
-class AdamsMatrix:
+class AdamsMatrix(Record):
     """The integer matrix of psi^l on the group's primitive basis."""
 
     group: GroupSpec
@@ -418,8 +414,7 @@ def _g2_closed_matrix(n: int, l: int) -> AdamsMatrix:
 # reduction tables and the functoriality pipeline
 
 
-@dataclass(frozen=True)
-class ReductionTable:
+class ReductionTable(Record):
     """Rows 0..m rewrite d(wedge^p of the defining representation) as a
     vector over the group's primitive basis.  Row 0 and row m (the trivial
     class and the determinant class) are zero."""

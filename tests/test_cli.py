@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import adamsops.cli as cli
+import adamsops.eigen as eigen
 from adamsops.cli import MAX_DIMENSION, MAX_ROW, main
 from adamsops.ktheory import ConsistencyError, GroupSpec, adams_matrix
 
@@ -276,6 +277,24 @@ def test_verify_runs_at_the_least_sweep(capsys):
         ["mu", "3000", "3000", "1", "1", "--check"],
         "mu --check at l=3000: n is 3000, above the work cap MAX_DIMENSION = 256",
     ),
+    (
+        # took 57 s before `eigen` had the cap
+        ["eigen", "--rank", "600"],
+        "eigen: rank is 600, above the work cap MAX_DIMENSION = 256",
+    ),
+    (
+        ["eigen", "--rank", str(MAX_DIMENSION + 1), "--l", "2", "--format", "json"],
+        "eigen at l=2: rank is 257, above the work cap MAX_DIMENSION = 256",
+    ),
+    (
+        # `compute --group U --rank 3 --l 300000` is refused in the same words
+        ["eigen", "--rank", "3", "--l", "300000"],
+        "eigen at l=300000: rank times l is 900000, above the work cap MAX_ROW = 262144",
+    ),
+    (
+        ["eigen", "--rank", "256", "--l", str(MAX_ROW // 256 + 1), "--integral"],
+        "eigen at l=1025: rank times l is 262400, above the work cap MAX_ROW = 262144",
+    ),
 ])
 def test_work_cap_rejects_before_any_count(capsys, monkeypatch, argv, message):
     def refuse(*args, **kwargs):
@@ -283,6 +302,7 @@ def test_work_cap_rejects_before_any_count(capsys, monkeypatch, argv, message):
 
     for name in ("adams_matrix", "mu_closed", "mu_enumerate"):
         monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(eigen, "eigenvector", refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

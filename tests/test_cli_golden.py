@@ -45,6 +45,8 @@ CASES = (
     + [["eigen", "--rank", "4", *flags, "--format", fmt] for flags in EIGEN_FLAGS for fmt in FORMATS]
     + [
         ["eigen", "--rank", "0"],
+        ["eigen", "--rank", "257"],
+        ["eigen", "--rank", "3", "--l", "300000"],
         ["mu", "4", "3", "2", "2"],
         ["mu", "4", "3", "2", "2", "--check"],
         ["mu", "0", "2", "1", "1"],

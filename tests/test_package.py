@@ -1,0 +1,101 @@
+"""What the package exports, and what a command-line call imports."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import adamsops
+import adamsops.eigen as eigen
+import adamsops.symoracle as symoracle
+
+# the names the package serves from a module imported on first use
+LAZY = {name: module for module in (eigen, symoracle) for name in module.__all__}
+
+
+def test_every_exported_name_resolves_to_its_module_object():
+    assert set(LAZY) <= set(adamsops.__all__)
+    for name in adamsops.__all__:
+        value = getattr(adamsops, name)
+        if name in LAZY:
+            assert value is getattr(LAZY[name], name)
+            # served on each access, never stored in the package namespace
+            assert name not in vars(adamsops)
+
+
+def test_dir_and_star_import_list_every_exported_name():
+    assert set(adamsops.__all__) <= set(dir(adamsops))
+    assert dir(adamsops) == sorted(dir(adamsops))
+    namespace: dict = {}
+    exec("from adamsops import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(adamsops.__all__)
+    assert namespace["spectrum_check"] is eigen.spectrum_check
+    assert namespace["SymPoly"] is symoracle.SymPoly
+
+
+def test_an_unknown_name_raises_the_usual_error():
+    with pytest.raises(AttributeError, match="^module 'adamsops' has no attribute 'no_such_name'$"):
+        adamsops.no_such_name
+    assert not hasattr(adamsops, "spectrum_chek")
+    with pytest.raises(ImportError):
+        exec("from adamsops import no_such_name", {})
+
+
+def test_a_replaced_module_attribute_is_seen_through_the_package(monkeypatch):
+    original = eigen.spectrum_check
+
+    def patched(group, l):
+        return original(group, l)
+
+    monkeypatch.setattr(eigen, "spectrum_check", patched)
+    monkeypatch.setattr(symoracle, "SymPoly", object)
+    assert adamsops.spectrum_check is patched
+    assert adamsops.SymPoly is object
+    monkeypatch.undo()
+    assert adamsops.spectrum_check is original is eigen.spectrum_check
+
+
+# Run in a fresh interpreter: the modules `import adamsops.cli` adds, then
+# the modules loaded after each command.  Modules the interpreter had loaded
+# before the import do not count.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from adamsops.cli import main
+loaded = [[None, sorted(set(sys.modules) - before)]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    loaded.append([code, sorted(set(sys.modules) - before)])
+print(json.dumps(loaded))
+"""
+
+
+def test_a_command_imports_only_what_it_uses():
+    commands = [
+        ["compute", "--group", "SpinOdd", "--rank", "3", "--l", "3", "--format", "json"],
+        ["mu", "4", "3", "2", "2", "--check"],
+        ["verify", "--suite", "matrices", "--max-rank", "2", "--max-l", "2"],
+        ["eigen", "--rank", "600"],  # refused by the work cap before the import
+        ["eigen", "--rank", "3", "--l", "2", "--format", "csv"],
+        ["verify", "--suite", "oracle", "--max-rank", "2", "--max-l", "1"],
+    ]
+    src = str(Path(adamsops.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (_, imported), *after = ((code, set(modules)) for code, modules in json.loads(proc.stdout))
+    assert "adamsops.cli" in imported
+    assert not {"dataclasses", "inspect", "adamsops.eigen", "adamsops.symoracle"} & imported
+    assert [code for code, _ in after] == [0, 0, 0, 2, 0, 0]
+    for argv, (_, modules) in zip(commands[:4], after):
+        assert not {"adamsops.eigen", "adamsops.symoracle"} & modules, argv
+    assert "adamsops.eigen" in after[4][1] and "adamsops.symoracle" not in after[4][1]
+    assert "adamsops.symoracle" in after[5][1]
+    assert not {"dataclasses", "inspect"} & after[5][1]
