@@ -36,6 +36,38 @@ from .ktheory import (
 
 __version__ = "0.1.0"
 
+# The names of `eigen` and `symoracle` are served on first use (PEP 562):
+# each command-line call pays for every module it imports, and most use
+# neither.  They are looked up in their module on every access, never
+# stored here, so a replaced module attribute is the one returned.
+_LAZY = dict.fromkeys(
+    (
+        "sinh_pow_coeff_poly",
+        "Eigenvector",
+        "eigenvector",
+        "verify_eigen_relation",
+        "eigenbasis_determinant",
+        "Eigenbasis",
+        "eigenbasis",
+        "char_poly",
+        "family_exponents",
+        "expected_char_poly",
+        "SpectrumReport",
+        "spectrum_check",
+    ),
+    "eigen",
+) | dict.fromkeys(
+    (
+        "SymPoly",
+        "symmetric_basis",
+        "complete_by_recursion",
+        "adams_symbolic_coefficients",
+        "bounded_composition_poly",
+        "verify_product_identity",
+    ),
+    "symoracle",
+)
+
 __all__ = [
     "__version__",
     # counts
@@ -69,63 +101,9 @@ __all__ = [
     "g2_adams_matrix",
     "reduction_table",
     "pullback_adams_matrix",
-    # eigen data
-    "Eigenvector",
-    "eigenvector",
-    "sinh_pow_coeff_poly",
-    "verify_eigen_relation",
-    "eigenbasis_determinant",
-    "Eigenbasis",
-    "eigenbasis",
-    "char_poly",
-    "family_exponents",
-    "expected_char_poly",
-    "SpectrumReport",
-    "spectrum_check",
-    # symbolic oracle
-    "SymPoly",
-    "symmetric_basis",
-    "complete_by_recursion",
-    "subset_power_expansion",
-    "adams_symbolic_coefficients",
-    "conversion_matrices",
-    "bounded_composition_poly",
-    "verify_product_identity",
+    # eigen data and the symbolic oracle, served on first use
+    *_LAZY,
 ]
-
-# The names of `eigen` and `symoracle` are served on first use (PEP 562):
-# each command-line call pays for every module it imports, and most use
-# neither.  They are looked up in their module on every access, never
-# stored here, so a replaced module attribute is the one returned.
-_LAZY = dict.fromkeys(
-    (
-        "Eigenvector",
-        "eigenvector",
-        "sinh_pow_coeff_poly",
-        "verify_eigen_relation",
-        "eigenbasis_determinant",
-        "Eigenbasis",
-        "eigenbasis",
-        "char_poly",
-        "family_exponents",
-        "expected_char_poly",
-        "SpectrumReport",
-        "spectrum_check",
-    ),
-    "eigen",
-) | dict.fromkeys(
-    (
-        "SymPoly",
-        "symmetric_basis",
-        "complete_by_recursion",
-        "subset_power_expansion",
-        "adams_symbolic_coefficients",
-        "conversion_matrices",
-        "bounded_composition_poly",
-        "verify_product_identity",
-    ),
-    "symoracle",
-)
 
 
 def __getattr__(name: str) -> object:

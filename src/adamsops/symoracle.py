@@ -6,7 +6,7 @@ basis leaves, in front of the degree-p generator, a sum of monomials
 lambda_1^{k_1} ... lambda_n^{k_n} over bounded compositions (0 <= k_r <= l-1,
 sum = l*k - p).  This module performs that rewriting symbolically in
 Z[lambda_1, ..., lambda_n] -- via elementary/complete symmetric polynomials
-and the triangular conversion between them, never by enumerating
+and the triangular recursion between them, never by enumerating
 compositions -- so that it is an oracle fully independent of the `counts`
 module.  Specializing every variable to 1 must reproduce mu(n, l, k, p).
 
@@ -34,9 +34,7 @@ __all__ = [
     "SymPoly",
     "symmetric_basis",
     "complete_by_recursion",
-    "subset_power_expansion",
     "adams_symbolic_coefficients",
-    "conversion_matrices",
     "bounded_composition_poly",
     "verify_product_identity",
 ]
@@ -163,6 +161,8 @@ def symmetric_basis(n: int, k: int, kind: str) -> SymPoly:
 
     e_k = 0 for k > n; e_0 = h_0 = 1.
     """
+    _require_int("number of variables n", n)
+    _require_int("degree k", k)
     if k < 0:
         raise ValueError(f"symmetric_basis: degree must be nonnegative, got {k}")
     if kind == "elementary":
@@ -239,38 +239,18 @@ def _expand(n: int, table: Table) -> SymPoly:
     return SymPoly(n, terms)
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+# typed, so that True misses the entry of 1 and is rejected
+@lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
 def complete_by_recursion(n: int, k: int) -> SymPoly:
     """h_k computed from the elementary polynomials by the triangular
     recursion h_{i+1} = s_1 h_i - s_2 h_{i-1} + ... + (-1)^i s_{i+1},
     rather than from the defining sum over multisets.  The recursion runs
     bottom-up on partition tables, so no call recurses at all."""
+    _require_int("number of variables n", n)
+    _require_int("degree k", k)
     if k < 0:
         raise ValueError(f"complete_by_recursion: degree must be nonnegative, got {k}")
     return _expand(n, _complete_tables(n, k)[k])
-
-
-def subset_power_expansion(n: int, l: int, k: int) -> tuple[SymPoly, ...]:
-    """The weight-level expansion of the l-th Adams image of a k-fold wedge.
-
-    Position i collects the coefficient of the formal class t_i: the sum of
-    lambda_I^l over the k-element subsets I containing i.  Only linear
-    combinations of the t_i ever occur, so a plain vector of polynomials
-    suffices.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"subset_power_expansion: need 1 <= k <= n, got k={k}, n={n}")
-    if l < 1:
-        raise ValueError(f"subset_power_expansion: need l >= 1, got {l}")
-    vec = [SymPoly.zero(n) for _ in range(n)]
-    for pick in combinations(range(n), k):
-        exps = [0] * n
-        for i in pick:
-            exps[i] = l
-        mono = SymPoly.monomial(n, tuple(exps))
-        for i in pick:
-            vec[i] = vec[i] + mono
-    return tuple(vec)
 
 
 def adams_symbolic_coefficients(n: int, l: int, k: int) -> tuple[SymPoly, ...]:
@@ -307,39 +287,13 @@ def _coefficient_tables(n: int, l: int, k: int) -> tuple[Table, ...]:
     return tuple(out)
 
 
-def conversion_matrices(
-    n: int, size: int
-) -> tuple[list[list[SymPoly]], list[list[SymPoly]]]:
-    """The lower-triangular change-of-basis matrices between the two
-    symmetric-polynomial families, with alternating column signs: entry
-    (i, j) of the first is (-1)^j s_{i-j}, of the second (-1)^j h_{i-j}
-    (indices 0-based, subscript < 0 meaning zero).  They must multiply to
-    the identity; the second is built with the recursive h so the check
-    exercises both routes.
-    """
-    if size < 1 or n < 1:
-        raise ValueError(f"conversion_matrices: need n, size >= 1, got n={n}, size={size}")
-    zero = SymPoly.zero(n)
-    m = [
-        [
-            (-1) ** j * symmetric_basis(n, i - j, "elementary") if i >= j else zero
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
-    m_inv = [
-        [
-            (-1) ** j * complete_by_recursion(n, i - j) if i >= j else zero
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
-    return m, m_inv
-
-
 def bounded_composition_poly(n: int, l: int, k: int, p: int) -> SymPoly:
     """The same polynomial by brute force: sum the monomial lambda^kappa over
     every tuple kappa with 0 <= kappa_r <= l-1 and sum l*k - p."""
+    _require_int("number of variables n", n)
+    _require_int("Adams operation index l", l)
+    _require_int("wedge degree k", k)
+    _require_int("generator degree p", p)
     if l < 1 or n < 1:
         raise ValueError(f"bounded_composition_poly: need n, l >= 1, got n={n}, l={l}")
     target = l * k - p
@@ -373,6 +327,9 @@ def verify_product_identity(n: int, l: int, max_degree: int) -> tuple[bool, str]
 
     Returns (ok, detail); detail names the first failure, if any.
     """
+    _require_int("number of variables n", n)
+    _require_int("Adams operation index l", l)
+    _require_int("max_degree", max_degree)
     if n < 1 or l < 1 or max_degree < 0:
         raise ValueError("verify_product_identity: need n, l >= 1 and max_degree >= 0")
     lhs = SymPoly.one(n)

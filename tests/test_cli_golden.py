@@ -47,6 +47,7 @@ CASES = (
         ["eigen", "--rank", "0"],
         ["eigen", "--rank", "257"],
         ["eigen", "--rank", "3", "--l", "300000"],
+        ["eigen", "--rank", "3", "--l", "0", "--format", "csv"],
         ["mu", "4", "3", "2", "2"],
         ["mu", "4", "3", "2", "2", "--check"],
         ["mu", "0", "2", "1", "1"],

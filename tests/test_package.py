@@ -26,6 +26,21 @@ def test_every_exported_name_resolves_to_its_module_object():
             assert name not in vars(adamsops)
 
 
+def test_every_lazy_name_is_exported_once_in_module_order():
+    assert len(adamsops.__all__) == len(set(adamsops.__all__))
+    lazy = adamsops.__all__[-len(LAZY):]
+    assert lazy == eigen.__all__ + symoracle.__all__
+    assert not set(lazy) & set(vars(adamsops))
+
+
+@pytest.mark.parametrize("name", ["conversion_matrices", "subset_power_expansion"])
+def test_the_removed_oracle_helpers_are_gone(name):
+    with pytest.raises(AttributeError):
+        getattr(adamsops, name)
+    assert not hasattr(symoracle, name)
+    assert name not in dir(adamsops)
+
+
 def test_dir_and_star_import_list_every_exported_name():
     assert set(adamsops.__all__) <= set(dir(adamsops))
     assert dir(adamsops) == sorted(dir(adamsops))

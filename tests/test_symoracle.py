@@ -3,6 +3,7 @@ everywhere the two can both be afforded; that agreement is what makes the
 module usable as an independent oracle for the counting layer."""
 
 import inspect
+import re
 import sys
 
 import pytest
@@ -13,8 +14,6 @@ from adamsops.symoracle import (
     adams_symbolic_coefficients,
     bounded_composition_poly,
     complete_by_recursion,
-    conversion_matrices,
-    subset_power_expansion,
     symmetric_basis,
     verify_product_identity,
 )
@@ -129,19 +128,6 @@ def test_complete_recursion_matches_definition():
             assert complete_by_recursion(n, k) == symmetric_basis(n, k, "complete")
 
 
-def test_conversion_matrices_are_inverse():
-    for n in (2, 3, 4):
-        for size in range(1, 7):
-            m, m_inv = conversion_matrices(n, size)
-            for i in range(size):
-                for j in range(size):
-                    acc = SymPoly.zero(n)
-                    for r in range(size):
-                        acc = acc + m[i][r] * m_inv[r][j]
-                    want = SymPoly.one(n) if i == j else SymPoly.zero(n)
-                    assert acc == want, (n, size, i, j)
-
-
 def test_symbolic_coefficients_smallest_case():
     # two variables, squaring operation, single wedge factor
     b1, b2 = adams_symbolic_coefficients(2, 2, 1)
@@ -189,25 +175,6 @@ def test_coefficients_are_symmetric_polynomials():
                 assert poly.permute_variables(cycle) == poly
 
 
-def test_subset_expansion_alternating_rewrite():
-    # position i of the expansion equals
-    #   sum_{j=1}^{k} (-1)^{j+1} e_{k-j}(lambda^l) * lambda_i^{l*j}
-    for n in range(1, 5):
-        for l in (1, 2, 3):
-            for k in range(1, n + 1):
-                vec = subset_power_expansion(n, l, k)
-                for i in range(n):
-                    acc = SymPoly.zero(n)
-                    for j in range(1, k + 1):
-                        exps = [0] * n
-                        exps[i] = l * j
-                        term = symmetric_basis(n, k - j, "elementary").substitute_power(
-                            l
-                        ) * SymPoly.monomial(n, tuple(exps))
-                        acc = acc + (-term if j % 2 == 0 else term)
-                    assert vec[i] == acc, (n, l, k, i)
-
-
 def test_product_identity_sweep():
     for n in range(1, 5):
         for l in range(1, 4):
@@ -224,8 +191,6 @@ def test_validation():
         adams_symbolic_coefficients(3, 2, 0)
     with pytest.raises(ValueError):
         adams_symbolic_coefficients(3, 0, 1)
-    with pytest.raises(ValueError):
-        subset_power_expansion(3, 2, 4)
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, "2", None])
@@ -237,3 +202,14 @@ def test_symbolic_coefficients_reject_non_int_arguments(bad):
         adams_symbolic_coefficients(2, bad, 1)
     with pytest.raises(ValueError, match="wedge degree k must be an int"):
         adams_symbolic_coefficients(2, 2, bad)
+    # a cached call with 1 in place of True must not answer for it
+    complete_by_recursion(1, 2), complete_by_recursion(2, 1)
+    for call, arguments in [
+        (complete_by_recursion, (2, 2)),
+        (symmetric_basis, (2, 2, "complete")),
+        (bounded_composition_poly, (2, 2, 1, 1)),
+        (verify_product_identity, (2, 2, 4)),
+    ]:
+        for i in [i for i, value in enumerate(arguments) if isinstance(value, int)]:
+            with pytest.raises(ValueError, match=re.escape(f"must be an int, got {bad!r}")):
+                call(*arguments[:i], bad, *arguments[i + 1:])
