@@ -319,8 +319,9 @@ def oracle_suite(max_rank: int = 5, max_l: int = 4, max_degree: int = 12) -> lis
 # `compute --group U --format csv` takes 3.8 s and 110 MB peak RSS at rank
 # 256, l = 1024, 1.8 s and 62 MB at rank 256, l = 64, and 0.8 s and 48 MB at
 # rank 128, l = 2048; `eigen --rank 256` takes 2.4 s and 97 MB, as much with
-# --l 1024 in csv or pretty, and about 5 s and 378 MB with --l 1024
-# --format json (2-vCPU Xeon VM, Python 3.11.7).
+# --l 1024 in csv or pretty, and about 3 s and 178 MB with --l 1024
+# --format json, which is written to stdout as it is encoded (2-vCPU Xeon
+# VM, Python 3.11.7).
 # Under the caps an entry has at most about 800 digits.
 MAX_DIMENSION = 256
 MAX_ROW = 2**18
@@ -379,7 +380,8 @@ def _write(
     """Print one result as `fmt`: the json document, the csv header and rows,
     or the pretty lines."""
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        json.dump(doc, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)

@@ -223,6 +223,8 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[d - 1][d - 1]
 
 
+# typed, so that True or 2.0 misses the entry of 1 or 2 and is rejected
+@lru_cache(maxsize=_BASIS_CACHE_SIZE, typed=True)
 def eigenbasis_determinant(n: int) -> Fraction:
     """Determinant of the matrix whose rows are the n eigenvectors of U(n);
     nonzero means the closed-form vectors are linearly independent.
@@ -238,12 +240,14 @@ def eigenbasis_determinant(n: int) -> Fraction:
 
     since x_j - x_i = -2(j - i) and prod_{i<j} (j - i) = prod_k k!.  The
     tests hold the computation, one Bareiss pass over the cached integer
-    numerators, to that value.
+    numerators, each row first divided by the gcd of its entries, to that
+    value.  The value for each n is kept in a bounded cache.
     """
     _require_rank(n)
     levels = _unitary_basis(n)
-    rows = [list(nums) for nums, _ in levels]
-    return Fraction(_bareiss_det(rows), prod(den for _, den in levels))
+    gcds = [gcd(*nums) or 1 for nums, _ in levels]
+    rows = [[x // g for x in nums] for (nums, _), g in zip(levels, gcds)]
+    return Fraction(_bareiss_det(rows) * prod(gcds), prod(den for _, den in levels))
 
 
 def _det_mod(rows: Sequence[Sequence[int]], p: int) -> int:

@@ -16,6 +16,13 @@ that matrix by two independent routes:
 `adams_matrix` runs both routes and raises ConsistencyError when they
 disagree, or when an entry that must be an integer is not.
 
+Both routes compute in integers only.  A column with a rational prefactor
+(2^-(n+1) on the spin column of Spin(2n+1), 2^-(n-1) and 1/2 on the
+half-spin columns of Spin(2n), 15ths and 30ths for G2) is carried as
+integer numerators over one denominator, a power of two or 30, and each
+numerator is checked to divide exactly; a `Fraction` is built only to
+report an entry that does not, so a successful assembly builds none.
+
 What a family is lives in one place: the `Family` records of `FAMILY_TABLE`
 at the end of the module give each family's ranks, defining dimension,
 basis, display name, exponents, reduction rows and routes, and every
@@ -128,6 +135,10 @@ class BasisElement(Record):
     label: str
 
 
+# What a family's pipeline returns: integer columns, numerator columns, den.
+_Piped = tuple[list[list[int]], Sequence[Sequence[int]], int]
+
+
 class Family(Record):
     """One family of groups, as every function of the package sees it; n is
     the rank parameter.
@@ -144,7 +155,9 @@ class Family(Record):
     * A family with a pipeline route gives `middle_rows(n)`, its reduction
       rows w+1..m//2 with w = wedges(n) (see `reduction_table`), and
       `pipeline(group, l)`, which reads the reduced wedge images and returns
-      the integer columns and then the rational columns of the matrix.
+      (integer columns, numerator columns, den): the integer columns of the
+      matrix, then its rational columns as integer numerators over the one
+      denominator den (1 when there are none), for `_finalize` to divide.
     * `extra_eigenvectors(n)` lists, as (e, column) pairs, the eigenvectors
       of every psi^l, with eigenvalue l^e, that restriction from U(m) misses
       (see `eigen.eigenbasis`): d(S+) - d(S-) for Spin(2n), none otherwise.
@@ -159,7 +172,7 @@ class Family(Record):
     closed: str
     extra: tuple[BasisElement, ...] = ()
     middle_rows: Callable[[int], list[list[int]]] | None = None
-    pipeline: Callable[[GroupSpec, int], tuple[list, Sequence]] | None = None
+    pipeline: Callable[[GroupSpec, int], _Piped] | None = None
     fixed_rank: int | None = None
     extra_eigenvectors: Callable[[int], list[tuple[int, tuple[int, ...]]]] = lambda n: []
 
@@ -233,20 +246,27 @@ def _finalize(
     l: int,
     cols: Sequence[Sequence[int]],
     route: str,
-    rational: Sequence[Sequence[int | Fraction]] = (),
+    rational: Sequence[Sequence[int]] = (),
+    den: int = 1,
 ) -> AdamsMatrix:
     """Turn the columns `route` computed into an AdamsMatrix: `cols`, whose
     entries are ints and pass as they are, followed by the `rational`
-    columns, whose entries must all be integral."""
+    columns, given as integer numerators over the one positive denominator
+    `den`.  Every numerator must be divisible by `den` exactly; a `Fraction`
+    is built only for an entry that is not, to report it."""
     checked = list(cols)
     for k, col in enumerate(rational, start=len(checked)):
+        ints = []
         for p, v in enumerate(col):
-            if v.denominator != 1:
+            q, r = divmod(v, den)
+            if r:
+                value = Fraction(v, den)
                 raise ConsistencyError(
-                    f"non-integer entry {v} at row {p}, column {k} for {group}, l={l}",
-                    group=group, l=l, routes=(route,), cell=(p, k), values=(v,),
+                    f"non-integer entry {value} at row {p}, column {k} for {group}, l={l}",
+                    group=group, l=l, routes=(route,), cell=(p, k), values=(value,),
                 )
-        checked.append([int(v) for v in col])
+            ints.append(q)
+        checked.append(ints)
     return AdamsMatrix(group, l, tuple(zip(*checked)))
 
 
@@ -323,9 +343,11 @@ def spin_odd_adams_matrix(n: int, l: int) -> AdamsMatrix:
     spin_sum = [0] * (n - 1)  # sum over k = 1..n of (-1)^k w[k]
     for k in range(1, n + 1):
         spin_sum = list(map(sub if k % 2 else add, spin_sum, w[k]))
-    spin_col: list[int | Fraction] = [Fraction(l * v, 2 ** (n + 1)) for v in spin_sum]
-    spin_col.append(sign_n * sum(map(mul, beta_n[1:], sign_k[1:])))
-    return _finalize(group, l, cols, "closed form", [spin_col])
+    # the spin column as numerators over 2^(n+1)
+    den = 2 ** (n + 1)
+    spin_col = [l * v for v in spin_sum]
+    spin_col.append(den * sign_n * sum(map(mul, beta_n[1:], sign_k[1:])))
+    return _finalize(group, l, cols, "closed form", [spin_col], den)
 
 
 def _spin_difference(n: int) -> tuple[int, ...]:
@@ -334,15 +356,14 @@ def _spin_difference(n: int) -> tuple[int, ...]:
     return (0,) * (n - 2) + (1, -1)
 
 
-def _half_spin_columns(
-    sum_img: Sequence[int | Fraction], n: int, l: int
-) -> tuple[list[Fraction], list[Fraction]]:
-    """The images of d(S+) and d(S-) for Spin(2n), given the image of
-    d(S+)+d(S-): half of it, plus or minus half of l^n (d(S+)-d(S-)), since
-    d(S+)-d(S-) is an eigenvector with eigenvalue l^n."""
-    half_diff = Fraction(l**n, 2)
-    col_plus = [Fraction(v, 2) for v in sum_img]
-    col_minus = list(col_plus)
+def _half_spin_columns(sum_img: Sequence[int], n: int, l: int) -> tuple[list[int], list[int]]:
+    """The images of d(S+) and d(S-) for Spin(2n) as numerators over 2^n,
+    given the image of d(S+)+d(S-) as numerators over 2^(n-1): half of it,
+    plus or minus half of l^n (d(S+)-d(S-)), since d(S+)-d(S-) is an
+    eigenvector with eigenvalue l^n."""
+    half_diff = l**n * 2 ** (n - 1)
+    col_plus = list(sum_img)
+    col_minus = list(sum_img)
     for i, x in enumerate(_spin_difference(n)):
         if x:
             col_plus[i] += x * half_diff
@@ -379,16 +400,16 @@ def spin_even_adams_matrix(n: int, l: int) -> AdamsMatrix:
         for k in range(1, n - 1)
     ]
 
-    # image of d(S+) + d(S-), summed over the wedges j = n-1, n-3, ...: wedge
-    # coordinates carry the factor l / 2^(n-1)
+    # image of d(S+) + d(S-) as numerators over 2^(n-1), summed over the
+    # wedges j = n-1, n-3, ...: wedge coordinates carry the factor l / 2^(n-1)
     wedge_sum = [0] * (n - 2)
     spin_sum = 0
     for j in range(n - 1, 0, -2):
         wedge_sum = list(map(sub, wedge_sum, parts[j]))
         spin_sum -= tops[j]
-    sum_img = [Fraction(l * v, 2 ** (n - 1)) for v in wedge_sum] + [l * spin_sum] * 2
+    sum_img = [l * v for v in wedge_sum] + [l * spin_sum * 2 ** (n - 1)] * 2
 
-    return _finalize(group, l, cols, "closed form", _half_spin_columns(sum_img, n, l))
+    return _finalize(group, l, cols, "closed form", _half_spin_columns(sum_img, n, l), 2**n)
 
 
 def g2_closed_columns(l: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
@@ -405,9 +426,10 @@ def g2_closed_columns(l: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction
 
 
 def _g2_closed_matrix(n: int, l: int) -> AdamsMatrix:
-    """G2's closed form: the expressions of `g2_closed_columns`, each of which
-    must come out integral."""
-    return _finalize(GroupSpec("G2", n), l, [], "closed form", g2_closed_columns(l))
+    """G2's closed form: the expressions of `g2_closed_columns`, scaled to
+    numerators over 30, each of which must come out integral."""
+    cols = [[30 * v for v in col] for col in g2_closed_columns(l)]
+    return _finalize(GroupSpec("G2", n), l, [], "closed form", cols, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +481,8 @@ def reduction_table(group: GroupSpec) -> ReductionTable:
     return ReductionTable(group, tuple(map(tuple, rows)))
 
 
-def _restriction_entries(group: GroupSpec) -> list[tuple[int, int, int]]:
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
+def _restriction_entries(group: GroupSpec) -> tuple[tuple[int, int, int], ...]:
     """The restriction from the primitives of U(m), m the defining
     dimension, to those of the group, as its nonzero entries (p, i, v): it
     sends d(wedge^p) to the sum of v times basis element i.  For U and SU
@@ -467,12 +490,12 @@ def _restriction_entries(group: GroupSpec) -> list[tuple[int, int, int]]:
     other families, the rows of the reduction table."""
     d = len(basis(group))
     if FAMILY_TABLE[group.family].middle_rows is None:
-        return [(p, p - 1, 1) for p in range(1, d + 1)]
-    return [
+        return tuple((p, p - 1, 1) for p in range(1, d + 1))
+    return tuple(
         (p, i, row[i])
         for p, row in enumerate(reduction_table(group).rows)
         for i in compress(range(d), row)
-    ]
+    )
 
 
 def _wedge_images(group: GroupSpec, l: int, degrees: range) -> list[list[int]]:
@@ -506,31 +529,30 @@ def pullback_adams_matrix(group: GroupSpec, l: int) -> AdamsMatrix:
         piped = ", ".join(f.name for f in FAMILY_TABLE.values() if f.pipeline)
         raise ValueError(f"pullback pipeline applies to {piped}; got {group}")
     _require_l(l)
-    cols, rational = family.pipeline(group, l)
-    return _finalize(group, l, cols, "pipeline", rational)
+    cols, rational, den = family.pipeline(group, l)
+    return _finalize(group, l, cols, "pipeline", rational, den)
 
 
-def _symplectic_pipeline(group: GroupSpec, l: int) -> tuple[list, Sequence]:
-    return _wedge_images(group, l, range(1, group.n + 1)), ()
+def _symplectic_pipeline(group: GroupSpec, l: int) -> _Piped:
+    return _wedge_images(group, l, range(1, group.n + 1)), (), 1
 
 
-def _spin_odd_pipeline(group: GroupSpec, l: int) -> tuple[list, Sequence]:
+def _spin_odd_pipeline(group: GroupSpec, l: int) -> _Piped:
     n = group.n
     images = _wedge_images(group, l, range(1, n + 1))
-    return images[: n - 1], [[Fraction(sum(v), 2 ** (n + 1)) for v in zip(*images)]]
+    return images[: n - 1], [list(map(sum, zip(*images)))], 2 ** (n + 1)
 
 
-def _spin_even_pipeline(group: GroupSpec, l: int) -> tuple[list, Sequence]:
+def _spin_even_pipeline(group: GroupSpec, l: int) -> _Piped:
     n = group.n
     images = _wedge_images(group, l, range(1, n))
     summed = images[n - 2 :: -2]  # wedges n-1, n-3, ...
-    sum_img = [Fraction(sum(v), 2 ** (n - 1)) for v in zip(*summed)]
-    return images[: n - 2], _half_spin_columns(sum_img, n, l)
+    return images[: n - 2], _half_spin_columns(list(map(sum, zip(*summed))), n, l), 2**n
 
 
-def _g2_pipeline(group: GroupSpec, l: int) -> tuple[list, Sequence]:
+def _g2_pipeline(group: GroupSpec, l: int) -> _Piped:
     img1, img2 = _wedge_images(group, l, range(1, 3))
-    return [img1, [a - b for a, b in zip(img2, img1)]], ()
+    return [img1, [a - b for a, b in zip(img2, img1)]], (), 1
 
 
 def g2_adams_matrix(l: int) -> AdamsMatrix:

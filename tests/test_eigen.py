@@ -225,6 +225,21 @@ def test_eigenbasis_independent():
         assert eigenbasis_determinant(n) == 2 ** (n * (n - 1) // 2), n
 
 
+def test_eigenbasis_determinant_is_cached():
+    eigenbasis_determinant.cache_clear()
+    for n in range(1, 41):
+        assert eigenbasis_determinant(n) == 2 ** (n * (n - 1) // 2), n
+    before = eigenbasis_determinant.cache_info()
+    assert before.maxsize is not None and before.currsize == 40
+    assert eigenbasis_determinant(34) == 2 ** (34 * 33 // 2)
+    after = eigenbasis_determinant.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # a cached rank lets no bool or float through
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="rank n must be an int"):
+            eigenbasis_determinant(bad)
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 

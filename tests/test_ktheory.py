@@ -303,18 +303,81 @@ def test_entries_are_plain_ints():
 
 def test_finalize_rejects_a_fractional_entry():
     group = GroupSpec("U", 2)
+    # rational columns are integer numerators over one denominator
     with pytest.raises(ConsistencyError, match="row 1, column 0") as info:
-        ktheory._finalize(group, 2, [], "closed form", [[4, Fraction(1, 2)], [0, 2]])
+        ktheory._finalize(group, 2, [], "closed form", [[8, 1], [0, 4]], 2)
     err = info.value
+    assert str(err) == "non-integer entry 1/2 at row 1, column 0 for U(2), l=2"
     assert (err.group, err.l, err.routes) == (group, 2, ("closed form",))
     assert (err.cell, err.values) == ((1, 0), (Fraction(1, 2),))
     # rational columns follow the integer ones, and are numbered after them
     with pytest.raises(ConsistencyError, match="row 0, column 1") as info:
-        ktheory._finalize(group, 2, [[4, 0]], "pipeline", [[Fraction(3, 4), 2]])
+        ktheory._finalize(group, 2, [[4, 0]], "pipeline", [[3, 8]], 4)
     assert (info.value.routes, info.value.cell) == (("pipeline",), (0, 1))
-    mat = ktheory._finalize(group, 2, [[4, 0]], "pipeline", [[Fraction(6, 3), 2]])
+    assert info.value.values == (Fraction(3, 4),)
+    # a negative numerator is reported with its sign
+    with pytest.raises(ConsistencyError) as info:
+        ktheory._finalize(group, 2, [[4, 0]], "pipeline", [[-6, 8]], 4)
+    assert (info.value.cell, info.value.values) == ((0, 1), (Fraction(-3, 2),))
+    mat = ktheory._finalize(group, 2, [[4, 0]], "pipeline", [[6, 6]], 3)
     assert mat.entries == ((4, 2), (0, 2))
+    mat = ktheory._finalize(group, 2, [[4, 0]], "pipeline", [[-8, 16]], 8)
+    assert mat.entries == ((4, -1), (0, 2))
     assert all(type(e) is int for row in mat.entries for e in row)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("l", [3, 5])
+def test_a_perturbed_count_breaks_the_spin_columns_on_both_routes(monkeypatch, n, l):
+    """One count off by one makes a spin numerator indivisible: both routes
+    raise, each naming itself and the first bad cell of the spin columns."""
+    real = ktheory.count_table
+
+    def perturbed(size, k, p):
+        """count_table with mu(size, l, k, p) one too large."""
+
+        def table(m, at):
+            rows = [list(row) for row in real(m, at)]
+            if (m, at) == (size, l):
+                rows[k][p] += 1
+            return tuple(map(tuple, rows))
+
+        return table
+
+    cases = [
+        # Spin(2n+1): mu(2n+1, l, 2, 1) enters the spin column, numerators
+        # over 2^(n+1), at row 0; the spin column is column n-1
+        (GroupSpec("SpinOdd", n), perturbed(2 * n + 1, 2, 1), (0, n - 1)),
+        # Spin(2n): mu(2n, l, n-1, 1) enters the image of d(S+)+d(S-) at
+        # row 0; the d(S+) column, numerators over 2^n, is column n-2
+        (GroupSpec("SpinEven", n), perturbed(2 * n, n - 1, 1), (0, n - 2)),
+    ]
+    for group, table, cell in cases:
+        monkeypatch.setattr(ktheory, "count_table", table)
+        for route, build in (
+            ("closed form", lambda: adams_matrix(group, l, cross_check=False)),
+            ("pipeline", lambda: pullback_adams_matrix(group, l)),
+        ):
+            with pytest.raises(ConsistencyError, match="non-integer entry") as info:
+                build()
+            err = info.value
+            assert (err.group, err.l, err.routes, err.cell) == (group, l, (route,), cell)
+            (value,) = err.values
+            assert type(value) is Fraction and value.denominator > 1, (group, route)
+        monkeypatch.setattr(ktheory, "count_table", real)
+        adams_matrix(group, l)
+
+
+def test_a_successful_assembly_builds_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    monkeypatch.setattr(ktheory, "Fraction", no_fraction)
+    for family in ("U", "SU", "Sp", "SpinOdd", "SpinEven"):
+        for n in range(ktheory.FAMILY_TABLE[family].min_rank, 9):
+            for l in (2, 7, 50):
+                mat = adams_matrix(GroupSpec(family, n), l)
+                assert all(type(e) is int for row in mat.entries for e in row)
 
 
 def test_consistency_error_names_the_first_difference(monkeypatch):
@@ -366,7 +429,7 @@ def test_consistency_error_fields_default_to_empty():
 
 
 def test_group_caches_are_bounded():
-    for cache in (basis, reduction_table):
+    for cache in (basis, reduction_table, ktheory._restriction_entries):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
 
