@@ -10,29 +10,10 @@ every family, and ships independent brute-force oracles
 against which every closed form is cross-checked.
 """
 
-from .counts import alpha, beta, mu_closed, mu_enumerate
-from .exactmath import TruncSeries, UniPoly, bernoulli_even, binomial, t_over_sinh_pow
-from .ktheory import (
-    FAMILIES,
-    FAMILY_TABLE,
-    AdamsMatrix,
-    BasisElement,
-    ConsistencyError,
-    Family,
-    GroupSpec,
-    ReductionTable,
-    adams_matrix,
-    basis,
-    defining_dimension,
-    g2_adams_matrix,
-    pullback_adams_matrix,
-    reduction_table,
-    special_unitary_adams_matrix,
-    spin_even_adams_matrix,
-    spin_odd_adams_matrix,
-    symplectic_adams_matrix,
-    unitary_adams_matrix,
-)
+from . import counts, exactmath, ktheory
+from .counts import *
+from .exactmath import *
+from .ktheory import *
 
 __version__ = "0.1.0"
 
@@ -68,42 +49,7 @@ _LAZY = dict.fromkeys(
     "symoracle",
 )
 
-__all__ = [
-    "__version__",
-    # counts
-    "mu_enumerate",
-    "mu_closed",
-    "alpha",
-    "beta",
-    # exact arithmetic helpers
-    "binomial",
-    "bernoulli_even",
-    "t_over_sinh_pow",
-    "UniPoly",
-    "TruncSeries",
-    # groups and matrices
-    "FAMILIES",
-    "FAMILY_TABLE",
-    "Family",
-    "GroupSpec",
-    "BasisElement",
-    "AdamsMatrix",
-    "ReductionTable",
-    "ConsistencyError",
-    "basis",
-    "defining_dimension",
-    "adams_matrix",
-    "unitary_adams_matrix",
-    "special_unitary_adams_matrix",
-    "symplectic_adams_matrix",
-    "spin_odd_adams_matrix",
-    "spin_even_adams_matrix",
-    "g2_adams_matrix",
-    "reduction_table",
-    "pullback_adams_matrix",
-    # eigen data and the symbolic oracle, served on first use
-    *_LAZY,
-]
+__all__ = ["__version__", *counts.__all__, *exactmath.__all__, *ktheory.__all__, *_LAZY]
 
 
 def __getattr__(name: str) -> object:

@@ -392,17 +392,10 @@ def _write(
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    try:
-        group = _group_from_args(args.group, args.rank)
-        m = defining_dimension(group)
-        _require_within_caps(f"{group} at l={args.l}", "defining dimension", m, args.l)
-        mat = adams_matrix(group, args.l)
-    except ValueError as exc:
-        _fail(str(exc))
-        return 2
-    except ConsistencyError as exc:
-        _fail(f"internal consistency failure: {exc}")
-        return 3
+    group = _group_from_args(args.group, args.rank)
+    m = defining_dimension(group)
+    _require_within_caps(f"{group} at l={args.l}", "defining dimension", m, args.l)
+    mat = adams_matrix(group, args.l)
     rows = ([str(e) for e in row] for row in mat.entries)
     labels = [b.label for b in mat.basis]
     _write(args.format, _matrix_document(mat), labels, rows, _pretty_matrix_lines(mat))
@@ -410,22 +403,18 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_eigen(args: argparse.Namespace) -> int:
-    try:
-        if args.rank < 1:
-            raise ValueError(f"rank must be positive, got {args.rank}")
-        at_l = "" if args.l is None else f" at l={args.l}"
-        _require_within_caps(f"eigen{at_l}", "rank", args.rank, args.l or 0)
-        if args.l is not None:
-            _require_l(args.l)
-        from .eigen import eigenvector
+    if args.rank < 1:
+        raise ValueError(f"rank must be positive, got {args.rank}")
+    at_l = "" if args.l is None else f" at l={args.l}"
+    _require_within_caps(f"eigen{at_l}", "rank", args.rank, args.l or 0)
+    if args.l is not None:
+        _require_l(args.l)
+    from .eigen import eigenvector
 
-        group = GroupSpec("U", args.rank)
-        vectors = [eigenvector(args.rank, k) for k in range(args.rank)]
-        # only json prints the matrix
-        mat = adams_matrix(group, args.l) if args.l is not None and args.format == "json" else None
-    except ValueError as exc:
-        _fail(str(exc))
-        return 2
+    group = GroupSpec("U", args.rank)
+    vectors = [eigenvector(args.rank, k) for k in range(args.rank)]
+    # only json prints the matrix
+    mat = adams_matrix(group, args.l) if args.l is not None and args.format == "json" else None
     labels = [b.label for b in basis(group)]
     # display variant: --integral scales each vector by the lcm of its
     # denominators (any nonzero multiple of an eigenvector is an eigenvector)
@@ -446,13 +435,9 @@ def cmd_eigen(args: argparse.Namespace) -> int:
 
 
 def cmd_mu(args: argparse.Namespace) -> int:
-    try:
-        command = "mu --check" if args.check else "mu"
-        _require_within_caps(f"{command} at l={args.l}", "n", args.n, args.l)
-        value = mu_closed(args.n, args.l, args.k, args.p)
-    except ValueError as exc:
-        _fail(str(exc))
-        return 2
+    command = "mu --check" if args.check else "mu"
+    _require_within_caps(f"{command} at l={args.l}", "n", args.n, args.l)
+    value = mu_closed(args.n, args.l, args.k, args.p)
     if args.check:
         brute = mu_enumerate(args.n, args.l, args.k, args.p)
         if brute != value:
@@ -488,8 +473,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in names:
         for flag, value, least in zip(("--max-rank", "--max-l"), given, _SUITES[name][2]):
             if value is not None and value < least:
-                _fail(f"{flag} must be at least {least} for the {name} suite, got {value}")
-                return 2
+                raise ValueError(
+                    f"{flag} must be at least {least} for the {name} suite, got {value}"
+                )
     all_results: list[CheckResult] = []
     for name in names:
         suite, defaults, _ = _SUITES[name]
@@ -560,8 +546,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code.  The commands raise on bad
+    input; a ValueError exits 2 and a ConsistencyError 3, each with a
+    one-line message on stderr."""
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        _fail(str(exc))
+        return 2
+    except ConsistencyError as exc:
+        _fail(f"internal consistency failure: {exc}")
+        return 3
 
 
 if __name__ == "__main__":

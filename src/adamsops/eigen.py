@@ -45,7 +45,6 @@ from .ktheory import (
     _times,
     adams_matrix,
     basis,
-    unitary_adams_matrix,
 )
 from .record import Record
 
@@ -195,7 +194,7 @@ def verify_eigen_relation(n: int, l: int) -> tuple[tuple[int, bool], ...]:
     """For each level k = 0..n-1, whether the U(n) matrix maps the level-k
     eigenvector to l^(n-k) times itself, exactly.  The check runs on the
     level's integer numerators: its one denominator is positive and cancels."""
-    entries = unitary_adams_matrix(n, l).entries
+    entries = adams_matrix(GroupSpec("U", n), l).entries
     levels = enumerate(_unitary_basis(n))
     return tuple((k, _is_eigenvector(entries, nums, l ** (n - k))) for k, (nums, _) in levels)
 

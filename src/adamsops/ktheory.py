@@ -27,7 +27,7 @@ What a family is lives in one place: the `Family` records of `FAMILY_TABLE`
 at the end of the module give each family's ranks, defining dimension,
 basis, display name, exponents, reduction rows and routes, and every
 function here reads them.  Adding a family means one record plus its
-closed-form builder.
+closed-form route, called by `adams_matrix` as f(group, l).
 
 Convention: entries[p][k] is the coefficient of basis element p in the
 image of basis element k (columns are images), so composition is the plain
@@ -57,19 +57,13 @@ __all__ = [
     "ReductionTable",
     "basis",
     "defining_dimension",
-    "unitary_adams_matrix",
-    "special_unitary_adams_matrix",
-    "symplectic_adams_matrix",
-    "spin_odd_adams_matrix",
-    "spin_even_adams_matrix",
-    "g2_adams_matrix",
     "g2_closed_columns",
     "reduction_table",
     "pullback_adams_matrix",
     "adams_matrix",
 ]
 
-# Groups kept by the `basis` and `reduction_table` caches.  A sweep over
+# Groups kept by the `basis` and `_restriction_entries` caches.  A sweep over
 # every family at ranks up to 40 touches about 200 groups.
 _GROUP_CACHE_SIZE = 256
 
@@ -77,7 +71,7 @@ _GROUP_CACHE_SIZE = 256
 class ConsistencyError(Exception):
     """Two computation routes disagreed, or a necessarily-integer entry was not one.
 
-    Raised by the matrix builders, it also carries the failure as fields: the
+    Raised by the matrix routes, it also carries the failure as fields: the
     `group` and `l` computed, the `routes` involved (both routes of a
     disagreement, or the one route that produced a non-integer entry), the
     first bad `cell` as (row, column) and its `values`, one per route.
@@ -149,9 +143,10 @@ class Family(Record):
     * `dimension(n)` is m.  The basis is the wedge classes 1..`wedges(n)`
       of the defining representation, then the `extra` classes.
     * `exponents(n)` are the m_i; the psi^l eigenvalues are l^(m_i + 1).
-    * `closed` names this module's closed-form builder, called as f(n, l).
-      It is a name, looked up when called, so that wrapping or replacing
-      the module attribute reaches every call.
+    * `closed` names this module's closed-form route, called as f(group, l)
+      once `adams_matrix` has checked l.  It is a name, looked up when
+      called, so that wrapping or replacing the module attribute reaches
+      every call.
     * A family with a pipeline route gives `middle_rows(n)`, its reduction
       rows w+1..m//2 with w = wedges(n) (see `reduction_table`), and
       `pipeline(group, l)`, which reads the reduced wedge images and returns
@@ -282,30 +277,29 @@ def _signs(f: int, k: int, size: int) -> list[int]:
 # closed forms, one per family
 
 
-def unitary_adams_matrix(n: int, l: int) -> AdamsMatrix:
+def _unitary_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     """U(n): the image of the degree-k wedge class has p-th coordinate
     (-1)^(k+p) * l * mu(n, l, k, p)."""
-    group = GroupSpec("U", n)
-    _require_l(l)
+    n = group.n
     table = count_table(n, l)
     cols = [list(map(mul, table[k], _signs(l, k, n + 1)))[1:] for k in range(1, n + 1)]
     return _finalize(group, l, cols, "closed form")
 
 
-def special_unitary_adams_matrix(n: int, l: int) -> AdamsMatrix:
-    """SU(n): the unitary matrix with the top-wedge row and column dropped
-    (the class of the determinant representation vanishes)."""
-    group = GroupSpec("SU", n)
-    uni = unitary_adams_matrix(n, l)
-    entries = tuple(row[: n - 1] for row in uni.entries[: n - 1])
-    return AdamsMatrix(group, l, entries)
+def _special_unitary_closed(group: GroupSpec, l: int) -> AdamsMatrix:
+    """SU(n): the unitary formula on the wedges 1..n-1 only, its top-wedge
+    row and column dropped (the class of the determinant representation
+    vanishes)."""
+    n = group.n
+    table = count_table(n, l)
+    cols = [list(map(mul, table[k][:n], _signs(l, k, n)))[1:] for k in range(1, n)]
+    return _finalize(group, l, cols, "closed form")
 
 
-def symplectic_adams_matrix(n: int, l: int) -> AdamsMatrix:
+def _symplectic_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     """Sp(n), over the wedges of the defining 2n-dimensional representation:
     coordinate p < n uses alpha(2n, l, k, p), coordinate n uses mu(2n, l, k, n)."""
-    group = GroupSpec("Sp", n)
-    _require_l(l)
+    n = group.n
     m = 2 * n
     table = count_table(m, l)
     cols = []
@@ -317,12 +311,11 @@ def symplectic_adams_matrix(n: int, l: int) -> AdamsMatrix:
     return _finalize(group, l, cols, "closed form")
 
 
-def spin_odd_adams_matrix(n: int, l: int) -> AdamsMatrix:
+def _spin_odd_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     """Spin(2n+1), over (wedges 1..n-1 of the defining representation, spin
     class): wedge columns via beta, the spin column carrying the factor
     l / 2^(n+1); entries are nevertheless integers."""
-    group = GroupSpec("SpinOdd", n)
-    _require_l(l)
+    n = group.n
     m = 2 * n + 1
     table = count_table(m, l)[: n + 1]
     # betas[k][p] = beta(m, l, k, p) = mu[p] - mu[m - p], p = 0..n
@@ -371,7 +364,7 @@ def _half_spin_columns(sum_img: Sequence[int], n: int, l: int) -> tuple[list[int
     return col_plus, col_minus
 
 
-def spin_even_adams_matrix(n: int, l: int) -> AdamsMatrix:
+def _spin_even_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     """Spin(2n), n >= 3, over (wedges 1..n-2, S+, S-).
 
     Wedge columns follow the closed form in alpha and mu.  The two half-spin
@@ -379,8 +372,7 @@ def spin_even_adams_matrix(n: int, l: int) -> AdamsMatrix:
     (a closed form with prefactor (1/2)^(n-1)) plus or minus l^n times
     (d(S+)-d(S-)), each halved.
     """
-    group = GroupSpec("SpinEven", n)
-    _require_l(l)
+    n = group.n
     m = 2 * n
     table = count_table(m, l)
     # alpha(m, l, k, q) - alpha(m, l, k, n) for n - q even, and
@@ -425,11 +417,11 @@ def g2_closed_columns(l: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction
     return col1, col2
 
 
-def _g2_closed_matrix(n: int, l: int) -> AdamsMatrix:
+def _g2_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     """G2's closed form: the expressions of `g2_closed_columns`, scaled to
     numerators over 30, each of which must come out integral."""
     cols = [[30 * v for v in col] for col in g2_closed_columns(l)]
-    return _finalize(GroupSpec("G2", n), l, [], "closed form", cols, 30)
+    return _finalize(group, l, [], "closed form", cols, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +442,6 @@ class ReductionTable(Record):
         return self.rows[p]
 
 
-@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def reduction_table(group: GroupSpec) -> ReductionTable:
     """Build the rewrite table for a family with a pipeline route: Sp,
     SpinOdd, SpinEven or G2.
@@ -555,11 +546,6 @@ def _g2_pipeline(group: GroupSpec, l: int) -> _Piped:
     return [img1, [a - b for a, b in zip(img2, img1)]], (), 1
 
 
-def g2_adams_matrix(l: int) -> AdamsMatrix:
-    """The 2x2 matrix for G2: `adams_matrix` with its cross-check."""
-    return adams_matrix(GroupSpec("G2"), l)
-
-
 # ---------------------------------------------------------------------------
 # dispatcher
 
@@ -570,10 +556,12 @@ def adams_matrix(group: GroupSpec, l: int, cross_check: bool = True) -> AdamsMat
     With cross_check (the default), the families that have both a closed
     form and a pipeline route compute both and must agree exactly;
     ConsistencyError otherwise, naming the first differing entry.  Without
-    it, every family returns its closed form.
+    it, every family returns its closed form.  l is checked here, before
+    any route runs.
     """
     family = FAMILY_TABLE[group.family]
-    closed = globals()[family.closed](group.n, l)
+    _require_l(l)
+    closed = globals()[family.closed](group, l)
     if cross_check and family.pipeline is not None:
         piped = pullback_adams_matrix(group, l)
         if piped.entries != closed.entries:
@@ -618,20 +606,20 @@ FAMILY_TABLE: dict[str, Family] = {
     for f in (
         Family(
             "U", "U({n})", 1, dimension=lambda n: n, wedges=lambda n: n,
-            exponents=lambda n: tuple(range(n)), closed="unitary_adams_matrix",
+            exponents=lambda n: tuple(range(n)), closed="_unitary_closed",
         ),
         Family(
             "SU", "SU({n})", 2, dimension=lambda n: n, wedges=lambda n: n - 1,
-            exponents=lambda n: tuple(range(1, n)), closed="special_unitary_adams_matrix",
+            exponents=lambda n: tuple(range(1, n)), closed="_special_unitary_closed",
         ),
         Family(
             "Sp", "Sp({n})", 1, dimension=lambda n: 2 * n, wedges=lambda n: n,
-            exponents=_odd_exponents, closed="symplectic_adams_matrix",
+            exponents=_odd_exponents, closed="_symplectic_closed",
             middle_rows=lambda n: [], pipeline=_symplectic_pipeline,
         ),
         Family(
             "SpinOdd", "Spin({m})", 1, dimension=lambda n: 2 * n + 1, wedges=lambda n: n - 1,
-            exponents=_odd_exponents, closed="spin_odd_adams_matrix",
+            exponents=_odd_exponents, closed="_spin_odd_closed",
             extra=(BasisElement("spin", 0, "d(S)"),),
             middle_rows=lambda n: [[-1] * (n - 1) + [2 ** (n + 1)]],
             pipeline=_spin_odd_pipeline,
@@ -639,14 +627,14 @@ FAMILY_TABLE: dict[str, Family] = {
         Family(
             "SpinEven", "Spin({m})", 3, dimension=lambda n: 2 * n, wedges=lambda n: n - 2,
             exponents=lambda n: tuple(sorted([*range(1, 2 * n - 2, 2), n - 1])),
-            closed="spin_even_adams_matrix",
+            closed="_spin_even_closed",
             extra=(BasisElement("spin+", 0, "d(S+)"), BasisElement("spin-", 0, "d(S-)")),
             middle_rows=_spin_even_rows, pipeline=_spin_even_pipeline,
             extra_eigenvectors=lambda n: [(n, _spin_difference(n))],
         ),
         Family(
             "G2", "G2", 2, dimension=lambda n: 7, wedges=lambda n: 0,
-            exponents=lambda n: (1, 5), closed="_g2_closed_matrix",
+            exponents=lambda n: (1, 5), closed="_g2_closed",
             extra=(BasisElement("rho1", 0, "d(rho1)"), BasisElement("rho2", 0, "d(rho2)")),
             middle_rows=lambda n: [[1, 0], [1, 1], [14, -1]],
             pipeline=_g2_pipeline, fixed_rank=2,

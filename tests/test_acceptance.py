@@ -24,7 +24,6 @@ from adamsops.exactmath import binomial, t_over_sinh_pow
 from adamsops.ktheory import (
     GroupSpec,
     adams_matrix,
-    g2_adams_matrix,
     pullback_adams_matrix,
     reduction_table,
 )
@@ -207,7 +206,7 @@ def test_criterion_11_g2_closed_forms():
             for col in (first, second):
                 for c in col:
                     assert c.denominator == 1, (l, col)
-            mat = g2_adams_matrix(l)
+            mat = adams_matrix(GroupSpec("G2"), l)
             assert mat.column(0) == first, l
             assert mat.column(1) == second, l
 

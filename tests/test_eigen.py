@@ -187,15 +187,15 @@ def test_relation_matches_the_rational_route():
 
 def test_relation_fails_on_a_changed_matrix(monkeypatch):
     # one raised entry must break the relation for some level, never all
-    real = eigen.unitary_adams_matrix
+    real = eigen.adams_matrix
 
-    def changed(n, l):
-        mat = real(n, l)
+    def changed(group, l):
+        mat = real(group, l)
         rows = [list(row) for row in mat.entries]
         rows[1][2] += 1
         return AdamsMatrix(mat.group, l, tuple(map(tuple, rows)))
 
-    monkeypatch.setattr(eigen, "unitary_adams_matrix", changed)
+    monkeypatch.setattr(eigen, "adams_matrix", changed)
     results = verify_eigen_relation(5, 3)
     assert [k for k, _ in results] == [0, 1, 2, 3, 4]
     assert not all(ok for _, ok in results)

@@ -18,14 +18,8 @@ from adamsops.ktheory import (
     adams_matrix,
     basis,
     defining_dimension,
-    g2_adams_matrix,
     pullback_adams_matrix,
     reduction_table,
-    special_unitary_adams_matrix,
-    spin_even_adams_matrix,
-    spin_odd_adams_matrix,
-    symplectic_adams_matrix,
-    unitary_adams_matrix,
 )
 
 # (family, rank, l) -> row-major entries, frozen from the oracle routes
@@ -71,16 +65,16 @@ def test_rank_one_coincidences():
     # Sp(1), Spin(3) and SU(2) are the same group; all three give (l^2)
     for l in (2, 3, 5, 7):
         expected = ((l * l,),)
-        assert symplectic_adams_matrix(1, l).entries == expected
-        assert spin_odd_adams_matrix(1, l).entries == expected
-        assert special_unitary_adams_matrix(2, l).entries == expected
+        assert adams_matrix(GroupSpec("Sp", 1), l).entries == expected
+        assert adams_matrix(GroupSpec("SpinOdd", 1), l).entries == expected
+        assert adams_matrix(GroupSpec("SU", 2), l).entries == expected
 
 
 def test_special_unitary_is_the_unitary_block():
     for n in (2, 3, 4, 5):
         for l in (2, 3):
-            u = unitary_adams_matrix(n, l).entries
-            su = special_unitary_adams_matrix(n, l).entries
+            u = adams_matrix(GroupSpec("U", n), l).entries
+            su = adams_matrix(GroupSpec("SU", n), l).entries
             assert su == tuple(row[: n - 1] for row in u[: n - 1])
 
 
@@ -257,7 +251,7 @@ def test_cross_check_flag_runs_both_routes():
     # must not raise anywhere in a quick sweep
     for fam, n in [("Sp", 3), ("SpinOdd", 3), ("SpinEven", 4)]:
         adams_matrix(GroupSpec(fam, n), 3, cross_check=True)
-    assert g2_adams_matrix(4) is not None
+    assert adams_matrix(GroupSpec("G2"), 4) is not None
 
 
 def test_spinor_difference_is_an_eigenvector():
@@ -290,8 +284,6 @@ def test_l_rejects_bool_and_non_int():
                 adams_matrix(GroupSpec(fam, n), bad)
     with pytest.raises(ValueError):
         pullback_adams_matrix(GroupSpec("Sp", 2), True)
-    with pytest.raises(ValueError):
-        unitary_adams_matrix(3, 2.0)
 
 
 def test_entries_are_plain_ints():
@@ -429,7 +421,7 @@ def test_consistency_error_fields_default_to_empty():
 
 
 def test_group_caches_are_bounded():
-    for cache in (basis, reduction_table, ktheory._restriction_entries):
+    for cache in (basis, ktheory._restriction_entries):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
 
@@ -443,7 +435,26 @@ def test_family_table_covers_every_family(monkeypatch):
         assert len(basis(group)) == len(family.exponents(n))
         # a pipeline needs a reduction table, and the other way round
         assert (family.pipeline is None) == (family.middle_rows is None)
-        # the closed builders are named, so that they are looked up when called
+        # the closed routes are named, so that they are looked up when called
         assert callable(getattr(ktheory, family.closed))
-    monkeypatch.setattr(ktheory, "symplectic_adams_matrix", lambda n, l: ("replaced", n, l))
-    assert adams_matrix(GroupSpec("Sp", 3), 2, cross_check=False) == ("replaced", 3, 2)
+    monkeypatch.setattr(ktheory, "_symplectic_closed", lambda group, l: ("replaced", group, l))
+    assert adams_matrix(GroupSpec("Sp", 3), 2, cross_check=False) == (
+        "replaced", GroupSpec("Sp", 3), 2
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("cross_check", [True, False])
+def test_l_is_rejected_before_any_count_is_built(monkeypatch, family, cross_check):
+    monkeypatch.setattr(ktheory, "count_table", lambda n, l: pytest.fail("a count was built"))
+    group = GroupSpec(family, 3)
+    for bad in (0, -1, True, 2.0, "2"):
+        with pytest.raises(ValueError):
+            adams_matrix(group, bad, cross_check=cross_check)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_matrix_builds_no_second_group(monkeypatch, family):
+    group = GroupSpec(family, 3)
+    monkeypatch.setattr(GroupSpec, "__post_init__", lambda self: pytest.fail(f"built {self!r}"))
+    assert adams_matrix(group, 3, cross_check=True).group is group

@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import adamsops
+import adamsops.counts as counts
 import adamsops.eigen as eigen
+import adamsops.exactmath as exactmath
+import adamsops.ktheory as ktheory
 import adamsops.symoracle as symoracle
 
 # the names the package serves from a module imported on first use
@@ -39,6 +42,30 @@ def test_the_removed_oracle_helpers_are_gone(name):
         getattr(adamsops, name)
     assert not hasattr(symoracle, name)
     assert name not in dir(adamsops)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "unitary_adams_matrix",
+        "special_unitary_adams_matrix",
+        "symplectic_adams_matrix",
+        "spin_odd_adams_matrix",
+        "spin_even_adams_matrix",
+        "g2_adams_matrix",
+    ],
+)
+def test_the_per_family_matrix_entries_are_gone(name):
+    with pytest.raises(AttributeError):
+        getattr(adamsops, name)
+    assert not hasattr(ktheory, name)
+    assert name not in ktheory.__all__
+
+
+def test_the_package_exports_each_module_list_as_written():
+    assert adamsops.__all__ == [
+        "__version__", *counts.__all__, *exactmath.__all__, *ktheory.__all__, *adamsops._LAZY
+    ]
 
 
 def test_dir_and_star_import_list_every_exported_name():
