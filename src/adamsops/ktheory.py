@@ -187,6 +187,12 @@ def basis(group: GroupSpec) -> tuple[BasisElement, ...]:
     return tuple(BasisElement("wedge", k, f"d(L^{k} s_{m})") for k in wedges) + family.extra
 
 
+def _basis_size(group: GroupSpec) -> int:
+    """The length of `basis(group)`, without building its labelled records."""
+    family = FAMILY_TABLE[group.family]
+    return family.wedges(group.n) + len(family.extra)
+
+
 def _times(rows: Sequence[Sequence[int]], v: Sequence[int | Fraction]) -> list:
     """The matrix with these rows times the column v, exactly."""
     return [sum(map(mul, row, v)) for row in rows]
@@ -461,7 +467,7 @@ def reduction_table(group: GroupSpec) -> ReductionTable:
     if family.middle_rows is None:
         raise ValueError(f"{group} needs no reduction table")
     n, m = group.n, family.dimension(group.n)
-    d, w = len(basis(group)), family.wedges(n)
+    d, w = _basis_size(group), family.wedges(n)
     rows = [[0] * d for _ in range(m + 1)]
     for p in range(1, w + 1):
         rows[p][p - 1] = 1
@@ -479,7 +485,7 @@ def _restriction_entries(group: GroupSpec) -> tuple[tuple[int, int, int], ...]:
     sends d(wedge^p) to the sum of v times basis element i.  For U and SU
     these are the wedge classes 1..d themselves (SU drops wedge n); for the
     other families, the rows of the reduction table."""
-    d = len(basis(group))
+    d = _basis_size(group)
     if FAMILY_TABLE[group.family].middle_rows is None:
         return tuple((p, p - 1, 1) for p in range(1, d + 1))
     return tuple(
@@ -495,7 +501,7 @@ def _wedge_images(group: GroupSpec, l: int, degrees: range) -> list[list[int]]:
     pushed through the reduction table."""
     m = defining_dimension(group)
     table = count_table(m, l)
-    d = len(basis(group))
+    d = _basis_size(group)
     nonzero = _restriction_entries(group)
     images = []
     for k in degrees:

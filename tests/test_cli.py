@@ -195,6 +195,15 @@ def test_verify_counts_suite(capsys):
     assert lines[-1].endswith("checks passed")
 
 
+def test_verify_counts_checks_the_difference_against_the_closed_form(capsys, monkeypatch):
+    # a difference that is antisymmetric but wrong must fail its row
+    monkeypatch.setattr("adamsops.cli.beta", lambda n, l, k, p: 0)
+    code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-rank", "3", "--max-l", "2")
+    assert code == 1
+    row = "FAIL  count: table difference equals closed-form difference  [n=1, l=1, k=0, p=0]"
+    assert row in out.splitlines()
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr("adamsops.cli.mu_enumerate", lambda *a: 999)
     code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-rank", "2", "--max-l", "2")

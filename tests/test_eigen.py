@@ -13,6 +13,8 @@ from adamsops.eigen import (
     SpectrumReport,
     _bareiss_det,
     _certifies,
+    _is_eigenvector,
+    _runs,
     _sinh_values,
     _unitary_basis,
     char_poly,
@@ -433,6 +435,75 @@ def test_spectrum_check_falls_back_on_a_singular_basis(monkeypatch):
     wrong = Eigenbasis(group, (2, 4, 6, 6), vb.columns)
     monkeypatch.setattr(eigen, "eigenbasis", lambda g: wrong)
     assert spectrum_check(group, 2).ok and calls == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# the packed certificate
+
+
+def _columnwise_certifies(vb, entries, l):
+    """The certificate with one integer mat-vec per column: the reference
+    for the packed check."""
+    return (
+        len(vb.columns) == len(entries)
+        and sorted(vb.eigenvalue_exponents) == sorted(m + 1 for m in family_exponents(vb.group))
+        and all(
+            _is_eigenvector(entries, col, l**e)
+            for e, col in zip(vb.eigenvalue_exponents, vb.columns)
+        )
+        and vb.independent
+    )
+
+
+def _columnwise_spectrum(group, l):
+    """`spectrum_check` with the column-by-column certificate."""
+    entries = adams_matrix(group, l).entries
+    want = expected_char_poly(group, l)
+    got = want if _columnwise_certifies(eigenbasis(group), entries, l) else char_poly(entries)
+    eigenvalues = tuple(sorted(l ** (m + 1) for m in family_exponents(group)))
+    return SpectrumReport(group, l, got == want, eigenvalues, got, want)
+
+
+def _changed(entries, cells, delta):
+    rows = [list(row) for row in entries]
+    for i, j in cells:
+        rows[i][j] += delta
+    return tuple(map(tuple, rows))
+
+
+def test_packed_certificate_matches_the_columnwise_check(monkeypatch):
+    def unreachable(entries):
+        raise AssertionError("a valid matrix reached char_poly")
+
+    monkeypatch.setattr(eigen, "char_poly", unreachable)
+    run_sizes, unpacked = set(), 0
+    for group in _groups(20):
+        vb = eigenbasis(group)
+        for l in (2, 3, 50, 1000):
+            entries = adams_matrix(group, l).entries
+            assert _certifies(vb, entries, l) and _columnwise_certifies(vb, entries, l)
+            assert spectrum_check(group, l) == _columnwise_spectrum(group, l), (str(group), l)
+            d = len(entries)
+            # one entry, and two adjacent ones in a row and in a column
+            shapes = [[(d - 1, 0)]]
+            if d > 1:
+                shapes += [[(0, d - 2), (0, d - 1)], [(d - 2, d - 1), (d - 1, d - 1)]]
+            for cells in shapes:
+                for delta in (1, -(2**70)):
+                    changed = _changed(entries, cells, delta)
+                    assert not _certifies(vb, changed, l), (str(group), l, cells, delta)
+                    assert not _columnwise_certifies(vb, changed, l)
+            # every packed digit stays below half its base
+            norm = max(sum(map(abs, row)) for row in entries)
+            unpacked += norm >= 2**256
+            for width, run in _runs(vb, norm, l):
+                run_sizes.add(len(run))
+                if len(run) > 1:
+                    assert len(run) * width <= 2048
+                    for value, col in run:
+                        assert (norm + value) * max(map(abs, col)) < 2 ** (width - 1)
+    # the grid checks runs of one column, packed runs, and unpacked matrices
+    assert 1 in run_sizes and max(run_sizes) >= 10 and unpacked
 
 
 def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):

@@ -2,11 +2,13 @@
 
 Each property runs MAX_EXAMPLES examples, each under DEADLINE_MS (the
 symbolic oracle's under ORACLE_DEADLINE_MS, since one uncached call at
-n = 5, l = 6 takes about 0.2 s); on a 2-vCPU Xeon VM the six take about
-2.1 seconds together, and the deadlines bound them at 5 * 100 * 0.5 s plus
+n = 5, l = 6 takes about 0.2 s); on a 2-vCPU Xeon VM the seven take about
+4.4 seconds together, and the deadlines bound them at 6 * 100 * 0.5 s plus
 100 * 2 s.
 The module is skipped where `hypothesis` is not installed.
 """
+
+from unittest.mock import patch
 
 import pytest
 
@@ -15,9 +17,22 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import adamsops.eigen as eigen  # noqa: E402
 from adamsops.counts import _count_row, count_table, mu_closed  # noqa: E402
-from adamsops.eigen import spectrum_check  # noqa: E402
-from adamsops.ktheory import FAMILIES, FAMILY_TABLE, GroupSpec, adams_matrix  # noqa: E402
+from adamsops.eigen import (  # noqa: E402
+    _certifies,
+    char_poly,
+    eigenbasis,
+    expected_char_poly,
+    spectrum_check,
+)
+from adamsops.ktheory import (  # noqa: E402
+    FAMILIES,
+    FAMILY_TABLE,
+    AdamsMatrix,
+    GroupSpec,
+    adams_matrix,
+)
 from adamsops.symoracle import (  # noqa: E402
     adams_symbolic_coefficients,
     bounded_composition_poly,
@@ -85,6 +100,28 @@ def test_entries_are_integers_on_both_routes(group, l):
 def test_spectrum_is_the_powers_of_l(group, l):
     # the eigenvalues of psi^l are l^(m_i + 1), the m_i the family exponents
     assert spectrum_check(group, l).ok
+
+
+@budget
+@given(group=groups(max_rank=20), l=st.integers(2, 1000), data=st.data())
+def test_certificate_rejects_a_changed_matrix(group, l, data):
+    # one entry changed, or two adjacent ones in a row or in a column: the
+    # packed certificate must reject the matrix, and the report must be the
+    # one char_poly gives
+    entries = [list(row) for row in adams_matrix(group, l).entries]
+    d = len(entries)
+    i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    second = data.draw(st.sampled_from([(i, j), (i, (j + 1) % d), ((i + 1) % d, j)]))
+    nonzero = st.integers(-(2**80), 2**80).filter(bool)
+    for a, b in {(i, j), second}:
+        entries[a][b] += data.draw(nonzero)
+    changed = tuple(map(tuple, entries))
+    assert not _certifies(eigenbasis(group), changed, l)
+    with patch.object(eigen, "adams_matrix", lambda g, l: AdamsMatrix(g, l, changed)):
+        report = spectrum_check(group, l)
+    got = char_poly(changed)
+    assert report.char_coeffs == got
+    assert report.ok == (got == expected_char_poly(group, l))
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=ORACLE_DEADLINE_MS)
