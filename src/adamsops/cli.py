@@ -2,10 +2,12 @@
 
 Each verification suite is a list of checks, one row per property: its
 name, a lazy search for counterexamples, and the domain it sweeps; one loop
-runs the rows.  The suite table `_SUITES` gives each suite its default and
-least `--max-rank`/`--max-l`; below the least values a check would sweep
-nothing, so `verify` rejects them.  The groups of the matrix sweeps and of
-`--group` come from the family table, `ktheory.FAMILY_TABLE`.
+runs the rows.  The suite table `_SUITES` gives each suite its default,
+least and largest `--max-rank`/`--max-l`.  Below the least values a check
+would sweep nothing, and above the largest (work caps) a sweep grows
+without practical bound, so `verify` rejects both before any check runs.
+The groups of the matrix sweeps and of `--group` come from the family
+table, `ktheory.FAMILY_TABLE`.
 
 `compute`, `eigen` and `mu` refuse work above two caps, `MAX_DIMENSION`
 and `MAX_ROW`, before they build any count or eigenvector.  Each command
@@ -250,7 +252,11 @@ def eigen_suite(max_rank: int = 8, levels: Iterable[int] = (2, 3, 5)) -> list[Ch
     ])
 
 
-def oracle_suite(max_rank: int = 5, max_l: int = 4, max_degree: int = 12) -> list[CheckResult]:
+# The degree to which the oracle suite checks the product identities.
+_ORACLE_DEGREE = 12
+
+
+def oracle_suite(max_rank: int = 5, max_l: int = 4) -> list[CheckResult]:
     from .symoracle import (
         adams_symbolic_coefficients,
         complete_by_recursion,
@@ -288,10 +294,10 @@ def oracle_suite(max_rank: int = 5, max_l: int = 4, max_degree: int = 12) -> lis
             (
                 detail
                 for n in ranks for l in ls
-                for ok, detail in [verify_product_identity(n, l, max_degree)]
+                for ok, detail in [verify_product_identity(n, l, _ORACLE_DEGREE)]
                 if not ok
             ),
-            f"n<={max_rank}, l<={max_l}, degree<={max_degree}",
+            f"n<={max_rank}, l<={max_l}, degree<={_ORACLE_DEGREE}",
         ),
         (
             "oracle: recursive complete symmetric polynomials match the definition",
@@ -454,19 +460,25 @@ def cmd_mu(args: argparse.Namespace) -> int:
 
 
 # name: (suite called as f(max_rank, max_l), defaults of --max-rank and
-# --max-l, least --max-rank and --max-l).  Below the least values some check
-# of the suite would sweep nothing and pass.  The lambdas look the suite
-# functions up when called, so a wrapped or replaced suite is the one run.
-_SUITES: dict[str, tuple[Callable[[int, int | None], list[CheckResult]], tuple, tuple]] = {
-    "counts": (lambda r, l: counts_suite(r, l), (8, 6), (1, 1)),
-    "matrices": (lambda r, l: matrices_suite(r, l), (5, 4), (1, 1)),
+# --max-l, least and largest --max-rank and --max-l).  Below the least values
+# some check of the suite would sweep nothing and pass.  The largest values
+# are work caps: with both flags at their caps, counts takes 2.8 s, matrices
+# 5.1 s, eigen 2.4 s and oracle 2.8 s, and past them the cost climbs fast
+# (counts 14/12 4.2 s and 20/16 32 s, matrices 30/6 9.0 s and 40/5 16 s,
+# eigen 40/50 5.8 s, oracle 7/4 5.2 s and 6/8 26 s; in process, 2-vCPU Xeon
+# VM, Python 3.11.7).  The lambdas look the suite functions up when called, so a
+# wrapped or replaced suite is the one run.
+_SUITES: dict[str, tuple[Callable[[int, int | None], list[CheckResult]], tuple, tuple, tuple]] = {
+    "counts": (lambda r, l: counts_suite(r, l), (8, 6), (1, 1), (12, 12)),
+    "matrices": (lambda r, l: matrices_suite(r, l), (5, 4), (1, 1), (30, 5)),
     # --max-l sweeps l = 2..max-l in place of the default levels 2, 3, 5
     "eigen": (
         lambda r, l: eigen_suite(r) if l is None else eigen_suite(r, range(2, l + 1)),
         (8, None),
         (1, 2),
+        (30, 50),
     ),
-    "oracle": (lambda r, l: oracle_suite(r, l), (5, 4), (2, 1)),
+    "oracle": (lambda r, l: oracle_suite(r, l), (5, 4), (2, 1), (6, 5)),
 }
 
 
@@ -474,14 +486,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     given = (args.max_rank, args.max_l)
     for name in names:
-        for flag, value, least in zip(("--max-rank", "--max-l"), given, _SUITES[name][2]):
-            if value is not None and value < least:
+        _, _, least, most = _SUITES[name]
+        for flag, value, low, high in zip(("--max-rank", "--max-l"), given, least, most):
+            if value is not None and value < low:
+                raise ValueError(f"{flag} must be at least {low} for the {name} suite, got {value}")
+            if value is not None and value > high:
                 raise ValueError(
-                    f"{flag} must be at least {least} for the {name} suite, got {value}"
+                    f"{flag} is {value}, above the work cap {high} of the {name} suite"
                 )
     all_results: list[CheckResult] = []
     for name in names:
-        suite, defaults, _ = _SUITES[name]
+        suite, defaults, _, _ = _SUITES[name]
         all_results += suite(*(d if v is None else v for v, d in zip(given, defaults)))
     for r in all_results:
         status = "PASS" if r.ok else "FAIL"

@@ -12,9 +12,9 @@ polynomials themselves and serves as the independent check on the numbers.
 
 Every other family gets its eigenvectors by restriction from U(m), m the
 defining dimension.  The restriction R from the primitives of U(m) to those
-of G (the identity for U, the top coordinate dropped for SU, the reduction
-table for the rest) satisfies R.M_U(m)(l) = M_G(l).R, so R.v_k is zero or an
-eigenvector with eigenvalue l^(m-k).  `eigenbasis(group)` collects them,
+of G, the one the functoriality pipeline applies (`ktheory._restriction`),
+satisfies R.M_U(m)(l) = M_G(l).R, so R.v_k is zero or an eigenvector with
+eigenvalue l^(m-k).  `eigenbasis(group)` collects them,
 scaled to primitive integer columns, plus the eigenvectors restriction
 misses (d(S+) - d(S-) for Spin(2n)); it does not depend on l and is kept in
 a bounded cache.
@@ -38,8 +38,7 @@ chosen so that this bound is below 2^(K-1); balanced base-2^K digits are
 unique, so the packed rows are equal exactly when every D_t is zero.
 Packing saves a Python-level product per extra column but lengthens each
 one by about the bits of ||M||, so columns are packed only while
-||M|| < 2^256, up to 2048 bits per packed entry; a run of one column is
-checked as it stands.
+||M|| < 2^256, up to 2048 bits per packed entry.
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ from .exactmath import UniPoly, _require_int, bernoulli_even
 from .ktheory import (
     FAMILY_TABLE,
     GroupSpec,
-    _basis_size,
-    _restriction_entries,
+    _restrict,
     _times,
     adams_matrix,
 )
@@ -322,26 +320,21 @@ def eigenbasis(group: GroupSpec) -> Eigenbasis:
     restriction from U(m), m the defining dimension.
 
     Only the levels k of U(m) whose eigenvalue exponent m - k is one of the
-    m_i + 1 are built.  Each is restricted (U: the identity; SU: the top
-    coordinate dropped; the other families: row p of the reduction table is
-    the image of wedge p), a zero image is dropped and a nonzero one divided
-    by the gcd of its entries.  The family's `extra_eigenvectors` follow,
+    m_i + 1 are built.  Each is restricted by `ktheory._restrict`, the map
+    the functoriality pipeline applies; a zero image is dropped and a
+    nonzero one divided by the gcd of its entries.  The family's `extra_eigenvectors` follow,
     and the columns are ordered by exponent.  `spectrum_check` does not
     trust the result: it checks it on every call.
     """
     family = FAMILY_TABLE[group.family]
-    n, m, d = group.n, family.dimension(group.n), _basis_size(group)
-    links = _restriction_entries(group)
+    n, m = group.n, family.dimension(group.n)
     wanted = {e + 1 for e in family.exponents(n)}
+    levels = [k for k in range(m) if m - k in wanted]
     q = _sinh_values(m)
+    # a level's numerators are its coordinates over wedges 1..m; wedge 0 has none
+    cols = _restrict(group, ((0, *_unitary_level(m, k, q)[0]) for k in levels))
     found = []
-    for k in range(m):
-        if m - k not in wanted:
-            continue
-        nums, _ = _unitary_level(m, k, q)
-        col = [0] * d
-        for p, i, v in links:
-            col[i] += nums[p - 1] * v
+    for k, col in zip(levels, cols):
         g = gcd(*col)
         if g:
             found.append((m - k, tuple(x // g for x in col)))
@@ -445,11 +438,7 @@ def _runs(vb: Eigenbasis, norm: int, l: int) -> Iterator[tuple[int, _Run]]:
 
 def _run_holds(entries: Sequence[Sequence[int]], width: int, run: _Run) -> bool:
     """Whether M.w = value.w for every (value, w) of the run: one integer
-    mat-vec on the columns packed in base 2^width, or the plain check for
-    a run of one column."""
-    if len(run) == 1:
-        (value, col), = run
-        return _is_eigenvector(entries, col, value)
+    mat-vec on the columns packed in base 2^width."""
     packed = image = [0] * len(entries)
     for value, col in run:
         packed = [(a << width) + x for a, x in zip(packed, col)]

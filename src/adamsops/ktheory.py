@@ -10,8 +10,8 @@ that matrix by two independent routes:
   alpha, beta; and
 * a functoriality pipeline: the generic unitary formula applied to the
   exterior powers of the defining representation, with every out-of-basis
-  class rewritten through representation-ring relations (a reduction
-  table).
+  class rewritten through representation-ring relations (the restriction
+  from U(m), m the defining dimension).
 
 `adams_matrix` runs both routes and raises ConsistencyError when they
 disagree, or when an entry that must be an integer is not.
@@ -25,8 +25,8 @@ report an entry that does not, so a successful assembly builds none.
 
 What a family is lives in one place: the `Family` records of `FAMILY_TABLE`
 at the end of the module give each family's ranks, defining dimension,
-basis, display name, exponents, reduction rows and routes, and every
-function here reads them.  Adding a family means one record plus its
+basis, display name, exponents, middle restriction rows and routes, and
+every function here reads them.  Adding a family means one record plus its
 closed-form route, called by `adams_matrix` as f(group, l).
 
 Convention: entries[p][k] is the coefficient of basis element p in the
@@ -38,9 +38,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import repeat
 from operator import add, mul, sub
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .counts import count_table
 from .exactmath import _require_int
@@ -54,17 +54,15 @@ __all__ = [
     "GroupSpec",
     "BasisElement",
     "AdamsMatrix",
-    "ReductionTable",
     "basis",
     "defining_dimension",
     "g2_closed_columns",
-    "reduction_table",
     "pullback_adams_matrix",
     "adams_matrix",
 ]
 
-# Groups kept by the `basis` and `_restriction_entries` caches.  A sweep over
-# every family at ranks up to 40 touches about 200 groups.
+# Groups kept by the `basis` and `_restriction` caches.  A sweep over every
+# family at ranks up to 40 touches about 200 groups.
 _GROUP_CACHE_SIZE = 256
 
 
@@ -147,12 +145,15 @@ class Family(Record):
       once `adams_matrix` has checked l.  It is a name, looked up when
       called, so that wrapping or replacing the module attribute reaches
       every call.
-    * A family with a pipeline route gives `middle_rows(n)`, its reduction
-      rows w+1..m//2 with w = wedges(n) (see `reduction_table`), and
-      `pipeline(group, l)`, which reads the reduced wedge images and returns
-      (integer columns, numerator columns, den): the integer columns of the
-      matrix, then its rational columns as integer numerators over the one
-      denominator den (1 when there are none), for `_finalize` to divide.
+    * `middle_rows(n)` are the images of wedges w+1..m//2, w = wedges(n),
+      over the basis: the rows of the restriction from U(m) that are
+      neither a basis wedge nor a mirror image (see `_restriction`).  U and
+      SU have none.  A family with a pipeline route gives
+      `pipeline(group, l)`, which reads the restricted wedge images and
+      returns (integer columns, numerator columns, den): the integer
+      columns of the matrix, then its rational columns as integer
+      numerators over the one denominator den (1 when there are none), for
+      `_finalize` to divide.
     * `extra_eigenvectors(n)` lists, as (e, column) pairs, the eigenvectors
       of every psi^l, with eigenvalue l^e, that restriction from U(m) misses
       (see `eigen.eigenbasis`): d(S+) - d(S-) for Spin(2n), none otherwise.
@@ -166,7 +167,7 @@ class Family(Record):
     exponents: Callable[[int], tuple[int, ...]]
     closed: str
     extra: tuple[BasisElement, ...] = ()
-    middle_rows: Callable[[int], list[list[int]]] | None = None
+    middle_rows: Callable[[int], list[list[int]]] = lambda n: []
     pipeline: Callable[[GroupSpec, int], _Piped] | None = None
     fixed_rank: int | None = None
     extra_eigenvectors: Callable[[int], list[tuple[int, tuple[int, ...]]]] = lambda n: []
@@ -431,93 +432,64 @@ def _g2_closed(group: GroupSpec, l: int) -> AdamsMatrix:
 
 
 # ---------------------------------------------------------------------------
-# reduction tables and the functoriality pipeline
-
-
-class ReductionTable(Record):
-    """Rows 0..m rewrite d(wedge^p of the defining representation) as a
-    vector over the group's primitive basis.  Row 0 and row m (the trivial
-    class and the determinant class) are zero."""
-
-    group: GroupSpec
-    rows: tuple[tuple[int, ...], ...]
-
-    def row(self, p: int) -> tuple[int, ...]:
-        if not 0 <= p < len(self.rows):
-            raise ValueError(f"wedge degree {p} outside 0..{len(self.rows) - 1}")
-        return self.rows[p]
-
-
-def reduction_table(group: GroupSpec) -> ReductionTable:
-    """Build the rewrite table for a family with a pipeline route: Sp,
-    SpinOdd, SpinEven or G2.
-
-    With m the defining dimension and w the number of wedge classes in the
-    basis, rows 1..w are the unit vectors of those classes, and row p > m/2
-    is row m-p, since wedge p is isomorphic to wedge m-p.  The family gives
-    the middle rows w+1..m//2.  Sp(n) has none.  Spin(2n+1): the tensor
-    square of the spin class decomposes into wedges 0..n, giving row n =
-    2^(n+1) unit(S) - sum of the lower wedges.  Spin(2n): the sum/product
-    decompositions of the half-spin classes give rows n and n-1 over 2^n
-    (S+ + S-) resp. 2^(n-1) (S+ + S-) minus lower wedges.  G2: wedges 1..3
-    of the 7-dimensional class rewrite into the two fundamental classes by
-    the derivation rule d(rho * sigma) = dim(sigma) d(rho) + dim(rho) d(sigma).
-    """
-    family = FAMILY_TABLE[group.family]
-    if family.middle_rows is None:
-        raise ValueError(f"{group} needs no reduction table")
-    n, m = group.n, family.dimension(group.n)
-    d, w = _basis_size(group), family.wedges(n)
-    rows = [[0] * d for _ in range(m + 1)]
-    for p in range(1, w + 1):
-        rows[p][p - 1] = 1
-    for p, row in enumerate(family.middle_rows(n), start=w + 1):
-        rows[p] = row
-    for p in range(m // 2 + 1, m):
-        rows[p] = rows[m - p]
-    return ReductionTable(group, tuple(map(tuple, rows)))
+# the restriction from U(m) and the functoriality pipeline
 
 
 @lru_cache(maxsize=_GROUP_CACHE_SIZE)
-def _restriction_entries(group: GroupSpec) -> tuple[tuple[int, int, int], ...]:
-    """The restriction from the primitives of U(m), m the defining
-    dimension, to those of the group, as its nonzero entries (p, i, v): it
-    sends d(wedge^p) to the sum of v times basis element i.  For U and SU
-    these are the wedge classes 1..d themselves (SU drops wedge n); for the
-    other families, the rows of the reduction table."""
+def _restriction(group: GroupSpec) -> tuple[tuple[int, int, int], ...]:
+    """The restriction R from the primitives of U(m), m the defining
+    dimension, to those of the group, as its nonzero entries (p, i, v): R
+    sends d(wedge^p) to the sum of v times basis element i.
+
+    With w the number of wedge classes in the basis, wedges 1..w go to
+    their own basis elements and the family gives the middle rows after
+    them; every later wedge p < m is wedge m-p, since wedge p is isomorphic
+    to wedge m-p.  Wedge 0 and, unless it is a basis class, wedge m (the
+    trivial and the determinant class) go to zero.  So U is the identity
+    on wedges 1..n and SU drops wedge n.  Sp(n) has no middle
+    rows.  Spin(2n+1): the tensor square of the spin class decomposes into
+    wedges 0..n, giving wedge n = 2^(n+1) d(S) - sum of the lower wedges.
+    Spin(2n): the sum/product decompositions of the half-spin classes give
+    wedges n and n-1 over 2^n (S+ + S-) resp. 2^(n-1) (S+ + S-) minus lower
+    wedges.  G2: wedges 1..3 of the 7-dimensional class rewrite into the
+    two fundamental classes by the derivation rule
+    d(rho * sigma) = dim(sigma) d(rho) + dim(rho) d(sigma).
+    """
+    family = FAMILY_TABLE[group.family]
+    n, m = group.n, family.dimension(group.n)
+    rows = [[(i, 1)] for i in range(family.wedges(n))]
+    rows += [[(i, v) for i, v in enumerate(row) if v] for row in family.middle_rows(n)]
+    rows += [rows[m - p - 1] for p in range(len(rows) + 1, m)]
+    return tuple((p, i, v) for p, row in enumerate(rows, start=1) for i, v in row)
+
+
+def _restrict(group: GroupSpec, vectors: Iterable[Sequence[int]]) -> list[list[int]]:
+    """R applied to each vector, given by its coordinates over the wedge
+    classes 0..m of U(m)."""
     d = _basis_size(group)
-    if FAMILY_TABLE[group.family].middle_rows is None:
-        return tuple((p, p - 1, 1) for p in range(1, d + 1))
-    return tuple(
-        (p, i, row[i])
-        for p, row in enumerate(reduction_table(group).rows)
-        for i in compress(range(d), row)
-    )
+    nonzero = _restriction(group)
+    images = []
+    for u in vectors:
+        acc = [0] * d
+        for p, i, v in nonzero:
+            acc[i] += u[p] * v
+        images.append(acc)
+    return images
 
 
 def _wedge_images(group: GroupSpec, l: int, degrees: range) -> list[list[int]]:
-    """The reduced images of d(wedge^k of the defining representation), one
-    per k in `degrees`: the unitary formula over all degrees 1..m, each
-    pushed through the reduction table."""
+    """The restricted images of d(wedge^k of the defining representation),
+    one per k in `degrees`: the unitary formula over all degrees 0..m, with
+    coordinate p equal to (-1)^(k+p) l mu(m, l, k, p), then R."""
     m = defining_dimension(group)
     table = count_table(m, l)
-    d = _basis_size(group)
-    nonzero = _restriction_entries(group)
-    images = []
-    for k in degrees:
-        # coordinate p of the unitary image: (-1)^(k+p) l mu(m, l, k, p)
-        uni = list(map(mul, table[k], _signs(l, k, m + 1)))
-        acc = [0] * d
-        for p, i, v in nonzero:
-            acc[i] += uni[p] * v
-        images.append(acc)
-    return images
+    return _restrict(group, (list(map(mul, table[k], _signs(l, k, m + 1))) for k in degrees))
 
 
 def pullback_adams_matrix(group: GroupSpec, l: int) -> AdamsMatrix:
     """Assemble the matrix for Sp, SpinOdd, SpinEven or G2 purely by
     functoriality: unitary formula on the defining representation, then
-    reduction.  The spin column expands d(S) over the wedges 1..n with the
+    restriction.  The spin column expands d(S) over the wedges 1..n with the
     factor 2^-(n+1); the half-spin columns are the halved image of
     d(S+)+d(S-) (wedges n-1, n-3, ... with factor 2^-(n-1)) plus or minus
     half of l^n (d(S+)-d(S-))."""
@@ -596,7 +568,7 @@ def _odd_exponents(n: int) -> tuple[int, ...]:
 
 
 def _spin_even_rows(n: int) -> list[list[int]]:
-    """Rows n-1 and n of the Spin(2n) reduction table: 2^(n-1) (S+ + S-)
+    """The images of wedges n-1 and n for Spin(2n): 2^(n-1) (S+ + S-)
     minus the wedges n-3, n-5, ..., and 2^n (S+ + S-) minus twice the
     wedges n-2, n-4, ..."""
     top, mid = [0] * (n - 2) + [2 ** (n - 1)] * 2, [0] * (n - 2) + [2**n] * 2
@@ -621,7 +593,7 @@ FAMILY_TABLE: dict[str, Family] = {
         Family(
             "Sp", "Sp({n})", 1, dimension=lambda n: 2 * n, wedges=lambda n: n,
             exponents=_odd_exponents, closed="_symplectic_closed",
-            middle_rows=lambda n: [], pipeline=_symplectic_pipeline,
+            pipeline=_symplectic_pipeline,
         ),
         Family(
             "SpinOdd", "Spin({m})", 1, dimension=lambda n: 2 * n + 1, wedges=lambda n: n - 1,

@@ -266,6 +266,31 @@ def test_verify_rejects_an_empty_sweep(capsys, argv, flag, least, suite, value):
     assert err == f"error: {flag} must be at least {least} for the {suite} suite, got {value}\n"
 
 
+SUITE_FUNCTIONS = ("counts_suite", "matrices_suite", "eigen_suite", "oracle_suite")
+
+
+@pytest.mark.parametrize("suite", ["counts", "matrices", "eigen", "oracle"])
+@pytest.mark.parametrize("flag", ["--max-rank", "--max-l"])
+def test_verify_refuses_work_above_a_cap(capsys, monkeypatch, suite, flag):
+    cap = cli._SUITES[suite][3][flag == "--max-l"]
+    for name in SUITE_FUNCTIONS:
+        monkeypatch.setattr(cli, name, lambda *a: pytest.fail("a check ran"))
+    code, out, err = run(capsys, "verify", "--suite", suite, flag, str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} is {cap + 1}, above the work cap {cap} of the {suite} suite\n"
+    # the cap itself is admitted
+    for name in SUITE_FUNCTIONS:
+        monkeypatch.setattr(cli, name, lambda *a: [])
+    code, out, _ = run(capsys, "verify", "--suite", suite, flag, str(cap))
+    assert (code, out) == (0, "0/0 checks passed\n")
+
+
+def test_verify_caps_admit_every_default_sweep():
+    for suite, (_, defaults, least, most) in cli._SUITES.items():
+        for default, low, high in zip(defaults, least, most):
+            assert default is None or low <= default <= high, suite
+
+
 def test_verify_runs_at_the_least_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "eigen", "--max-rank", "1", "--max-l", "2")
     assert code == 0

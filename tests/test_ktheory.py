@@ -19,7 +19,6 @@ from adamsops.ktheory import (
     basis,
     defining_dimension,
     pullback_adams_matrix,
-    reduction_table,
 )
 
 # (family, rank, l) -> row-major entries, frozen from the oracle routes
@@ -155,23 +154,30 @@ def test_compose_rejects_mismatched_groups():
 
 
 # ---------------------------------------------------------------------------
-# reduction tables and the pipeline route
+# the restriction from U(m) and the pipeline route
+
+
+def restriction_rows(group):
+    """The restricted unit vector of each wedge 0..m of U(m), m the
+    defining dimension."""
+    m = defining_dimension(group)
+    units = [[int(p == k) for p in range(m + 1)] for k in range(m + 1)]
+    return tuple(map(tuple, ktheory._restrict(group, units)))
 
 
 def test_reduction_table_symplectic():
-    t = reduction_table(GroupSpec("Sp", 2))
-    assert t.rows == ((0, 0), (1, 0), (0, 1), (1, 0), (0, 0))
+    assert restriction_rows(GroupSpec("Sp", 2)) == ((0, 0), (1, 0), (0, 1), (1, 0), (0, 0))
 
 
 def test_reduction_table_spin_odd():
-    t = reduction_table(GroupSpec("SpinOdd", 2))
     # the middle wedge power folds onto the spin class
-    assert t.rows == ((0, 0), (1, 0), (-1, 8), (-1, 8), (1, 0), (0, 0))
+    assert restriction_rows(GroupSpec("SpinOdd", 2)) == (
+        (0, 0), (1, 0), (-1, 8), (-1, 8), (1, 0), (0, 0)
+    )
 
 
 def test_reduction_table_spin_even():
-    t6 = reduction_table(GroupSpec("SpinEven", 3))
-    assert t6.rows == (
+    assert restriction_rows(GroupSpec("SpinEven", 3)) == (
         (0, 0, 0),
         (1, 0, 0),
         (0, 4, 4),
@@ -180,8 +186,7 @@ def test_reduction_table_spin_even():
         (1, 0, 0),
         (0, 0, 0),
     )
-    t8 = reduction_table(GroupSpec("SpinEven", 4))
-    assert t8.rows == (
+    assert restriction_rows(GroupSpec("SpinEven", 4)) == (
         (0, 0, 0, 0),
         (1, 0, 0, 0),
         (0, 1, 0, 0),
@@ -195,8 +200,7 @@ def test_reduction_table_spin_even():
 
 
 def test_reduction_table_g2():
-    t = reduction_table(GroupSpec("G2"))
-    assert t.rows == (
+    assert restriction_rows(GroupSpec("G2")) == (
         (0, 0),
         (1, 0),
         (1, 1),
@@ -208,11 +212,57 @@ def test_reduction_table_g2():
     )
 
 
-def test_reduction_table_rejects_unitary_families():
-    with pytest.raises(ValueError):
-        reduction_table(GroupSpec("U", 3))
-    with pytest.raises(ValueError):
-        reduction_table(GroupSpec("SU", 3))
+def test_unitary_families_restrict_by_the_identity():
+    # U: wedges 1..n are the basis; SU: the same without wedge n, which goes to zero
+    for n in (1, 2, 5):
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert restriction_rows(GroupSpec("U", n)) == ((0,) * n,) + identity
+    for n in (2, 3, 5):
+        identity = tuple(tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1))
+        assert restriction_rows(GroupSpec("SU", n)) == ((0,) * (n - 1),) + identity + (
+            (0,) * (n - 1),
+        )
+
+
+def _intertwining_failures(group, l, cross_check=True):
+    """The wedges k = 0..m of U(m) at which R.M_U(m)(l).e_k != M_G(l).R.e_k."""
+    m = defining_dimension(group)
+    entries = adams_matrix(group, l, cross_check=cross_check).entries
+    images = ktheory._wedge_images(group, l, range(m + 1))
+    return [
+        k for k, (image, row) in enumerate(zip(images, restriction_rows(group)))
+        if image != ktheory._times(entries, row)
+    ]
+
+
+def test_restriction_intertwines_on_every_wedge():
+    groups = [
+        GroupSpec(f.name, n)
+        for f in ktheory.FAMILY_TABLE.values()
+        for n in ([f.fixed_rank] if f.fixed_rank else range(f.min_rank, 9))
+    ]
+    for g in groups:
+        for l in (1, 2, 3, 7):
+            assert _intertwining_failures(g, l) == [], (str(g), l)
+
+
+@pytest.fixture
+def fresh_restriction():
+    ktheory._restriction.cache_clear()
+    yield
+    ktheory._restriction.cache_clear()
+
+
+def test_intertwining_fails_on_a_changed_middle_row(monkeypatch, fresh_restriction):
+    family = ktheory.FAMILY_TABLE["SpinOdd"]
+    fields = {name: getattr(family, name) for name in family._fields}
+    fields["middle_rows"] = lambda n: [[-1] * (n - 2) + [0, 2 ** (n + 1)]]
+    monkeypatch.setitem(ktheory.FAMILY_TABLE, "SpinOdd", ktheory.Family(**fields))
+    group = GroupSpec("SpinOdd", 3)
+    # the closed form reads no middle row, so it is the true M_G(l)
+    assert _intertwining_failures(group, 2, cross_check=False)
+    with pytest.raises(ConsistencyError):
+        adams_matrix(group, 2)
 
 
 def test_pipeline_agrees_with_closed_forms():
@@ -421,7 +471,7 @@ def test_consistency_error_fields_default_to_empty():
 
 
 def test_group_caches_are_bounded():
-    for cache in (basis, ktheory._restriction_entries):
+    for cache in (basis, ktheory._restriction):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
 
@@ -433,8 +483,10 @@ def test_family_table_covers_every_family(monkeypatch):
         n = family.fixed_rank or family.min_rank
         group = GroupSpec(name, n)
         assert len(basis(group)) == len(family.exponents(n))
-        # a pipeline needs a reduction table, and the other way round
-        assert (family.pipeline is None) == (family.middle_rows is None)
+        # the restriction mirrors every wedge above m/2 onto one below it, so
+        # a family with a pipeline has a basis wedge or middle row up to m//2
+        if family.pipeline is not None:
+            assert family.wedges(n) + len(family.middle_rows(n)) == family.dimension(n) // 2
         # the closed routes are named, so that they are looked up when called
         assert callable(getattr(ktheory, family.closed))
     monkeypatch.setattr(ktheory, "_symplectic_closed", lambda group, l: ("replaced", group, l))

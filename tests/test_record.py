@@ -15,7 +15,6 @@ from adamsops.ktheory import (
     AdamsMatrix,
     BasisElement,
     GroupSpec,
-    ReductionTable,
     adams_matrix,
 )
 
@@ -26,7 +25,6 @@ RECORDS = [
     U3,
     BasisElement("wedge", 1, "d(L^1 s_3)"),
     AdamsMatrix(U3, 2, ((2, 0, 0), (0, 2, 0), (0, 0, 2))),
-    ReductionTable(GroupSpec("Sp", 1), ((0,), (1,), (0,))),
     Eigenvector(2, 1, (Fraction(1), Fraction(-1, 2))),
     Eigenbasis(GroupSpec("U", 1), (1,), ((1,),)),
     SpectrumReport(U3, 2, True, (2, 4, 8), (1, -14, 56, -64), (1, -14, 56, -64)),
