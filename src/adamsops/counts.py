@@ -111,8 +111,8 @@ def count_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     _validate(n, l)
     w = n + 1
     if l <= n * w:
-        ext = [0] * n + _count_row(n, l) + [0] * n  # degree s sits at s + n
-        return tuple(tuple(ext[l * k : l * k + w][::-1]) for k in range(w))
+        ext = [0] * w + _count_row(n, l) + [0] * n  # degree s sits at s + w
+        return tuple(tuple(ext[l * k + w : l * k : -1]) for k in range(w))
     level = [sum(count_table(n, n + 1 + i), ()) for i in range(n)]
     t = l - n - 1
     flat, c = [0] * (w * w), 1  # c = binomial(t, i)

@@ -12,12 +12,13 @@ polynomials themselves and serves as the independent check on the numbers.
 
 Every other family gets its eigenvectors by restriction from U(m), m the
 defining dimension.  The restriction R from the primitives of U(m) to those
-of G, the one the functoriality pipeline applies (`ktheory._restriction`),
-satisfies R.M_U(m)(l) = M_G(l).R, so R.v_k is zero or an eigenvector with
-eigenvalue l^(m-k).  `eigenbasis(group)` collects them,
-scaled to primitive integer columns, plus the eigenvectors restriction
-misses (d(S+) - d(S-) for Spin(2n)); it does not depend on l and is kept in
-a bounded cache.
+of G, the one the functoriality pipeline applies (`ktheory._restrict`,
+over the terms cached by `ktheory._restriction`), satisfies
+R.M_U(m)(l) = M_G(l).R, so R.v_k is zero or an eigenvector with
+eigenvalue l^(m-k).  `eigenbasis(group)` restricts the levels it needs in
+one call and collects the images, scaled to primitive integer columns,
+plus the eigenvectors restriction misses (d(S+) - d(S-) for Spin(2n)); it
+does not depend on l and is kept in a bounded cache.
 
 `spectrum_check` proves char(M) = prod_i (x - l^(m_i + 1)) with that basis V
 as a certificate: V has one column per basis element with exactly the
@@ -320,10 +321,11 @@ def eigenbasis(group: GroupSpec) -> Eigenbasis:
     restriction from U(m), m the defining dimension.
 
     Only the levels k of U(m) whose eigenvalue exponent m - k is one of the
-    m_i + 1 are built.  Each is restricted by `ktheory._restrict`, the map
-    the functoriality pipeline applies; a zero image is dropped and a
-    nonzero one divided by the gcd of its entries.  The family's `extra_eigenvectors` follow,
-    and the columns are ordered by exponent.  `spectrum_check` does not
+    m_i + 1 are built.  They are restricted together by
+    `ktheory._restrict`, the map the functoriality pipeline applies; a
+    zero image is dropped and a nonzero one divided by the gcd of its
+    entries.  The family's `extra_eigenvectors` follow, and the columns
+    are ordered by exponent.  `spectrum_check` does not
     trust the result: it checks it on every call.
     """
     family = FAMILY_TABLE[group.family]

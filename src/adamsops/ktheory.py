@@ -39,6 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from math import lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
 
@@ -129,6 +130,8 @@ class BasisElement(Record):
 
 # What a family's pipeline returns: integer columns, numerator columns, den.
 _Piped = tuple[list[list[int]], Sequence[Sequence[int]], int]
+# The (wedge, coefficient) terms of a restriction, one tuple per basis element.
+_Terms = tuple[tuple[tuple[int, int], ...], ...]
 
 
 class Family(Record):
@@ -188,12 +191,6 @@ def basis(group: GroupSpec) -> tuple[BasisElement, ...]:
     return tuple(BasisElement("wedge", k, f"d(L^{k} s_{m})") for k in wedges) + family.extra
 
 
-def _basis_size(group: GroupSpec) -> int:
-    """The length of `basis(group)`, without building its labelled records."""
-    family = FAMILY_TABLE[group.family]
-    return family.wedges(group.n) + len(family.extra)
-
-
 def _times(rows: Sequence[Sequence[int]], v: Sequence[int | Fraction]) -> list:
     """The matrix with these rows times the column v, exactly."""
     return [sum(map(mul, row, v)) for row in rows]
@@ -218,9 +215,18 @@ class AdamsMatrix(Record):
         return tuple(row[k] for row in self.entries)
 
     def apply(self, coords: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+        """The image of the vector with these coordinates, exactly.  Each
+        coordinate must be an int or a Fraction (a float or a bool raises
+        ValueError); the product runs in integers over the coordinates' one
+        common denominator, and each entry becomes one Fraction."""
         if len(coords) != self.dim:
             raise ValueError(f"vector length {len(coords)} != matrix dimension {self.dim}")
-        return tuple(map(Fraction, _times(self.entries, coords)))
+        for i, c in enumerate(coords):
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise ValueError(f"coordinate {i} must be an int or a Fraction, got {c!r}")
+        den = lcm(*(c.denominator for c in coords))
+        nums = [c.numerator * (den // c.denominator) for c in coords]
+        return tuple(Fraction(x, den) for x in _times(self.entries, nums))
 
     def compose(self, other: "AdamsMatrix") -> "AdamsMatrix":
         """Matrix product self . other, i.e. apply `other` first."""
@@ -436,15 +442,17 @@ def _g2_closed(group: GroupSpec, l: int) -> AdamsMatrix:
 
 
 @lru_cache(maxsize=_GROUP_CACHE_SIZE)
-def _restriction(group: GroupSpec) -> tuple[tuple[int, int, int], ...]:
+def _restriction(group: GroupSpec) -> tuple[int, _Terms]:
     """The restriction R from the primitives of U(m), m the defining
-    dimension, to those of the group, as its nonzero entries (p, i, v): R
-    sends d(wedge^p) to the sum of v times basis element i.
+    dimension, to those of the group, as (top, terms): terms[i] lists the
+    (p, v) such that R sends d(wedge^p) to v times basis element i plus
+    other elements, over the wedges p <= top.  Every later wedge p < m is
+    wedge m-p, since wedge p is isomorphic to wedge m-p, so `_restrict`
+    folds its coordinate onto wedge m-p instead of listing it again.
 
     With w the number of wedge classes in the basis, wedges 1..w go to
-    their own basis elements and the family gives the middle rows after
-    them; every later wedge p < m is wedge m-p, since wedge p is isomorphic
-    to wedge m-p.  Wedge 0 and, unless it is a basis class, wedge m (the
+    their own basis elements and the family's middle rows give wedges
+    w+1..top.  Wedge 0 and, unless it is a basis class, wedge m (the
     trivial and the determinant class) go to zero.  So U is the identity
     on wedges 1..n and SU drops wedge n.  Sp(n) has no middle
     rows.  Spin(2n+1): the tensor square of the spin class decomposes into
@@ -456,34 +464,66 @@ def _restriction(group: GroupSpec) -> tuple[tuple[int, int, int], ...]:
     d(rho * sigma) = dim(sigma) d(rho) + dim(rho) d(sigma).
     """
     family = FAMILY_TABLE[group.family]
-    n, m = group.n, family.dimension(group.n)
-    rows = [[(i, 1)] for i in range(family.wedges(n))]
-    rows += [[(i, v) for i, v in enumerate(row) if v] for row in family.middle_rows(n)]
-    rows += [rows[m - p - 1] for p in range(len(rows) + 1, m)]
-    return tuple((p, i, v) for p, row in enumerate(rows, start=1) for i, v in row)
+    w = family.wedges(group.n)
+    middle = family.middle_rows(group.n)
+    terms = [[(i + 1, 1)] for i in range(w)]
+    terms += [[] for _ in family.extra]
+    for p, row in enumerate(middle, start=w + 1):
+        for i, v in enumerate(row):
+            if v:
+                terms[i].append((p, v))
+    return w + len(middle), tuple(map(tuple, terms))
 
 
-def _restrict(group: GroupSpec, vectors: Iterable[Sequence[int]]) -> list[list[int]]:
+def _restrict(
+    group: GroupSpec, vectors: Iterable[Sequence[int]], factors: Sequence[int] = ()
+) -> list[list[int]]:
     """R applied to each vector, given by its coordinates over the wedge
-    classes 0..m of U(m)."""
-    d = _basis_size(group)
-    nonzero = _restriction(group)
+    classes 0..m of U(m).  With `factors`, one per vector, coordinate p of
+    vector j counts (-1)^p factors[j] times: the sign pattern of the
+    unitary formula.
+
+    The map is applied to all vectors at once, one wedge at a time: the
+    vectors are transposed into one column per wedge, each wedge p beyond
+    the terms of `_restriction` is folded onto wedge m-p (subtracted when
+    the signs of p and m-p differ), and each basis element's image is a
+    lazy chain of column operations over its terms, read out per vector
+    by one final transpose."""
+    cols = list(zip(*vectors))
+    if not cols:
+        return []
+    top, terms = _restriction(group)
+    m = len(cols) - 1
+    fold = sub if factors and m % 2 else add
+    for p in range(top + 1, m):
+        cols[m - p] = list(map(fold, cols[m - p], cols[p]))
+    if factors:
+        negated = [-f for f in factors]
+        for p in range(1, top + 1):
+            cols[p] = list(map(mul, cols[p], negated if p % 2 else factors))
     images = []
-    for u in vectors:
-        acc = [0] * d
-        for p, i, v in nonzero:
-            acc[i] += u[p] * v
-        images.append(acc)
-    return images
+    for row in terms:
+        image = None
+        for p, v in row:
+            col = cols[p]
+            if image is None:
+                image = col if v == 1 else map(mul, col, repeat(v))
+            elif v == 1 or v == -1:
+                image = map(add if v == 1 else sub, image, col)
+            else:
+                image = map(add, image, map(mul, col, repeat(v)))
+        images.append(image)
+    return list(map(list, zip(*images)))
 
 
 def _wedge_images(group: GroupSpec, l: int, degrees: range) -> list[list[int]]:
     """The restricted images of d(wedge^k of the defining representation),
     one per k in `degrees`: the unitary formula over all degrees 0..m, with
-    coordinate p equal to (-1)^(k+p) l mu(m, l, k, p), then R."""
-    m = defining_dimension(group)
-    table = count_table(m, l)
-    return _restrict(group, (list(map(mul, table[k], _signs(l, k, m + 1))) for k in degrees))
+    coordinate p equal to (-1)^(k+p) l mu(m, l, k, p), then R.  The rows
+    of the count table go to `_restrict` as they are, with the factors
+    (-1)^k l."""
+    table = count_table(defining_dimension(group), l)
+    return _restrict(group, [table[k] for k in degrees], [-l if k % 2 else l for k in degrees])
 
 
 def pullback_adams_matrix(group: GroupSpec, l: int) -> AdamsMatrix:

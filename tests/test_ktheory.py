@@ -60,6 +60,23 @@ def test_columns_are_images():
     assert mat.apply((0, 1)) == (0, 2)
 
 
+def test_apply_is_exact_over_one_denominator():
+    mat = adams_matrix(GroupSpec("U", 30), 50)
+    half = mat.apply([Fraction(1, 2)] + [0] * 29)
+    assert half == tuple(Fraction(row[0], 2) for row in mat.entries)
+    coords = [Fraction(1, k + 1) * (-1) ** k for k in range(30)]
+    image = mat.apply(coords)
+    assert image == tuple(sum(Fraction(x) * c for x, c in zip(row, coords)) for row in mat.entries)
+    assert all(type(x) is Fraction for x in image)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, False, "1", None])
+def test_apply_rejects_a_coordinate_that_is_not_exact(bad):
+    mat = adams_matrix(GroupSpec("Sp", 3), 2)
+    with pytest.raises(ValueError, match=f"coordinate 1 must be an int or a Fraction, got {bad!r}"):
+        mat.apply([Fraction(1, 3), bad, 0])
+
+
 def test_rank_one_coincidences():
     # Sp(1), Spin(3) and SU(2) are the same group; all three give (l^2)
     for l in (2, 3, 5, 7):
@@ -251,6 +268,16 @@ def fresh_restriction():
     ktheory._restriction.cache_clear()
     yield
     ktheory._restriction.cache_clear()
+
+
+def test_restriction_has_one_cache(fresh_restriction):
+    # what `fresh_restriction` clears is all the module keeps of the map
+    caches = {
+        name for name, f in vars(ktheory).items()
+        if hasattr(f, "cache_clear") and f.__module__ == ktheory.__name__
+    }
+    assert caches == {"basis", "_restriction"}
+    assert ktheory._restriction.cache_info().currsize == 0
 
 
 def test_intertwining_fails_on_a_changed_middle_row(monkeypatch, fresh_restriction):

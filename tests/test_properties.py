@@ -2,8 +2,8 @@
 
 Each property runs MAX_EXAMPLES examples, each under DEADLINE_MS (the
 symbolic oracle's under ORACLE_DEADLINE_MS, since one uncached call at
-n = 5, l = 6 takes about 0.2 s); on a 2-vCPU Xeon VM the seven take about
-4.4 seconds together, and the deadlines bound them at 6 * 100 * 0.5 s plus
+n = 5, l = 6 takes about 0.2 s); on a 2-vCPU Xeon VM the nine take about
+4.7 seconds together, and the deadlines bound them at 8 * 100 * 0.5 s plus
 100 * 2 s.
 The module is skipped where `hypothesis` is not installed.
 """
@@ -31,7 +31,10 @@ from adamsops.ktheory import (  # noqa: E402
     FAMILY_TABLE,
     AdamsMatrix,
     GroupSpec,
+    _restrict,
+    _wedge_images,
     adams_matrix,
+    defining_dimension,
 )
 from adamsops.symoracle import (  # noqa: E402
     adams_symbolic_coefficients,
@@ -132,3 +135,55 @@ def test_symbolic_coefficients_are_bounded_composition_sums(n, l, data):
     k = data.draw(st.integers(1, n))
     p = data.draw(st.integers(1, n))
     assert adams_symbolic_coefficients(n, l, k)[p - 1] == bounded_composition_poly(n, l, k, p)
+
+
+def restrict_by_rows(group, vectors):
+    """The restriction from U(m) one vector and one entry at a time, over
+    its rows: wedges 1..w to their own basis elements, the family's middle
+    rows, then wedge p as wedge m-p for every later p < m, written out."""
+    family = FAMILY_TABLE[group.family]
+    n, m, w = group.n, defining_dimension(group), family.wedges(group.n)
+    d = w + len(family.extra)
+    rows = [[int(i == j) for i in range(d)] for j in range(w)] + family.middle_rows(n)
+    rows += [rows[m - p - 1] for p in range(len(rows) + 1, m)]
+    images = []
+    for u in vectors:
+        image = [0] * d
+        for p, row in enumerate(rows, start=1):
+            for i, v in enumerate(row):
+                image[i] += u[p] * v
+        images.append(image)
+    return images
+
+
+@budget
+@given(group=groups(), data=st.data())
+def test_columnwise_restriction_matches_the_row_loop(group, data):
+    # with and without the unitary sign pattern (-1)^p factors[j]
+    size = defining_dimension(group) + 1
+    coordinate = st.integers(-(2**200), 2**200)
+    vectors = data.draw(st.lists(st.lists(coordinate, min_size=size, max_size=size), max_size=6))
+    assert _restrict(group, vectors) == restrict_by_rows(group, vectors)
+    factors = data.draw(st.lists(coordinate, min_size=len(vectors), max_size=len(vectors)))
+    signed = [[(-1) ** p * f * x for p, x in enumerate(u)] for u, f in zip(vectors, factors)]
+    assert _restrict(group, vectors, factors) == restrict_by_rows(group, signed)
+
+
+@budget
+@given(group=groups(), l=st.integers(1, 30), data=st.data())
+def test_wedge_images_restrict_the_signed_unitary_formula(group, l, data):
+    # coordinate p of wedge k is (-1)^(k+p) l mu(m, l, k, p), from the oracle
+    m = defining_dimension(group)
+    lo = data.draw(st.integers(0, m))
+    degrees = range(lo, data.draw(st.integers(lo, m)) + 1)
+    unitary = [[(-1) ** (k + p) * l * mu_closed(m, l, k, p) for p in range(m + 1)] for k in degrees]
+    assert _wedge_images(group, l, degrees) == restrict_by_rows(group, unitary)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_restriction_of_one_vector_and_of_none(family):
+    group = GroupSpec(family, FAMILY_TABLE[family].fixed_rank or 4)
+    assert _restrict(group, []) == []
+    assert _restrict(group, [], []) == []
+    u = [3**p - 7 * p for p in range(defining_dimension(group) + 1)]
+    assert _restrict(group, [u]) == restrict_by_rows(group, [u])
