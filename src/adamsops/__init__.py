@@ -17,11 +17,15 @@ from .ktheory import *
 
 __version__ = "0.1.0"
 
-# The names of `eigen` and `symoracle` are served on first use (PEP 562):
-# each command-line call pays for every module it imports, and most use
-# neither.  They are looked up in their module on every access, never
+# The names of `series`, `eigen` and `symoracle` are served on first use
+# (PEP 562): each command-line call pays for every module it imports, and
+# `compute` and `mu` use none of them (`series` also brings `fractions` and
+# `decimal`).  They are looked up in their module on every access, never
 # stored here, so a replaced module attribute is the one returned.
 _LAZY = dict.fromkeys(
+    ("bernoulli_even", "UniPoly", "TruncSeries", "t_over_sinh_pow"),
+    "series",
+) | dict.fromkeys(
     (
         "sinh_pow_coeff_poly",
         "Eigenvector",

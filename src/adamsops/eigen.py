@@ -50,7 +50,7 @@ from math import factorial, gcd, lcm, prod
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
-from .exactmath import UniPoly, _require_int, bernoulli_even
+from .exactmath import _require_int
 from .ktheory import (
     FAMILY_TABLE,
     GroupSpec,
@@ -59,6 +59,7 @@ from .ktheory import (
     adams_matrix,
 )
 from .record import Record
+from .series import UniPoly, bernoulli_even
 
 __all__ = [
     "sinh_pow_coeff_poly",

@@ -22,6 +22,9 @@ half-spin columns of Spin(2n), 15ths and 30ths for G2) is carried as
 integer numerators over one denominator, a power of two or 30, and each
 numerator is checked to divide exactly; a `Fraction` is built only to
 report an entry that does not, so a successful assembly builds none.
+`fractions` is imported only where a `Fraction` is built or tested
+(`g2_closed_columns`, `AdamsMatrix.apply` and that report), so a command
+on any other group never loads it.
 
 What a family is lives in one place: the `Family` records of `FAMILY_TABLE`
 at the end of the module give each family's ranks, defining dimension,
@@ -36,7 +39,6 @@ matrix product M(m) . M(l) = M(m*l).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import lcm
@@ -221,6 +223,8 @@ class AdamsMatrix(Record):
         common denominator, and each entry becomes one Fraction."""
         if len(coords) != self.dim:
             raise ValueError(f"vector length {len(coords)} != matrix dimension {self.dim}")
+        from fractions import Fraction
+
         for i, c in enumerate(coords):
             if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                 raise ValueError(f"coordinate {i} must be an int or a Fraction, got {c!r}")
@@ -268,6 +272,8 @@ def _finalize(
         for p, v in enumerate(col):
             q, r = divmod(v, den)
             if r:
+                from fractions import Fraction
+
                 value = Fraction(v, den)
                 raise ConsistencyError(
                     f"non-integer entry {value} at row {p}, column {k} for {group}, l={l}",
@@ -421,6 +427,8 @@ def g2_closed_columns(l: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction
     """The closed polynomial expressions for the images of d(rho1) and
     d(rho2) over (d(rho1), d(rho2)): degree-6 polynomials in l over 15ths
     and 30ths that always collapse to integers."""
+    from fractions import Fraction
+
     _require_l(l)
     col1 = (Fraction(2 * l**6 + 13 * l**2, 15), Fraction(l**2 - l**6, 30))
     col2 = (

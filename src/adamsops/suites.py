@@ -1,0 +1,277 @@
+"""The invariant sweeps of `adamsops verify`, one suite per layer.
+
+Each suite is a list of checks, one row per property: its name, a lazy
+search for counterexamples, and the domain it sweeps; one loop
+(`_run_checks`) runs the rows.  The groups of the matrix sweeps come from
+the family table, `ktheory.FAMILY_TABLE`.  The command line imports this
+module only for `verify`, and the eigen and oracle suites import `eigen`,
+`series` and `symoracle` only when they run.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator, Sequence
+
+from .counts import beta, mu_closed, mu_enumerate
+from .exactmath import binomial
+from .ktheory import FAMILY_TABLE, ConsistencyError, GroupSpec, adams_matrix
+from .record import Record
+
+__all__ = ["CheckResult", "counts_suite", "matrices_suite", "eigen_suite", "oracle_suite"]
+
+
+class CheckResult(Record):
+    name: str
+    ok: bool
+    detail: str
+
+
+def _run_checks(checks: Sequence[tuple[str, Iterator[str], str]]) -> list[CheckResult]:
+    """One result per (name, counterexamples, swept domain) row, in order.
+    The counterexamples are a lazy search: a check fails with the first one
+    it finds, and passes, reporting the domain it swept, if there is none.
+    A ConsistencyError raised by the search is its first counterexample."""
+    results = []
+    for name, counterexamples, swept in checks:
+        try:
+            first = next(counterexamples, None)
+        except ConsistencyError as exc:
+            first = str(exc)
+        results.append(CheckResult(name, first is None, swept if first is None else first))
+    return results
+
+
+def counts_suite(max_rank: int = 8, max_l: int = 6) -> list[CheckResult]:
+    ranks, ls = range(1, max_rank + 1), range(1, max_l + 1)
+    top = max(10, max_rank)
+    return _run_checks([
+        (
+            "count: closed form equals enumeration",
+            (
+                f"n={n}, l={l}, k={k}, p={p}"
+                for n in ranks for l in ls for k in range(n + 1) for p in range(l * n + 1)
+                if mu_closed(n, l, k, p) != mu_enumerate(n, l, k, p)
+            ),
+            f"n<={max_rank}, l<={max_l}, 0<=k<=n, 0<=p<=l*n",
+        ),
+        (
+            "count: duality under (k, p) -> (n-k, n-p)",
+            (
+                f"n={n}, l={l}, k={k}, p={p}"
+                for n in ranks for l in ls for k in range(n + 1) for p in range(l * n + 1)
+                if mu_closed(n, l, k, p) != mu_closed(n, l, n - k, n - p)
+            ),
+            f"n<={max_rank}, l<={max_l}",
+        ),
+        (
+            "count: composition convolution",
+            (
+                f"n={n}, l={l}, m={m}, k={k}, q={q}"
+                for n in ranks for l in ls for m in ls
+                for k in range(1, n + 1) for q in range(1, n + 1)
+                if sum(mu_closed(n, l, k, p) * mu_closed(n, m, p, q) for p in range(1, n + 1))
+                != mu_closed(n, m * l, k, q)
+            ),
+            f"n<={max_rank}, l,m<={max_l}, 1<=k,q<=n",
+        ),
+        (
+            "count: l=2 collapses to a single binomial",
+            (
+                f"n={n}, k={k}, p={p}"
+                for n in range(1, top + 1) for k in range(n + 1) for p in range(2 * n + 1)
+                if mu_closed(n, 2, k, p) != binomial(n, 2 * k - p)
+            ),
+            f"n<={top}, 0<=k<=n, 0<=p<=2n",
+        ),
+        (
+            "count: table difference equals closed-form difference",
+            (
+                f"n={n}, l={l}, k={k}, p={p}"
+                for n in ranks for l in ls for k in range(n + 1) for p in range(n + 1)
+                if beta(n, l, k, p) != mu_closed(n, l, k, p) - mu_closed(n, l, k, n - p)
+            ),
+            f"n<={max_rank}, l<={max_l}",
+        ),
+    ])
+
+
+def _matrix_groups(max_rank: int, reducible_only: bool = False) -> list[GroupSpec]:
+    """Every group of rank <= max_rank (a fixed-rank family regardless), family
+    by family; with reducible_only, only the families with a pipeline route."""
+    return [
+        GroupSpec(family.name, n)
+        for family in FAMILY_TABLE.values()
+        if family.pipeline or not reducible_only
+        for n in (
+            [family.fixed_rank] if family.fixed_rank else range(family.min_rank, max_rank + 1)
+        )
+    ]
+
+
+def _build_all(groups: Iterable[GroupSpec], ls: range, cross_check: bool) -> Iterator[str]:
+    """Build every matrix and yield nothing: `adams_matrix` raises
+    ConsistencyError on a failure, which `_run_checks` reports."""
+    for group in groups:
+        for l in ls:
+            adams_matrix(group, l, cross_check=cross_check)
+    yield from ()
+
+
+def matrices_suite(max_rank: int = 5, max_l: int = 4) -> list[CheckResult]:
+    groups, ls = _matrix_groups(max_rank), range(1, max_l + 1)
+    piped = "/".join(family.name for family in FAMILY_TABLE.values() if family.pipeline)
+    return _run_checks([
+        (
+            "matrix: closed forms equal the functoriality pipeline",
+            _build_all(_matrix_groups(max_rank, reducible_only=True), ls, cross_check=True),
+            f"{piped}, rank<={max_rank}, l<={max_l}",
+        ),
+        (
+            "matrix: composition M(m).M(l) = M(m*l)",
+            (
+                f"{group}, l={l}, m={m}"
+                for group in groups for l in ls for m in ls
+                if adams_matrix(group, m, cross_check=False)
+                .compose(adams_matrix(group, l, cross_check=False))
+                .entries
+                != adams_matrix(group, m * l, cross_check=False).entries
+            ),
+            f"all families, rank<={max_rank}, l,m<={max_l}",
+        ),
+        (
+            "matrix: l=1 gives the identity",
+            (
+                str(group)
+                for group in groups
+                if not adams_matrix(group, 1, cross_check=False).is_identity()
+            ),
+            f"all families, rank<={max_rank}",
+        ),
+        (
+            # re-assembly raises ConsistencyError on any fractional entry
+            "matrix: every entry is an integer",
+            _build_all(groups, ls, cross_check=False),
+            f"all families, rank<={max_rank}, l<={max_l}",
+        ),
+    ])
+
+
+def eigen_suite(max_rank: int = 8, levels: Iterable[int] = (2, 3, 5)) -> list[CheckResult]:
+    from .eigen import (
+        eigenbasis_determinant,
+        sinh_pow_coeff_poly,
+        spectrum_check,
+        verify_eigen_relation,
+    )
+    from .series import t_over_sinh_pow
+
+    levels = tuple(levels)
+    ranks, small = range(1, max_rank + 1), min(max_rank, 6)
+
+    def recurrence_vs_series() -> Iterator[str]:
+        # (t/sinh t)^y for y = 0..10: one inverted series, multiplied up
+        base, series = t_over_sinh_pow(1, 22), [t_over_sinh_pow(0, 22)]
+        for _ in range(10):
+            series.append(series[-1] * base)
+        for j in range(11):
+            poly = sinh_pow_coeff_poly(j)
+            if poly.degree != j:
+                yield f"degree of coefficient polynomial {j} is {poly.degree}"
+            for y in range(11):
+                if poly(y) != series[y].coefficient(2 * j):
+                    yield f"j={j}, y={y}"
+
+    return _run_checks([
+        (
+            "eigen: closed-form vectors are eigenvectors",
+            (
+                f"n={n}, l={l}, k={k}"
+                for n in ranks for l in levels for k, ok in verify_eigen_relation(n, l)
+                if not ok
+            ),
+            f"n<={max_rank}, l in {levels}, all levels",
+        ),
+        (
+            "eigen: the n vectors are linearly independent",
+            (f"n={n}" for n in ranks if eigenbasis_determinant(n) == 0),
+            f"n<={max_rank}",
+        ),
+        (
+            "eigen: recurrence matches the series expansion",
+            recurrence_vs_series(),
+            "y<=10, j<=10, degrees exact",
+        ),
+        (
+            "eigen: characteristic polynomial matches the exponents",
+            (
+                f"{group}, l={l}: {report.char_coeffs} != {report.expected_coeffs}"
+                for group in _matrix_groups(small) for l in levels
+                if not (report := spectrum_check(group, l)).ok
+            ),
+            f"all families, rank<={small}, l in {levels}",
+        ),
+    ])
+
+
+# The degree to which the oracle suite checks the product identities.
+_ORACLE_DEGREE = 12
+
+
+def oracle_suite(max_rank: int = 5, max_l: int = 4) -> list[CheckResult]:
+    from .symoracle import (
+        adams_symbolic_coefficients,
+        complete_by_recursion,
+        symmetric_basis,
+        verify_product_identity,
+    )
+
+    ranks, ls = range(1, max_rank + 1), range(1, max_l + 1)
+
+    def symmetry() -> Iterator[str]:
+        for n in range(2, max_rank + 1):
+            swap = (1, 0) + tuple(range(2, n))
+            cycle = tuple(range(1, n)) + (0,)
+            for l in ls:
+                for k in range(1, n + 1):
+                    for poly in adams_symbolic_coefficients(n, l, k):
+                        if poly.permute_variables(swap) != poly:
+                            yield f"n={n}, l={l}, k={k} (transposition)"
+                        if poly.permute_variables(cycle) != poly:
+                            yield f"n={n}, l={l}, k={k} (cycle)"
+
+    return _run_checks([
+        (
+            "oracle: specializing the symbolic coefficients at 1 gives the counts",
+            (
+                f"n={n}, l={l}, k={k}, p={p}"
+                for n in ranks for l in ls for k in range(1, n + 1)
+                for p, poly in enumerate(adams_symbolic_coefficients(n, l, k), start=1)
+                if poly.specialize_ones() != mu_closed(n, l, k, p)
+            ),
+            f"n<={max_rank}, l<={max_l}, 1<=k,p<=n",
+        ),
+        (
+            "oracle: geometric product and coefficient identities",
+            (
+                detail
+                for n in ranks for l in ls
+                for ok, detail in [verify_product_identity(n, l, _ORACLE_DEGREE)]
+                if not ok
+            ),
+            f"n<={max_rank}, l<={max_l}, degree<={_ORACLE_DEGREE}",
+        ),
+        (
+            "oracle: recursive complete symmetric polynomials match the definition",
+            (
+                f"n={n}, degree={c}"
+                for n in ranks for c in range(9)
+                if complete_by_recursion(n, c) != symmetric_basis(n, c, "complete")
+            ),
+            f"n<={max_rank}, degree<=8",
+        ),
+        (
+            "oracle: symbolic coefficients are symmetric in the variables",
+            symmetry(),
+            f"n<={max_rank}, l<={max_l}",
+        ),
+    ])

@@ -20,13 +20,14 @@ from adamsops.eigen import (
     spectrum_check,
     verify_eigen_relation,
 )
-from adamsops.exactmath import binomial, t_over_sinh_pow
+from adamsops.exactmath import binomial
 from adamsops.ktheory import (
     GroupSpec,
     _restrict,
     adams_matrix,
     pullback_adams_matrix,
 )
+from adamsops.series import t_over_sinh_pow
 from adamsops.symoracle import adams_symbolic_coefficients, verify_product_identity
 
 

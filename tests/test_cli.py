@@ -10,6 +10,7 @@ import pytest
 
 import adamsops.cli as cli
 import adamsops.eigen as eigen
+import adamsops.suites as suites
 from adamsops.cli import MAX_DIMENSION, MAX_ROW, main
 from adamsops.ktheory import ConsistencyError, GroupSpec, adams_matrix
 
@@ -197,7 +198,7 @@ def test_verify_counts_suite(capsys):
 
 def test_verify_counts_checks_the_difference_against_the_closed_form(capsys, monkeypatch):
     # a difference that is antisymmetric but wrong must fail its row
-    monkeypatch.setattr("adamsops.cli.beta", lambda n, l, k, p: 0)
+    monkeypatch.setattr("adamsops.suites.beta", lambda n, l, k, p: 0)
     code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-rank", "3", "--max-l", "2")
     assert code == 1
     row = "FAIL  count: table difference equals closed-form difference  [n=1, l=1, k=0, p=0]"
@@ -205,7 +206,7 @@ def test_verify_counts_checks_the_difference_against_the_closed_form(capsys, mon
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("adamsops.cli.mu_enumerate", lambda *a: 999)
+    monkeypatch.setattr("adamsops.suites.mu_enumerate", lambda *a: 999)
     code, out, _ = run(capsys, "verify", "--suite", "counts", "--max-rank", "2", "--max-l", "2")
     assert code == 1
     assert "FAIL" in out
@@ -217,7 +218,7 @@ def test_verify_reports_a_consistency_error_from_any_check(capsys, monkeypatch):
             raise ConsistencyError("forced non-integer entry for Spin(7), l=2")
         return adams_matrix(group, l, cross_check=cross_check)
 
-    monkeypatch.setattr("adamsops.cli.adams_matrix", broken)
+    monkeypatch.setattr("adamsops.suites.adams_matrix", broken)
     # the composition check meets the error before the integrality check does
     code, out, err = run(capsys, "verify", "--suite", "matrices", "--max-rank", "3", "--max-l", "2")
     assert (code, err) == (1, "")
@@ -274,13 +275,13 @@ SUITE_FUNCTIONS = ("counts_suite", "matrices_suite", "eigen_suite", "oracle_suit
 def test_verify_refuses_work_above_a_cap(capsys, monkeypatch, suite, flag):
     cap = cli._SUITES[suite][3][flag == "--max-l"]
     for name in SUITE_FUNCTIONS:
-        monkeypatch.setattr(cli, name, lambda *a: pytest.fail("a check ran"))
+        monkeypatch.setattr(suites, name, lambda *a: pytest.fail("a check ran"))
     code, out, err = run(capsys, "verify", "--suite", suite, flag, str(cap + 1))
     assert (code, out) == (2, "")
     assert err == f"error: {flag} is {cap + 1}, above the work cap {cap} of the {suite} suite\n"
     # the cap itself is admitted
     for name in SUITE_FUNCTIONS:
-        monkeypatch.setattr(cli, name, lambda *a: [])
+        monkeypatch.setattr(suites, name, lambda *a: [])
     code, out, _ = run(capsys, "verify", "--suite", suite, flag, str(cap))
     assert (code, out) == (0, "0/0 checks passed\n")
 

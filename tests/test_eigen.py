@@ -27,8 +27,8 @@ from adamsops.eigen import (
     spectrum_check,
     verify_eigen_relation,
 )
-from adamsops.exactmath import UniPoly, t_over_sinh_pow
 from adamsops.ktheory import FAMILIES, FAMILY_TABLE, AdamsMatrix, GroupSpec, adams_matrix
+from adamsops.series import UniPoly, t_over_sinh_pow
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

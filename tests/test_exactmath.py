@@ -5,14 +5,9 @@ from math import comb, factorial
 
 import pytest
 
-from adamsops import exactmath
-from adamsops.exactmath import (
-    TruncSeries,
-    UniPoly,
-    bernoulli_even,
-    binomial,
-    t_over_sinh_pow,
-)
+from adamsops import series
+from adamsops.exactmath import binomial
+from adamsops.series import TruncSeries, UniPoly, bernoulli_even, t_over_sinh_pow
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +105,14 @@ def test_bernoulli_against_the_recurrence():
 def test_bernoulli_far_above_the_cache_bound():
     # the cache is bounded, and an index far above the bound is one miss:
     # it neither thrashes the cache nor recurses
-    maxsize = exactmath._bernoulli.cache_info().maxsize
+    maxsize = series._bernoulli.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
     m = 8 * maxsize
-    exactmath._bernoulli.cache_clear()
+    series._bernoulli.cache_clear()
     t0 = time.perf_counter()
     value = bernoulli_even(m)
     elapsed = time.perf_counter() - t0
-    assert exactmath._bernoulli.cache_info().misses == 1
+    assert series._bernoulli.cache_info().misses == 1
     assert elapsed < 2.0, elapsed
     # von Staudt-Clausen: B_m + sum of 1/p over the primes p with (p-1) | m
     # is an integer; for m = 1024 those primes are 2, 3, 5, 17 and 257

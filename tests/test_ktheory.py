@@ -6,6 +6,7 @@ functoriality pipeline for everything else -- and then frozen, so these
 tests pin both routes at once.
 """
 
+import fractions
 from fractions import Fraction
 
 import pytest
@@ -441,7 +442,8 @@ def test_a_successful_assembly_builds_no_fraction(monkeypatch):
     def no_fraction(*args):
         raise AssertionError(f"Fraction{args} built")
 
-    monkeypatch.setattr(ktheory, "Fraction", no_fraction)
+    # ktheory imports Fraction from `fractions` where it builds one
+    monkeypatch.setattr(fractions, "Fraction", no_fraction)
     for family in ("U", "SU", "Sp", "SpinOdd", "SpinEven"):
         for n in range(ktheory.FAMILY_TABLE[family].min_rank, 9):
             for l in (2, 7, 50):

@@ -1,6 +1,6 @@
 """What the package exports, and what a command-line call imports."""
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -13,10 +13,11 @@ import adamsops.counts as counts
 import adamsops.eigen as eigen
 import adamsops.exactmath as exactmath
 import adamsops.ktheory as ktheory
+import adamsops.series as series
 import adamsops.symoracle as symoracle
 
 # the names the package serves from a module imported on first use
-LAZY = {name: module for module in (eigen, symoracle) for name in module.__all__}
+LAZY = {name: module for module in (series, eigen, symoracle) for name in module.__all__}
 
 
 def test_every_exported_name_resolves_to_its_module_object():
@@ -32,7 +33,7 @@ def test_every_exported_name_resolves_to_its_module_object():
 def test_every_lazy_name_is_exported_once_in_module_order():
     assert len(adamsops.__all__) == len(set(adamsops.__all__))
     lazy = adamsops.__all__[-len(LAZY):]
-    assert lazy == eigen.__all__ + symoracle.__all__
+    assert lazy == series.__all__ + eigen.__all__ + symoracle.__all__
     assert not set(lazy) & set(vars(adamsops))
 
 
@@ -101,43 +102,80 @@ def test_a_replaced_module_attribute_is_seen_through_the_package(monkeypatch):
 
 
 # Run in a fresh interpreter: the modules `import adamsops.cli` adds, then
-# the modules loaded after each command.  Modules the interpreter had loaded
-# before the import do not count.
+# the modules loaded up to the end of each command.  Modules the interpreter
+# had loaded before the import do not count.  The commands come one per
+# argument, split at spaces, and the result is printed as a Python literal,
+# so that the script itself does not import `json`.
 _FOOTPRINT = """
-import contextlib, io, json, sys
+import sys
 before = set(sys.modules)
 from adamsops.cli import main
 loaded = [[None, sorted(set(sys.modules) - before)]]
-for argv in json.loads(sys.argv[1]):
+import contextlib, io
+for command in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        code = main(command.split())
     loaded.append([code, sorted(set(sys.modules) - before)])
-print(json.dumps(loaded))
+print(repr(loaded))
 """
+
+# what no command may load at start-up
+_LAZY_MODULES = {
+    "fractions", "decimal", "json", "csv", "dataclasses", "inspect",
+    "adamsops.series", "adamsops.suites", "adamsops.eigen", "adamsops.symoracle",
+}
+
+
+def _footprint(*commands):
+    """Run the commands one after another in one fresh interpreter, check
+    that `import adamsops.cli` loaded none of `_LAZY_MODULES`, and return
+    (exit code, modules loaded so far) after each command."""
+    src = str(Path(adamsops.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, *commands],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (_, imported), *after = ((code, set(modules)) for code, modules in ast.literal_eval(proc.stdout))
+    assert "adamsops.cli" in imported
+    assert not _LAZY_MODULES & imported, _LAZY_MODULES & imported
+    return after
 
 
 def test_a_command_imports_only_what_it_uses():
     commands = [
-        ["compute", "--group", "SpinOdd", "--rank", "3", "--l", "3", "--format", "json"],
-        ["mu", "4", "3", "2", "2", "--check"],
-        ["verify", "--suite", "matrices", "--max-rank", "2", "--max-l", "2"],
-        ["eigen", "--rank", "600"],  # refused by the work cap before the import
-        ["eigen", "--rank", "3", "--l", "2", "--format", "csv"],
-        ["verify", "--suite", "oracle", "--max-rank", "2", "--max-l", "1"],
+        "compute --group SpinOdd --rank 3 --l 3 --format json",
+        "mu 4 3 2 2 --check",
+        "verify --suite matrices --max-rank 2 --max-l 2",
+        "eigen --rank 600",  # refused by the work cap before the import
+        "eigen --rank 3 --l 2 --format csv",
+        "verify --suite oracle --max-rank 2 --max-l 1",
     ]
-    src = str(Path(adamsops.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT, json.dumps(commands)],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    (_, imported), *after = ((code, set(modules)) for code, modules in json.loads(proc.stdout))
-    assert "adamsops.cli" in imported
-    assert not {"dataclasses", "inspect", "adamsops.eigen", "adamsops.symoracle"} & imported
+    after = _footprint(*commands)
     assert [code for code, _ in after] == [0, 0, 0, 2, 0, 0]
-    for argv, (_, modules) in zip(commands[:4], after):
+    compute, mu, matrices, refused, eigen_csv, oracle = (modules for _, modules in after)
+    assert "json" in compute
+    assert not {"csv", "fractions", "decimal"} & compute
+    for argv, modules in zip(commands[:2], (compute, mu)):
+        assert not {"adamsops.series", "adamsops.suites"} & modules, argv
+    assert "adamsops.suites" in matrices and "adamsops.series" not in matrices
+    for argv, modules in zip(commands[:4], (compute, mu, matrices, refused)):
         assert not {"adamsops.eigen", "adamsops.symoracle"} & modules, argv
-    assert "adamsops.eigen" in after[4][1] and "adamsops.symoracle" not in after[4][1]
-    assert "adamsops.symoracle" in after[5][1]
-    assert not {"dataclasses", "inspect"} & after[5][1]
+    assert {"adamsops.eigen", "adamsops.series", "csv"} <= eigen_csv
+    assert "adamsops.symoracle" not in eigen_csv
+    assert "adamsops.symoracle" in oracle
+    assert not {"dataclasses", "inspect"} & oracle
+
+
+@pytest.mark.parametrize("family, fmt, loads", [
+    ("U", "pretty", set()),
+    ("Sp", "csv", {"csv"}),
+    ("SpinEven", "json", {"json"}),
+    ("G2", "pretty", {"fractions"}),  # G2's closed form is written in Fractions
+])
+def test_compute_loads_only_its_output_format(family, fmt, loads):
+    [(code, modules)] = _footprint(f"compute --group {family} --rank 4 --l 3 --format {fmt}")
+    assert code == 0
+    assert modules & {"json", "csv", "fractions"} == loads
+    assert not {"adamsops.series", "adamsops.suites", "adamsops.eigen"} & modules

@@ -1,13 +1,15 @@
 """Properties checked on randomly drawn inputs, wider than the fixed grids.
 
 Each property runs MAX_EXAMPLES examples, each under DEADLINE_MS (the
-symbolic oracle's under ORACLE_DEADLINE_MS, since one uncached call at
-n = 5, l = 6 takes about 0.2 s); on a 2-vCPU Xeon VM the nine take about
-4.7 seconds together, and the deadlines bound them at 8 * 100 * 0.5 s plus
-100 * 2 s.
+symbolic oracle's and the command line's under SLOW_DEADLINE_MS, since one
+uncached oracle call at n = 5, l = 6 takes about 0.2 s); on a 2-vCPU Xeon
+VM the ten take about 6 seconds together, and the deadlines bound them at
+8 * 100 * 0.5 s plus 2 * 100 * 2 s.
 The module is skipped where `hypothesis` is not installed.
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
 import pytest
@@ -17,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import adamsops.cli as cli  # noqa: E402
 import adamsops.eigen as eigen  # noqa: E402
 from adamsops.counts import _count_row, count_table, mu_closed  # noqa: E402
 from adamsops.eigen import (  # noqa: E402
@@ -46,7 +49,7 @@ DEADLINE_MS = 500
 
 budget = settings(max_examples=MAX_EXAMPLES, deadline=DEADLINE_MS)
 
-ORACLE_DEADLINE_MS = 2000
+SLOW_DEADLINE_MS = 2000
 
 
 @st.composite
@@ -127,7 +130,7 @@ def test_certificate_rejects_a_changed_matrix(group, l, data):
     assert report.ok == (got == expected_char_poly(group, l))
 
 
-@settings(max_examples=MAX_EXAMPLES, deadline=ORACLE_DEADLINE_MS)
+@settings(max_examples=MAX_EXAMPLES, deadline=SLOW_DEADLINE_MS)
 @given(n=st.integers(1, 5), l=st.integers(1, 6), data=st.data())
 def test_symbolic_coefficients_are_bounded_composition_sums(n, l, data):
     # the partition-table rewriting against the brute-force sum over the
@@ -187,3 +190,66 @@ def test_restriction_of_one_vector_and_of_none(family):
     assert _restrict(group, [], []) == []
     u = [3**p - 7 * p for p in range(defining_dimension(group) + 1)]
     assert _restrict(group, [u]) == restrict_by_rows(group, [u])
+
+
+# Command-line tokens: small and boundary integers, words that are not ints,
+# and a work cap plus one, which is refused before any work.  No token makes
+# a command sweep or build more than rank 3 at l = 3, so no example runs long.
+# The integers come three times over, so most examples get past argparse.
+_TOKENS = ("-2", "-1", "0", "1", "2", "3") * 3 + ("True", "false", "1.5", "2e1", "three", "")
+_UNKNOWN_FAMILIES = ("Spin", "u", "E8")
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def _argv(draw):
+    token = st.sampled_from(_TOKENS)
+    command = draw(st.sampled_from(["compute", "eigen", "mu", "verify"]))
+    if command == "compute":
+        family = draw(st.sampled_from(FAMILIES + _UNKNOWN_FAMILIES))
+        return [
+            "compute", "--group", family,
+            *draw(_optional("--rank", token | st.just(str(cli.MAX_DIMENSION + 1)))),
+            *draw(_optional("--l", token | st.just(str(cli.MAX_ROW + 1)))),
+            *draw(_optional("--format", st.sampled_from(["json", "csv", "pretty", "xml"]))),
+        ]
+    if command == "eigen":
+        return [
+            "eigen",
+            *draw(_optional("--rank", token | st.just(str(cli.MAX_DIMENSION + 1)))),
+            *draw(_optional("--l", token | st.just(str(cli.MAX_ROW + 1)))),
+            *draw(st.sampled_from([[], ["--integral"]])),
+            *draw(_optional("--format", st.sampled_from(["json", "csv", "pretty"]))),
+        ]
+    if command == "mu":
+        n = draw(token | st.just(str(cli.MAX_DIMENSION + 1)))
+        l = draw(token | st.just(str(cli.MAX_ROW + 1)))
+        k, p = draw(token), draw(token)
+        return ["mu", n, l, k, p, *draw(st.sampled_from([[], ["--check"]]))]
+    suite = draw(st.sampled_from(["all", *cli._SUITES, "nope"]))
+    rows = cli._SUITES.values() if suite not in cli._SUITES else [cli._SUITES[suite]]
+    rank_caps = [str(most[0] + 1) for _, _, _, most in rows]
+    l_caps = [str(most[1] + 1) for _, _, _, most in rows]
+    # both flags are always given, so no suite runs its default sweep
+    return [
+        "verify", "--suite", suite,
+        "--max-rank", draw(st.sampled_from(_TOKENS + tuple(rank_caps))),
+        "--max-l", draw(st.sampled_from(_TOKENS + tuple(l_caps))),
+    ]
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=SLOW_DEADLINE_MS)
+@given(argv=_argv())
+def test_every_command_line_exits_with_a_documented_code(argv):
+    # in process, so no child is started; argparse's SystemExit(2) counts as 2
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

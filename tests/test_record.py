@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 import adamsops.eigen as eigen
-from adamsops.cli import CheckResult
 from adamsops.eigen import Eigenbasis, Eigenvector, SpectrumReport, eigenbasis
 from adamsops.ktheory import (
     FAMILY_TABLE,
@@ -17,6 +16,7 @@ from adamsops.ktheory import (
     GroupSpec,
     adams_matrix,
 )
+from adamsops.suites import CheckResult
 
 U3 = GroupSpec("U", 3)
 
