@@ -14,7 +14,7 @@ loads only what `compute` and `mu` run: the counts, the integer matrix
 assembly and argparse.  The rest loads on first use: `suites` for
 `verify`, `eigen` and `series` for `eigen` and the eigen suite,
 `symoracle` for the oracle suite, `json` or `csv` for the one output format
-written, and `fractions` only where a `Fraction` is built (G2, `eigen`).
+written, and `fractions` only where a `Fraction` is built (`eigen`).
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 a verification property failed, 2 invalid arguments, 3 an internal

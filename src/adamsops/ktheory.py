@@ -23,8 +23,8 @@ integer numerators over one denominator, a power of two or 30, and each
 numerator is checked to divide exactly; a `Fraction` is built only to
 report an entry that does not, so a successful assembly builds none.
 `fractions` is imported only where a `Fraction` is built or tested
-(`g2_closed_columns`, `AdamsMatrix.apply` and that report), so a command
-on any other group never loads it.
+(`AdamsMatrix.apply` and that report), so no command that computes a
+matrix loads it.
 
 What a family is lives in one place: the `Family` records of `FAMILY_TABLE`
 at the end of the module give each family's ranks, defining dimension,
@@ -43,11 +43,14 @@ from functools import lru_cache
 from itertools import repeat
 from math import lcm
 from operator import add, mul, sub
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .counts import count_table
 from .exactmath import _require_int
 from .record import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "FAMILIES",
@@ -423,26 +426,21 @@ def _spin_even_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     return _finalize(group, l, cols, "closed form", _half_spin_columns(sum_img, n, l), 2**n)
 
 
-def g2_closed_columns(l: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+def g2_closed_columns(l: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The closed polynomial expressions for the images of d(rho1) and
     d(rho2) over (d(rho1), d(rho2)): degree-6 polynomials in l over 15ths
-    and 30ths that always collapse to integers."""
-    from fractions import Fraction
-
+    and 30ths that always collapse to integers, given as their integer
+    numerators over the one denominator 30."""
     _require_l(l)
-    col1 = (Fraction(2 * l**6 + 13 * l**2, 15), Fraction(l**2 - l**6, 30))
-    col2 = (
-        Fraction(52 * l**2 * (1 - l**4), 15),
-        Fraction(l**2 * (13 * l**4 + 2), 15),
-    )
+    col1 = (4 * l**6 + 26 * l**2, l**2 - l**6)
+    col2 = (104 * l**2 * (1 - l**4), 2 * l**2 * (13 * l**4 + 2))
     return col1, col2
 
 
 def _g2_closed(group: GroupSpec, l: int) -> AdamsMatrix:
-    """G2's closed form: the expressions of `g2_closed_columns`, scaled to
-    numerators over 30, each of which must come out integral."""
-    cols = [[30 * v for v in col] for col in g2_closed_columns(l)]
-    return _finalize(group, l, [], "closed form", cols, 30)
+    """G2's closed form: the numerators of `g2_closed_columns` over 30,
+    each of which must divide exactly."""
+    return _finalize(group, l, [], "closed form", g2_closed_columns(l), 30)
 
 
 # ---------------------------------------------------------------------------

@@ -310,16 +310,22 @@ def test_pipeline_agrees_with_closed_forms():
 def test_g2_closed_route_is_its_polynomial_expressions(monkeypatch):
     g2 = GroupSpec("G2")
     for l in range(1, 301):
-        col1, col2 = ktheory.g2_closed_columns(l)
+        expressions = (
+            (Fraction(2 * l**6 + 13 * l**2, 15), Fraction(l**2 - l**6, 30)),
+            (Fraction(52 * l**2 * (1 - l**4), 15), Fraction(l**2 * (13 * l**4 + 2), 15)),
+        )
+        columns = ktheory.g2_closed_columns(l)  # numerators over 30
+        assert columns == tuple(tuple(30 * e for e in col) for col in expressions), l
+        assert all(type(v) is int for col in columns for v in col), l
         closed = adams_matrix(g2, l, cross_check=False)
-        assert closed.entries == tuple(zip(col1, col2)), l
+        assert closed.entries == tuple(zip(*expressions)), l
         assert closed.entries == pullback_adams_matrix(g2, l).entries, l
     # without the cross-check the pipeline does not run
     monkeypatch.setattr(ktheory, "pullback_adams_matrix", lambda g, m: pytest.fail("pipeline ran"))
     closed = adams_matrix(g2, 1000, cross_check=False)
     assert closed.entries[0][1] == 52 * 10**6 * (1 - 10**12) // 15
     # a non-integral expression is rejected like any other closed form's entry
-    monkeypatch.setattr(ktheory, "g2_closed_columns", lambda l: ((1, Fraction(1, 2)), (0, 1)))
+    monkeypatch.setattr(ktheory, "g2_closed_columns", lambda l: ((30, 15), (0, 30)))
     with pytest.raises(ConsistencyError) as info:
         adams_matrix(g2, 5, cross_check=False)
     assert (info.value.routes, info.value.cell) == (("closed form",), (1, 0))
@@ -449,6 +455,9 @@ def test_a_successful_assembly_builds_no_fraction(monkeypatch):
             for l in (2, 7, 50):
                 mat = adams_matrix(GroupSpec(family, n), l)
                 assert all(type(e) is int for row in mat.entries for e in row)
+    for l in (2, 7, 50):
+        mat = adams_matrix(GroupSpec("G2"), l)
+        assert all(type(e) is int for row in mat.entries for e in row)
 
 
 def test_consistency_error_names_the_first_difference(monkeypatch):

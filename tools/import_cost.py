@@ -1,7 +1,7 @@
 """What a cold `adamsops` command spends on start-up, import and work.
 
-Spawns fresh interpreters one at a time and prints, for each, the median
-over the spawns of:
+Spawns fresh interpreters one at a time and prints the median over
+`SPAWNS` (30) spawns of:
 
 * `python -c pass`, the interpreter start that no change here can move;
 * `import adamsops.cli`, timed inside the child with `time.perf_counter`;
@@ -24,7 +24,6 @@ Development only, standard library only.  Run from anywhere:
 
     python tools/import_cost.py                              # this checkout's src/
     python tools/import_cost.py --src /old/src --src src     # two trees, interleaved
-    python tools/import_cost.py --spawns 10
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-MAX_SPAWNS = 30
+SPAWNS = 30
 
 IMPORT = "import time; t = time.perf_counter(); import adamsops.cli; print(time.perf_counter() - t)"
 
@@ -81,7 +80,7 @@ def spawn(args: list[str], env: dict[str, str], cwd: str) -> tuple[float, str]:
     return wall, proc.stdout
 
 
-def measure(srcs: list[Path], spawns: int) -> dict[Path, dict[str, dict[str, list[float]]]]:
+def measure(srcs: list[Path]) -> dict[Path, dict[str, dict[str, list[float]]]]:
     """Times in ms per tree, row and mode, the trees and modes interleaved
     spawn by spawn."""
     rows = ["python -c pass", "import adamsops.cli (in child)", *COMMANDS]
@@ -93,7 +92,7 @@ def measure(srcs: list[Path], spawns: int) -> dict[Path, dict[str, dict[str, lis
             envs[src] = {"without .pyc": environment(src, None), "with .pyc": environment(src, prefix)}
             for argv in COMMANDS.values():  # fill the private bytecode cache
                 spawn(["-m", "adamsops", *argv], envs[src]["with .pyc"], scratch)
-        for _ in range(spawns):
+        for _ in range(SPAWNS):
             for src, modes in envs.items():
                 for mode, env in modes.items():
                     table = times[src]
@@ -115,13 +114,7 @@ def main() -> int:
         help="a directory that holds the adamsops package; repeat it to compare trees "
         "(default: this checkout's src/)",
     )
-    parser.add_argument(
-        "--spawns", type=int, default=MAX_SPAWNS,
-        help=f"spawns per figure and mode, 1..{MAX_SPAWNS} (default {MAX_SPAWNS})",
-    )
     args = parser.parse_args()
-    if not 1 <= args.spawns <= MAX_SPAWNS:
-        parser.error(f"--spawns must be in 1..{MAX_SPAWNS}, got {args.spawns}")
     srcs = [src.resolve() for src in args.src or [Path(__file__).resolve().parents[1] / "src"]]
     for src in srcs:
         if not (src / "adamsops" / "__init__.py").is_file():
@@ -129,7 +122,7 @@ def main() -> int:
         if caches_under(src):
             parser.error(f"remove the bytecode caches first: {', '.join(map(str, caches_under(src)))}")
     try:
-        times = measure(srcs, args.spawns)
+        times = measure(srcs)
     finally:
         left = [cache for src in srcs for cache in caches_under(src)]
         if left:
@@ -137,7 +130,7 @@ def main() -> int:
     if left:
         return 1
     print(
-        f"median of {args.spawns} sequential spawns, ms; "
+        f"median of {SPAWNS} sequential spawns, ms; "
         f"Python {platform.python_version()} on {platform.machine()}, {os.cpu_count()} CPUs"
     )
     for src, table in times.items():
