@@ -2,11 +2,12 @@
 
 `compute`, `eigen` and `mu` refuse work above two caps, `MAX_DIMENSION`
 and `MAX_ROW`, before they build any count or eigenvector.  `verify` runs
-the suites of `adamsops.suites`; the suite table `_SUITES` here gives each
-suite its default, least and largest `--max-rank`/`--max-l`.  Below the
-least values a check would sweep nothing, and above the largest (work caps)
-a sweep grows without practical bound, so `verify` rejects both before any
-check runs.  The groups of `--group` come from the family table,
+the suites of `adamsops.suites`, which own their defaults; the suite table
+`_SUITES` here gives only each suite's least and largest
+`--max-rank`/`--max-l`.  Below the least values a check would sweep
+nothing, and above the largest (work caps) a sweep grows without practical
+bound, so `verify` rejects both before any check runs, and passes a suite
+only the flags given.  The groups of `--group` come from the family table,
 `ktheory.FAMILY_TABLE`.
 
 Each command pays for its imports at start-up, so importing this module
@@ -27,7 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 from math import lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .counts import mu_closed, mu_enumerate
 from .ktheory import (
@@ -192,36 +193,26 @@ def cmd_mu(args: argparse.Namespace) -> int:
     return 0
 
 
-# name: (suite called as f(suites, max_rank, max_l), defaults of --max-rank
-# and --max-l, least and largest --max-rank and --max-l).  Below the least
-# values some check of the suite would sweep nothing and pass.  The largest
-# values are work caps: with both flags at their caps, counts takes 2.8 s,
-# matrices 5.1 s, eigen 2.4 s and oracle 2.8 s, and past them the cost climbs
-# fast (counts 14/12 4.2 s and 20/16 32 s, matrices 30/6 9.0 s and 40/5 16 s,
-# eigen 40/50 5.8 s, oracle 7/4 5.2 s and 6/8 26 s; in process, 2-vCPU Xeon
-# VM, Python 3.11.7).  The lambdas take the `suites` module, which only
-# `verify` imports, and look the suite functions up in it when called, so a
-# wrapped or replaced suite is the one run.
-_SUITES: dict[str, tuple[Callable[..., list], tuple, tuple, tuple]] = {
-    "counts": (lambda s, r, l: s.counts_suite(r, l), (8, 6), (1, 1), (12, 12)),
-    "matrices": (lambda s, r, l: s.matrices_suite(r, l), (5, 4), (1, 1), (30, 5)),
-    # --max-l sweeps l = 2..max-l in place of the default levels 2, 3, 5
-    "eigen": (
-        lambda s, r, l: s.eigen_suite(r) if l is None else s.eigen_suite(r, range(2, l + 1)),
-        (8, None),
-        (1, 2),
-        (30, 50),
-    ),
-    "oracle": (lambda s, r, l: s.oracle_suite(r, l), (5, 4), (2, 1), (6, 5)),
+# name: least and largest (--max-rank, --max-l).  Each suite's defaults are
+# its own, in `suites`.  Below the least values some check of the suite would
+# sweep nothing and pass.  The largest values are work caps: with both flags
+# at their caps, counts takes 2.8 s, matrices 5.1 s, eigen 2.4 s and oracle
+# 2.8 s, and past them the cost climbs fast (counts 14/12 4.2 s and 20/16
+# 32 s, matrices 30/6 9.0 s and 40/5 16 s, eigen 40/50 5.8 s, oracle 7/4
+# 5.2 s and 6/8 26 s; in process, 2-vCPU Xeon VM, Python 3.11.7).
+_SUITES: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
+    "counts": ((1, 1), (12, 12)),
+    "matrices": ((1, 1), (30, 5)),
+    "eigen": ((1, 2), (30, 50)),
+    "oracle": ((2, 1), (6, 5)),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    given = (args.max_rank, args.max_l)
+    flags = {"--max-rank": args.max_rank, "--max-l": args.max_l}
     for name in names:
-        _, _, least, most = _SUITES[name]
-        for flag, value, low, high in zip(("--max-rank", "--max-l"), given, least, most):
+        for (flag, value), low, high in zip(flags.items(), *_SUITES[name]):
             if value is not None and value < low:
                 raise ValueError(f"{flag} must be at least {low} for the {name} suite, got {value}")
             if value is not None and value > high:
@@ -230,10 +221,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 )
     from . import suites
 
+    # only the flags given: a suite sweeps its own default for the others.
+    # The suite is looked up when called, so a wrapped suite is the one run.
+    given = {"max_rank": args.max_rank, "max_l": args.max_l}
+    given = {key: value for key, value in given.items() if value is not None}
     all_results = []
     for name in names:
-        suite, defaults, _, _ = _SUITES[name]
-        all_results += suite(suites, *(d if v is None else v for v, d in zip(given, defaults)))
+        all_results += getattr(suites, f"{name}_suite")(**given)
     for r in all_results:
         status = "PASS" if r.ok else "FAIL"
         print(f"{status}  {r.name}  [{r.detail}]")

@@ -300,21 +300,13 @@ def _signs(f: int, k: int, size: int) -> list[int]:
 
 
 def _unitary_closed(group: GroupSpec, l: int) -> AdamsMatrix:
-    """U(n): the image of the degree-k wedge class has p-th coordinate
-    (-1)^(k+p) * l * mu(n, l, k, p)."""
-    n = group.n
+    """U(n) and SU(n): the image of the degree-k wedge class has p-th
+    coordinate (-1)^(k+p) * l * mu(n, l, k, p), over the family's wedges
+    1..w: w = n for U(n), and n-1 for SU(n), whose top-wedge row and column
+    drop out (the class of the determinant representation vanishes)."""
+    n, w = group.n, FAMILY_TABLE[group.family].wedges(group.n)
     table = count_table(n, l)
-    cols = [list(map(mul, table[k], _signs(l, k, n + 1)))[1:] for k in range(1, n + 1)]
-    return _finalize(group, l, cols, "closed form")
-
-
-def _special_unitary_closed(group: GroupSpec, l: int) -> AdamsMatrix:
-    """SU(n): the unitary formula on the wedges 1..n-1 only, its top-wedge
-    row and column dropped (the class of the determinant representation
-    vanishes)."""
-    n = group.n
-    table = count_table(n, l)
-    cols = [list(map(mul, table[k][:n], _signs(l, k, n)))[1:] for k in range(1, n)]
+    cols = [list(map(mul, table[k][: w + 1], _signs(l, k, w + 1)))[1:] for k in range(1, w + 1)]
     return _finalize(group, l, cols, "closed form")
 
 
@@ -634,7 +626,7 @@ FAMILY_TABLE: dict[str, Family] = {
         ),
         Family(
             "SU", "SU({n})", 2, dimension=lambda n: n, wedges=lambda n: n - 1,
-            exponents=lambda n: tuple(range(1, n)), closed="_special_unitary_closed",
+            exponents=lambda n: tuple(range(1, n)), closed="_unitary_closed",
         ),
         Family(
             "Sp", "Sp({n})", 1, dimension=lambda n: 2 * n, wedges=lambda n: n,

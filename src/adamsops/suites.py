@@ -3,9 +3,12 @@
 Each suite is a list of checks, one row per property: its name, a lazy
 search for counterexamples, and the domain it sweeps; one loop
 (`_run_checks`) runs the rows.  The groups of the matrix sweeps come from
-the family table, `ktheory.FAMILY_TABLE`.  The command line imports this
-module only for `verify`, and the eigen and oracle suites import `eigen`,
-`series` and `symoracle` only when they run.
+the family table, `ktheory.FAMILY_TABLE`.  Every suite takes `(max_rank,
+max_l)` with its own defaults, which `verify` uses for a flag left out.
+These are the one implementation of each sweep: the acceptance gate,
+`tests/test_acceptance.py`, runs them and pins each row's swept domain.
+The command line imports this module only for `verify`, and the eigen and
+oracle suites import `eigen`, `series` and `symoracle` only when they run.
 """
 
 from __future__ import annotations
@@ -108,12 +111,12 @@ def _matrix_groups(max_rank: int, reducible_only: bool = False) -> list[GroupSpe
     ]
 
 
-def _build_all(groups: Iterable[GroupSpec], ls: range, cross_check: bool) -> Iterator[str]:
-    """Build every matrix and yield nothing: `adams_matrix` raises
-    ConsistencyError on a failure, which `_run_checks` reports."""
+def _cross_check_all(groups: Iterable[GroupSpec], ls: range) -> Iterator[str]:
+    """Build every matrix by both routes and yield nothing: `adams_matrix`
+    raises ConsistencyError where they disagree, which `_run_checks` reports."""
     for group in groups:
         for l in ls:
-            adams_matrix(group, l, cross_check=cross_check)
+            adams_matrix(group, l, cross_check=True)
     yield from ()
 
 
@@ -123,7 +126,7 @@ def matrices_suite(max_rank: int = 5, max_l: int = 4) -> list[CheckResult]:
     return _run_checks([
         (
             "matrix: closed forms equal the functoriality pipeline",
-            _build_all(_matrix_groups(max_rank, reducible_only=True), ls, cross_check=True),
+            _cross_check_all(_matrix_groups(max_rank, reducible_only=True), ls),
             f"{piped}, rank<={max_rank}, l<={max_l}",
         ),
         (
@@ -148,15 +151,23 @@ def matrices_suite(max_rank: int = 5, max_l: int = 4) -> list[CheckResult]:
             f"all families, rank<={max_rank}",
         ),
         (
-            # re-assembly raises ConsistencyError on any fractional entry
+            # a plain int: an entry that only equals one, such as Fraction(2), fails
             "matrix: every entry is an integer",
-            _build_all(groups, ls, cross_check=False),
+            (
+                f"{group}, l={l}"
+                for group in groups for l in ls
+                if any(
+                    type(e) is not int
+                    for row in adams_matrix(group, l, cross_check=False).entries for e in row
+                )
+            ),
             f"all families, rank<={max_rank}, l<={max_l}",
         ),
     ])
 
 
-def eigen_suite(max_rank: int = 8, levels: Iterable[int] = (2, 3, 5)) -> list[CheckResult]:
+def eigen_suite(max_rank: int = 8, max_l: int | None = None) -> list[CheckResult]:
+    """The eigen checks at l = 2, 3, 5, or at l = 2..max_l if max_l is given."""
     from .eigen import (
         eigenbasis_determinant,
         sinh_pow_coeff_poly,
@@ -165,7 +176,7 @@ def eigen_suite(max_rank: int = 8, levels: Iterable[int] = (2, 3, 5)) -> list[Ch
     )
     from .series import t_over_sinh_pow
 
-    levels = tuple(levels)
+    levels = (2, 3, 5) if max_l is None else tuple(range(2, max_l + 1))
     ranks, small = range(1, max_rank + 1), min(max_rank, 6)
 
     def recurrence_vs_series() -> Iterator[str]:

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import subprocess
@@ -273,21 +274,25 @@ SUITE_FUNCTIONS = ("counts_suite", "matrices_suite", "eigen_suite", "oracle_suit
 @pytest.mark.parametrize("suite", ["counts", "matrices", "eigen", "oracle"])
 @pytest.mark.parametrize("flag", ["--max-rank", "--max-l"])
 def test_verify_refuses_work_above_a_cap(capsys, monkeypatch, suite, flag):
-    cap = cli._SUITES[suite][3][flag == "--max-l"]
+    cap = cli._SUITES[suite][1][flag == "--max-l"]
     for name in SUITE_FUNCTIONS:
-        monkeypatch.setattr(suites, name, lambda *a: pytest.fail("a check ran"))
+        monkeypatch.setattr(suites, name, lambda **given: pytest.fail("a check ran"))
     code, out, err = run(capsys, "verify", "--suite", suite, flag, str(cap + 1))
     assert (code, out) == (2, "")
     assert err == f"error: {flag} is {cap + 1}, above the work cap {cap} of the {suite} suite\n"
-    # the cap itself is admitted
+    # the cap itself is admitted, and the suite gets only the flag given
+    calls = []
     for name in SUITE_FUNCTIONS:
-        monkeypatch.setattr(suites, name, lambda *a: [])
+        monkeypatch.setattr(suites, name, lambda **given: calls.append(given) or [])
     code, out, _ = run(capsys, "verify", "--suite", suite, flag, str(cap))
     assert (code, out) == (0, "0/0 checks passed\n")
+    assert calls == [{flag[2:].replace("-", "_"): cap}]
 
 
 def test_verify_caps_admit_every_default_sweep():
-    for suite, (_, defaults, least, most) in cli._SUITES.items():
+    for suite, (least, most) in cli._SUITES.items():
+        parameters = inspect.signature(getattr(suites, f"{suite}_suite")).parameters
+        defaults = (parameters["max_rank"].default, parameters["max_l"].default)
         for default, low, high in zip(defaults, least, most):
             assert default is None or low <= default <= high, suite
 

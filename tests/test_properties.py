@@ -231,8 +231,8 @@ def _argv(draw):
         return ["mu", n, l, k, p, *draw(st.sampled_from([[], ["--check"]]))]
     suite = draw(st.sampled_from(["all", *cli._SUITES, "nope"]))
     rows = cli._SUITES.values() if suite not in cli._SUITES else [cli._SUITES[suite]]
-    rank_caps = [str(most[0] + 1) for _, _, _, most in rows]
-    l_caps = [str(most[1] + 1) for _, _, _, most in rows]
+    rank_caps = [str(most[0] + 1) for _, most in rows]
+    l_caps = [str(most[1] + 1) for _, most in rows]
     # both flags are always given, so no suite runs its default sweep
     return [
         "verify", "--suite", suite,

@@ -1,0 +1,105 @@
+"""The `verify` suites catch what they check: every row fails, with a
+counterexample in place of its swept domain, when the one function it
+checks is made wrong.  The acceptance gate runs these rows, so a row that
+could not fail would leave its criterion checking nothing."""
+
+from fractions import Fraction
+
+import pytest
+
+import adamsops.eigen as eigen
+import adamsops.ktheory as ktheory
+import adamsops.suites as suites
+import adamsops.symoracle as symoracle
+from adamsops.eigen import SpectrumReport
+from adamsops.ktheory import AdamsMatrix
+from adamsops.symoracle import SymPoly
+
+# small sweeps: each suite's arguments
+SUITE_ARGS = {"counts": (3, 2), "matrices": (3, 2), "eigen": (2, 3), "oracle": (2, 2)}
+
+
+def _leak_a_fraction(closed):
+    """The closed route with its top-left entry an equal Fraction."""
+    def leaky(group, l):
+        (first, *rest) = closed(group, l).entries
+        return AdamsMatrix(group, l, ((Fraction(first[0]), *first[1:]), *rest))
+    return leaky
+
+
+def _off_by_one(f):
+    return lambda *a: f(*a) + 1
+
+
+def _changed_pipeline(f):
+    def pipeline(group, l):
+        mat = f(group, l)
+        return AdamsMatrix(group, l, tuple(tuple(e + 1 for e in row) for row in mat.entries))
+    return pipeline
+
+
+def _doubled(f):
+    """Twice each coefficient: still symmetric, but not the counts at 1."""
+    return lambda n, l, k: tuple(2 * poly for poly in f(n, l, k))
+
+
+def _first_variable(f):
+    """Coefficients x_1, ..., which no permutation of the variables fixes."""
+    return lambda n, l, k: tuple(SymPoly.monomial(n, (1,) + (0,) * (n - 1)) for _ in range(n))
+
+
+# (suite, row from 1, where the checked function lives, its name, the wrong
+# stand-in made from it)
+BREAKS = [
+    ("counts", 1, suites, "mu_enumerate", _off_by_one),
+    ("counts", 2, suites, "mu_closed", lambda f: lambda n, l, k, p: f(n, l, k, p) + k),
+    ("counts", 3, suites, "mu_closed", _off_by_one),
+    ("counts", 4, suites, "binomial", _off_by_one),
+    ("counts", 5, suites, "beta", _off_by_one),
+    ("matrices", 1, ktheory, "pullback_adams_matrix", _changed_pipeline),
+    ("matrices", 2, AdamsMatrix, "compose", lambda f: lambda self, other: self),
+    ("matrices", 3, AdamsMatrix, "is_identity", lambda f: lambda self: False),
+    ("matrices", 4, ktheory, "_unitary_closed", _leak_a_fraction),
+    ("eigen", 1, eigen, "verify_eigen_relation", lambda f: lambda n, l: ((0, False),)),
+    ("eigen", 2, eigen, "eigenbasis_determinant", lambda f: lambda n: 0),
+    ("eigen", 3, eigen, "sinh_pow_coeff_poly", lambda f: lambda j: f(j + 1)),
+    (
+        "eigen", 4, eigen, "spectrum_check",
+        lambda f: lambda group, l: SpectrumReport(group, l, False, (), (1, 0), (1, -1)),
+    ),
+    ("oracle", 1, symoracle, "adams_symbolic_coefficients", _doubled),
+    ("oracle", 2, symoracle, "verify_product_identity", lambda f: lambda *a: (False, "forced")),
+    ("oracle", 3, symoracle, "complete_by_recursion", lambda f: lambda n, c: f(n, c + 1)),
+    ("oracle", 4, symoracle, "adams_symbolic_coefficients", _first_variable),
+]
+
+
+def _run(suite):
+    return getattr(suites, f"{suite}_suite")(*SUITE_ARGS[suite])
+
+
+def test_the_breaks_cover_every_row():
+    rows = [(suite, row) for suite in SUITE_ARGS for row in range(1, len(_run(suite)) + 1)]
+    assert [(suite, row) for suite, row, *_ in BREAKS] == rows
+    assert len(rows) == 17
+
+
+@pytest.mark.parametrize(
+    "suite, row, owner, name, wrong", BREAKS, ids=[f"{b[0]}-{b[1]}" for b in BREAKS]
+)
+def test_every_suite_row_can_fail(monkeypatch, suite, row, owner, name, wrong):
+    passed = _run(suite)[row - 1]
+    assert passed.ok
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+    failed = _run(suite)[row - 1]
+    assert failed.name == passed.name
+    assert not failed.ok
+    assert failed.detail != passed.detail
+
+
+def test_the_integer_row_catches_an_entry_that_only_equals_an_integer(monkeypatch):
+    # Fraction(2) == 2, so building the matrix raises nothing
+    monkeypatch.setattr(ktheory, "_unitary_closed", _leak_a_fraction(ktheory._unitary_closed))
+    row = suites.matrices_suite(3, 2)[3]
+    assert (row.name, row.ok) == ("matrix: every entry is an integer", False)
+    assert row.detail == "U(1), l=1"
