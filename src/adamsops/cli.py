@@ -55,12 +55,13 @@ __all__ = ["MAX_DIMENSION", "MAX_ROW", "main"]
 # `eigen`): the row grows like m*l and the block like m^2.  Plain `mu` sums
 # at most m + 1 binomials of the same size; `eigen` builds m vectors of m
 # rationals, and with --l --format json the matrix of U(m).  At the corners,
-# `compute --group U --format csv` takes 3.8 s and 110 MB peak RSS at rank
-# 256, l = 1024, 1.8 s and 62 MB at rank 256, l = 64, and 0.8 s and 48 MB at
-# rank 128, l = 2048; `eigen --rank 256` takes 2.4 s and 97 MB, as much with
-# --l 1024 in csv or pretty, and about 3 s and 178 MB with --l 1024
-# --format json, which is written to stdout as it is encoded (2-vCPU Xeon
-# VM, Python 3.11.7).
+# `compute --group U` at rank 256, l = 1024 takes 2.7 s in csv, 1.4 s in
+# pretty and 1.3 s in json, each at 105 MB peak RSS, and in csv 1.2 s and
+# 67 MB at rank 256, l = 64 and 0.7 s and 67 MB at rank 128, l = 2048 (child
+# wall time and ru_maxrss, medians of 3-5 runs); `eigen --rank 256` takes
+# 2.4 s and 97 MB, as much with --l 1024 in csv or pretty, and about 3 s and
+# 178 MB with --l 1024 --format json, which is written to stdout as it is
+# encoded (2-vCPU Xeon VM, Python 3.11.7).
 # Under the caps an entry has at most about 800 digits.
 MAX_DIMENSION = 256
 MAX_ROW = 2**18
@@ -90,26 +91,23 @@ def _group_from_args(family: str, rank: int | None) -> GroupSpec:
     return GroupSpec(family, rank)
 
 
-def _matrix_document(mat: AdamsMatrix) -> dict:
-    return {
-        "group": mat.group.family,
-        "rank": mat.group.n,
-        "l": mat.l,
-        "basis": [b.label for b in mat.basis],
-        "matrix": [[str(e) for e in row] for row in mat.entries],
-    }
+def _rendered(mat: AdamsMatrix) -> list[list[str]]:
+    """The matrix entries as text, each converted once for every format."""
+    return [list(map(str, row)) for row in mat.entries]
 
 
-def _pretty_matrix_lines(mat: AdamsMatrix) -> Iterator[str]:
-    labels = [b.label for b in mat.basis]
-    width = max(
-        max((len(str(e)) for row in mat.entries for e in row), default=1),
-        max(len(s) for s in labels),
-    )
-    yield f"psi^{mat.l} on {mat.group}  (columns are images of basis elements)"
+def _matrix_document(group: GroupSpec, l: int, labels: list[str], rows: list[list[str]]) -> dict:
+    return {"group": group.family, "rank": group.n, "l": l, "basis": labels, "matrix": rows}
+
+
+def _pretty_matrix_lines(
+    group: GroupSpec, l: int, labels: list[str], rows: list[list[str]]
+) -> Iterator[str]:
+    width = max(max((len(e) for row in rows for e in row), default=1), max(map(len, labels)))
+    yield f"psi^{l} on {group}  (columns are images of basis elements)"
     yield " " * (width + 2) + "  ".join(s.rjust(width) for s in labels)
-    for label, row in zip(labels, mat.entries):
-        cells = "  ".join(str(e).rjust(width) for e in row)
+    for label, row in zip(labels, rows):
+        cells = "  ".join(e.rjust(width) for e in row)
         yield f"{label.rjust(width)}  {cells}"
 
 
@@ -139,9 +137,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
     m = defining_dimension(group)
     _require_within_caps(f"{group} at l={args.l}", "defining dimension", m, args.l)
     mat = adams_matrix(group, args.l)
-    rows = ([str(e) for e in row] for row in mat.entries)
     labels = [b.label for b in mat.basis]
-    _write(args.format, _matrix_document(mat), labels, rows, _pretty_matrix_lines(mat))
+    rows = _rendered(mat)
+    doc = _matrix_document(group, args.l, labels, rows)
+    _write(args.format, doc, labels, rows, _pretty_matrix_lines(group, args.l, labels, rows))
     return 0
 
 
@@ -167,7 +166,10 @@ def cmd_eigen(args: argparse.Namespace) -> int:
         f"l^{v.eigenvalue_exponent}" if args.l is None else str(args.l**v.eigenvalue_exponent)
         for v in vectors
     ]
-    doc = _matrix_document(mat) if mat else {"group": "U", "rank": args.rank, "basis": labels}
+    if mat:
+        doc = _matrix_document(group, args.l, labels, _rendered(mat))
+    else:
+        doc = {"group": "U", "rank": args.rank, "basis": labels}
     doc["eigen"] = {"levels": [v.k for v in vectors], "eigenvalues": eigenvalues, "vectors": coords}
     rows = [[v.k, value, *row] for v, value, row in zip(vectors, eigenvalues, coords)]
     pretty = [f"eigenvectors of the Adams operations on U({args.rank})"] + [

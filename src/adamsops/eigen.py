@@ -418,19 +418,16 @@ _Run = list[tuple[int, tuple[int, ...]]]
 def _runs(vb: Eigenbasis, norm: int, l: int) -> Iterator[tuple[int, _Run]]:
     """The columns of V, in order, as runs (K, [(l^e, w), ...]) to pack
     with digit width K, where 2^(K-1) > (||M|| + l^e) max|w| for every
-    column of the run and ||M|| = norm.  Each column is a run of its own
-    where ||M|| >= 2^256; otherwise a run takes columns while K times their
-    number stays within 2048 bits."""
-    columns = zip(vb.eigenvalue_exponents, vb.columns, vb.heights)
-    if norm.bit_length() > _PACK_NORM_BITS:
-        yield from ((0, [(l**e, col)]) for e, col, _ in columns)
-        return
+    column of the run and ||M|| = norm.  A run takes columns while K times
+    their number stays within 2048 bits where ||M|| < 2^256, and only one
+    column where ||M|| >= 2^256."""
+    budget = _PACK_BITS if norm.bit_length() <= _PACK_NORM_BITS else 0
     run: _Run = []
     width = 0
-    for e, col, height in columns:
+    for e, col, height in zip(vb.eigenvalue_exponents, vb.columns, vb.heights):
         value = l**e
         bits = ((norm + value) * height).bit_length() + 1
-        if run and (len(run) + 1) * max(width, bits) > _PACK_BITS:
+        if run and (len(run) + 1) * max(width, bits) > budget:
             yield width, run
             run, width = [], 0
         run.append((value, col))

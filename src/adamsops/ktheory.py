@@ -67,8 +67,8 @@ __all__ = [
     "adams_matrix",
 ]
 
-# Groups kept by the `basis` and `_restriction` caches.  A sweep over every
-# family at ranks up to 40 touches about 200 groups.
+# Groups kept by the `_restriction` cache.  A sweep over every family at
+# ranks up to 40 touches about 200 groups.
 _GROUP_CACHE_SIZE = 256
 
 
@@ -187,7 +187,6 @@ def defining_dimension(group: GroupSpec) -> int:
     return FAMILY_TABLE[group.family].dimension(group.n)
 
 
-@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def basis(group: GroupSpec) -> tuple[BasisElement, ...]:
     """The fixed, ordered basis of primitive generators for the group."""
     family = FAMILY_TABLE[group.family]

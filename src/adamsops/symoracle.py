@@ -44,9 +44,9 @@ Exponents = Tuple[int, ...]
 Table = Dict[Exponents, int]
 
 # Entries kept by each oracle cache.  `adamsops verify --suite oracle` at its
-# defaults leaves 60 coefficient tables, 53 runs of complete-polynomial tables
-# and 45 complete polynomials, 1.2 MB in all (tracemalloc); the largest run,
-# h_0 .. h_19 in five variables, holds 933 partitions in 34 KB.
+# defaults leaves 60 coefficient tables and 53 runs of complete-polynomial
+# tables, 0.45 MB in all (tracemalloc, freed by clearing both caches); the
+# largest run, h_0 .. h_19 in five variables, holds 933 partitions in 34 KB.
 _TABLE_CACHE_SIZE = 256
 
 
@@ -239,8 +239,6 @@ def _expand(n: int, table: Table) -> SymPoly:
     return SymPoly(n, terms)
 
 
-# typed, so that True misses the entry of 1 and is rejected
-@lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
 def complete_by_recursion(n: int, k: int) -> SymPoly:
     """h_k computed from the elementary polynomials by the triangular
     recursion h_{i+1} = s_1 h_i - s_2 h_{i-1} + ... + (-1)^i s_{i+1},

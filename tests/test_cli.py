@@ -11,9 +11,10 @@ import pytest
 
 import adamsops.cli as cli
 import adamsops.eigen as eigen
+import adamsops.ktheory as ktheory
 import adamsops.suites as suites
 from adamsops.cli import MAX_DIMENSION, MAX_ROW, main
-from adamsops.ktheory import ConsistencyError, GroupSpec, adams_matrix
+from adamsops.ktheory import AdamsMatrix, ConsistencyError, GroupSpec, adams_matrix, basis
 
 
 def run(capsys, *argv):
@@ -92,6 +93,45 @@ def test_compute_internal_failure_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "compute", "--group", "U", "--rank", "2", "--l", "2")
     assert code == 3
     assert "forced disagreement" in err
+
+
+class _CountedInt(int):
+    rendered = 0
+
+    def __str__(self):
+        _CountedInt.rendered += 1
+        return super().__str__()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_compute_renders_each_entry_once(capsys, monkeypatch, fmt):
+    argv = ["compute", "--group", "SpinOdd", "--rank", "3", "--l", "5", "--format", fmt]
+    expected = run(capsys, *argv)
+    mat = adams_matrix(GroupSpec("SpinOdd", 3), 5)
+    counted = tuple(tuple(map(_CountedInt, row)) for row in mat.entries)
+    monkeypatch.setattr(cli, "adams_matrix", lambda group, l: AdamsMatrix(group, l, counted))
+    monkeypatch.setattr(_CountedInt, "rendered", 0)
+    assert run(capsys, *argv) == expected
+    assert _CountedInt.rendered == mat.dim**2
+
+
+@pytest.mark.parametrize("argv", [
+    *(["compute", "--group", "Sp", "--rank", "3", "--l", "2", "--format", fmt]
+      for fmt in ("json", "csv", "pretty")),
+    ["eigen", "--rank", "4", "--l", "3", "--format", "json"],
+], ids=["compute-json", "compute-csv", "compute-pretty", "eigen-json"])
+def test_a_command_reads_the_basis_once(capsys, monkeypatch, argv):
+    calls = []
+
+    def counted(group):
+        calls.append(group)
+        return basis(group)
+
+    for module in (ktheory, cli):
+        monkeypatch.setattr(module, "basis", counted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert len(calls) == 1
 
 
 def test_eigen_symbolic_eigenvalues(capsys):

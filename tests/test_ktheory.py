@@ -277,7 +277,7 @@ def test_restriction_has_one_cache(fresh_restriction):
         name for name, f in vars(ktheory).items()
         if hasattr(f, "cache_clear") and f.__module__ == ktheory.__name__
     }
-    assert caches == {"basis", "_restriction"}
+    assert caches == {"_restriction"}
     assert ktheory._restriction.cache_info().currsize == 0
 
 
@@ -509,9 +509,8 @@ def test_consistency_error_fields_default_to_empty():
 
 
 def test_group_caches_are_bounded():
-    for cache in (basis, ktheory._restriction):
-        maxsize = cache.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
+    maxsize = ktheory._restriction.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
 
 
 def test_family_table_covers_every_family(monkeypatch):

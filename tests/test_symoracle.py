@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from adamsops import symoracle
 from adamsops.counts import mu_closed
 from adamsops.symoracle import (
     SymPoly,
@@ -65,7 +66,7 @@ def test_elementary_and_complete_small():
 def test_complete_recursion_needs_no_deep_stack():
     # the cache is filled bottom-up, so a stack only 50 frames deeper than
     # the caller's is enough for any degree
-    complete_by_recursion.cache_clear()
+    symoracle._complete_tables.cache_clear()
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 50)
     try:
