@@ -14,8 +14,10 @@ Each command pays for its imports at start-up, so importing this module
 loads only what `compute` and `mu` run: the counts, the integer matrix
 assembly and argparse.  The rest loads on first use: `suites` for
 `verify`, `eigen` and `series` for `eigen` and the eigen suite,
-`symoracle` for the oracle suite, `json` or `csv` for the one output format
-written, and `fractions` only where a `Fraction` is built (`eigen`).
+`symoracle` for the oracle suite, `json` for json output, and `fractions`
+only where a `Fraction` is built (`eigen`).  csv and pretty output are
+plain lines; a csv line is its fields joined by commas and ended by CR LF,
+the bytes of `csv.writer`, as no field holds a comma, a quote or a line break.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 a verification property failed, 2 invalid arguments, 3 an internal
@@ -55,10 +57,10 @@ __all__ = ["MAX_DIMENSION", "MAX_ROW", "main"]
 # `eigen`): the row grows like m*l and the block like m^2.  Plain `mu` sums
 # at most m + 1 binomials of the same size; `eigen` builds m vectors of m
 # rationals, and with --l --format json the matrix of U(m).  At the corners,
-# `compute --group U` at rank 256, l = 1024 takes 2.7 s in csv, 1.4 s in
-# pretty and 1.3 s in json, each at 105 MB peak RSS, and in csv 1.2 s and
-# 67 MB at rank 256, l = 64 and 0.7 s and 67 MB at rank 128, l = 2048 (child
-# wall time and ru_maxrss, medians of 3-5 runs); `eigen --rank 256` takes
+# `compute --group U` at rank 256, l = 1024 takes 1.4 s in csv, 1.3 s in
+# pretty and 1.6 s in json, each at 105 MB peak RSS, and in csv 0.5 s and
+# 58 MB at rank 256, l = 64 and 0.5 s and 44 MB at rank 128, l = 2048 (child
+# wall time and ru_maxrss, medians of 5 runs); `eigen --rank 256` takes
 # 2.4 s and 97 MB, as much with --l 1024 in csv or pretty, and about 3 s and
 # 178 MB with --l 1024 --format json, which is written to stdout as it is
 # encoded (2-vCPU Xeon VM, Python 3.11.7).
@@ -111,25 +113,18 @@ def _pretty_matrix_lines(
         yield f"{label.rjust(width)}  {cells}"
 
 
-def _write(
-    fmt: str, doc: dict, header: list[str], rows: Iterable[list], pretty_lines: Iterable[str]
-) -> None:
-    """Print one result as `fmt`: the json document, the csv header and rows,
-    or the pretty lines."""
+def _write(fmt: str, doc: dict, table: Iterable[list], pretty_lines: Iterable[str]) -> None:
+    """Print one result as `fmt`: the json document, the csv table (its
+    header row first) or the pretty lines."""
     if fmt == "json":
         import json
 
         json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write("\n")
     elif fmt == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
+        sys.stdout.writelines(",".join(map(str, row)) + "\r\n" for row in table)
     else:
-        for line in pretty_lines:
-            print(line)
+        sys.stdout.writelines(line + "\n" for line in pretty_lines)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -140,7 +135,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     labels = [b.label for b in mat.basis]
     rows = _rendered(mat)
     doc = _matrix_document(group, args.l, labels, rows)
-    _write(args.format, doc, labels, rows, _pretty_matrix_lines(group, args.l, labels, rows))
+    _write(args.format, doc, [labels, *rows], _pretty_matrix_lines(group, args.l, labels, rows))
     return 0
 
 
@@ -175,7 +170,7 @@ def cmd_eigen(args: argparse.Namespace) -> int:
     pretty = [f"eigenvectors of the Adams operations on U({args.rank})"] + [
         f"  level {k}  eigenvalue {value}  ({', '.join(row)})" for k, value, *row in rows
     ]
-    _write(args.format, doc, ["level", "eigenvalue", *labels], rows, pretty)
+    _write(args.format, doc, [["level", "eigenvalue", *labels], *rows], pretty)
     return 0
 
 

@@ -10,11 +10,11 @@ alpha and beta.
 There are two independent routes to the counts:
 
 * the production route, `count_table`: the block mu(n, l, k, p),
-  0 <= k, p <= n, kept in a bounded cache.  Up to l = n(n+1) it is read off
-  one coefficient row of (1 + x + ... + x^(l-1))^n; above that, where the
-  row would be long and the block small, it is extrapolated in l from the
-  blocks at l = n+1..2n.  The matrix assembly in `ktheory`, `mu_enumerate`,
-  `alpha` and `beta` read it.
+  0 <= k, p <= n, kept in a bounded cache.  Up to l = n(n+1)*max(2, n // 8)
+  it is read off one coefficient row of (1 + x + ... + x^(l-1))^n; above
+  that, where the row would be long and the block small, it is extrapolated
+  in l from the blocks at l = n+1..2n.  The matrix assembly in `ktheory`,
+  `mu_enumerate`, `alpha` and `beta` read it.
 * the oracle, `mu_closed`: an inclusion-exclusion sum over binomials,
   which the test suite and `adamsops mu --check` compare the table with.
 
@@ -98,19 +98,22 @@ def _count_row(n: int, l: int) -> list[int]:
 def count_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     """The block T[k][p] = mu(n, l, k, p) for 0 <= k, p <= n.
 
-    Up to l = n(n+1), row k reads the count row backwards from degree l*k
-    down to l*k - n; the row, of n*(l-1) + 1 entries, is dropped once the
-    block is read.  For l >= n+1 the inclusion-exclusion terms that are
-    active do not depend on l, so every entry is a polynomial in l of
-    degree < n, fixed by its values at l = n+1..2n.  Above l = n(n+1),
-    where building the row costs more, Newton's forward differences over
-    those n blocks give the block in integers.  The two routes take equal
-    time between l = n(n+1) and 2n(n+1) (timeit, n = 2..16), and the bound
-    n(n+1) keeps the n blocks the extrapolation starts from on the row route.
+    Up to the switch l = n(n+1)*max(2, n // 8), row k reads the count row
+    backwards from degree l*k down to l*k - n; the row, of n*(l-1) + 1
+    entries, is dropped once the block is read.  For l >= n+1 the
+    inclusion-exclusion terms that are active do not depend on l, so every
+    entry is a polynomial in l of degree < n, fixed by its values at
+    l = n+1..2n.  Above the switch, which is at least 2n, Newton's forward
+    differences over those n blocks give the block in integers.  The row
+    costs about n*l steps and the differences about n^4 at any l: timed
+    cold, best of 5, at n in {8, 16, 32, 48, 63, 128} and l in {1, 2, 4,
+    8}*n(n+1), the route the switch picks is never over 1.1x slower than
+    the other (at n = 128 the row was timed at l = n(n+1) only: 2.4 s,
+    against 33 s for the differences).
     """
     _validate(n, l)
     w = n + 1
-    if l <= n * w:
+    if l <= n * w * max(2, n // 8):
         ext = [0] * w + _count_row(n, l) + [0] * n  # degree s sits at s + w
         return tuple(tuple(ext[l * k + w : l * k : -1]) for k in range(w))
     level = [sum(count_table(n, n + 1 + i), ()) for i in range(n)]

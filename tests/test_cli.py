@@ -174,6 +174,20 @@ def test_eigen_csv(capsys):
     assert rows[2] == ["1", "3", "0", "2"]
 
 
+def test_no_basis_label_needs_csv_quoting():
+    # csv lines are plain comma joins, the bytes of csv.writer only while no
+    # field holds a comma, a quote or a line break; the other fields are
+    # numbers, fractions, l^e and fixed header words
+    labels = set()
+    for family, spec in ktheory.FAMILY_TABLE.items():
+        ranks = [spec.fixed_rank] if spec.fixed_rank else range(spec.min_rank, MAX_DIMENSION + 1)
+        for n in ranks:
+            if spec.dimension(n) <= MAX_DIMENSION:
+                labels.update(b.label for b in basis(GroupSpec(family, n)))
+    assert "d(L^256 s_256)" in labels
+    assert not [label for label in labels if set(label) & set(',"\r\n')]
+
+
 def test_eigen_invalid_rank(capsys):
     code, _, err = run(capsys, "eigen", "--rank", "0")
     assert code == 2

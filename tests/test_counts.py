@@ -5,6 +5,7 @@ from operator import sub
 
 import pytest
 
+from adamsops import counts
 from adamsops.counts import _count_row, alpha, beta, count_table, mu_closed, mu_enumerate
 from adamsops.exactmath import binomial
 
@@ -182,16 +183,21 @@ def test_table_whole_block_small():
             assert count_table(n, l) == expected, (n, l)
 
 
-def test_table_above_the_route_bound_matches_closed_form():
-    # Above l = n(n+1) the block is extrapolated in l from the blocks at
-    # l = n+1..2n rather than read off the count row.
-    for n in range(1, 13):
-        edge = n * (n + 1)
+def test_table_above_the_route_bound_matches_closed_form(monkeypatch):
+    # Above l = n(n+1)*max(2, n // 8) the block is extrapolated in l from the
+    # blocks at l = n+1..2n rather than read off the count row.
+    rows = []
+    monkeypatch.setattr(counts, "_count_row", lambda n, l: rows.append(l) or _count_row(n, l))
+    for n in (*range(1, 13), 16, 24):
+        edge = n * (n + 1) * max(2, n // 8)
         for l in (edge, edge + 1, edge + 2, 3 * edge + 1, 997):
             expected = tuple(
                 tuple(mu_closed(n, l, k, p) for p in range(n + 1)) for k in range(n + 1)
             )
+            count_table.cache_clear()
+            rows.clear()
             assert count_table(n, l) == expected, (n, l)
+            assert (l in rows) == (l <= edge), (n, l)
 
 
 def test_table_validation():

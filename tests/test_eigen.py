@@ -153,6 +153,11 @@ def test_eigen_rejects_non_int_arguments(bad):
         expected_char_poly(GroupSpec("U", 3), bad)
 
 
+def test_sinh_coefficient_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="coefficient index must be nonnegative, got -1"):
+        sinh_pow_coeff_poly(-1)
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_eigenbasis_determinant_rejects_a_nonpositive_rank(n):
     with pytest.raises(ValueError, match=f"rank must be positive, got n={n}"):

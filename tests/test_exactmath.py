@@ -183,6 +183,24 @@ def test_series_power():
     assert (s**0).coeffs == TruncSeries.one(6).coeffs
 
 
+def test_series_rejects_a_negative_order_or_exponent():
+    with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+        TruncSeries(-1)
+    with pytest.raises(ValueError, match="negative exponent -2"):
+        TruncSeries(3, [1, 1]) ** -2
+
+
+def test_series_equality_hash_and_repr():
+    s = TruncSeries(2, [1, Fraction(1, 2)])
+    assert s == TruncSeries(2, (1, Fraction(1, 2), 0))
+    assert hash(s) == hash(TruncSeries(2, (1, Fraction(1, 2), 0)))
+    assert s != TruncSeries(3, [1, Fraction(1, 2)])  # the same terms at another order
+    assert s != s.coeffs
+    assert repr(s) == (
+        "TruncSeries(order=2, coeffs=[Fraction(1, 1), Fraction(1, 2), Fraction(0, 1)])"
+    )
+
+
 # ---------------------------------------------------------------------------
 # (t / sinh t)^y
 
@@ -250,3 +268,11 @@ def test_unipoly_product_degree_and_eval():
         prod = a * b
         for point in (-2, -1, 0, 1, 3):
             assert prod(point) == a(point) * b(point)
+
+
+def test_unipoly_truth_hash_and_repr():
+    assert not UniPoly((0, 0))
+    assert UniPoly((0, 1))
+    assert hash(UniPoly((1, 2, 0))) == hash(UniPoly((1, 2)))
+    assert len({UniPoly((1, 2)), UniPoly((1, 2, 0)), UniPoly((2,))}) == 2
+    assert repr(UniPoly((1, Fraction(1, 2)))) == "UniPoly([Fraction(1, 1), Fraction(1, 2)])"

@@ -78,6 +78,18 @@ def test_apply_rejects_a_coordinate_that_is_not_exact(bad):
         mat.apply([Fraction(1, 3), bad, 0])
 
 
+def test_apply_rejects_a_vector_of_the_wrong_length():
+    mat = adams_matrix(GroupSpec("Sp", 3), 2)
+    with pytest.raises(ValueError, match="vector length 2 != matrix dimension 3"):
+        mat.apply([1, 0])
+
+
+@pytest.mark.parametrize("family", ["U", "SU"])
+def test_the_pipeline_refuses_the_unitary_families(family):
+    with pytest.raises(ValueError, match=r"applies to Sp, SpinOdd, SpinEven, G2; got S?U\(3\)"):
+        pullback_adams_matrix(GroupSpec(family, 3), 2)
+
+
 def test_rank_one_coincidences():
     # Sp(1), Spin(3) and SU(2) are the same group; all three give (l^2)
     for l in (2, 3, 5, 7):

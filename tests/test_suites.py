@@ -13,6 +13,7 @@ import adamsops.suites as suites
 import adamsops.symoracle as symoracle
 from adamsops.eigen import SpectrumReport
 from adamsops.ktheory import AdamsMatrix
+from adamsops.series import UniPoly
 from adamsops.symoracle import SymPoly
 
 # small sweeps: each suite's arguments
@@ -103,3 +104,26 @@ def test_the_integer_row_catches_an_entry_that_only_equals_an_integer(monkeypatc
     row = suites.matrices_suite(3, 2)[3]
     assert (row.name, row.ok) == ("matrix: every entry is an integer", False)
     assert row.detail == "U(1), l=1"
+
+
+def test_the_series_row_names_a_wrong_value(monkeypatch):
+    # one more than each coefficient polynomial: every degree stays right
+    real = eigen.sinh_pow_coeff_poly
+    monkeypatch.setattr(eigen, "sinh_pow_coeff_poly", lambda j: real(j) + UniPoly((1,)))
+    row = suites.eigen_suite(*SUITE_ARGS["eigen"])[2]
+    assert (row.name, row.ok) == ("eigen: recurrence matches the series expansion", False)
+    assert row.detail == "j=0, y=0"
+
+
+def test_the_symmetry_row_checks_the_cycle(monkeypatch):
+    # lambda_1 lambda_2 is fixed by swapping the first two variables, but at
+    # n = 3 not by the cycle
+    real = symoracle.adams_symbolic_coefficients
+
+    def pair(n, l, k):
+        return (SymPoly.monomial(3, (1, 1, 0)),) * 3 if n == 3 else real(n, l, k)
+
+    monkeypatch.setattr(symoracle, "adams_symbolic_coefficients", pair)
+    row = suites.oracle_suite(3, 1)[3]
+    assert row.name == "oracle: symbolic coefficients are symmetric in the variables"
+    assert (row.ok, row.detail) == (False, "n=3, l=1, k=1 (cycle)")

@@ -183,6 +183,19 @@ def test_product_identity_sweep():
             assert ok, detail
 
 
+def test_sympoly_repr():
+    assert repr(SymPoly.monomial(2, (1, 0), 3)) == "SymPoly(n=2, terms={(1, 0): 3})"
+
+
+def test_product_identity_reports_a_failing_product(monkeypatch):
+    # with every geometric factor 1, the left side is prod (1 - lambda_i^l)
+    # and the right side 1
+    monkeypatch.setattr(symoracle, "_geometric", lambda n, i, top: SymPoly.one(n))
+    assert verify_product_identity(2, 2, 4) == (
+        False, "product identity fails for n=2, l=2 through degree 4"
+    )
+
+
 def test_validation():
     with pytest.raises(ValueError):
         symmetric_basis(3, -1, "elementary")
@@ -192,6 +205,16 @@ def test_validation():
         adams_symbolic_coefficients(3, 2, 0)
     with pytest.raises(ValueError):
         adams_symbolic_coefficients(3, 0, 1)
+    with pytest.raises(ValueError, match="need at least one variable, got n=0"):
+        SymPoly(0)
+    with pytest.raises(ValueError, match="exponent must be positive, got 0"):
+        SymPoly.monomial(2, (1, 0)).substitute_power(0)
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+        complete_by_recursion(2, -1)
+    with pytest.raises(ValueError, match="need n, l >= 1, got n=2, l=0"):
+        bounded_composition_poly(2, 0, 1, 1)
+    with pytest.raises(ValueError, match="need n, l >= 1 and max_degree >= 0"):
+        verify_product_identity(2, 2, -1)
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, "2", None])
@@ -203,8 +226,6 @@ def test_symbolic_coefficients_reject_non_int_arguments(bad):
         adams_symbolic_coefficients(2, bad, 1)
     with pytest.raises(ValueError, match="wedge degree k must be an int"):
         adams_symbolic_coefficients(2, 2, bad)
-    # a cached call with 1 in place of True must not answer for it
-    complete_by_recursion(1, 2), complete_by_recursion(2, 1)
     for call, arguments in [
         (complete_by_recursion, (2, 2)),
         (symmetric_basis, (2, 2, "complete")),
