@@ -54,7 +54,9 @@ __all__ = ["MAX_DIMENSION", "MAX_ROW", "main"]
 # Work caps of `compute`, `eigen` and `mu`.  `compute` and `mu --check` build
 # one count row of m*(l-1) + 1 integers of up to m*log2(l) bits and an
 # (m+1)^2 block of them, m the defining dimension (the n of `mu`, the rank of
-# `eigen`): the row grows like m*l and the block like m^2.  Plain `mu` sums
+# `eigen`): the row grows like m*l and the block like m^2.  Above l = m(m+1)
+# no such row is built: the block is summed from the blocks at l = 1..m, so
+# the caps admit that route only for m <= 63.  Plain `mu` sums
 # at most m + 1 binomials of the same size; `eigen` builds m vectors of m
 # rationals, and with --l --format json the matrix of U(m).  At the corners,
 # `compute --group U` at rank 256, l = 1024 takes 1.4 s in csv, 1.3 s in

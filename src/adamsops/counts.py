@@ -10,11 +10,13 @@ alpha and beta.
 There are two independent routes to the counts:
 
 * the production route, `count_table`: the block mu(n, l, k, p),
-  0 <= k, p <= n, kept in a bounded cache.  Up to l = n(n+1)*max(2, n // 8)
-  it is read off one coefficient row of (1 + x + ... + x^(l-1))^n; above
-  that, where the row would be long and the block small, it is extrapolated
-  in l from the blocks at l = n+1..2n.  The matrix assembly in `ktheory`,
-  `mu_enumerate`, `alpha` and `beta` read it.
+  0 <= k, p <= n, kept in a bounded cache.  Up to l = n(n+1) it is read
+  off one coefficient row of (1 + x + ... + x^(l-1))^n; above that, where
+  the row would be long and the block small, it is the Lagrange
+  interpolation in l of the blocks at l = 1..n, since every entry is a
+  polynomial in l of degree < n for all l >= 1 (the proof is at
+  `count_table`).  The matrix assembly in `ktheory`, `mu_enumerate`,
+  `alpha` and `beta` read it.
 * the oracle, `mu_closed`: an inclusion-exclusion sum over binomials,
   which the test suite and `adamsops mu --check` compare the table with.
 
@@ -35,8 +37,8 @@ a[s] = a[n(l-1) - s], so only its first half is computed.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
-from operator import add, mul, sub
+from itertools import chain
+from operator import mul
 
 from .exactmath import _require_int, binomial
 
@@ -98,31 +100,53 @@ def _count_row(n: int, l: int) -> list[int]:
 def count_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     """The block T[k][p] = mu(n, l, k, p) for 0 <= k, p <= n.
 
-    Up to the switch l = n(n+1)*max(2, n // 8), row k reads the count row
-    backwards from degree l*k down to l*k - n; the row, of n*(l-1) + 1
-    entries, is dropped once the block is read.  For l >= n+1 the
-    inclusion-exclusion terms that are active do not depend on l, so every
-    entry is a polynomial in l of degree < n, fixed by its values at
-    l = n+1..2n.  Above the switch, which is at least 2n, Newton's forward
-    differences over those n blocks give the block in integers.  The row
-    costs about n*l steps and the differences about n^4 at any l: timed
-    cold, best of 5, at n in {8, 16, 32, 48, 63, 128} and l in {1, 2, 4,
-    8}*n(n+1), the route the switch picks is never over 1.1x slower than
-    the other (at n = 128 the row was timed at l = n(n+1) only: 2.4 s,
-    against 33 s for the differences).
+    Up to the switch l = n(n+1), row k reads the count row backwards from
+    degree l*k down to l*k - n; the row, of n*(l-1) + 1 entries, is dropped
+    once the block is read.
+
+    Every entry is a polynomial in l of degree <= n-1, for every l >= 1.
+    With s = l*k - p, `mu_closed`'s sum gives, for 0 <= k, p <= n,
+
+        mu = [p = 0] (-1)^k C(n, k) + sum_{q<k} (-1)^q C(n, q) P(n-1 + l(k-q) - p),
+
+    where P(x) = x(x-1)...(x-n+2)/(n-1)!:
+
+    * a term q < k that the sum leaves out, l(k-q) < p, has x in
+      [0, n-2], where P is 0; a term it keeps has x >= n-1, where
+      P(x) = C(x, n-1);
+    * the term q = k is live only when p = 0, where it is (-1)^k C(n, k);
+    * the guard s > n(l-1) adds nothing, because the whole sum is the
+      coefficient of x^s in (1 - x^l)^n / (1 - x)^n, a polynomial of
+      degree n(l-1).
+
+    So the blocks at l = 1..n fix the block at every l.  Above the switch
+    the block is their Lagrange sum in t = l-1 over the nodes t = 0..n-1,
+
+        T(l) = sum_{j<n} w_j T(j+1),  w_j = (-1)^(n-1-j) C(t, j) C(t-j-1, n-1-j),
+
+    integer weights once l >= n+1.  Reversing every part sends the tuples
+    counted by T[k][p] to those of T[n-k][n-p], so the flattened block is a
+    palindrome: only its first half is summed, and the rest mirrors it.
+
+    The row costs about n*l steps; the sum about n^3 at any l, for the n
+    short rows at l <= n and n*(n+1)^2/2 multiply-adds.  Timed cold, best
+    of 5: at n = 63 the block takes 94-99 ms by the row at l = n(n+1) and
+    69-80 ms by the sum at l = n(n+1) + 1..8n(n+1); at n = 128, 1.5 s and
+    313 MB by the row and 1.5-1.7 s and 103 MB by the sum (2-vCPU Xeon VM,
+    Python 3.11.7).
     """
     _validate(n, l)
     w = n + 1
-    if l <= n * w * max(2, n // 8):
+    if l <= n * w:
         ext = [0] * w + _count_row(n, l) + [0] * n  # degree s sits at s + w
         return tuple(tuple(ext[l * k + w : l * k : -1]) for k in range(w))
-    level = [sum(count_table(n, n + 1 + i), ()) for i in range(n)]
-    t = l - n - 1
-    flat, c = [0] * (w * w), 1  # c = binomial(t, i)
-    for i in range(n):
-        flat = list(map(add, flat, map(mul, level[0], repeat(c))))
-        level = [list(map(sub, b, a)) for a, b in zip(level, level[1:])]
-        c = c * (t - i) // (i + 1)
+    t, half = l - 1, (w * w + 1) // 2
+    weights = [
+        (-1) ** (n - 1 - j) * binomial(t, j) * binomial(t - j - 1, n - 1 - j) for j in range(n)
+    ]
+    blocks = [[*chain.from_iterable(count_table(n, j + 1))][:half] for j in range(n)]
+    flat = [sum(map(mul, weights, column)) for column in zip(*blocks)]
+    flat += flat[: w * w - half][::-1]
     return tuple(tuple(flat[k * w : k * w + w]) for k in range(w))
 
 

@@ -184,12 +184,12 @@ def test_table_whole_block_small():
 
 
 def test_table_above_the_route_bound_matches_closed_form(monkeypatch):
-    # Above l = n(n+1)*max(2, n // 8) the block is extrapolated in l from the
-    # blocks at l = n+1..2n rather than read off the count row.
+    # Above l = n(n+1) the block is the Lagrange sum of the blocks at
+    # l = 1..n, so the only count rows built are theirs.
     rows = []
     monkeypatch.setattr(counts, "_count_row", lambda n, l: rows.append(l) or _count_row(n, l))
-    for n in (*range(1, 13), 16, 24):
-        edge = n * (n + 1) * max(2, n // 8)
+    for n in (*range(1, 13), 16, 24, 32):
+        edge = n * (n + 1)
         for l in (edge, edge + 1, edge + 2, 3 * edge + 1, 997):
             expected = tuple(
                 tuple(mu_closed(n, l, k, p) for p in range(n + 1)) for k in range(n + 1)
@@ -197,7 +197,7 @@ def test_table_above_the_route_bound_matches_closed_form(monkeypatch):
             count_table.cache_clear()
             rows.clear()
             assert count_table(n, l) == expected, (n, l)
-            assert (l in rows) == (l <= edge), (n, l)
+            assert sorted(rows) == ([l] if l <= edge else [*range(1, n + 1)]), (n, l)
 
 
 def test_table_validation():

@@ -3,8 +3,8 @@
 Each property runs MAX_EXAMPLES examples, each under DEADLINE_MS (the
 symbolic oracle's and the command line's under SLOW_DEADLINE_MS, since one
 uncached oracle call at n = 5, l = 6 takes about 0.2 s); on a 2-vCPU Xeon
-VM the ten take about 6 seconds together, and the deadlines bound them at
-8 * 100 * 0.5 s plus 2 * 100 * 2 s.
+VM the eleven take about 3 seconds together, and the deadlines bound them
+at 9 * 100 * 0.5 s plus 2 * 100 * 2 s.
 The module is skipped where `hypothesis` is not installed.
 """
 
@@ -83,6 +83,18 @@ def test_count_duality(n, l, data):
     assert table[k][p] == table[n - k][n - p]
     p = data.draw(st.integers(-2 * l * n - 2, 2 * l * n + 2))
     assert mu_closed(n, l, k, p) == mu_closed(n, l, n - k, n - p)
+
+
+@budget
+@given(n=st.integers(1, 24), data=st.data())
+def test_table_above_the_switch_matches_closed_form(n, data):
+    # above l = n(n+1) the table is extrapolated in l and its second half
+    # mirrors the first, T[k][p] = T[n-k][n-p]
+    l = data.draw(st.integers(n * (n + 1) + 1, 100 * n * (n + 1)))
+    table = count_table(n, l)
+    for _ in range(3):
+        k, p = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+        assert table[k][p] == table[n - k][n - p] == mu_closed(n, l, k, p)
 
 
 @budget
