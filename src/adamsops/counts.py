@@ -15,10 +15,16 @@ There are two independent routes to the counts:
   the row would be long and the block small, it is the Lagrange
   interpolation in l of the blocks at l = 1..n, since every entry is a
   polynomial in l of degree < n for all l >= 1 (the proof is at
-  `count_table`).  The matrix assembly in `ktheory`, `mu_enumerate`,
-  `alpha` and `beta` read it.
+  `count_table`).  `mu_enumerate`, `alpha` and `beta` read it.
 * the oracle, `mu_closed`: an inclusion-exclusion sum over binomials,
   which the test suite and `adamsops mu --check` compare the table with.
+
+The matrix assembly in `ktheory` reads neither: it reads `signed_table`,
+the same block with the sign and the factor of the unitary formula,
+(-1)^(k+p) * l * mu(n, l, k, p), which is the U(n) matrix itself.  It is
+built from the same count row (or, above l = n(n+1), from `count_table`'s
+block) and kept in its own bounded cache, so that each entry is scaled
+once per block rather than once per use.
 
 The row is P-recursive.  f = P^n with P = (1 - x^l)/(1 - x) has the
 logarithmic derivative f'/f = n P'/P, which clears to
@@ -37,16 +43,16 @@ a[s] = a[n(l-1) - s], so only its first half is computed.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
-from operator import mul
+from itertools import chain, cycle
+from operator import mul, neg
 
 from .exactmath import _require_int, binomial
 
-__all__ = ["count_table", "mu_enumerate", "mu_closed", "alpha", "beta"]
+__all__ = ["count_table", "signed_table", "mu_enumerate", "mu_closed", "alpha", "beta"]
 
-# Distinct (n, l) blocks kept.  Sweeps over every family at ranks up to 10
-# with l up to 144 touch about 350 blocks of 2-20 KiB each; one block at
-# n = 80, l = 50 takes about 520 KiB.
+# Distinct (n, l) blocks kept, by each of the two block caches.  Sweeps over
+# every family at ranks up to 10 with l up to 144 touch about 350 blocks of
+# 2-20 KiB each; one block at n = 80, l = 50 takes about 520 KiB.
 _TABLE_CACHE_SIZE = 512
 
 # Oracle counts kept.  `adamsops verify` at its defaults leaves 11,773
@@ -140,6 +146,13 @@ def count_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     if l <= n * w:
         ext = [0] * w + _count_row(n, l) + [0] * n  # degree s sits at s + w
         return tuple(tuple(ext[l * k + w : l * k : -1]) for k in range(w))
+    return _lagrange_block(n, l)
+
+
+def _lagrange_block(n: int, l: int) -> tuple[tuple[int, ...], ...]:
+    """`count_table`'s block above l = n(n+1), uncached: the Lagrange sum of
+    the cached blocks at l = 1..n."""
+    w = n + 1
     t, half = l - 1, (w * w + 1) // 2
     weights = [
         (-1) ** (n - 1 - j) * binomial(t, j) * binomial(t - j - 1, n - 1 - j) for j in range(n)
@@ -148,6 +161,52 @@ def count_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     flat = [sum(map(mul, weights, column)) for column in zip(*blocks)]
     flat += flat[: w * w - half][::-1]
     return tuple(tuple(flat[k * w : k * w + w]) for k in range(w))
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
+def signed_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
+    """The block A[k][p] = (-1)^(k+p) * l * mu(n, l, k, p) for 0 <= k, p <= n:
+    entry (p, k) of the unitary formula for psi^l on U(n), for every p and
+    k, so the U(n) matrix is this block without row and column 0.
+
+    Row k reads the count row at degrees s = l*k - p, and (-1)^(k+p) is
+    (-1)^s, times (-1)^k when l is even.  So where the windows of the rows
+    overlap or abut, l <= n+1, the first half of the count row is scaled
+    once by (-1)^s * l, about n(l-1)/2 products, and mirrored: the signed
+    row is a palindrome up to the sign (-1)^(n(l-1)).  Every row of the
+    block is a slice of it, negated for odd k when l is even.  Above that
+    the windows are disjoint, and each is scaled on its own: read off the
+    count row up to l = n(n+1), and off `count_table`'s Lagrange block above
+    it, which is not kept in `count_table`'s cache as well.  Since
+    A[k][p] = A[n-k][n-p], as for the counts, only the rows k <= n/2 are
+    scaled, about (n+1)^2/2 products, and the rest mirror them.
+    """
+    _validate(n, l)
+    w = n + 1
+    if l <= w:
+        row = _count_row(n, l)
+        size = len(row)
+        half = (size + 1) // 2
+        # the first half of the signed row, and for even l its negation:
+        # the second half of either is the first half of the one of sign
+        # (-1)^(n(l-1)) reversed
+        halves = [list(map(mul, row[:half], cycle((l, -l))))]
+        if l % 2 == 0:
+            halves.append(list(map(neg, halves[0])))
+        flip = (size - 1) % 2
+        rows = [
+            [0] * w + h + halves[(i + flip) % len(halves)][: size - half][::-1] + [0] * n
+            for i, h in enumerate(halves)
+        ]
+        return tuple(tuple(rows[k % len(rows)][l * k + w : l * k : -1]) for k in range(w))
+    if l <= n * w:
+        ext = [0] * w + _count_row(n, l) + [0] * n  # degree s sits at s + w
+        windows = [ext[l * k + w : l * k : -1] for k in range((w + 1) // 2)]
+    else:
+        windows = _lagrange_block(n, l)
+    signs = ([l, -l] * w, [-l, l] * w)
+    top = [tuple(map(mul, windows[k], signs[k % 2])) for k in range((w + 1) // 2)]
+    return tuple(top + [row[::-1] for row in reversed(top[: w // 2])])
 
 
 def mu_enumerate(n: int, l: int, k: int, p: int) -> int:

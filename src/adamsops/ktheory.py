@@ -13,6 +13,12 @@ that matrix by two independent routes:
   class rewritten through representation-ring relations (the restriction
   from U(m), m the defining dimension).
 
+Both read one block, `counts.signed_table(m, l)`: the counts with the sign
+pattern and the factor l of the unitary formula already applied, that is,
+the U(m) matrix with its trivial wedge 0 added.  The U and SU closed forms
+slice it, the other closed forms add and subtract its entries, and the
+pipeline restricts its rows, so no route scales a count by its sign or by l.
+
 `adams_matrix` runs both routes and raises ConsistencyError when they
 disagree, or when an entry that must be an integer is not.
 
@@ -40,12 +46,12 @@ matrix product M(m) . M(l) = M(m*l).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import cycle, repeat
 from math import lcm
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .counts import count_table
+from .counts import signed_table
 from .exactmath import _require_int
 from .record import Record
 
@@ -286,16 +292,15 @@ def _finalize(
     return AdamsMatrix(group, l, tuple(zip(*checked)))
 
 
-def _signs(f: int, k: int, size: int) -> list[int]:
-    """A list, at least `size` long, whose entry p is (-1)^(k+p) * f: the
-    sign pattern of the unitary formula, multiplied into a row of counts by
-    map(mul, ...)."""
-    s = -f if k % 2 else f
-    return [s, -s] * ((size + 1) // 2)
-
-
 # ---------------------------------------------------------------------------
 # closed forms, one per family
+#
+# Each reads the signed block A[k][p] = (-1)^(k+p) l mu(m, l, k, p) of
+# `signed_table`, m the defining dimension, which already carries the sign
+# pattern and the factor l of the unitary formula.  Its symmetrized
+# combinations take only additions: A[k][p] + A[k][m-p] is
+# (-1)^(k+p) l alpha(m, l, k, p) for even m and (-1)^(k+p) l beta(m, l, k, p)
+# for odd m, since (-1)^(m-p) = (-1)^(m+p).
 
 
 def _unitary_closed(group: GroupSpec, l: int) -> AdamsMatrix:
@@ -304,8 +309,7 @@ def _unitary_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     1..w: w = n for U(n), and n-1 for SU(n), whose top-wedge row and column
     drop out (the class of the determinant representation vanishes)."""
     n, w = group.n, FAMILY_TABLE[group.family].wedges(group.n)
-    table = count_table(n, l)
-    cols = [list(map(mul, table[k][: w + 1], _signs(l, k, w + 1)))[1:] for k in range(1, w + 1)]
+    cols = [row[1 : w + 1] for row in signed_table(n, l)[1 : w + 1]]
     return _finalize(group, l, cols, "closed form")
 
 
@@ -314,13 +318,8 @@ def _symplectic_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     coordinate p < n uses alpha(2n, l, k, p), coordinate n uses mu(2n, l, k, n)."""
     n = group.n
     m = 2 * n
-    table = count_table(m, l)
-    cols = []
-    for k in range(1, n + 1):
-        mu = table[k]
-        # alpha(m, l, k, p) = mu[p] + mu[m - p] at p = 0..n-1, then mu[n]
-        sym = list(map(add, mu[:n], mu[m:n:-1])) + [mu[n]]
-        cols.append(list(map(mul, sym, _signs(l, k, n + 1)))[1:])
+    table = signed_table(m, l)
+    cols = [list(map(add, a[1:n], a[m - 1 : n : -1])) + [a[n]] for a in table[1 : n + 1]]
     return _finalize(group, l, cols, "closed form")
 
 
@@ -330,29 +329,14 @@ def _spin_odd_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     l / 2^(n+1); entries are nevertheless integers."""
     n = group.n
     m = 2 * n + 1
-    table = count_table(m, l)[: n + 1]
-    # betas[k][p] = beta(m, l, k, p) = mu[p] - mu[m - p], p = 0..n
-    betas = [list(map(sub, mu[: n + 1], mu[m:n:-1])) for mu in table]
-    beta_n = [b[n] for b in betas]
-    sign_n = -1 if n % 2 else 1
-    alternating = _signs(1, 0, n)  # (-1)^p
-    # w[k][p-1] = (-1)^p beta(m, l, k, p) - (-1)^n beta(m, l, k, n), p < n
-    w = [
-        list(map(sub, map(mul, b[1:n], alternating[1:]), repeat(sign_n * b[n])))
-        for b in betas
-    ]
-    sign_k = _signs(l, 0, n + 1)  # (-1)^k l
-    cols = [
-        [sign_k[k] * v for v in w[k]] + [sign_k[k] * sign_n * 2 ** (n + 1) * beta_n[k]]
-        for k in range(1, n)
-    ]
-    spin_sum = [0] * (n - 1)  # sum over k = 1..n of (-1)^k w[k]
-    for k in range(1, n + 1):
-        spin_sum = list(map(sub if k % 2 else add, spin_sum, w[k]))
-    # the spin column as numerators over 2^(n+1)
     den = 2 ** (n + 1)
-    spin_col = [l * v for v in spin_sum]
-    spin_col.append(den * sign_n * sum(map(mul, beta_n[1:], sign_k[1:])))
+    # b[k][p] = (-1)^(k+p) l beta(m, l, k, p), p = 0..n
+    b = [list(map(add, a[: n + 1], a[m:n:-1])) for a in signed_table(m, l)[: n + 1]]
+    # w[k][p-1] = b[k][p] - b[k][n], p = 1..n-1
+    w = [list(map(sub, bk[1:n], repeat(bk[n]))) for bk in b]
+    cols = [w[k] + [den * b[k][n]] for k in range(1, n)]
+    # the spin column, sum over k = 1..n, as numerators over 2^(n+1)
+    spin_col = list(map(sum, zip(*w[1:]))) + [den * sum(bk[n] for bk in b[1:])]
     return _finalize(group, l, cols, "closed form", [spin_col], den)
 
 
@@ -387,33 +371,24 @@ def _spin_even_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     """
     n = group.n
     m = 2 * n
-    table = count_table(m, l)
-    # alpha(m, l, k, q) - alpha(m, l, k, n) for n - q even, and
-    # alpha(m, l, k, n-1) - alpha(m, l, k, q) for n - q odd, at q = 1..n-2;
-    # alpha(m, l, k, n) = 2 mu(m, l, k, n)
+    half = 2 ** (n - 1)
+    # a[p] = (-1)^(k+p) l alpha(m, l, k, p), p = 0..n, with alpha(m, l, k, n)
+    # = 2 mu(m, l, k, n); each wedge coordinate q = 1..n-2 subtracts the one
+    # of a[n-1], a[n] whose index has the parity of q, and the half-spin
+    # coordinates carry a[n] + a[n-1]
     parts, tops = [], []
-    for mu in table[:n]:
-        a = list(map(add, mu[: n + 1], mu[m : n - 1 : -1]))  # alpha(m, l, k, p), p = 0..n
-        parts.append(
-            [a[q] - a[n] if (n - q) % 2 == 0 else a[n - 1] - a[q] for q in range(1, n - 1)]
-        )
-        tops.append(a[n] - a[n - 1])
-
-    sign_k = _signs(l, n, n)  # (-1)^(k+n) l
-    cols = [
-        [sign_k[k] * v for v in parts[k]] + [sign_k[k] * 2 ** (n - 1) * tops[k]] * 2
-        for k in range(1, n - 1)
-    ]
+    for row in signed_table(m, l)[:n]:
+        a = list(map(add, row[: n + 1], row[m : n - 1 : -1]))
+        first = (a[n], a[n - 1]) if n % 2 else (a[n - 1], a[n])  # at q = 1, 2
+        parts.append(list(map(sub, a[1 : n - 1], cycle(first))))
+        tops.append(a[n] + a[n - 1])
+    cols = [parts[k] + [half * tops[k]] * 2 for k in range(1, n - 1)]
 
     # image of d(S+) + d(S-) as numerators over 2^(n-1), summed over the
-    # wedges j = n-1, n-3, ...: wedge coordinates carry the factor l / 2^(n-1)
-    wedge_sum = [0] * (n - 2)
-    spin_sum = 0
-    for j in range(n - 1, 0, -2):
-        wedge_sum = list(map(sub, wedge_sum, parts[j]))
-        spin_sum -= tops[j]
-    sum_img = [l * v for v in wedge_sum] + [l * spin_sum * 2 ** (n - 1)] * 2
-
+    # wedges j = n-1, n-3, ...
+    odd = range(n - 1, 0, -2)
+    sum_img = list(map(sum, zip(*(parts[j] for j in odd))))
+    sum_img += [half * sum(tops[j] for j in odd)] * 2
     return _finalize(group, l, cols, "closed form", _half_spin_columns(sum_img, n, l), 2**n)
 
 
@@ -423,6 +398,11 @@ def g2_closed_columns(l: int) -> tuple[tuple[int, int], tuple[int, int]]:
     and 30ths that always collapse to integers, given as their integer
     numerators over the one denominator 30."""
     _require_l(l)
+    return _g2_numerators(l)
+
+
+def _g2_numerators(l: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """`g2_closed_columns` for an l already checked."""
     col1 = (4 * l**6 + 26 * l**2, l**2 - l**6)
     col2 = (104 * l**2 * (1 - l**4), 2 * l**2 * (13 * l**4 + 2))
     return col1, col2
@@ -431,7 +411,7 @@ def g2_closed_columns(l: int) -> tuple[tuple[int, int], tuple[int, int]]:
 def _g2_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     """G2's closed form: the numerators of `g2_closed_columns` over 30,
     each of which must divide exactly."""
-    return _finalize(group, l, [], "closed form", g2_closed_columns(l), 30)
+    return _finalize(group, l, [], "closed form", _g2_numerators(l), 30)
 
 
 # ---------------------------------------------------------------------------
@@ -472,32 +452,22 @@ def _restriction(group: GroupSpec) -> tuple[int, _Terms]:
     return w + len(middle), tuple(map(tuple, terms))
 
 
-def _restrict(
-    group: GroupSpec, vectors: Iterable[Sequence[int]], factors: Sequence[int] = ()
-) -> list[list[int]]:
+def _restrict(group: GroupSpec, vectors: Iterable[Sequence[int]]) -> list[list[int]]:
     """R applied to each vector, given by its coordinates over the wedge
-    classes 0..m of U(m).  With `factors`, one per vector, coordinate p of
-    vector j counts (-1)^p factors[j] times: the sign pattern of the
-    unitary formula.
+    classes 0..m of U(m).
 
     The map is applied to all vectors at once, one wedge at a time: the
     vectors are transposed into one column per wedge, each wedge p beyond
-    the terms of `_restriction` is folded onto wedge m-p (subtracted when
-    the signs of p and m-p differ), and each basis element's image is a
-    lazy chain of column operations over its terms, read out per vector
-    by one final transpose."""
+    the terms of `_restriction` is added onto wedge m-p, and each basis
+    element's image is a lazy chain of column operations over its terms,
+    read out per vector by one final transpose."""
     cols = list(zip(*vectors))
     if not cols:
         return []
     top, terms = _restriction(group)
     m = len(cols) - 1
-    fold = sub if factors and m % 2 else add
     for p in range(top + 1, m):
-        cols[m - p] = list(map(fold, cols[m - p], cols[p]))
-    if factors:
-        negated = [-f for f in factors]
-        for p in range(1, top + 1):
-            cols[p] = list(map(mul, cols[p], negated if p % 2 else factors))
+        cols[m - p] = list(map(add, cols[m - p], cols[p]))
     images = []
     for row in terms:
         image = None
@@ -516,11 +486,10 @@ def _restrict(
 def _wedge_images(group: GroupSpec, l: int, degrees: range) -> list[list[int]]:
     """The restricted images of d(wedge^k of the defining representation),
     one per k in `degrees`: the unitary formula over all degrees 0..m, with
-    coordinate p equal to (-1)^(k+p) l mu(m, l, k, p), then R.  The rows
-    of the count table go to `_restrict` as they are, with the factors
-    (-1)^k l."""
-    table = count_table(defining_dimension(group), l)
-    return _restrict(group, [table[k] for k in degrees], [-l if k % 2 else l for k in degrees])
+    coordinate p equal to (-1)^(k+p) l mu(m, l, k, p), then R.  Those are
+    the rows of `signed_table(m, l)`, which go to `_restrict` as they are."""
+    table = signed_table(defining_dimension(group), l)
+    return _restrict(group, [table[k] for k in degrees])
 
 
 def pullback_adams_matrix(group: GroupSpec, l: int) -> AdamsMatrix:
@@ -530,12 +499,17 @@ def pullback_adams_matrix(group: GroupSpec, l: int) -> AdamsMatrix:
     factor 2^-(n+1); the half-spin columns are the halved image of
     d(S+)+d(S-) (wedges n-1, n-3, ... with factor 2^-(n-1)) plus or minus
     half of l^n (d(S+)-d(S-))."""
-    family = FAMILY_TABLE[group.family]
-    if family.pipeline is None:
+    if FAMILY_TABLE[group.family].pipeline is None:
         piped = ", ".join(f.name for f in FAMILY_TABLE.values() if f.pipeline)
         raise ValueError(f"pullback pipeline applies to {piped}; got {group}")
     _require_l(l)
-    cols, rational, den = family.pipeline(group, l)
+    return _pullback(group, l)
+
+
+def _pullback(group: GroupSpec, l: int) -> AdamsMatrix:
+    """`pullback_adams_matrix` for a family with a pipeline and an l
+    already checked."""
+    cols, rational, den = FAMILY_TABLE[group.family].pipeline(group, l)
     return _finalize(group, l, cols, "pipeline", rational, den)
 
 
@@ -571,14 +545,15 @@ def adams_matrix(group: GroupSpec, l: int, cross_check: bool = True) -> AdamsMat
     With cross_check (the default), the families that have both a closed
     form and a pipeline route compute both and must agree exactly;
     ConsistencyError otherwise, naming the first differing entry.  Without
-    it, every family returns its closed form.  l is checked here, before
-    any route runs.
+    it, every family returns its closed form.  l is checked here, once,
+    before any route runs; the routes called from here do not check it
+    again.
     """
     family = FAMILY_TABLE[group.family]
     _require_l(l)
     closed = globals()[family.closed](group, l)
     if cross_check and family.pipeline is not None:
-        piped = pullback_adams_matrix(group, l)
+        piped = _pullback(group, l)
         if piped.entries != closed.entries:
             i, j = next(
                 (i, j)

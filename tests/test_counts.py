@@ -1,12 +1,22 @@
 import random
+import sys
 import time
 from itertools import accumulate
 from operator import sub
+from pathlib import Path
 
 import pytest
 
 from adamsops import counts
-from adamsops.counts import _count_row, alpha, beta, count_table, mu_closed, mu_enumerate
+from adamsops.counts import (
+    _count_row,
+    alpha,
+    beta,
+    count_table,
+    mu_closed,
+    mu_enumerate,
+    signed_table,
+)
 from adamsops.exactmath import binomial
 
 
@@ -207,9 +217,52 @@ def test_table_validation():
 
 
 def test_table_cache_is_bounded():
-    for cache in (count_table, mu_closed):
+    for cache in (count_table, signed_table, mu_closed):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
+
+
+def test_the_benchmark_clears_both_block_caches(monkeypatch):
+    # matrix-cold starts every lap from empty caches
+    count_table(4, 3)
+    signed_table(4, 3)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+
+        found = workloads.library_caches()
+        assert all(any(c is cache for c in found) for cache in (count_table, signed_table))
+        workloads.clear_library_caches()
+    finally:
+        for name in ("workloads", "reference"):
+            sys.modules.pop(name, None)
+    assert count_table.cache_info().currsize == signed_table.cache_info().currsize == 0
+
+
+def test_signed_table_at_the_edges_of_its_routes(monkeypatch):
+    # Up to l = n+1 the windows of the block's rows overlap or abut, up to
+    # n(n+1) they are read off one count row, and above it off count_table's
+    # Lagrange block.  Odd n with even l makes the count row of even length,
+    # whose signed mirror is negated.
+    rows = []
+    monkeypatch.setattr(counts, "_count_row", lambda n, l: rows.append((n, l)) or _count_row(n, l))
+    for n in (1, 2, 3, 4, 5, 7, 8, 11, 16):
+        edge = n * (n + 1)
+        for l in sorted({1, 2, 3, n, n + 1, n + 2, edge, edge + 1, 5 * edge}):
+            expected = tuple(
+                tuple((-1) ** (k + p) * l * mu_closed(n, l, k, p) for p in range(n + 1))
+                for k in range(n + 1)
+            )
+            count_table.cache_clear()
+            signed_table.cache_clear()
+            rows.clear()
+            assert signed_table(n, l) == expected, (n, l)
+            assert all(type(e) is int for row in signed_table(n, l) for e in row)
+            assert sorted(rows) == ([(n, l)] if l <= edge else [(n, j) for j in range(1, n + 1)])
+            # a signed block keeps no count block of its own l
+            assert count_table.cache_info().currsize == (0 if l <= edge else n)
+    with pytest.raises(ValueError):
+        signed_table(3, 0)
 
 
 def test_large_l_enumeration_is_fast():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from adamsops import ktheory
+from adamsops import counts, ktheory
 from adamsops.ktheory import (
     FAMILIES,
     ConsistencyError,
@@ -333,11 +333,11 @@ def test_g2_closed_route_is_its_polynomial_expressions(monkeypatch):
         assert closed.entries == tuple(zip(*expressions)), l
         assert closed.entries == pullback_adams_matrix(g2, l).entries, l
     # without the cross-check the pipeline does not run
-    monkeypatch.setattr(ktheory, "pullback_adams_matrix", lambda g, m: pytest.fail("pipeline ran"))
+    monkeypatch.setattr(ktheory, "_pullback", lambda g, m: pytest.fail("pipeline ran"))
     closed = adams_matrix(g2, 1000, cross_check=False)
     assert closed.entries[0][1] == 52 * 10**6 * (1 - 10**12) // 15
     # a non-integral expression is rejected like any other closed form's entry
-    monkeypatch.setattr(ktheory, "g2_closed_columns", lambda l: ((30, 15), (0, 30)))
+    monkeypatch.setattr(ktheory, "_g2_numerators", lambda l: ((30, 15), (0, 30)))
     with pytest.raises(ConsistencyError) as info:
         adams_matrix(g2, 5, cross_check=False)
     assert (info.value.routes, info.value.cell) == (("closed form",), (1, 0))
@@ -378,8 +378,12 @@ def test_l_rejects_bool_and_non_int():
         for bad in (True, False, 2.0, 2.5, "2"):
             with pytest.raises(ValueError):
                 adams_matrix(GroupSpec(fam, n), bad)
-    with pytest.raises(ValueError):
-        pullback_adams_matrix(GroupSpec("Sp", 2), True)
+    # the public routes that `adams_matrix` calls unchecked check l themselves
+    for bad in (True, 0):
+        with pytest.raises(ValueError):
+            pullback_adams_matrix(GroupSpec("Sp", 2), bad)
+        with pytest.raises(ValueError):
+            ktheory.g2_closed_columns(bad)
 
 
 def test_entries_are_plain_ints():
@@ -419,15 +423,16 @@ def test_finalize_rejects_a_fractional_entry():
 def test_a_perturbed_count_breaks_the_spin_columns_on_both_routes(monkeypatch, n, l):
     """One count off by one makes a spin numerator indivisible: both routes
     raise, each naming itself and the first bad cell of the spin columns."""
-    real = ktheory.count_table
+    real = ktheory.signed_table
 
     def perturbed(size, k, p):
-        """count_table with mu(size, l, k, p) one too large."""
+        """signed_table with mu(size, l, k, p) one too large, so its entry
+        (-1)^(k+p) l mu(size, l, k, p) moves by (-1)^(k+p) l."""
 
         def table(m, at):
             rows = [list(row) for row in real(m, at)]
             if (m, at) == (size, l):
-                rows[k][p] += 1
+                rows[k][p] += (-1) ** (k + p) * l
             return tuple(map(tuple, rows))
 
         return table
@@ -441,7 +446,7 @@ def test_a_perturbed_count_breaks_the_spin_columns_on_both_routes(monkeypatch, n
         (GroupSpec("SpinEven", n), perturbed(2 * n, n - 1, 1), (0, n - 2)),
     ]
     for group, table, cell in cases:
-        monkeypatch.setattr(ktheory, "count_table", table)
+        monkeypatch.setattr(ktheory, "signed_table", table)
         for route, build in (
             ("closed form", lambda: adams_matrix(group, l, cross_check=False)),
             ("pipeline", lambda: pullback_adams_matrix(group, l)),
@@ -452,7 +457,7 @@ def test_a_perturbed_count_breaks_the_spin_columns_on_both_routes(monkeypatch, n
             assert (err.group, err.l, err.routes, err.cell) == (group, l, (route,), cell)
             (value,) = err.values
             assert type(value) is Fraction and value.denominator > 1, (group, route)
-        monkeypatch.setattr(ktheory, "count_table", real)
+        monkeypatch.setattr(ktheory, "signed_table", real)
         adams_matrix(group, l)
 
 
@@ -478,7 +483,7 @@ def test_consistency_error_names_the_first_difference(monkeypatch):
     entries = [list(row) for row in good.entries]
     entries[3][5] += 1
     wrong = ktheory.AdamsMatrix(group, l, tuple(tuple(row) for row in entries))
-    monkeypatch.setattr(ktheory, "pullback_adams_matrix", lambda g, m: wrong)
+    monkeypatch.setattr(ktheory, "_pullback", lambda g, m: wrong)
     with pytest.raises(ConsistencyError) as info:
         adams_matrix(group, l)
     message = str(info.value)
@@ -501,7 +506,7 @@ def test_g2_consistency_error_fields(monkeypatch):
     good = pullback_adams_matrix(GroupSpec("G2"), 3)
     entries = ((good.entries[0][0], good.entries[0][1]), (good.entries[1][0] - 1, good.entries[1][1]))
     wrong = ktheory.AdamsMatrix(good.group, 3, entries)
-    monkeypatch.setattr(ktheory, "pullback_adams_matrix", lambda g, m: wrong)
+    monkeypatch.setattr(ktheory, "_pullback", lambda g, m: wrong)
     with pytest.raises(ConsistencyError) as info:
         adams_matrix(GroupSpec("G2"), 3)
     err = info.value
@@ -547,11 +552,25 @@ def test_family_table_covers_every_family(monkeypatch):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("cross_check", [True, False])
 def test_l_is_rejected_before_any_count_is_built(monkeypatch, family, cross_check):
-    monkeypatch.setattr(ktheory, "count_table", lambda n, l: pytest.fail("a count was built"))
+    monkeypatch.setattr(ktheory, "signed_table", lambda n, l: pytest.fail("a count was built"))
+    monkeypatch.setattr(counts, "count_table", lambda n, l: pytest.fail("a count was built"))
     group = GroupSpec(family, 3)
     for bad in (0, -1, True, 2.0, "2"):
         with pytest.raises(ValueError):
             adams_matrix(group, bad, cross_check=cross_check)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("cross_check", [True, False])
+def test_l_is_checked_once_per_matrix(monkeypatch, family, cross_check):
+    calls = []
+    real = ktheory._require_l
+    monkeypatch.setattr(ktheory, "_require_l", lambda l: calls.append(l) or real(l))
+    group = GroupSpec(family, 3)
+    for l in (1, 2, 7):
+        calls.clear()
+        adams_matrix(group, l, cross_check=cross_check)
+        assert calls == [l], (group, l)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -3,8 +3,8 @@
 Each property runs MAX_EXAMPLES examples, each under DEADLINE_MS (the
 symbolic oracle's and the command line's under SLOW_DEADLINE_MS, since one
 uncached oracle call at n = 5, l = 6 takes about 0.2 s); on a 2-vCPU Xeon
-VM the eleven take about 3 seconds together, and the deadlines bound them
-at 9 * 100 * 0.5 s plus 2 * 100 * 2 s.
+VM the twelve take about 4 seconds together, and the deadlines bound them
+at 10 * 100 * 0.5 s plus 2 * 100 * 2 s.
 The module is skipped where `hypothesis` is not installed.
 """
 
@@ -21,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import adamsops.cli as cli  # noqa: E402
 import adamsops.eigen as eigen  # noqa: E402
-from adamsops.counts import _count_row, count_table, mu_closed  # noqa: E402
+from adamsops.counts import _count_row, count_table, mu_closed, signed_table  # noqa: E402
 from adamsops.eigen import (  # noqa: E402
     _certifies,
     char_poly,
@@ -95,6 +95,27 @@ def test_table_above_the_switch_matches_closed_form(n, data):
     for _ in range(3):
         k, p = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
         assert table[k][p] == table[n - k][n - p] == mu_closed(n, l, k, p)
+
+
+@budget
+@given(n=st.integers(1, 40), data=st.data())
+def test_signed_table_matches_closed_form(n, data):
+    # each of the block's three routes: windows that overlap or abut
+    # (l <= n+1), disjoint windows of the count row (up to l = n(n+1)), and
+    # the Lagrange block above
+    edge = n * (n + 1)
+    l = data.draw(
+        st.one_of(
+            st.integers(1, n + 1),
+            st.integers(n + 2, max(n + 2, edge)),
+            st.integers(edge + 1, 50 * edge),
+        )
+    )
+    table = signed_table(n, l)
+    assert len(table) == n + 1 and all(len(row) == n + 1 for row in table)
+    for _ in range(4):
+        k, p = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+        assert table[k][p] == table[n - k][n - p] == (-1) ** (k + p) * l * mu_closed(n, l, k, p)
 
 
 @budget
@@ -174,14 +195,10 @@ def restrict_by_rows(group, vectors):
 @budget
 @given(group=groups(), data=st.data())
 def test_columnwise_restriction_matches_the_row_loop(group, data):
-    # with and without the unitary sign pattern (-1)^p factors[j]
     size = defining_dimension(group) + 1
     coordinate = st.integers(-(2**200), 2**200)
     vectors = data.draw(st.lists(st.lists(coordinate, min_size=size, max_size=size), max_size=6))
     assert _restrict(group, vectors) == restrict_by_rows(group, vectors)
-    factors = data.draw(st.lists(coordinate, min_size=len(vectors), max_size=len(vectors)))
-    signed = [[(-1) ** p * f * x for p, x in enumerate(u)] for u, f in zip(vectors, factors)]
-    assert _restrict(group, vectors, factors) == restrict_by_rows(group, signed)
 
 
 @budget
@@ -199,7 +216,6 @@ def test_wedge_images_restrict_the_signed_unitary_formula(group, l, data):
 def test_restriction_of_one_vector_and_of_none(family):
     group = GroupSpec(family, FAMILY_TABLE[family].fixed_rank or 4)
     assert _restrict(group, []) == []
-    assert _restrict(group, [], []) == []
     u = [3**p - 7 * p for p in range(defining_dimension(group) + 1)]
     assert _restrict(group, [u]) == restrict_by_rows(group, [u])
 

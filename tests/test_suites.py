@@ -57,7 +57,7 @@ BREAKS = [
     ("counts", 3, suites, "mu_closed", _off_by_one),
     ("counts", 4, suites, "binomial", _off_by_one),
     ("counts", 5, suites, "beta", _off_by_one),
-    ("matrices", 1, ktheory, "pullback_adams_matrix", _changed_pipeline),
+    ("matrices", 1, ktheory, "_pullback", _changed_pipeline),
     ("matrices", 2, AdamsMatrix, "compose", lambda f: lambda self, other: self),
     ("matrices", 3, AdamsMatrix, "is_identity", lambda f: lambda self: False),
     ("matrices", 4, ktheory, "_unitary_closed", _leak_a_fraction),
