@@ -6,9 +6,10 @@ is the first 16 hex digits of the SHA-256 of `repr(entries)`, keyed by
 
 * every family at rank <= 25 with l in {1, 2, 3, 4, 5, 7, 10, 50, 97};
 * every family but G2 at rank 26..40 with l in {2, 50};
-* every group of defining dimension m <= 15 at l = m(m+1), m(m+1) + 1,
-  2m(m+1) and 2m(m+1) + 1, either side of the count table's switch from
-  the count row to extrapolation in l;
+* every group of defining dimension m <= 15 at l = m+1, m+2 and m+3,
+  either side of the edge where the windows of the count row that the
+  count block reads stop overlapping, and at l = m(m+1), m(m+1) + 1,
+  2m(m+1) and 2m(m+1) + 1, far above it;
 * G2 at l = 1000.
 
 `tests/matrix_digests.json` holds the digests, and `tests/test_matrix_digests.py`
@@ -57,7 +58,7 @@ def grid() -> list[tuple[GroupSpec, int]]:
         m = FAMILY_TABLE[g.family].dimension(g.n)
         if m <= 15:
             edge = m * (m + 1)
-            pairs += [(g, l) for l in (edge, edge + 1, 2 * edge, 2 * edge + 1)]
+            pairs += [(g, l) for l in (m + 1, m + 2, m + 3, edge, edge + 1, 2 * edge, 2 * edge + 1)]
     return pairs + [(GroupSpec("G2"), 1000)]
 
 
