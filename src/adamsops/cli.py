@@ -52,20 +52,21 @@ __all__ = ["MAX_DIMENSION", "MAX_ROW", "main"]
 # commands
 
 # Work caps of `compute`, `eigen` and `mu`.  `compute` and `mu --check` build
-# one count row of m*(l-1) + 1 integers of up to m*log2(l) bits and an
-# (m+1)^2 block of them, m the defining dimension (the n of `mu`, the rank of
-# `eigen`): the row grows like m*l and the block like m^2.  Above l = m(m+1)
-# no such row is built: the block is summed from the blocks at l = 1..m, so
-# the caps admit that route only for m <= 63.  Plain `mu` sums
-# at most m + 1 binomials of the same size; `eigen` builds m vectors of m
-# rationals, and with --l --format json the matrix of U(m).  At the corners,
-# `compute --group U` at rank 256, l = 1024 takes 1.4 s in csv, 1.3 s in
-# pretty and 1.6 s in json, each at 105 MB peak RSS, and in csv 0.5 s and
-# 58 MB at rank 256, l = 64 and 0.5 s and 44 MB at rank 128, l = 2048 (child
-# wall time and ru_maxrss, medians of 5 runs); `eigen --rank 256` takes
-# 2.4 s and 97 MB, as much with --l 1024 in csv or pretty, and about 3 s and
-# 178 MB with --l 1024 --format json, which is written to stdout as it is
-# encoded (2-vCPU Xeon VM, Python 3.11.7).
+# an (m+1)^2 block of counts of up to m*log2(l) bits, m the defining
+# dimension (the n of `mu`, the rank of `eigen`).  Up to l = m+1 they read it
+# off one count row of m*(l-1) + 1 integers, which grows like m*l; above that
+# they run about m/2 windows of m+1 degrees each, about m^2/2 steps at any l.
+# Plain `mu` sums at most m + 1 binomials of the same size; `eigen` builds m
+# vectors of m rationals, and with --l --format json the matrix of U(m).  At
+# the corners, `compute --group U` at rank 256, l = 1024 takes 1.0 s in csv
+# and in pretty and 1.0-1.4 s in json, at 104-115 MB peak RSS, and in csv
+# 0.36 s and 66 MB at rank 256, l = 64 and 0.21 s and 30 MB at rank 128,
+# l = 2048; `mu 63 4032 30 31 --check` takes 0.08 s and 18 MB and
+# `mu 256 1024 128 100 --check` 0.17 s and 27 MB; `eigen --rank 256` takes
+# 2.2-2.8 s and 97 MB, as much with --l 1024 in csv or pretty, and about 3.3 s
+# and 157 MB with --l 1024 --format json, which is written to stdout as it is
+# encoded (child wall time and ru_maxrss, medians of 3-5 runs with stdout to
+# a file; 2-vCPU Xeon VM, Python 3.11.7).
 # Under the caps an entry has at most about 800 digits.
 MAX_DIMENSION = 256
 MAX_ROW = 2**18

@@ -9,22 +9,18 @@ alpha and beta.
 
 There are two independent routes to the counts:
 
-* the production route, `count_table`: the block mu(n, l, k, p),
-  0 <= k, p <= n, kept in a bounded cache.  Up to l = n(n+1) it is read
-  off one coefficient row of (1 + x + ... + x^(l-1))^n; above that, where
-  the row would be long and the block small, it is the Lagrange
-  interpolation in l of the blocks at l = 1..n, since every entry is a
-  polynomial in l of degree < n for all l >= 1 (the proof is at
-  `count_table`).  `mu_enumerate`, `alpha` and `beta` read it.
+* the production route, `signed_table`: the block mu(n, l, k, p),
+  0 <= k, p <= n, with the sign and the factor of the unitary formula,
+  (-1)^(k+p) * l * mu(n, l, k, p), which is the U(n) matrix itself, kept
+  in a bounded cache.  Row k of the block is the coefficients of
+  (1 + x + ... + x^(l-1))^n at the window of degrees l*k - n .. l*k.
+  Where the windows overlap or abut, l <= n+1, they are read off one
+  coefficient row; above that each window is run on its own from one
+  seed, so the cost stops growing with l.  The matrix assembly in
+  `ktheory` reads the block as it is; `count_table`, `mu_enumerate`,
+  `alpha` and `beta` read it unsigned.
 * the oracle, `mu_closed`: an inclusion-exclusion sum over binomials,
-  which the test suite and `adamsops mu --check` compare the table with.
-
-The matrix assembly in `ktheory` reads neither: it reads `signed_table`,
-the same block with the sign and the factor of the unitary formula,
-(-1)^(k+p) * l * mu(n, l, k, p), which is the U(n) matrix itself.  It is
-built from the same count row (or, above l = n(n+1), from `count_table`'s
-block) and kept in its own bounded cache, so that each entry is scaled
-once per block rather than once per use.
+  which the test suite and `adamsops mu --check` compare the block with.
 
 The row is P-recursive.  f = P^n with P = (1 - x^l)/(1 - x) has the
 logarithmic derivative f'/f = n P'/P, which clears to
@@ -36,23 +32,25 @@ Comparing the coefficients of x^s on both sides gives, for a_s = [x^s] f,
     (s+1) a[s+1] = (s+n) a[s] + (s-l+1-n*l) a[s-l+1] + (n(l-1)-s+l) a[s-l],
 
 with a[0] = 1 and a[s] = 0 for s < 0: each coefficient from three earlier
-ones, O(n*l) big-integer steps for the whole row.  The row is a palindrome,
+ones, O(n*l) big-integer steps for the whole row, and n+1 steps for a
+window of n+1 degrees given the one before it.  The row is a palindrome,
 a[s] = a[n(l-1) - s], so only its first half is computed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, cycle
+from itertools import cycle, islice
+from math import comb
 from operator import mul, neg
 
 from .exactmath import _require_int, binomial
 
 __all__ = ["count_table", "signed_table", "mu_enumerate", "mu_closed", "alpha", "beta"]
 
-# Distinct (n, l) blocks kept, by each of the two block caches.  Sweeps over
-# every family at ranks up to 10 with l up to 144 touch about 350 blocks of
-# 2-20 KiB each; one block at n = 80, l = 50 takes about 520 KiB.
+# Distinct (n, l) blocks kept by `signed_table`.  Sweeps over every family
+# at ranks up to 10 with l up to 144 touch about 350 blocks of 2-20 KiB
+# each; one block at n = 80, l = 50 takes about 520 KiB.
 _TABLE_CACHE_SIZE = 512
 
 # Oracle counts kept.  `adamsops verify` at its defaults leaves 11,773
@@ -73,94 +71,39 @@ def _validate(n: int, l: int, k: int = 0, p: int = 0) -> None:
         raise ValueError(f"wedge degree must be nonnegative, got k={k}")
 
 
-def _count_row(n: int, l: int) -> list[int]:
-    """The coefficients of (1 + x + ... + x^(l-1))^n: entry s is the number
-    of n-tuples with parts in 0..l-1 summing to s, for 0 <= s <= n*(l-1).
-
-    The first half of the row comes from the three-term recurrence of the
+def _recur(n: int, l: int, a: list[int], lag: list[int], s: int, stop: int) -> None:
+    """Append the coefficients a[s+1..stop] of (1 + x + ... + x^(l-1))^n to
+    `a`, whose last entry is a[s], by the three-term recurrence of the
     module docstring,
 
         (s+1) a[s+1] = (s+n) a[s] + (s-l+1-n*l) a[s-l+1] + (n(l-1)-s+l) a[s-l],
 
-    which clears the differential equation of (1 + ... + x^(l-1))^n; the
-    second half mirrors it.  Every step divides exactly by s+1, since each
-    a[s+1] is a count; a remainder means the recurrence is wrong and raises.
+    where `lag` holds the lagged coefficients from lag[0] = a[s-l] on.
+    Every step divides exactly by s+1, since each a[s+1] is a count; a
+    remainder means a coefficient or the recurrence is wrong and raises.
+    """
+    nl = n * l
+    q = a[-1]
+    for t, lo, hi in zip(range(s, stop), lag, islice(lag, 1, None)):
+        q, r = divmod((t + n) * q + (t - l + 1 - nl) * hi + (nl - n - t + l) * lo, t + 1)
+        if r:
+            raise ArithmeticError(f"counts of n={n}, l={l}: step s={t} leaves remainder {r}")
+        a.append(q)
+
+
+def _count_row(n: int, l: int) -> list[int]:
+    """The coefficients of (1 + x + ... + x^(l-1))^n: entry s is the number
+    of n-tuples with parts in 0..l-1 summing to s, for 0 <= s <= n*(l-1).
+
+    The first half of the row comes from `_recur`, and the second half
+    mirrors it.
     """
     size = n * (l - 1) + 1
     half = (size + 1) // 2
-    nl = n * l
     a = [0] * l + [1]  # a[s] sits at index s + l; the l zeros are a[-l..-1]
-    for s in range(half - 1):
-        q, r = divmod(
-            (s + n) * a[s + l] + (s - l + 1 - nl) * a[s + 1] + (nl - n - s + l) * a[s],
-            s + 1,
-        )
-        if r:
-            raise ArithmeticError(f"count row of n={n}, l={l}: step s={s} leaves remainder {r}")
-        a.append(q)
+    _recur(n, l, a, a, 0, half - 1)
     del a[:l]
     return a + a[: size - half][::-1]
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
-def count_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
-    """The block T[k][p] = mu(n, l, k, p) for 0 <= k, p <= n.
-
-    Up to the switch l = n(n+1), row k reads the count row backwards from
-    degree l*k down to l*k - n; the row, of n*(l-1) + 1 entries, is dropped
-    once the block is read.
-
-    Every entry is a polynomial in l of degree <= n-1, for every l >= 1.
-    With s = l*k - p, `mu_closed`'s sum gives, for 0 <= k, p <= n,
-
-        mu = [p = 0] (-1)^k C(n, k) + sum_{q<k} (-1)^q C(n, q) P(n-1 + l(k-q) - p),
-
-    where P(x) = x(x-1)...(x-n+2)/(n-1)!:
-
-    * a term q < k that the sum leaves out, l(k-q) < p, has x in
-      [0, n-2], where P is 0; a term it keeps has x >= n-1, where
-      P(x) = C(x, n-1);
-    * the term q = k is live only when p = 0, where it is (-1)^k C(n, k);
-    * the guard s > n(l-1) adds nothing, because the whole sum is the
-      coefficient of x^s in (1 - x^l)^n / (1 - x)^n, a polynomial of
-      degree n(l-1).
-
-    So the blocks at l = 1..n fix the block at every l.  Above the switch
-    the block is their Lagrange sum in t = l-1 over the nodes t = 0..n-1,
-
-        T(l) = sum_{j<n} w_j T(j+1),  w_j = (-1)^(n-1-j) C(t, j) C(t-j-1, n-1-j),
-
-    integer weights once l >= n+1.  Reversing every part sends the tuples
-    counted by T[k][p] to those of T[n-k][n-p], so the flattened block is a
-    palindrome: only its first half is summed, and the rest mirrors it.
-
-    The row costs about n*l steps; the sum about n^3 at any l, for the n
-    short rows at l <= n and n*(n+1)^2/2 multiply-adds.  Timed cold, best
-    of 5: at n = 63 the block takes 94-99 ms by the row at l = n(n+1) and
-    69-80 ms by the sum at l = n(n+1) + 1..8n(n+1); at n = 128, 1.5 s and
-    313 MB by the row and 1.5-1.7 s and 103 MB by the sum (2-vCPU Xeon VM,
-    Python 3.11.7).
-    """
-    _validate(n, l)
-    w = n + 1
-    if l <= n * w:
-        ext = [0] * w + _count_row(n, l) + [0] * n  # degree s sits at s + w
-        return tuple(tuple(ext[l * k + w : l * k : -1]) for k in range(w))
-    return _lagrange_block(n, l)
-
-
-def _lagrange_block(n: int, l: int) -> tuple[tuple[int, ...], ...]:
-    """`count_table`'s block above l = n(n+1), uncached: the Lagrange sum of
-    the cached blocks at l = 1..n."""
-    w = n + 1
-    t, half = l - 1, (w * w + 1) // 2
-    weights = [
-        (-1) ** (n - 1 - j) * binomial(t, j) * binomial(t - j - 1, n - 1 - j) for j in range(n)
-    ]
-    blocks = [[*chain.from_iterable(count_table(n, j + 1))][:half] for j in range(n)]
-    flat = [sum(map(mul, weights, column)) for column in zip(*blocks)]
-    flat += flat[: w * w - half][::-1]
-    return tuple(tuple(flat[k * w : k * w + w]) for k in range(w))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
@@ -169,17 +112,25 @@ def signed_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     entry (p, k) of the unitary formula for psi^l on U(n), for every p and
     k, so the U(n) matrix is this block without row and column 0.
 
-    Row k reads the count row at degrees s = l*k - p, and (-1)^(k+p) is
-    (-1)^s, times (-1)^k when l is even.  So where the windows of the rows
+    Row k reads the count row at the window of degrees s = l*k - p, and
+    (-1)^(k+p) is (-1)^s, times (-1)^k when l is even.  Where the windows
     overlap or abut, l <= n+1, the first half of the count row is scaled
     once by (-1)^s * l, about n(l-1)/2 products, and mirrored: the signed
     row is a palindrome up to the sign (-1)^(n(l-1)).  Every row of the
-    block is a slice of it, negated for odd k when l is even.  Above that
-    the windows are disjoint, and each is scaled on its own: read off the
-    count row up to l = n(n+1), and off `count_table`'s Lagrange block above
-    it, which is not kept in `count_table`'s cache as well.  Since
-    A[k][p] = A[n-k][n-p], as for the counts, only the rows k <= n/2 are
-    scaled, about (n+1)^2/2 products, and the rest mirror them.
+    block is a slice of it, negated for odd k when l is even.
+
+    Above that the windows are disjoint, and no row is built.  Window k,
+    extended by one degree to l*k - n - 1 .. l*k, starts from the seed
+
+        a[l*k - n - 1] = sum_{q<k} (-1)^q C(n, q) C(l(k-q) - 2, n-1)
+
+    (`count_table` derives it) and runs `_recur` over its n+1 degrees: the
+    lagged terms a[s-l] and a[s-l+1] all fall in the extended window k-1,
+    and window 0 is zero but for a[0] = 1.  The seed is no entry of the
+    block, so every entry still comes from the recurrence and its check.
+    Since A[k][p] = A[n-k][n-p], as for the counts, only the windows
+    k <= n/2 are run and scaled, and the rest mirror them: about n^2/2
+    steps and (n+1)^2/2 products at any l.
     """
     _validate(n, l)
     w = n + 1
@@ -199,25 +150,56 @@ def signed_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
             for i, h in enumerate(halves)
         ]
         return tuple(tuple(rows[k % len(rows)][l * k + w : l * k : -1]) for k in range(w))
-    if l <= n * w:
-        ext = [0] * w + _count_row(n, l) + [0] * n  # degree s sits at s + w
-        windows = [ext[l * k + w : l * k : -1] for k in range((w + 1) // 2)]
-    else:
-        windows = _lagrange_block(n, l)
+    top = (w + 1) // 2
+    seeds = [comb(l * j - 2, n - 1) for j in range(1, top)]
+    terms = [(-1) ** q * comb(n, q) for q in range(top - 1)]
     signs = ([l, -l] * w, [-l, l] * w)
-    top = [tuple(map(mul, windows[k], signs[k % 2])) for k in range((w + 1) // 2)]
-    return tuple(top + [row[::-1] for row in reversed(top[: w // 2])])
+    window = [0] * w + [1]  # window 0, degrees -n-1..0
+    rows = []
+    for k in range(top):
+        if k:
+            lag, window = window, [sum(map(mul, terms[:k], seeds[k - 1 :: -1]))]
+            _recur(n, l, window, lag, l * k - w, l * k)
+        rows.append(tuple(map(mul, window[:0:-1], signs[k % 2])))
+    return tuple(rows + [row[::-1] for row in reversed(rows[: w // 2])])
+
+
+def count_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
+    """The block T[k][p] = mu(n, l, k, p) for 0 <= k, p <= n: `signed_table`
+    without its signs and its factor l, uncached.
+
+    Every entry is a polynomial in l of degree <= n-1, for every l >= 1.
+    With s = l*k - p, `mu_closed`'s sum gives, for 0 <= k, p <= n,
+
+        mu = [p = 0] (-1)^k C(n, k) + sum_{q<k} (-1)^q C(n, q) P(n-1 + l(k-q) - p),
+
+    where P(x) = x(x-1)...(x-n+2)/(n-1)!:
+
+    * a term q < k that the sum leaves out, l(k-q) < p, has x in
+      [0, n-2], where P is 0; a term it keeps has x >= n-1, where
+      P(x) = C(x, n-1);
+    * the term q = k is live only when p = 0, where it is (-1)^k C(n, k);
+    * the guard s > n(l-1) adds nothing, because the whole sum is the
+      coefficient of x^s in (1 - x^l)^n / (1 - x)^n, a polynomial of
+      degree n(l-1).
+
+    The same sum at p = n+1 is `signed_table`'s seed for k >= 1 where the
+    windows are disjoint: with l >= n+2 every term q < k is kept, and
+    x = l(k-q) - 2.
+    """
+    _validate(n, l)
+    return tuple(tuple(abs(e) // l for e in row) for row in signed_table(n, l))
 
 
 def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
     """The count as a coefficient of (1 + x + ... + x^(l-1))^n.
 
-    Inside the block 0 <= k, p <= n it is read from `count_table`; outside
+    Inside the block 0 <= k, p <= n it is read from `signed_table`; outside
     it the coefficient row is rebuilt, uncached.
     """
     _validate(n, l, k, p)
     if k <= n and 0 <= p <= n:
-        return count_table(n, l)[k][p]
+        return abs(signed_table(n, l)[k][p]) // l
     s = l * k - p
     if s < 0 or s > n * (l - 1):
         return 0

@@ -81,15 +81,16 @@ def test_count_functions_reject_bool_and_non_int(position, bad):
     # the l = 1 counts for l = True; warm those entries first.
     for f in (mu_enumerate, mu_closed, alpha, beta):
         f(3, 1, 1, 1)
-    count_table(3, 1)
+    signed_table(3, 1)
     args = [3, 2, 1, 1]
     args[position] = bad
     for f in (mu_enumerate, mu_closed, alpha, beta):
         with pytest.raises(ValueError, match="must be an int"):
             f(*args)
     if position < 2:
-        with pytest.raises(ValueError, match="must be an int"):
-            count_table(*args[:2])
+        for f in (count_table, signed_table):
+            with pytest.raises(ValueError, match="must be an int"):
+                f(*args[:2])
 
 
 def test_closed_matches_enumeration_small():
@@ -194,80 +195,100 @@ def test_table_whole_block_small():
 
 
 def test_table_above_the_route_bound_matches_closed_form(monkeypatch):
-    # Above l = n(n+1) the block is the Lagrange sum of the blocks at
-    # l = 1..n, so the only count rows built are theirs.
+    # Up to l = n+1 the block is read off one count row; above it the
+    # windows of its rows are disjoint, each runs from its own seed, and no
+    # count row is built at all.
     rows = []
     monkeypatch.setattr(counts, "_count_row", lambda n, l: rows.append(l) or _count_row(n, l))
     for n in (*range(1, 13), 16, 24, 32):
         edge = n * (n + 1)
-        for l in (edge, edge + 1, edge + 2, 3 * edge + 1, 997):
+        for l in sorted({n + 1, n + 2, n + 3, 2 * n, edge, edge + 1, 5 * edge}):
             expected = tuple(
                 tuple(mu_closed(n, l, k, p) for p in range(n + 1)) for k in range(n + 1)
             )
-            count_table.cache_clear()
+            signed_table.cache_clear()
             rows.clear()
             assert count_table(n, l) == expected, (n, l)
-            assert sorted(rows) == ([l] if l <= edge else [*range(1, n + 1)]), (n, l)
+            assert rows == ([l] if l <= n + 1 else []), (n, l)
 
 
-def test_table_validation():
-    for bad in [(0, 2), (3, 0), (-1, 4)]:
+def test_table_validation(monkeypatch):
+    # count_table checks its arguments before it reads the signed block
+    monkeypatch.setattr(counts, "signed_table", lambda n, l: pytest.fail("a block was read"))
+    for bad in [(0, 2), (3, 0), (-1, 4), (3, True), (3, 2.0)]:
         with pytest.raises(ValueError):
             count_table(*bad)
 
 
 def test_table_cache_is_bounded():
-    for cache in (count_table, signed_table, mu_closed):
+    # the signed block is the one block cache; count_table is a view of it
+    caches = [f for f in vars(counts).values() if hasattr(f, "cache_info")]
+    assert sorted(f.__name__ for f in caches) == ["mu_closed", "signed_table"]
+    for cache in caches:
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
 
 
 def test_the_benchmark_clears_both_block_caches(monkeypatch):
-    # matrix-cold starts every lap from empty caches
+    # matrix-cold starts every lap from empty caches: the signed block and
+    # the oracle's counts
     count_table(4, 3)
-    signed_table(4, 3)
+    mu_closed(4, 3, 1, 1)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import workloads
 
         found = workloads.library_caches()
-        assert all(any(c is cache for c in found) for cache in (count_table, signed_table))
+        assert all(any(c is cache for c in found) for cache in (signed_table, mu_closed))
         workloads.clear_library_caches()
     finally:
         for name in ("workloads", "reference"):
             sys.modules.pop(name, None)
-    assert count_table.cache_info().currsize == signed_table.cache_info().currsize == 0
+    assert signed_table.cache_info().currsize == mu_closed.cache_info().currsize == 0
 
 
 def test_signed_table_at_the_edges_of_its_routes(monkeypatch):
-    # Up to l = n+1 the windows of the block's rows overlap or abut, up to
-    # n(n+1) they are read off one count row, and above it off count_table's
-    # Lagrange block.  Odd n with even l makes the count row of even length,
-    # whose signed mirror is negated.
+    # Up to l = n+1 the windows of the block's rows overlap or abut and are
+    # read off one count row; above it they are disjoint, and no count row
+    # is built, whether the block is read signed, unsigned or entry by
+    # entry.  Odd n with even l makes the count row of even length, whose
+    # signed mirror is negated.
     rows = []
     monkeypatch.setattr(counts, "_count_row", lambda n, l: rows.append((n, l)) or _count_row(n, l))
     for n in (1, 2, 3, 4, 5, 7, 8, 11, 16):
         edge = n * (n + 1)
-        for l in sorted({1, 2, 3, n, n + 1, n + 2, edge, edge + 1, 5 * edge}):
+        for l in sorted({1, 2, 3, n, n + 1, n + 2, n + 3, 2 * n, edge, edge + 1, 5 * edge}):
             expected = tuple(
                 tuple((-1) ** (k + p) * l * mu_closed(n, l, k, p) for p in range(n + 1))
                 for k in range(n + 1)
             )
-            count_table.cache_clear()
-            signed_table.cache_clear()
-            rows.clear()
+            for read in (signed_table, count_table, lambda n, l: mu_enumerate(n, l, n // 2, 1)):
+                signed_table.cache_clear()
+                rows.clear()
+                read(n, l)
+                assert rows == ([(n, l)] if l <= n + 1 else []), (read, n, l)
             assert signed_table(n, l) == expected, (n, l)
             assert all(type(e) is int for row in signed_table(n, l) for e in row)
-            assert sorted(rows) == ([(n, l)] if l <= edge else [(n, j) for j in range(1, n + 1)])
-            # a signed block keeps no count block of its own l
-            assert count_table.cache_info().currsize == (0 if l <= edge else n)
     with pytest.raises(ValueError):
         signed_table(3, 0)
 
 
+@pytest.mark.parametrize("n, l", [(3, 6), (5, 8), (8, 12), (16, 40)])
+def test_a_wrong_window_seed_raises(monkeypatch, n, l):
+    # Window 1 of the block starts from the seed C(l-2, n-1).  One more
+    # than that adds l-1 to the numerator of the window's first step, at
+    # s = l-n-1, which its divisor s+1 = l-n does not divide here.
+    assert (n - 1) % (l - n)
+    real = counts.comb
+    monkeypatch.setattr(counts, "comb", lambda a, b: real(a, b) + ((a, b) == (l - 2, n - 1)))
+    signed_table.cache_clear()
+    with pytest.raises(ArithmeticError, match=rf"n={n}, l={l}: step s={l - n - 1} "):
+        signed_table(n, l)
+
+
 def test_large_l_enumeration_is_fast():
     # The earlier O(n*S*l) dynamic program took about 1.4 s here.
-    count_table.cache_clear()
+    signed_table.cache_clear()
     t0 = time.perf_counter()
     value = mu_enumerate(3, 3000, 1, 1)
     elapsed = time.perf_counter() - t0

@@ -88,9 +88,10 @@ def test_count_duality(n, l, data):
 @budget
 @given(n=st.integers(1, 24), data=st.data())
 def test_table_above_the_switch_matches_closed_form(n, data):
-    # above l = n(n+1) the table is extrapolated in l and its second half
-    # mirrors the first, T[k][p] = T[n-k][n-p]
-    l = data.draw(st.integers(n * (n + 1) + 1, 100 * n * (n + 1)))
+    # above l = n+1 the windows of the table's rows are disjoint, each runs
+    # from its own seed, and the second half mirrors the first,
+    # T[k][p] = T[n-k][n-p]
+    l = data.draw(st.integers(n + 2, 100 * n * (n + 1)))
     table = count_table(n, l)
     for _ in range(3):
         k, p = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
@@ -100,9 +101,8 @@ def test_table_above_the_switch_matches_closed_form(n, data):
 @budget
 @given(n=st.integers(1, 40), data=st.data())
 def test_signed_table_matches_closed_form(n, data):
-    # each of the block's three routes: windows that overlap or abut
-    # (l <= n+1), disjoint windows of the count row (up to l = n(n+1)), and
-    # the Lagrange block above
+    # each of the block's two routes: windows that overlap or abut
+    # (l <= n+1) and disjoint windows, near that edge and far above it
     edge = n * (n + 1)
     l = data.draw(
         st.one_of(
