@@ -21,13 +21,18 @@ plus the eigenvectors restriction misses (d(S+) - d(S-) for Spin(2n)); it
 does not depend on l and is kept in a bounded cache.
 
 `spectrum_check` proves char(M) = prod_i (x - l^(m_i + 1)) with that basis V
-as a certificate: V has one column per basis element with exactly the
-eigenvalue exponents m_i + 1, det V is nonzero modulo a fixed prime
-(checked once per group), and M.w = l^e.w holds exactly for every column w
-(checked on every call).  Only if a part fails does it compute the
-characteristic polynomial, by Berkowitz's division-free algorithm over the
-integers (`char_poly`), which is also the check on the certificate in the
-tests.
+as a certificate: V is square with exactly the eigenvalue exponents m_i + 1,
+and at l = 1 the matrix M is the identity.  At l >= 2 every column w is
+nonzero, no exponent has more than two columns and two that share one are
+not proportional, and M.w = l^e.w holds exactly for every column.  The
+relations alone then prove V invertible: at l >= 2 distinct exponents are
+distinct eigenvalues, nonzero eigenvectors of distinct eigenvalues are
+linearly independent, and so are two non-proportional ones of one
+eigenvalue.  So M = V.diag(l^e).V^-1 and no determinant is taken.  Only
+Spin(4k) repeats an exponent, twice.  Only if a part fails does it compute
+the characteristic polynomial, by Berkowitz's division-free algorithm over
+the integers (`char_poly`), which is also the check on the certificate in
+the tests.
 
 The relations M.w = l^e.w are checked several columns per integer mat-vec
 (Kronecker substitution).  A run of columns w_t, each w_t with eigenvalue
@@ -80,10 +85,6 @@ __all__ = [
 # 5 unitary ranks and 26 groups.  The levels of U(80) take about 0.4 MB and
 # the eigenbasis of Spin(161) about 0.7 MB (tracemalloc).
 _BASIS_CACHE_SIZE = 64
-
-# det V is taken modulo this prime (2^61 - 1); a nonzero residue proves
-# det V != 0.
-_PRIME = 2**61 - 1
 
 # The packed certificate's limits, from interleaved timings of the
 # certificate at ranks 34 and 80 with l from 2 to 1000: packing ran 1.2-2.9x
@@ -270,44 +271,16 @@ def eigenbasis_determinant(n: int) -> Fraction:
     return Fraction(_bareiss_det(rows) * prod(gcds), prod(den for _, den in levels))
 
 
-def _det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Determinant of a square integer matrix modulo the prime p, by
-    Gaussian elimination over the integers mod p."""
-    m = [[x % p for x in row] for row in rows]
-    d, det = len(m), 1
-    for i in range(d):
-        pivot = next((r for r in range(i, d) if m[r][i]), None)
-        if pivot is None:
-            return 0
-        if pivot != i:
-            m[i], m[pivot] = m[pivot], m[i]
-            det = -det
-        top = m[i]
-        det = det * top[i] % p
-        inverse = pow(top[i], -1, p)
-        for r in range(i + 1, d):
-            f = m[r][i] * inverse % p
-            if f:
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], top)]
-    return det % p
-
-
 class Eigenbasis(Record):
     """Integer eigenvectors of every psi^l matrix of the group, over its
     primitive basis: column j has eigenvalue l^eigenvalue_exponents[j] for
-    every l >= 1.  Each column is primitive (its entries have gcd 1)."""
+    every l >= 1.  Each column is primitive (its entries have gcd 1).  The
+    record carries no proof that the columns are independent: `_certifies`
+    proves it from the eigen-relations at each l >= 2."""
 
     group: GroupSpec
     eigenvalue_exponents: tuple[int, ...]
     columns: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def independent(self) -> bool:
-        """Whether the columns form a square matrix whose determinant is
-        nonzero modulo 2^61 - 1, which proves them linearly independent.
-        Computed once per record."""
-        d = len(self.columns)
-        return all(len(col) == d for col in self.columns) and _det_mod(self.columns, _PRIME) != 0
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
@@ -446,23 +419,56 @@ def _run_holds(entries: Sequence[Sequence[int]], width: int, run: _Run) -> bool:
     return _times(entries, packed) == image
 
 
+def _proportional(u: Sequence[int], v: Sequence[int]) -> bool:
+    """Whether v is a multiple of the nonzero column u: with u_i its first
+    nonzero entry, v = (v_i / u_i) u exactly when v u_i = u v_i."""
+    i = next(j for j, x in enumerate(u) if x)
+    return [x * u[i] for x in v] == [x * v[i] for x in u]
+
+
 def _certifies(vb: Eigenbasis, entries: Sequence[Sequence[int]], l: int) -> bool:
     """Whether V = vb.columns proves that the matrix `entries` has the
-    characteristic polynomial prod_i (x - l^(m_i + 1)): one column per row,
-    exponents equal to the m_i + 1 as a multiset, M.w = l^e.w exactly for
-    every column, and det V != 0.
+    characteristic polynomial prod_i (x - l^(m_i + 1)).  V must have one
+    column per row, each with one entry per row, and its exponents must be
+    the m_i + 1 as a multiset.  Then:
+
+    - l = 1: M must be the identity, so char(M) = (x - 1)^d outright.
+    - l >= 2: every column must be nonzero, an exponent may be shared by at
+      most two columns and those two must not be proportional, and
+      M.w = l^e.w must hold exactly for every column.
+
+    For l >= 2 distinct exponents give distinct eigenvalues, and nonzero
+    eigenvectors of distinct eigenvalues are linearly independent; within
+    one exponent, one nonzero column or two non-proportional ones are
+    independent too.  So V is invertible and M = V.diag(l^e).V^-1, which
+    has the wanted characteristic polynomial.  No determinant is needed.
 
     The relations are checked a run of columns at a time, packed into one
     integer column each (`_runs`, `_run_holds`).  With ||M|| the largest
     row L1 norm, each packed digit of M.u - u' is at most
     (||M|| + l^e) max|w| < 2^(K-1) in absolute value, so the packed check
     holds exactly when every column's does (see the module docstring)."""
+    d = len(entries)
+    if not (
+        len(vb.columns) == d
+        and all(len(col) == d for col in vb.columns)
+        and sorted(vb.eigenvalue_exponents) == sorted(m + 1 for m in family_exponents(vb.group))
+    ):
+        return False
+    if l == 1:
+        # row i is the unit row e_i: its entry i is 1 and its L1 norm is 1
+        return all(row[i] == 1 == sum(map(abs, row)) for i, row in enumerate(entries))
+    shared: dict[int, list[tuple[int, ...]]] = {}
+    for e, col in zip(vb.eigenvalue_exponents, vb.columns):
+        shared.setdefault(e, []).append(col)
     norm = max((sum(map(abs, row)) for row in entries), default=0)
     return (
-        len(vb.columns) == len(entries)
-        and sorted(vb.eigenvalue_exponents) == sorted(m + 1 for m in family_exponents(vb.group))
+        all(vb.heights)
+        and all(
+            len(cols) == 1 or len(cols) == 2 and not _proportional(*cols)
+            for cols in shared.values()
+        )
         and all(_run_holds(entries, width, run) for width, run in _runs(vb, norm, l))
-        and vb.independent
     )
 
 

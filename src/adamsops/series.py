@@ -14,6 +14,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Union
 
+from .exactmath import _require_int
+
 __all__ = [
     "bernoulli_even",
     "UniPoly",
@@ -52,6 +54,7 @@ def bernoulli_even(m: int) -> Fraction:
     Only even indices are exposed; the odd ones vanish beyond B_1 and are
     never needed by callers.
     """
+    _require_int("Bernoulli index m", m)
     if m < 0 or m % 2 != 0:
         raise ValueError(f"bernoulli_even: index must be even and nonnegative, got {m}")
     return _bernoulli(m)
@@ -138,6 +141,7 @@ class TruncSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[Scalar] = ()) -> None:
+        _require_int("series order", order)
         if order < 0:
             raise ValueError(f"TruncSeries: order must be nonnegative, got {order}")
         cs = [Fraction(c) for c in coeffs][: order + 1]
@@ -190,6 +194,7 @@ class TruncSeries:
         return TruncSeries(self.order, out)
 
     def __pow__(self, exponent: int) -> "TruncSeries":
+        _require_int("series exponent", exponent)
         if exponent < 0:
             raise ValueError(f"TruncSeries: negative exponent {exponent}")
         result = TruncSeries.one(self.order)
@@ -230,6 +235,8 @@ def t_over_sinh_pow(y: int, order: int) -> TruncSeries:
     The odd coefficients vanish; the coefficient of t^(2j) is the value at y
     of the degree-j coefficient polynomial produced by the eigen module.
     """
+    _require_int("exponent y", y)
+    _require_int("series order", order)
     if y < 0:
         raise ValueError(f"t_over_sinh_pow: exponent must be nonnegative, got {y}")
     return _sinh_over_t(order).inverse() ** y

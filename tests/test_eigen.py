@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd
 from pathlib import Path
@@ -384,7 +385,7 @@ def test_eigenbasis_certifies_every_family():
     # certificate alone proved it
     for group in _groups(12):
         vb = eigenbasis(group)
-        assert vb.independent, str(group)
+        assert _bareiss_det([list(col) for col in vb.columns]) != 0, str(group)
         assert all(gcd(*col) == 1 for col in vb.columns), str(group)
         for l in (1, 2, 3, 5):
             entries = adams_matrix(group, l).entries
@@ -421,25 +422,63 @@ def test_spectrum_check_reports_a_changed_matrix(monkeypatch, group):
 
 
 def test_spectrum_check_falls_back_on_a_singular_basis(monkeypatch):
-    # Spin(8) has l^4 twice: putting one l^4 column in place of the other
-    # keeps the exponents and every M.w = l^4 w, but not the rank
+    # each basis below keeps the exponents, yet proves nothing: the
+    # certificate must refuse it, and the report must be the one char_poly
+    # fills
     group = GroupSpec("SpinEven", 4)
     vb = eigenbasis(group)
     first, second = (j for j, e in enumerate(vb.eigenvalue_exponents) if e == 4)
-    columns = list(vb.columns)
-    columns[second] = columns[first]
-    singular = Eigenbasis(group, vb.eigenvalue_exponents, tuple(columns))
-    assert not singular.independent
+
+    def replaced(j, col):
+        columns = list(vb.columns)
+        columns[j] = col
+        return Eigenbasis(group, vb.eigenvalue_exponents, tuple(columns))
+
     calls = []
-    monkeypatch.setattr(eigen, "eigenbasis", lambda g: singular)
     monkeypatch.setattr(eigen, "char_poly", lambda entries: calls.append(1) or char_poly(entries))
-    report = spectrum_check(group, 2)
-    assert report.ok and calls == [1]
-    assert report.char_coeffs == expected_char_poly(group, 2)
-    # a wrong exponent also sends it to the characteristic polynomial
-    wrong = Eigenbasis(group, (2, 4, 6, 6), vb.columns)
-    monkeypatch.setattr(eigen, "eigenbasis", lambda g: wrong)
-    assert spectrum_check(group, 2).ok and calls == [1, 1]
+
+    def check(basis, l, entries, exponents=None):
+        monkeypatch.setattr(eigen, "eigenbasis", lambda g: basis)
+        monkeypatch.setattr(eigen, "adams_matrix", lambda g, l: AdamsMatrix(g, l, entries))
+        if exponents is not None:
+            monkeypatch.setattr(eigen, "family_exponents", lambda g: exponents)
+        assert not _certifies(basis, entries, l)
+        assert not _columnwise_certifies(basis, entries, l)
+        before = len(calls)
+        got, want = char_poly(entries), expected_char_poly(group, l)
+        eigenvalues = tuple(sorted(l ** (m + 1) for m in eigen.family_exponents(group)))
+        report = spectrum_check(group, l)
+        assert report == SpectrumReport(group, l, got == want, eigenvalues, got, want)
+        assert len(calls) == before + 1
+        return report
+
+    entries = adams_matrix(group, 2).entries
+    # Spin(8) has l^4 twice: putting one l^4 column in place of the other
+    # keeps every M.w = l^4 w, but not the rank
+    assert check(replaced(second, vb.columns[first]), 2, entries).ok
+    # a zero column satisfies every relation
+    assert check(replaced(0, (0,) * 4), 2, entries).ok
+    # a column one entry short, and one a zero entry long: a zero prefix of
+    # d entries would pass every relation
+    assert check(replaced(0, vb.columns[0][:-1]), 2, entries).ok
+    assert check(replaced(0, (0, 0, 0, 0, 1)), 2, entries).ok
+    # a wrong exponent
+    assert check(Eigenbasis(group, (2, 4, 6, 6), vb.columns), 2, entries).ok
+    # a non-identity matrix at l = 1 with the same characteristic polynomial
+    unipotent = _changed(adams_matrix(group, 1).entries, [(0, 1)], 1)
+    assert check(vb, 1, unipotent).ok
+    # at l = 1 every eigenvalue is 1, so the relations prove nothing: these
+    # columns, nonzero and no two of one exponent proportional, all lie in
+    # the fixed hyperplane w_1 = 0 of diag(1, 2, 1, 1)
+    flat = Eigenbasis(group, (2, 4, 4, 6), ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 1, 0)))
+    assert not check(flat, 1, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))).ok
+    # three columns of one exponent: the third, the sum of the other two,
+    # satisfies M.w = l^4 w and is proportional to neither, but V is
+    # singular.  With exponents claimed as (1, 3, 3, 3) the relations alone
+    # would wrongly prove char(M) = (x - 4)(x - 16)^3
+    third = tuple(a + b for a, b in zip(vb.columns[first], vb.columns[second]))
+    triple = Eigenbasis(group, (2, 4, 4, 4), vb.columns[:3] + (third,))
+    assert not check(triple, 2, entries, exponents=(1, 3, 3, 3)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +487,32 @@ def test_spectrum_check_falls_back_on_a_singular_basis(monkeypatch):
 
 def _columnwise_certifies(vb, entries, l):
     """The certificate with one integer mat-vec per column: the reference
-    for the packed check."""
+    for the packed check.  Two columns are proportional when every 2x2
+    minor of the pair is zero."""
+    d = len(entries)
+    exponents = vb.eigenvalue_exponents
+    if not (
+        len(vb.columns) == d
+        and all(len(col) == d for col in vb.columns)
+        and sorted(exponents) == sorted(m + 1 for m in family_exponents(vb.group))
+    ):
+        return False
+    if l == 1:
+        return [list(row) for row in entries] == [[int(i == j) for j in range(d)] for i in range(d)]
+    counts = Counter(exponents)
+    pairs = [
+        (u, v)
+        for a, (e, u) in enumerate(zip(exponents, vb.columns))
+        for f, v in zip(exponents[a + 1 :], vb.columns[a + 1 :])
+        if e == f
+    ]
     return (
-        len(vb.columns) == len(entries)
-        and sorted(vb.eigenvalue_exponents) == sorted(m + 1 for m in family_exponents(vb.group))
+        all(any(col) for col in vb.columns)
+        and max(counts.values()) <= 2
         and all(
-            _is_eigenvector(entries, col, l**e)
-            for e, col in zip(vb.eigenvalue_exponents, vb.columns)
+            any(u[i] * v[j] != u[j] * v[i] for i in range(d) for j in range(i)) for u, v in pairs
         )
-        and vb.independent
+        and all(_is_eigenvector(entries, col, l**e) for e, col in zip(exponents, vb.columns))
     )
 
 

@@ -72,6 +72,10 @@ def test_bernoulli_rejects_odd_or_negative_index():
         bernoulli_even(3)
     with pytest.raises(ValueError):
         bernoulli_even(-2)
+    # a float or a bool is no index, even when it equals an even int
+    for bad in (4.0, True, False):
+        with pytest.raises(ValueError, match="Bernoulli index m must be an int"):
+            bernoulli_even(bad)
 
 
 def test_bernoulli_against_generating_series():
@@ -188,6 +192,11 @@ def test_series_rejects_a_negative_order_or_exponent():
         TruncSeries(-1)
     with pytest.raises(ValueError, match="negative exponent -2"):
         TruncSeries(3, [1, 1]) ** -2
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="series order must be an int"):
+            TruncSeries(bad)
+        with pytest.raises(ValueError, match="series exponent must be an int"):
+            TruncSeries.one(4) ** bad
 
 
 def test_series_equality_hash_and_repr():
@@ -236,6 +245,11 @@ def test_t_over_sinh_odd_coefficients_vanish():
 def test_t_over_sinh_rejects_negative_power():
     with pytest.raises(ValueError):
         t_over_sinh_pow(-1, 4)
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="exponent y must be an int"):
+            t_over_sinh_pow(bad, 4)
+        with pytest.raises(ValueError, match="series order must be an int"):
+            t_over_sinh_pow(2, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-import adamsops.eigen as eigen
 from adamsops.eigen import Eigenbasis, Eigenvector, SpectrumReport, eigenbasis
 from adamsops.ktheory import (
     FAMILY_TABLE,
@@ -119,19 +118,16 @@ def test_pickle_and_copy_round_trips(record):
         assert _fields(back) == _fields(record)
 
 
-def test_eigenbasis_independence_is_computed_once(monkeypatch):
-    calls = []
-    det_mod = eigen._det_mod
-    monkeypatch.setattr(
-        eigen, "_det_mod", lambda columns, p: calls.append(1) or det_mod(columns, p)
-    )
+def test_eigenbasis_heights_are_computed_once():
+    # a cached_property on a Record: computed on first use, then the same
+    # object on every read, and carried by a copy
     cached = eigenbasis(GroupSpec("Sp", 3))
     vb = Eigenbasis(cached.group, cached.eigenvalue_exponents, cached.columns)
     assert vb == cached
-    assert vb.independent and vb.independent
-    assert calls == [1]
-    # a copy carries the value it had computed
-    assert copy.copy(vb).independent and calls == [1]
-    singular = Eigenbasis(vb.group, vb.eigenvalue_exponents, (vb.columns[0],) * 3)
-    assert not singular.independent and not singular.independent
-    assert calls == [1, 1]
+    assert "heights" not in vars(vb)
+    heights = vb.heights
+    assert heights == tuple(max(map(abs, col)) for col in vb.columns)
+    assert vb.heights is heights
+    assert copy.copy(vb).heights is heights
+    # the cached value is no field: it changes neither equality nor hash
+    assert vb == cached and hash(vb) == hash(cached)
