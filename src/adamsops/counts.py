@@ -16,9 +16,12 @@ There are two independent routes to the counts:
   (1 + x + ... + x^(l-1))^n at the window of degrees l*k - n .. l*k.
   Where the windows overlap or abut, l <= n+1, they are read off one
   coefficient row; above that each window is run on its own from one
-  seed, so the cost stops growing with l.  The matrix assembly in
-  `ktheory` reads the block as it is; `count_table`, `mu_enumerate`,
-  `alpha` and `beta` read it unsigned.
+  seed (`_windows`), so the cost stops growing with l.  The matrix
+  assembly in `ktheory` reads the block as it is; `count_table`,
+  `mu_enumerate`, `alpha` and `beta` read it unsigned.  Outside the
+  block `mu_enumerate` takes the same two routes, uncached: the row up
+  to l = n+1, and above it the chain of windows, one every l degrees,
+  that ends at its degree.
 * the oracle, `mu_closed`: an inclusion-exclusion sum over binomials,
   which the test suite and `adamsops mu --check` compare the block with.
 
@@ -43,6 +46,7 @@ from functools import lru_cache
 from itertools import cycle, islice
 from math import comb
 from operator import mul, neg
+from typing import Iterator
 
 from .exactmath import _require_int, binomial
 
@@ -106,6 +110,43 @@ def _count_row(n: int, l: int) -> list[int]:
     return a + a[: size - half][::-1]
 
 
+def _windows(n: int, l: int, r: int, count: int) -> Iterator[list[int]]:
+    """The windows of the count row of (1 + x + ... + x^(l-1))^n at the
+    degrees e - n - 1 .. e for e = r, r + l, ..., r + (count-1)*l, in order,
+    for l >= n+2 and 0 <= r < l: each a list of n+2 coefficients, the one of
+    degree e last.
+
+    The window ending at e, extended by one degree to e - n - 1 .. e,
+    starts from the seed
+
+        a[e - n - 1] = sum_q (-1)^q C(n, q) C(e - 2 - l*q, n-1)
+
+    over the q <= n with e - n - 1 - l*q >= 0, the inclusion-exclusion sum
+    of `mu_closed` at that degree, and runs `_recur` over its n+1 degrees.
+    Its lagged terms a[s-l] and a[s-l+1] all fall in the window before it;
+    those of the first window lie at degrees up to r - l < 0 and are zero.
+    Where the first window reaches below degree 0, r <= n, it is zero
+    there and runs from a[0] = 1 instead of a seed.  So every coefficient
+    above a seed comes from the recurrence and its remainder check.  The
+    binomials C(e - 2, n-1), one per window, are shared by all the seeds.
+    """
+    w = n + 1
+    ends = range(r, r + count * l, l)
+    binoms = [comb(e - 2, n - 1) if e > n else 0 for e in ends]
+    terms = [(-1) ** q * comb(n, q) for q in range(min(count, w))]
+    if r > n:
+        window = [binoms[0]]
+        _recur(n, l, window, [0] * (w + 1), r - w, r)
+    else:
+        window = [0] * (w - r) + [1]
+        _recur(n, l, window, [0] * (r + 1), 0, r)
+    yield window
+    for i, e in enumerate(ends[1:], 1):
+        lag, window = window, [sum(map(mul, terms, binoms[i::-1]))]
+        _recur(n, l, window, lag, e - w, e)
+        yield window
+
+
 @lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
 def signed_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     """The block A[k][p] = (-1)^(k+p) * l * mu(n, l, k, p) for 0 <= k, p <= n:
@@ -120,17 +161,16 @@ def signed_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     block is a slice of it, negated for odd k when l is even.
 
     Above that the windows are disjoint, and no row is built.  Window k,
-    extended by one degree to l*k - n - 1 .. l*k, starts from the seed
+    extended by one degree to l*k - n - 1 .. l*k, runs `_recur` from the
+    seed
 
-        a[l*k - n - 1] = sum_{q<k} (-1)^q C(n, q) C(l(k-q) - 2, n-1)
+        a[l*k - n - 1] = sum_{q<k} (-1)^q C(n, q) C(l(k-q) - 2, n-1),
 
-    (`count_table` derives it) and runs `_recur` over its n+1 degrees: the
-    lagged terms a[s-l] and a[s-l+1] all fall in the extended window k-1,
-    and window 0 is zero but for a[0] = 1.  The seed is no entry of the
-    block, so every entry still comes from the recurrence and its check.
-    Since A[k][p] = A[n-k][n-p], as for the counts, only the windows
-    k <= n/2 are run and scaled, and the rest mirror them: about n^2/2
-    steps and (n+1)^2/2 products at any l.
+    as `_windows` gives it with r = 0: window 0 is zero but for a[0] = 1.
+    The seed is no entry of the block, so every entry still comes from the
+    recurrence and its check.  Since A[k][p] = A[n-k][n-p], as for the
+    counts, only the windows k <= n/2 are run and scaled, and the rest
+    mirror them: about n^2/2 steps and (n+1)^2/2 products at any l.
     """
     _validate(n, l)
     w = n + 1
@@ -150,17 +190,11 @@ def signed_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
             for i, h in enumerate(halves)
         ]
         return tuple(tuple(rows[k % len(rows)][l * k + w : l * k : -1]) for k in range(w))
-    top = (w + 1) // 2
-    seeds = [comb(l * j - 2, n - 1) for j in range(1, top)]
-    terms = [(-1) ** q * comb(n, q) for q in range(top - 1)]
     signs = ([l, -l] * w, [-l, l] * w)
-    window = [0] * w + [1]  # window 0, degrees -n-1..0
-    rows = []
-    for k in range(top):
-        if k:
-            lag, window = window, [sum(map(mul, terms[:k], seeds[k - 1 :: -1]))]
-            _recur(n, l, window, lag, l * k - w, l * k)
-        rows.append(tuple(map(mul, window[:0:-1], signs[k % 2])))
+    rows = [
+        tuple(map(mul, window[:0:-1], signs[k % 2]))
+        for k, window in enumerate(_windows(n, l, 0, (w + 1) // 2))
+    ]
     return tuple(rows + [row[::-1] for row in reversed(rows[: w // 2])])
 
 
@@ -194,8 +228,12 @@ def count_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
 def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
     """The count as a coefficient of (1 + x + ... + x^(l-1))^n.
 
-    Inside the block 0 <= k, p <= n it is read from `signed_table`; outside
-    it the coefficient row is rebuilt, uncached.
+    Inside the block 0 <= k, p <= n it is read from `signed_table`.
+    Outside it nothing is cached.  Up to l = n+1 the coefficient row is
+    rebuilt.  Above that degree s = l*k - p, or n(l-1) - s where that is
+    lower (the row is a palindrome), is reached by the chain of windows of
+    `_windows` that ends at it, one every l degrees: at most n/2 + 1
+    windows of n+1 recurrence steps, at any l.
     """
     _validate(n, l, k, p)
     if k <= n and 0 <= p <= n:
@@ -203,7 +241,12 @@ def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
     s = l * k - p
     if s < 0 or s > n * (l - 1):
         return 0
-    return _count_row(n, l)[s]
+    if l <= n + 1:
+        return _count_row(n, l)[s]
+    s = min(s, n * (l - 1) - s)
+    for window in _windows(n, l, s % l, s // l + 1):
+        pass
+    return window[-1]
 
 
 @lru_cache(maxsize=_ORACLE_CACHE_SIZE, typed=True)

@@ -5,10 +5,13 @@ basis of common eigenvectors independent of l.  The eigenvector for the
 eigenvalue l^(n-k) is written in closed form through the even Taylor
 coefficients of (t/sinh t)^y: coefficient j is a degree-j polynomial q_j(y)
 satisfying a Bernoulli-number recurrence.  One cached run of that recurrence
-on numbers at y = n serves every level, and the levels of U(n) are cached as
-integer numerators over one denominator per level; `eigenvector`,
-`eigenbasis_determinant` and `verify_eigen_relation` read them.  `sinh_pow_coeff_poly` builds the
-polynomials themselves and serves as the independent check on the numbers.
+on numbers at y = n serves every level.  The levels of U(n) are cached as
+integer numerators over one denominator per level, which
+`eigenbasis_determinant` and `verify_eigen_relation` read, and the
+`Eigenvector` records of all n levels are built from them once per rank
+and cached beside them, which `eigenvector` returns.  `sinh_pow_coeff_poly`
+builds the polynomials themselves and serves as the independent check on
+the numbers.
 
 Every other family gets its eigenvectors by restriction from U(m), m the
 defining dimension.  The restriction R from the primitives of U(m) to those
@@ -21,30 +24,37 @@ plus the eigenvectors restriction misses (d(S+) - d(S-) for Spin(2n)); it
 does not depend on l and is kept in a bounded cache.
 
 `spectrum_check` proves char(M) = prod_i (x - l^(m_i + 1)) with that basis V
-as a certificate: V is square with exactly the eigenvalue exponents m_i + 1,
-and at l = 1 the matrix M is the identity.  At l >= 2 every column w is
-nonzero, no exponent has more than two columns and two that share one are
-not proportional, and M.w = l^e.w holds exactly for every column.  The
-relations alone then prove V invertible: at l >= 2 distinct exponents are
-distinct eigenvalues, nonzero eigenvectors of distinct eigenvalues are
-linearly independent, and so are two non-proportional ones of one
-eigenvalue.  So M = V.diag(l^e).V^-1 and no determinant is taken.  Only
-Spin(4k) repeats an exponent, twice.  Only if a part fails does it compute
-the characteristic polynomial, by Berkowitz's division-free algorithm over
-the integers (`char_poly`), which is also the check on the certificate in
-the tests.
+as a certificate.  V must be well formed, which does not depend on l and is
+computed once per basis (`Eigenbasis.well_formed`): V is square with
+exactly the eigenvalue exponents m_i + 1, every column w is nonzero, and no
+exponent has more than two columns, two that share one not proportional.
+At l = 1 the matrix M must be the identity.  At l >= 2, M.w = l^e.w must
+hold exactly for every column.  The relations alone then prove V
+invertible: at l >= 2 distinct exponents are distinct eigenvalues, nonzero
+eigenvectors of distinct eigenvalues are linearly independent, and so are
+two non-proportional ones of one eigenvalue.  So M = V.diag(l^e).V^-1 and
+no determinant is taken.  Only Spin(4k) repeats an exponent, twice.  Only
+if a part fails does it compute the characteristic polynomial, by
+Berkowitz's division-free algorithm over the integers (`char_poly`), which
+is also the check on the certificate in the tests.
 
 The relations M.w = l^e.w are checked several columns per integer mat-vec
-(Kronecker substitution).  A run of columns w_t, each w_t with eigenvalue
-l^(e_t), is packed as u = sum_t w_t 2^(K t) and u' = sum_t l^(e_t) w_t
-2^(K t), and M.u = u' is compared exactly.  The difference in row i is
-sum_t D_t 2^(K t) with D_t = (M.w_t - l^(e_t) w_t)_i, and
-|D_t| <= (||M|| + l^(e_t)) max|w_t|, ||M|| the largest row L1 norm.  K is
-chosen so that this bound is below 2^(K-1); balanced base-2^K digits are
-unique, so the packed rows are equal exactly when every D_t is zero.
-Packing saves a Python-level product per extra column but lengthens each
-one by about the bits of ||M||, so columns are packed only while
-||M|| < 2^256, up to 2048 bits per packed entry.
+(Kronecker substitution in mixed radix).  A run of columns w_1..w_r, w_t
+with eigenvalue l^(e_t) and its own digit width K_t, is packed as
+u = sum_t w_t B_t and u' = sum_t l^(e_t) w_t B_t, with B_r = 1 and
+B_(t-1) = B_t 2^(K_t), and M.u = u' is compared exactly.  The difference in
+row i is sum_t D_t B_t with D_t = (M.w_t - l^(e_t) w_t)_i, and
+|D_t| <= (||M|| + l^(e_t)) max|w_t|, ||M|| the largest row L1 norm.  Each
+K_t is chosen so that its own column's bound is below 2^(K_t - 1).  Mixed-
+radix balanced digits are unique when every digit is below half of its own
+base: the difference is congruent to D_r modulo 2^(K_r), so a zero
+difference forces D_r = 0, and dividing by 2^(K_r) leaves the same
+question for the run without w_r.  So
+the packed rows are equal exactly when every D_t is zero.  A column thus
+takes only the bits its own bound needs, not those of the widest column
+of its run.  Packing saves a Python-level product per extra column but
+lengthens each one by about the bits of ||M||, so columns are packed only
+while ||M|| < 2^256, up to 2048 bits of summed width per packed entry.
 """
 
 from __future__ import annotations
@@ -165,7 +175,10 @@ def _unitary_level(n: int, k: int, q: Sequence[Fraction]) -> tuple[tuple[int, ..
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _unitary_basis(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every level k = 0..n-1 of U(n), as `_unitary_level` gives it."""
+    """Every level k = 0..n-1 of U(n), as `_unitary_level` gives it: the
+    integer form that `verify_eigen_relation` and `eigenbasis_determinant`
+    read, and from which `_unitary_vectors` builds the records of
+    `eigenvector`.  Both are kept per rank in caches of the same bound."""
     q = _sinh_values(n)
     return tuple(_unitary_level(n, k, q) for k in range(n))
 
@@ -189,6 +202,16 @@ class Eigenvector(Record):
         return self.n - self.k
 
 
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _unitary_vectors(n: int) -> tuple[Eigenvector, ...]:
+    """The `Eigenvector` record of every level k = 0..n-1 of U(n): the
+    numerators of `_unitary_basis(n)` over their level's denominator."""
+    return tuple(
+        Eigenvector(n, k, tuple(Fraction(s, den) for s in nums))
+        for k, (nums, den) in enumerate(_unitary_basis(n))
+    )
+
+
 def eigenvector(n: int, k: int) -> Eigenvector:
     """Coordinate i (over the wedge basis of U(n), i = 1..n) is
 
@@ -197,14 +220,15 @@ def eigenvector(n: int, k: int) -> Eigenvector:
     with q_j the sinh-power coefficient polynomials and 0^0 = 1.
 
     The numbers q_j(n) come from the recurrence of `sinh_pow_coeff_poly`
-    run at y = n; the coordinates are read from the cached levels of U(n).
+    run at y = n.  The rank and the level are checked first; then the
+    record is read from the records of U(n), built once per rank from its
+    cached levels, so a repeated call returns the same record.
     """
     _require_rank(n)
     _require_int("level k", k)
     if not 0 <= k <= n - 1:
         raise ValueError(f"level must satisfy 0 <= k <= n-1, got k={k}, n={n}")
-    nums, den = _unitary_basis(n)[k]
-    return Eigenvector(n, k, tuple(Fraction(s, den) for s in nums))
+    return _unitary_vectors(n)[k]
 
 
 def _is_eigenvector(entries: Sequence[Sequence[int]], v: Sequence[int], value: int) -> bool:
@@ -276,7 +300,11 @@ class Eigenbasis(Record):
     primitive basis: column j has eigenvalue l^eigenvalue_exponents[j] for
     every l >= 1.  Each column is primitive (its entries have gcd 1).  The
     record carries no proof that the columns are independent: `_certifies`
-    proves it from the eigen-relations at each l >= 2."""
+    proves it from the eigen-relations at each l >= 2.
+
+    What does not depend on l is computed once per record, on first use:
+    `heights`, and `well_formed`, the conditions of the certificate that
+    hold or fail for every l alike."""
 
     group: GroupSpec
     eigenvalue_exponents: tuple[int, ...]
@@ -285,8 +313,30 @@ class Eigenbasis(Record):
     @cached_property
     def heights(self) -> tuple[int, ...]:
         """The largest absolute entry of each column, which bounds the
-        packed certificate's digits.  Computed once per record."""
+        packed certificate's digits."""
         return tuple(max(map(abs, col), default=0) for col in self.columns)
+
+    @cached_property
+    def well_formed(self) -> bool:
+        """Whether the columns can certify a spectrum at all: d columns of d
+        entries each, the exponents m_i + 1 of the family as a multiset,
+        every column nonzero, and no exponent shared by more than two
+        columns or by two proportional ones."""
+        d = len(self.columns)
+        exponents = self.eigenvalue_exponents
+        if not (
+            all(len(col) == d for col in self.columns)
+            and sorted(exponents) == sorted(m + 1 for m in family_exponents(self.group))
+            and all(self.heights)
+        ):
+            return False
+        shared: dict[int, list[tuple[int, ...]]] = {}
+        for e, col in zip(exponents, self.columns):
+            shared.setdefault(e, []).append(col)
+        return all(
+            len(cols) == 1 or len(cols) == 2 and not _proportional(*cols)
+            for cols in shared.values()
+        )
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
@@ -384,36 +434,38 @@ class SpectrumReport(Record):
     expected_coeffs: tuple[int, ...]
 
 
-# A run of eigenbasis columns for the packed check: (l^e, w) pairs.
-_Run = list[tuple[int, tuple[int, ...]]]
+# A run of eigenbasis columns for the packed check: (K, l^e, w) triples,
+# K the column's own digit width.
+_Run = list[tuple[int, int, tuple[int, ...]]]
 
 
-def _runs(vb: Eigenbasis, norm: int, l: int) -> Iterator[tuple[int, _Run]]:
-    """The columns of V, in order, as runs (K, [(l^e, w), ...]) to pack
-    with digit width K, where 2^(K-1) > (||M|| + l^e) max|w| for every
-    column of the run and ||M|| = norm.  A run takes columns while K times
-    their number stays within 2048 bits where ||M|| < 2^256, and only one
-    column where ||M|| >= 2^256."""
+def _runs(vb: Eigenbasis, norm: int, l: int) -> Iterator[_Run]:
+    """The columns of V, in order, as runs [(K, l^e, w), ...] to pack, each
+    column with its own digit width K, 2^(K-1) > (||M|| + l^e) max|w| and
+    ||M|| = norm.  A run takes columns while their widths sum to at most
+    2048 bits where ||M|| < 2^256, and only one column where
+    ||M|| >= 2^256."""
     budget = _PACK_BITS if norm.bit_length() <= _PACK_NORM_BITS else 0
     run: _Run = []
-    width = 0
+    total = 0
     for e, col, height in zip(vb.eigenvalue_exponents, vb.columns, vb.heights):
         value = l**e
         bits = ((norm + value) * height).bit_length() + 1
-        if run and (len(run) + 1) * max(width, bits) > budget:
-            yield width, run
-            run, width = [], 0
-        run.append((value, col))
-        width = max(width, bits)
+        if run and total + bits > budget:
+            yield run
+            run, total = [], 0
+        run.append((bits, value, col))
+        total += bits
     if run:
-        yield width, run
+        yield run
 
 
-def _run_holds(entries: Sequence[Sequence[int]], width: int, run: _Run) -> bool:
-    """Whether M.w = value.w for every (value, w) of the run: one integer
-    mat-vec on the columns packed in base 2^width."""
+def _run_holds(entries: Sequence[Sequence[int]], run: _Run) -> bool:
+    """Whether M.w = value.w for every (width, value, w) of the run: one
+    integer mat-vec on the columns packed in mixed radix, each column
+    shifted in by its own width, so the last column is least significant."""
     packed = image = [0] * len(entries)
-    for value, col in run:
+    for width, value, col in run:
         packed = [(a << width) + x for a, x in zip(packed, col)]
         image = [(a << width) + value * x for a, x in zip(image, col)]
     return _times(entries, packed) == image
@@ -428,14 +480,14 @@ def _proportional(u: Sequence[int], v: Sequence[int]) -> bool:
 
 def _certifies(vb: Eigenbasis, entries: Sequence[Sequence[int]], l: int) -> bool:
     """Whether V = vb.columns proves that the matrix `entries` has the
-    characteristic polynomial prod_i (x - l^(m_i + 1)).  V must have one
-    column per row, each with one entry per row, and its exponents must be
-    the m_i + 1 as a multiset.  Then:
+    characteristic polynomial prod_i (x - l^(m_i + 1)).  V must be
+    `vb.well_formed`: one column per row, each with one entry per row, the
+    exponents m_i + 1 as a multiset, every column nonzero, and an exponent
+    shared by at most two columns, which must not be proportional.  Those
+    conditions do not depend on l and are computed once per basis.  Then:
 
     - l = 1: M must be the identity, so char(M) = (x - 1)^d outright.
-    - l >= 2: every column must be nonzero, an exponent may be shared by at
-      most two columns and those two must not be proportional, and
-      M.w = l^e.w must hold exactly for every column.
+    - l >= 2: M.w = l^e.w must hold exactly for every column.
 
     For l >= 2 distinct exponents give distinct eigenvalues, and nonzero
     eigenvectors of distinct eigenvalues are linearly independent; within
@@ -446,30 +498,16 @@ def _certifies(vb: Eigenbasis, entries: Sequence[Sequence[int]], l: int) -> bool
     The relations are checked a run of columns at a time, packed into one
     integer column each (`_runs`, `_run_holds`).  With ||M|| the largest
     row L1 norm, each packed digit of M.u - u' is at most
-    (||M|| + l^e) max|w| < 2^(K-1) in absolute value, so the packed check
-    holds exactly when every column's does (see the module docstring)."""
-    d = len(entries)
-    if not (
-        len(vb.columns) == d
-        and all(len(col) == d for col in vb.columns)
-        and sorted(vb.eigenvalue_exponents) == sorted(m + 1 for m in family_exponents(vb.group))
-    ):
+    (||M|| + l^e) max|w| < 2^(K-1) in absolute value, K that column's own
+    width, so the packed check holds exactly when every column's does (see
+    the module docstring)."""
+    if not (len(vb.columns) == len(entries) and vb.well_formed):
         return False
     if l == 1:
         # row i is the unit row e_i: its entry i is 1 and its L1 norm is 1
         return all(row[i] == 1 == sum(map(abs, row)) for i, row in enumerate(entries))
-    shared: dict[int, list[tuple[int, ...]]] = {}
-    for e, col in zip(vb.eigenvalue_exponents, vb.columns):
-        shared.setdefault(e, []).append(col)
     norm = max((sum(map(abs, row)) for row in entries), default=0)
-    return (
-        all(vb.heights)
-        and all(
-            len(cols) == 1 or len(cols) == 2 and not _proportional(*cols)
-            for cols in shared.values()
-        )
-        and all(_run_holds(entries, width, run) for width, run in _runs(vb, norm, l))
-    )
+    return all(_run_holds(entries, run) for run in _runs(vb, norm, l))
 
 
 def spectrum_check(group: GroupSpec, l: int) -> SpectrumReport:

@@ -26,6 +26,14 @@ __all__ = [
 Scalar = Union[int, Fraction]
 
 
+def _exact(name: str, value: object) -> Fraction:
+    """`value` as a Fraction.  Only an int or a Fraction is exact: a float
+    would bring its binary expansion in, and a bool would count as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 # Bernoulli numbers kept: the eigenvectors of U(n), n <= 256, read at most 128.
 _BERNOULLI_CACHE_SIZE = 128
 
@@ -64,13 +72,15 @@ class UniPoly:
     """A polynomial in one variable with Fraction coefficients.
 
     Coefficients are stored in ascending degree with trailing zeros trimmed;
-    the zero polynomial has an empty coefficient tuple and degree -1.
+    the zero polynomial has an empty coefficient tuple and degree -1.  A
+    coefficient, a scalar factor or an evaluation point must be an int or a
+    Fraction; a float or a bool raises ValueError.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact("polynomial coefficient", c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -102,8 +112,9 @@ class UniPoly:
         return self + (-other)
 
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(c * other for c in self.coeffs)
+        if not isinstance(other, UniPoly):
+            factor = _exact("polynomial scalar factor", other)
+            return UniPoly(c * factor for c in self.coeffs)
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             if a:
@@ -115,6 +126,7 @@ class UniPoly:
         return self * other
 
     def __call__(self, x: Scalar) -> Fraction:
+        x = _exact("evaluation point", x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -135,7 +147,8 @@ class TruncSeries:
 
     Stores the coefficients of t^0 .. t^order.  Ring operations (addition,
     multiplication, inversion when the constant term is nonzero, integer
-    powers) are exact through the stated order.
+    powers) are exact through the stated order.  A coefficient must be an
+    int or a Fraction; a float or a bool raises ValueError.
     """
 
     __slots__ = ("order", "coeffs")
@@ -144,7 +157,7 @@ class TruncSeries:
         _require_int("series order", order)
         if order < 0:
             raise ValueError(f"TruncSeries: order must be nonnegative, got {order}")
-        cs = [Fraction(c) for c in coeffs][: order + 1]
+        cs = [_exact("series coefficient", c) for c in coeffs][: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
         self.order = order
         self.coeffs: tuple[Fraction, ...] = tuple(cs)

@@ -315,9 +315,53 @@ def test_row_is_a_palindrome_of_the_right_length():
 
 
 def test_enumeration_outside_the_block_matches_closed_form():
-    # k > n, p < 0 and p > n rebuild the row instead of reading the table
+    # k > n, p < 0 and p > n reach their degree by the row up to l = n+1
+    # and by a chain of windows above it, instead of reading the table
     for n in range(1, 9):
-        for l in (1, 2, 3, 7, 50):
+        for l in sorted({1, 2, 3, 7, 50, n + 1, n + 2}):
             for k in range(n + 4):
                 for p in list(range(-n - 3, 0)) + list(range(n + 1, 2 * n + 4)):
                     assert mu_enumerate(n, l, k, p) == mu_closed(n, l, k, p), (n, l, k, p)
+
+
+def test_enumeration_outside_the_block_reads_every_degree(monkeypatch):
+    # k = 0, p = -s reaches every degree s of the row from outside the
+    # block, and p in n+1..l-1 the gaps between the block's windows: up to
+    # l = n+1 through the count row, above it through windows alone
+    rows = []
+    monkeypatch.setattr(counts, "_count_row", lambda n, l: rows.append((n, l)) or _count_row(n, l))
+    for n in (1, 2, 3, 5, 8):
+        for l in sorted({2, n, n + 1, n + 2, n + 3, 2 * n + 5, 50} - {1}):
+            want = _count_row_reference(n, l)
+            rows.clear()
+            assert [mu_enumerate(n, l, 0, -s) for s in range(len(want))] == want, (n, l)
+            for k in range(n + 3):
+                for p in range(n + 1, l):
+                    s = l * k - p
+                    got = mu_enumerate(n, l, k, p)
+                    assert got == (want[s] if 0 <= s < len(want) else 0), (n, l, k, p)
+            assert bool(rows) == (l <= n + 1), (n, l)
+    # far above l = n+1, between and beyond the windows, against the oracle
+    rng = random.Random(20261019)
+    for n, l in [(40, 2000), (16, 40), (63, 4100), (80, 81 + rng.randint(1, 500))]:
+        for k, p in [(0, -1), (n // 2, n + 5), (n + 1, 0), (n, -l), (3, l - 1)] + [
+            (rng.randint(0, n + 2), rng.randint(-l, l)) for _ in range(6)
+        ]:
+            assert mu_enumerate(n, l, k, p) == mu_closed(n, l, k, p), (n, l, k, p)
+
+
+@pytest.mark.parametrize(
+    "n, l, k, p", [(3, 6, 1, -2), (5, 8, 2, 6), (8, 12, 3, 10), (16, 40, 5, 30)]
+)
+def test_a_wrong_seed_outside_the_block_raises(monkeypatch, n, l, k, p):
+    # Degree s (or its mirror n(l-1) - s) ends the last window of the chain,
+    # which starts from the seed whose q = 0 term is C(s-2, n-1).  One more
+    # than that adds s-1 to the numerator of the window's first step, at
+    # t = s-n-1, which its divisor t+1 = s-n does not divide here.
+    s = l * k - p
+    s = min(s, n * (l - 1) - s)
+    assert s > n and (n - 1) % (s - n)
+    real = counts.comb
+    monkeypatch.setattr(counts, "comb", lambda a, b: real(a, b) + ((a, b) == (s - 2, n - 1)))
+    with pytest.raises(ArithmeticError, match=rf"n={n}, l={l}: step s={s - n - 1} "):
+        mu_enumerate(n, l, k, p)

@@ -18,6 +18,7 @@ from adamsops.eigen import (
     _runs,
     _sinh_values,
     _unitary_basis,
+    _unitary_vectors,
     char_poly,
     eigenbasis,
     eigenbasis_determinant,
@@ -91,6 +92,7 @@ def test_eigenvectors_share_one_run_of_the_recurrence(monkeypatch):
     monkeypatch.setattr(eigen, "bernoulli_even", lambda k: calls.append(k) or real(k))
     _sinh_values.cache_clear()
     _unitary_basis.cache_clear()
+    _unitary_vectors.cache_clear()
     for k in range(30):
         eigenvector(30, k)
     assert sorted(calls) == list(range(0, 30, 2))
@@ -165,6 +167,19 @@ def test_eigenbasis_determinant_rejects_a_nonpositive_rank(n):
         eigenbasis_determinant(n)
     with pytest.raises(ValueError, match=f"rank must be positive, got n={n}"):
         eigenvector(n, 0)
+
+
+def test_eigenvector_records_are_built_once_per_rank():
+    _unitary_vectors.cache_clear()
+    first = [eigenvector(7, k) for k in range(7)]
+    assert all(eigenvector(7, k) is v for k, v in enumerate(first))
+    info = _unitary_vectors.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (13, 1, 1)
+    # a bool, a float or a level out of range is rejected before any read
+    for n, k in ((True, 0), (2.0, 0), (7, True), (7, 2.0), (7, 7), (7, -1), (0, 0)):
+        with pytest.raises(ValueError):
+            eigenvector(n, k)
+    assert _unitary_vectors.cache_info() == info
 
 
 def test_eigenvalue_exponent():
@@ -537,7 +552,7 @@ def test_packed_certificate_matches_the_columnwise_check(monkeypatch):
         raise AssertionError("a valid matrix reached char_poly")
 
     monkeypatch.setattr(eigen, "char_poly", unreachable)
-    run_sizes, unpacked = set(), 0
+    run_sizes, mixed, unpacked = set(), 0, 0
     for group in _groups(20):
         vb = eigenbasis(group)
         for l in (2, 3, 50, 1000):
@@ -554,21 +569,47 @@ def test_packed_certificate_matches_the_columnwise_check(monkeypatch):
                     changed = _changed(entries, cells, delta)
                     assert not _certifies(vb, changed, l), (str(group), l, cells, delta)
                     assert not _columnwise_certifies(vb, changed, l)
-            # every packed digit stays below half its base
+            # every packed digit stays below half of its own base, and the
+            # widths of a packed run sum to at most the budget
             norm = max(sum(map(abs, row)) for row in entries)
             unpacked += norm >= 2**256
-            for width, run in _runs(vb, norm, l):
+            runs = list(_runs(vb, norm, l))
+            columns = [(value, col) for run in runs for _, value, col in run]
+            assert columns == [(l**e, col) for e, col in zip(vb.eigenvalue_exponents, vb.columns)]
+            for run in runs:
                 run_sizes.add(len(run))
+                widths = [width for width, _, _ in run]
+                mixed += len(set(widths)) > 1
                 if len(run) > 1:
-                    assert len(run) * width <= 2048
-                    for value, col in run:
-                        assert (norm + value) * max(map(abs, col)) < 2 ** (width - 1)
-    # the grid checks runs of one column, packed runs, and unpacked matrices
-    assert 1 in run_sizes and max(run_sizes) >= 10 and unpacked
+                    assert sum(widths) <= 2048
+                for width, value, col in run:
+                    assert (norm + value) * max(map(abs, col)) < 2 ** (width - 1)
+    # the grid checks runs of one column, packed runs of mixed widths, and
+    # unpacked matrices
+    assert 1 in run_sizes and max(run_sizes) >= 10 and mixed and unpacked
+
+
+@pytest.mark.parametrize(
+    "group, l", [(GroupSpec("U", 6), 3), (GroupSpec("Sp", 5), 2), (GroupSpec("SpinEven", 8), 3)]
+)
+def test_a_mixed_width_run_refuses_a_change_at_either_end(group, l):
+    # a change at the entry that meets the most significant column of a run
+    # whose widths differ, and at the one that meets its least significant
+    vb = eigenbasis(group)
+    entries = adams_matrix(group, l).entries
+    norm = max(sum(map(abs, row)) for row in entries)
+    run = next(run for run in _runs(vb, norm, l) if len({width for width, _, _ in run}) > 1)
+    assert _certifies(vb, entries, l)
+    for _, _, col in (run[0], run[-1]):
+        j = max(range(len(col)), key=lambda i: abs(col[i]))
+        for delta in (1, -(2**70)):
+            for i in (0, j, len(entries) - 1):
+                changed = _changed(entries, [(i, j)], delta)
+                assert not _certifies(vb, changed, l), (i, j, delta)
 
 
 def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
-    caches = (eigenbasis, _unitary_basis, _sinh_values)
+    caches = (eigenbasis, _unitary_basis, _unitary_vectors, _sinh_values)
     for cache in caches:
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 1024

@@ -197,6 +197,10 @@ def test_series_rejects_a_negative_order_or_exponent():
             TruncSeries(bad)
         with pytest.raises(ValueError, match="series exponent must be an int"):
             TruncSeries.one(4) ** bad
+    # a float coefficient would keep its binary expansion, a bool count as 0 or 1
+    for bad in (0.1, 2.0, True, False):
+        with pytest.raises(ValueError, match="series coefficient must be an int or a Fraction"):
+            TruncSeries(3, [1, bad])
 
 
 def test_series_equality_hash_and_repr():
@@ -264,6 +268,25 @@ def test_unipoly_basics():
     assert p(0) == 1
     assert p(2) == -1
     assert p(Fraction(1, 2)) == Fraction(-1, 4)
+
+
+def test_unipoly_rejects_inexact_scalars():
+    # 0.1 would be kept as its binary expansion and a float point would
+    # evaluate to a float; a bool would count as 0 or 1
+    p = UniPoly((1, 1))
+    exact = "must be an int or a Fraction"
+    for bad in (0.1, 0.5, 2.0, True, False):
+        with pytest.raises(ValueError, match=f"polynomial coefficient {exact}"):
+            UniPoly((1, bad))
+        with pytest.raises(ValueError, match=f"polynomial scalar factor {exact}"):
+            p * bad
+        with pytest.raises(ValueError, match=f"polynomial scalar factor {exact}"):
+            bad * p
+        with pytest.raises(ValueError, match=f"evaluation point {exact}"):
+            p(bad)
+    assert p * 2 == 2 * p == UniPoly((2, 2))
+    assert p * Fraction(1, 2) == UniPoly((Fraction(1, 2), Fraction(1, 2)))
+    assert p(Fraction(1, 2)) == Fraction(3, 2) and type(p(1)) is Fraction
 
 
 def test_unipoly_zero_and_trim():

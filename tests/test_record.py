@@ -129,5 +129,10 @@ def test_eigenbasis_heights_are_computed_once():
     assert heights == tuple(max(map(abs, col)) for col in vb.columns)
     assert vb.heights is heights
     assert copy.copy(vb).heights is heights
-    # the cached value is no field: it changes neither equality nor hash
+    # the l-independent certificate conditions, likewise
+    assert "well_formed" not in vars(vb)
+    assert vb.well_formed is True
+    assert vars(vb)["well_formed"] is True
+    assert "well_formed" in vars(copy.copy(vb))
+    # the cached values are no fields: they change neither equality nor hash
     assert vb == cached and hash(vb) == hash(cached)
