@@ -14,14 +14,15 @@ There are two independent routes to the counts:
   (-1)^(k+p) * l * mu(n, l, k, p), which is the U(n) matrix itself, kept
   in a bounded cache.  Row k of the block is the coefficients of
   (1 + x + ... + x^(l-1))^n at the window of degrees l*k - n .. l*k.
-  Where the windows overlap or abut, l <= n+1, they are read off one
-  coefficient row; above that each window is run on its own from one
-  seed (`_windows`), so the cost stops growing with l.  The matrix
+  Where the windows overlap or abut, l <= n+1, they are read off the
+  first half of one coefficient row; above that each window is run on
+  its own from one seed (`_windows`), so the cost stops growing with l.  The matrix
   assembly in `ktheory` reads the block as it is; `count_table`,
   `mu_enumerate`, `alpha` and `beta` read it unsigned.  Outside the
-  block `mu_enumerate` takes the same two routes, uncached: the row up
-  to l = n+1, and above it the chain of windows, one every l degrees,
-  that ends at its degree.
+  block `mu_enumerate` folds its degree into the first half of the row
+  and takes the same two routes, uncached: the half row up to l = n+1,
+  and above it the chain of windows, one every l degrees, that ends at
+  its degree.
 * the oracle, `mu_closed`: an inclusion-exclusion sum over binomials,
   which the test suite and `adamsops mu --check` compare the block with.
 
@@ -35,9 +36,11 @@ Comparing the coefficients of x^s on both sides gives, for a_s = [x^s] f,
     (s+1) a[s+1] = (s+n) a[s] + (s-l+1-n*l) a[s-l+1] + (n(l-1)-s+l) a[s-l],
 
 with a[0] = 1 and a[s] = 0 for s < 0: each coefficient from three earlier
-ones, O(n*l) big-integer steps for the whole row, and n+1 steps for a
-window of n+1 degrees given the one before it.  The row is a palindrome,
-a[s] = a[n(l-1) - s], so only its first half is computed.
+ones, n(l-1)/2 big-integer steps for the first half of the row, and n+1
+steps for a window of n+1 degrees given the one before it.  A step costs
+three products of a big coefficient by a small one and one `divmod` by
+s+1, whose remainder must be zero.  The row is a palindrome,
+a[s] = a[n(l-1) - s], so only its first half is computed and kept.
 """
 
 from __future__ import annotations
@@ -82,32 +85,41 @@ def _recur(n: int, l: int, a: list[int], lag: list[int], s: int, stop: int) -> N
 
         (s+1) a[s+1] = (s+n) a[s] + (s-l+1-n*l) a[s-l+1] + (n(l-1)-s+l) a[s-l],
 
-    where `lag` holds the lagged coefficients from lag[0] = a[s-l] on.
+    where `lag` holds the lagged coefficients from lag[0] = a[s-l] on.  The
+    divisor and the three coefficients are linear in s, so each runs as a
+    `range` beside the lags, and a step is three products and a `divmod`.
     Every step divides exactly by s+1, since each a[s+1] is a count; a
     remainder means a coefficient or the recurrence is wrong and raises.
     """
     nl = n * l
     q = a[-1]
-    for t, lo, hi in zip(range(s, stop), lag, islice(lag, 1, None)):
-        q, r = divmod((t + n) * q + (t - l + 1 - nl) * hi + (nl - n - t + l) * lo, t + 1)
+    for d, c, chi, clo, lo, hi in zip(
+        range(s + 1, stop + 1),
+        range(s + n, stop + n),
+        range(s - l + 1 - nl, stop - l + 1 - nl),
+        range(nl - n - s + l, nl - n - stop + l, -1),
+        lag,
+        islice(lag, 1, None),
+    ):
+        q, r = divmod(c * q + chi * hi + clo * lo, d)
         if r:
-            raise ArithmeticError(f"counts of n={n}, l={l}: step s={t} leaves remainder {r}")
+            raise ArithmeticError(f"counts of n={n}, l={l}: step s={d - 1} leaves remainder {r}")
         a.append(q)
 
 
 def _count_row(n: int, l: int) -> list[int]:
-    """The coefficients of (1 + x + ... + x^(l-1))^n: entry s is the number
-    of n-tuples with parts in 0..l-1 summing to s, for 0 <= s <= n*(l-1).
+    """The first half of the coefficients of (1 + x + ... + x^(l-1))^n:
+    entry s is the number of n-tuples with parts in 0..l-1 summing to s,
+    for 0 <= s <= n*(l-1)/2.
 
-    The first half of the row comes from `_recur`, and the second half
-    mirrors it.
+    The row is a palindrome, a[s] = a[n(l-1) - s], so its first half, from
+    `_recur`, is the whole of it: the entry of degree s > n(l-1)/2 is the
+    one of degree n(l-1) - s.
     """
-    size = n * (l - 1) + 1
-    half = (size + 1) // 2
     a = [0] * l + [1]  # a[s] sits at index s + l; the l zeros are a[-l..-1]
-    _recur(n, l, a, a, 0, half - 1)
+    _recur(n, l, a, a, 0, n * (l - 1) // 2)
     del a[:l]
-    return a + a[: size - half][::-1]
+    return a
 
 
 def _windows(n: int, l: int, r: int, count: int) -> Iterator[list[int]]:
@@ -155,10 +167,12 @@ def signed_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
 
     Row k reads the count row at the window of degrees s = l*k - p, and
     (-1)^(k+p) is (-1)^s, times (-1)^k when l is even.  Where the windows
-    overlap or abut, l <= n+1, the first half of the count row is scaled
-    once by (-1)^s * l, about n(l-1)/2 products, and mirrored: the signed
-    row is a palindrome up to the sign (-1)^(n(l-1)).  Every row of the
-    block is a slice of it, negated for odd k when l is even.
+    overlap or abut, l <= n+1, the first half of the count row, which
+    `_count_row` gives, is scaled once by (-1)^s * l, about n(l-1)/2
+    products, and mirrored into one zero-padded tuple: the signed row is
+    a palindrome up to the sign (-1)^(n(l-1)).  Every row of the block is
+    one reversed slice of that tuple, or, for odd k when l is even, of its
+    negation.
 
     Above that the windows are disjoint, and no row is built.  Window k,
     extended by one degree to l*k - n - 1 .. l*k, runs `_recur` from the
@@ -176,20 +190,19 @@ def signed_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     w = n + 1
     if l <= w:
         row = _count_row(n, l)
-        size = len(row)
-        half = (size + 1) // 2
+        size = n * (l - 1) + 1
         # the first half of the signed row, and for even l its negation:
         # the second half of either is the first half of the one of sign
-        # (-1)^(n(l-1)) reversed
-        halves = [list(map(mul, row[:half], cycle((l, -l))))]
+        # (-1)^(n(l-1)) reversed, without the middle entry where size is odd
+        halves = [tuple(map(mul, row, cycle((l, -l))))]
         if l % 2 == 0:
-            halves.append(list(map(neg, halves[0])))
+            halves.append(tuple(map(neg, halves[0])))
         flip = (size - 1) % 2
         rows = [
-            [0] * w + h + halves[(i + flip) % len(halves)][: size - half][::-1] + [0] * n
+            (0,) * w + h + halves[(i + flip) % len(halves)][: size - len(h)][::-1] + (0,) * n
             for i, h in enumerate(halves)
         ]
-        return tuple(tuple(rows[k % len(rows)][l * k + w : l * k : -1]) for k in range(w))
+        return tuple(rows[k % len(rows)][l * k + w : l * k : -1] for k in range(w))
     signs = ([l, -l] * w, [-l, l] * w)
     rows = [
         tuple(map(mul, window[:0:-1], signs[k % 2]))
@@ -229,10 +242,11 @@ def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
     """The count as a coefficient of (1 + x + ... + x^(l-1))^n.
 
     Inside the block 0 <= k, p <= n it is read from `signed_table`.
-    Outside it nothing is cached.  Up to l = n+1 the coefficient row is
-    rebuilt.  Above that degree s = l*k - p, or n(l-1) - s where that is
-    lower (the row is a palindrome), is reached by the chain of windows of
-    `_windows` that ends at it, one every l degrees: at most n/2 + 1
+    Outside it nothing is cached.  Degree s = l*k - p is folded to
+    n(l-1) - s where that is lower, since the row is a palindrome.  Up to
+    l = n+1 the first half of the coefficient row is rebuilt and read at
+    that degree.  Above that the degree is reached by the chain of windows
+    of `_windows` that ends at it, one every l degrees: at most n/2 + 1
     windows of n+1 recurrence steps, at any l.
     """
     _validate(n, l, k, p)
@@ -241,9 +255,9 @@ def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
     s = l * k - p
     if s < 0 or s > n * (l - 1):
         return 0
+    s = min(s, n * (l - 1) - s)
     if l <= n + 1:
         return _count_row(n, l)[s]
-    s = min(s, n * (l - 1) - s)
     for window in _windows(n, l, s % l, s // l + 1):
         pass
     return window[-1]

@@ -297,21 +297,48 @@ def test_large_l_enumeration_is_fast():
 
 
 def test_row_matches_the_convolution_reference():
+    # the row is built only up to its middle degree n(l-1)/2
     for n in range(1, 31):
         for l in range(1, 41):
-            assert _count_row(n, l) == _count_row_reference(n, l), (n, l)
+            want = _count_row_reference(n, l)
+            assert _count_row(n, l) == want[: (len(want) + 1) // 2], (n, l)
     for l in (2, 3, 5, 7, 11, 50):
-        assert _count_row(80, l) == _count_row_reference(80, l), (80, l)
+        want = _count_row_reference(80, l)
+        assert _count_row(80, l) == want[: (len(want) + 1) // 2], (80, l)
 
 
 def test_row_is_a_palindrome_of_the_right_length():
-    # L = n(l-1) + 1 entries: odd L has a middle entry, even L has none
+    # L = n(l-1) + 1 entries, of which the first half is built: odd L has
+    # a middle entry, even L has none.  The oracle at the mirrored degree
+    # L-1-s agrees with entry s, so the half is the whole row.
     for n, l in [(3, 2), (5, 3), (4, 4), (7, 6), (2, 1), (1, 5), (9, 8)]:
         row = _count_row(n, l)
         size = n * (l - 1) + 1
-        assert len(row) == size and row == row[::-1], (n, l)
-        assert sum(row) == l**n
-    assert [len(_count_row(n, l)) % 2 for n, l in [(3, 2), (4, 4)]] == [0, 1]
+        assert len(row) == (size + 1) // 2, (n, l)
+        for s, entry in enumerate(row):
+            for d in (s, size - 1 - s):
+                k = -(-d // l)  # degree d is mu(n, l, k, l*k - d) for this k
+                assert mu_closed(n, l, k, l * k - d) == entry, (n, l, d)
+        assert 2 * sum(row) - (row[-1] if size % 2 else 0) == l**n
+    assert [n * (l - 1) % 2 for n, l in [(3, 2), (4, 4)]] == [1, 0]
+
+
+@pytest.mark.parametrize("n, l, m", [(5, 3, 2), (12, 13, 20), (40, 7, 50)])
+def test_a_wrong_row_coefficient_raises(n, l, m):
+    # The row route's twin of the seed tests: one more than a[m] adds s+n
+    # to the numerator of step s = m, whose divisor m+1 leaves the
+    # remainder (n-1) mod (m+1), nonzero here.
+    assert (n - 1) % (m + 1)
+    stop = n * (l - 1) // 2
+    a = [0] * l + [1]  # a[s] at index s + l, as in `_count_row`
+    counts._recur(n, l, a, a, 0, m)
+    tail = a[m:]  # a[m-l..m]: the lags of step m on, and a[m] last
+    good = tail[:]
+    counts._recur(n, l, good, good, m, stop)  # unchanged, the row runs on
+    assert good[l:] == _count_row(n, l)[m:]
+    tail[-1] += 1
+    with pytest.raises(ArithmeticError, match=rf"n={n}, l={l}: step s={m} "):
+        counts._recur(n, l, tail, tail, m, stop)
 
 
 def test_enumeration_outside_the_block_matches_closed_form():

@@ -63,11 +63,13 @@ def groups(draw, max_rank=12):
 @budget
 @given(n=st.integers(1, 80), l=st.integers(1, 200), data=st.data())
 def test_row_and_table_match_closed_form(n, l, data):
+    # the row holds degrees 0..n(l-1)/2; degree s above the middle is the
+    # entry of its mirror n(l-1) - s
     row = _count_row(n, l)
-    assert len(row) == n * (l - 1) + 1
-    s = data.draw(st.integers(0, len(row) - 1))
+    assert len(row) == n * (l - 1) // 2 + 1
+    s = data.draw(st.integers(0, n * (l - 1)))
     k = -(-s // l)  # coefficient s is mu(n, l, k, l*k - s) for this k
-    assert row[s] == mu_closed(n, l, k, l * k - s)
+    assert row[min(s, n * (l - 1) - s)] == mu_closed(n, l, k, l * k - s)
     k, p = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
     assert count_table(n, l)[k][p] == mu_closed(n, l, k, p)
 
