@@ -30,7 +30,6 @@ _LAZY = dict.fromkeys(
         "sinh_pow_coeff_poly",
         "Eigenvector",
         "eigenvector",
-        "verify_eigen_relation",
         "eigenbasis_determinant",
         "Eigenbasis",
         "eigenbasis",

@@ -17,9 +17,9 @@ There are two independent routes to the counts:
   Where the windows overlap or abut, l <= n+1, they are read off the
   first half of one coefficient row; above that each window is run on
   its own from one seed (`_windows`), so the cost stops growing with l.  The matrix
-  assembly in `ktheory` reads the block as it is; `count_table`,
-  `mu_enumerate`, `alpha` and `beta` read it unsigned.  Outside the
-  block `mu_enumerate` folds its degree into the first half of the row
+  assembly in `ktheory` reads the block as it is; `mu_enumerate`,
+  `alpha` and `beta` read it unsigned.  Outside the block
+  `mu_enumerate` folds its degree into the first half of the row
   and takes the same two routes, uncached: the half row up to l = n+1,
   and above it the chain of windows, one every l degrees, that ends at
   its degree.
@@ -51,9 +51,9 @@ from math import comb
 from operator import mul, neg
 from typing import Iterator
 
-from .exactmath import _require_int, binomial
+from .exactmath import _require_int
 
-__all__ = ["count_table", "signed_table", "mu_enumerate", "mu_closed", "alpha", "beta"]
+__all__ = ["signed_table", "mu_enumerate", "mu_closed", "alpha", "beta"]
 
 # Distinct (n, l) blocks kept by `signed_table`.  Sweeps over every family
 # at ranks up to 10 with l up to 144 touch about 350 blocks of 2-20 KiB
@@ -185,6 +185,25 @@ def signed_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     recurrence and its check.  Since A[k][p] = A[n-k][n-p], as for the
     counts, only the windows k <= n/2 are run and scaled, and the rest
     mirror them: about n^2/2 steps and (n+1)^2/2 products at any l.
+
+    Every count mu(n, l, k, p) of the block is a polynomial in l of degree
+    <= n-1, for every l >= 1, so every entry is one of degree <= n.  With
+    s = l*k - p, `mu_closed`'s sum gives, for 0 <= k, p <= n,
+
+        mu = [p = 0] (-1)^k C(n, k) + sum_{q<k} (-1)^q C(n, q) P(n-1 + l(k-q) - p),
+
+    where P(x) = x(x-1)...(x-n+2)/(n-1)!:
+
+    * a term q < k that the sum leaves out, l(k-q) < p, has x in
+      [0, n-2], where P is 0; a term it keeps has x >= n-1, where
+      P(x) = C(x, n-1);
+    * the term q = k is live only when p = 0, where it is (-1)^k C(n, k);
+    * the guard s > n(l-1) adds nothing, because the whole sum is the
+      coefficient of x^s in (1 - x^l)^n / (1 - x)^n, a polynomial of
+      degree n(l-1).
+
+    The same sum at p = n+1 is the seed above for k >= 1: with l >= n+2
+    every term q < k is kept, and x = l(k-q) - 2.
     """
     _validate(n, l)
     w = n + 1
@@ -209,33 +228,6 @@ def signed_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
         for k, window in enumerate(_windows(n, l, 0, (w + 1) // 2))
     ]
     return tuple(rows + [row[::-1] for row in reversed(rows[: w // 2])])
-
-
-def count_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
-    """The block T[k][p] = mu(n, l, k, p) for 0 <= k, p <= n: `signed_table`
-    without its signs and its factor l, uncached.
-
-    Every entry is a polynomial in l of degree <= n-1, for every l >= 1.
-    With s = l*k - p, `mu_closed`'s sum gives, for 0 <= k, p <= n,
-
-        mu = [p = 0] (-1)^k C(n, k) + sum_{q<k} (-1)^q C(n, q) P(n-1 + l(k-q) - p),
-
-    where P(x) = x(x-1)...(x-n+2)/(n-1)!:
-
-    * a term q < k that the sum leaves out, l(k-q) < p, has x in
-      [0, n-2], where P is 0; a term it keeps has x >= n-1, where
-      P(x) = C(x, n-1);
-    * the term q = k is live only when p = 0, where it is (-1)^k C(n, k);
-    * the guard s > n(l-1) adds nothing, because the whole sum is the
-      coefficient of x^s in (1 - x^l)^n / (1 - x)^n, a polynomial of
-      degree n(l-1).
-
-    The same sum at p = n+1 is `signed_table`'s seed for k >= 1 where the
-    windows are disjoint: with l >= n+2 every term q < k is kept, and
-    x = l(k-q) - 2.
-    """
-    _validate(n, l)
-    return tuple(tuple(abs(e) // l for e in row) for row in signed_table(n, l))
 
 
 def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
@@ -279,8 +271,10 @@ def mu_closed(n: int, l: int, k: int, p: int) -> int:
     if s < 0 or s > n * (l - 1):
         return 0
     total = 0
+    # both binomials are in range, 0 <= q <= n and s - l*q >= 0, so the
+    # arguments checked above go to `comb` with no second check
     for q in range(0, min(n, s // l) + 1):
-        term = binomial(n, q) * binomial(n - 1 + s - l * q, n - 1)
+        term = comb(n, q) * comb(n - 1 + s - l * q, n - 1)
         total += -term if q % 2 else term
     return total
 

@@ -7,11 +7,10 @@ coefficients of (t/sinh t)^y: coefficient j is a degree-j polynomial q_j(y)
 satisfying a Bernoulli-number recurrence.  One cached run of that recurrence
 on numbers at y = n serves every level.  The levels of U(n) are cached as
 integer numerators over one denominator per level, which
-`eigenbasis_determinant` and `verify_eigen_relation` read, and the
-`Eigenvector` records of all n levels are built from them once per rank
-and cached beside them, which `eigenvector` returns.  `sinh_pow_coeff_poly`
-builds the polynomials themselves and serves as the independent check on
-the numbers.
+`eigenbasis_determinant` reads, and the `Eigenvector` records of all n
+levels are built from them once per rank and cached beside them, which
+`eigenvector` returns.  `sinh_pow_coeff_poly` builds the polynomials
+themselves and serves as the independent check on the numbers.
 
 Every other family gets its eigenvectors by restriction from U(m), m the
 defining dimension.  The restriction R from the primitives of U(m) to those
@@ -80,7 +79,6 @@ __all__ = [
     "sinh_pow_coeff_poly",
     "Eigenvector",
     "eigenvector",
-    "verify_eigen_relation",
     "eigenbasis_determinant",
     "Eigenbasis",
     "eigenbasis",
@@ -176,9 +174,9 @@ def _unitary_level(n: int, k: int, q: Sequence[Fraction]) -> tuple[tuple[int, ..
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _unitary_basis(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Every level k = 0..n-1 of U(n), as `_unitary_level` gives it: the
-    integer form that `verify_eigen_relation` and `eigenbasis_determinant`
-    read, and from which `_unitary_vectors` builds the records of
-    `eigenvector`.  Both are kept per rank in caches of the same bound."""
+    integer form that `eigenbasis_determinant` reads, and from which
+    `_unitary_vectors` builds the records of `eigenvector`.  Both are kept
+    per rank in caches of the same bound."""
     q = _sinh_values(n)
     return tuple(_unitary_level(n, k, q) for k in range(n))
 
@@ -229,20 +227,6 @@ def eigenvector(n: int, k: int) -> Eigenvector:
     if not 0 <= k <= n - 1:
         raise ValueError(f"level must satisfy 0 <= k <= n-1, got k={k}, n={n}")
     return _unitary_vectors(n)[k]
-
-
-def _is_eigenvector(entries: Sequence[Sequence[int]], v: Sequence[int], value: int) -> bool:
-    """Whether M.v = value.v holds exactly, M given by its integer rows."""
-    return _times(entries, v) == [value * x for x in v]
-
-
-def verify_eigen_relation(n: int, l: int) -> tuple[tuple[int, bool], ...]:
-    """For each level k = 0..n-1, whether the U(n) matrix maps the level-k
-    eigenvector to l^(n-k) times itself, exactly.  The check runs on the
-    level's integer numerators: its one denominator is positive and cancels."""
-    entries = adams_matrix(GroupSpec("U", n), l).entries
-    levels = enumerate(_unitary_basis(n))
-    return tuple((k, _is_eigenvector(entries, nums, l ** (n - k))) for k, (nums, _) in levels)
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:

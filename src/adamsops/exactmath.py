@@ -27,7 +27,10 @@ def binomial(a: int, b: int) -> int:
     rather than silently treated as zero: the generalized value C(-2, 2) = 3
     is nonzero, and accepting negative tops is a classic source of sign bugs
     in alternating binomial sums.  Callers must keep a >= 0 themselves.
+    Both arguments must be ints: a bool or a float raises ValueError.
     """
+    _require_int("binomial: top argument", a)
+    _require_int("binomial: bottom argument", b)
     if a < 0:
         raise ValueError(f"binomial: top argument must be nonnegative, got {a}")
     if b < 0 or b > a:

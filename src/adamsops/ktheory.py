@@ -68,8 +68,6 @@ __all__ = [
     "AdamsMatrix",
     "basis",
     "defining_dimension",
-    "g2_closed_columns",
-    "pullback_adams_matrix",
     "adams_matrix",
 ]
 
@@ -247,13 +245,6 @@ class AdamsMatrix(Record):
         cols = (_times(self.entries, col) for col in zip(*other.entries))
         return AdamsMatrix(self.group, self.l * other.l, tuple(zip(*cols)))
 
-    def is_identity(self) -> bool:
-        return all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
-
 
 def _require_l(l: int) -> None:
     _require_int("Adams operation index l", l)
@@ -392,25 +383,19 @@ def _spin_even_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     return _finalize(group, l, cols, "closed form", _half_spin_columns(sum_img, n, l), 2**n)
 
 
-def g2_closed_columns(l: int) -> tuple[tuple[int, int], tuple[int, int]]:
+def _g2_numerators(l: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The closed polynomial expressions for the images of d(rho1) and
     d(rho2) over (d(rho1), d(rho2)): degree-6 polynomials in l over 15ths
     and 30ths that always collapse to integers, given as their integer
-    numerators over the one denominator 30."""
-    _require_l(l)
-    return _g2_numerators(l)
-
-
-def _g2_numerators(l: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """`g2_closed_columns` for an l already checked."""
+    numerators over the one denominator 30, for an l already checked."""
     col1 = (4 * l**6 + 26 * l**2, l**2 - l**6)
     col2 = (104 * l**2 * (1 - l**4), 2 * l**2 * (13 * l**4 + 2))
     return col1, col2
 
 
 def _g2_closed(group: GroupSpec, l: int) -> AdamsMatrix:
-    """G2's closed form: the numerators of `g2_closed_columns` over 30,
-    each of which must divide exactly."""
+    """G2's closed form: the numerators of `_g2_numerators` over 30, each
+    of which must divide exactly."""
     return _finalize(group, l, [], "closed form", _g2_numerators(l), 30)
 
 
@@ -492,23 +477,13 @@ def _wedge_images(group: GroupSpec, l: int, degrees: range) -> list[list[int]]:
     return _restrict(group, [table[k] for k in degrees])
 
 
-def pullback_adams_matrix(group: GroupSpec, l: int) -> AdamsMatrix:
-    """Assemble the matrix for Sp, SpinOdd, SpinEven or G2 purely by
-    functoriality: unitary formula on the defining representation, then
-    restriction.  The spin column expands d(S) over the wedges 1..n with the
-    factor 2^-(n+1); the half-spin columns are the halved image of
-    d(S+)+d(S-) (wedges n-1, n-3, ... with factor 2^-(n-1)) plus or minus
-    half of l^n (d(S+)-d(S-))."""
-    if FAMILY_TABLE[group.family].pipeline is None:
-        piped = ", ".join(f.name for f in FAMILY_TABLE.values() if f.pipeline)
-        raise ValueError(f"pullback pipeline applies to {piped}; got {group}")
-    _require_l(l)
-    return _pullback(group, l)
-
-
 def _pullback(group: GroupSpec, l: int) -> AdamsMatrix:
-    """`pullback_adams_matrix` for a family with a pipeline and an l
-    already checked."""
+    """The matrix for a family with a pipeline (Sp, SpinOdd, SpinEven, G2)
+    purely by functoriality, for an l already checked: unitary formula on
+    the defining representation, then restriction.  The spin column expands
+    d(S) over the wedges 1..n with the factor 2^-(n+1); the half-spin
+    columns are the halved image of d(S+)+d(S-) (wedges n-1, n-3, ... with
+    factor 2^-(n-1)) plus or minus half of l^n (d(S+)-d(S-))."""
     cols, rational, den = FAMILY_TABLE[group.family].pipeline(group, l)
     return _finalize(group, l, cols, "pipeline", rational, den)
 

@@ -12,12 +12,17 @@ from adamsops.counts import (
     _count_row,
     alpha,
     beta,
-    count_table,
     mu_closed,
     mu_enumerate,
     signed_table,
 )
 from adamsops.exactmath import binomial
+
+
+def _unsigned(n, l):
+    """The block mu(n, l, k, p), 0 <= k, p <= n: `signed_table` without its
+    signs and its factor l."""
+    return tuple(tuple(abs(e) // l for e in row) for row in signed_table(n, l))
 
 
 def _count_row_reference(n, l):
@@ -88,9 +93,8 @@ def test_count_functions_reject_bool_and_non_int(position, bad):
         with pytest.raises(ValueError, match="must be an int"):
             f(*args)
     if position < 2:
-        for f in (count_table, signed_table):
-            with pytest.raises(ValueError, match="must be an int"):
-                f(*args[:2])
+        with pytest.raises(ValueError, match="must be an int"):
+            signed_table(*args[:2])
 
 
 def test_closed_matches_enumeration_small():
@@ -166,13 +170,13 @@ def test_row_sum_counts_every_tuple():
 
 def test_table_matches_closed_form_on_random_draws():
     # The production table against the inclusion-exclusion oracle, inside the
-    # block (read through count_table) and outside it (k > n, p < 0, p > n).
+    # block (read unsigned) and outside it (k > n, p < 0, p > n).
     rng = random.Random(20261018)
     draws = [(rng.randint(1, 80), 50) for _ in range(6)] + [(80, 50)]
     draws += [(7, rng.randint(2, 1000)) for _ in range(6)] + [(7, 1000)]
     draws += [(rng.randint(1, 30), rng.randint(1, 12)) for _ in range(10)]
     for n, l in draws:
-        table = count_table(n, l)
+        table = _unsigned(n, l)
         assert len(table) == n + 1 and all(len(row) == n + 1 for row in table)
         for _ in range(12):
             k, p = rng.randint(0, n), rng.randint(0, n)
@@ -191,7 +195,7 @@ def test_table_whole_block_small():
             expected = tuple(
                 tuple(mu_closed(n, l, k, p) for p in range(n + 1)) for k in range(n + 1)
             )
-            assert count_table(n, l) == expected, (n, l)
+            assert _unsigned(n, l) == expected, (n, l)
 
 
 def test_table_above_the_route_bound_matches_closed_form(monkeypatch):
@@ -208,20 +212,21 @@ def test_table_above_the_route_bound_matches_closed_form(monkeypatch):
             )
             signed_table.cache_clear()
             rows.clear()
-            assert count_table(n, l) == expected, (n, l)
+            assert _unsigned(n, l) == expected, (n, l)
             assert rows == ([l] if l <= n + 1 else []), (n, l)
 
 
 def test_table_validation(monkeypatch):
-    # count_table checks its arguments before it reads the signed block
-    monkeypatch.setattr(counts, "signed_table", lambda n, l: pytest.fail("a block was read"))
+    # signed_table checks its arguments before it builds any count
+    monkeypatch.setattr(counts, "_count_row", lambda n, l: pytest.fail("a row was built"))
+    monkeypatch.setattr(counts, "_windows", lambda *a: pytest.fail("a window was run"))
     for bad in [(0, 2), (3, 0), (-1, 4), (3, True), (3, 2.0)]:
         with pytest.raises(ValueError):
-            count_table(*bad)
+            signed_table(*bad)
 
 
 def test_table_cache_is_bounded():
-    # the signed block is the one block cache; count_table is a view of it
+    # the signed block is the one block cache
     caches = [f for f in vars(counts).values() if hasattr(f, "cache_info")]
     assert sorted(f.__name__ for f in caches) == ["mu_closed", "signed_table"]
     for cache in caches:
@@ -232,7 +237,7 @@ def test_table_cache_is_bounded():
 def test_the_benchmark_clears_both_block_caches(monkeypatch):
     # matrix-cold starts every lap from empty caches: the signed block and
     # the oracle's counts
-    count_table(4, 3)
+    signed_table(4, 3)
     mu_closed(4, 3, 1, 1)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
@@ -250,8 +255,7 @@ def test_the_benchmark_clears_both_block_caches(monkeypatch):
 def test_signed_table_at_the_edges_of_its_routes(monkeypatch):
     # Up to l = n+1 the windows of the block's rows overlap or abut and are
     # read off one count row; above it they are disjoint, and no count row
-    # is built, whether the block is read signed, unsigned or entry by
-    # entry.  Odd n with even l makes the count row of even length, whose
+    # is built, whether the block is read whole or entry by entry.  Odd n with even l makes the count row of even length, whose
     # signed mirror is negated.
     rows = []
     monkeypatch.setattr(counts, "_count_row", lambda n, l: rows.append((n, l)) or _count_row(n, l))
@@ -262,7 +266,7 @@ def test_signed_table_at_the_edges_of_its_routes(monkeypatch):
                 tuple((-1) ** (k + p) * l * mu_closed(n, l, k, p) for p in range(n + 1))
                 for k in range(n + 1)
             )
-            for read in (signed_table, count_table, lambda n, l: mu_enumerate(n, l, n // 2, 1)):
+            for read in (signed_table, lambda n, l: mu_enumerate(n, l, n // 2, 1)):
                 signed_table.cache_clear()
                 rows.clear()
                 read(n, l)

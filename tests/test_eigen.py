@@ -14,7 +14,6 @@ from adamsops.eigen import (
     SpectrumReport,
     _bareiss_det,
     _certifies,
-    _is_eigenvector,
     _runs,
     _sinh_values,
     _unitary_basis,
@@ -27,9 +26,8 @@ from adamsops.eigen import (
     family_exponents,
     sinh_pow_coeff_poly,
     spectrum_check,
-    verify_eigen_relation,
 )
-from adamsops.ktheory import FAMILIES, FAMILY_TABLE, AdamsMatrix, GroupSpec, adams_matrix
+from adamsops.ktheory import FAMILIES, FAMILY_TABLE, AdamsMatrix, GroupSpec, _times, adams_matrix
 from adamsops.series import UniPoly, t_over_sinh_pow
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -187,46 +185,58 @@ def test_eigenvalue_exponent():
     assert v.eigenvalue_exponent == 3
 
 
+def _unitary_certified(n, l):
+    """The eigen suite's first row at (n, l): the certificate of U(n), whose
+    columns are its levels scaled to primitive integers."""
+    group = GroupSpec("U", n)
+    return _certifies(eigenbasis(group), adams_matrix(group, l).entries, l)
+
+
 def test_relation_holds():
     for n in range(1, 7):
         for l in (2, 3, 5):
-            assert all(ok for _, ok in verify_eigen_relation(n, l))
-    assert all(ok for _, ok in verify_eigen_relation(30, 2))
+            assert _unitary_certified(n, l), (n, l)
+    assert _unitary_certified(30, 2)
+    # the columns of U(n) are its n levels, in order of exponent
+    for n in (1, 5, 30):
+        vb = eigenbasis(GroupSpec("U", n))
+        assert vb.eigenvalue_exponents == tuple(range(1, n + 1))
+        for e, col in zip(vb.eigenvalue_exponents, vb.columns):
+            assert eigen._proportional(col, _unitary_basis(n)[n - e][0]), (n, e)
 
 
 def test_relation_matches_the_rational_route():
-    # the integer check on the level numerators against the rational route:
-    # each eigenvector's coordinates through `AdamsMatrix.apply` in Fraction
+    # the integer certificate against the rational route: each
+    # eigenvector's coordinates through `AdamsMatrix.apply` in Fraction
     for n in range(1, 31):
         for l in (1, 2, 3, 5, 50):
             mat = adams_matrix(GroupSpec("U", n), l)
-            want = tuple(
-                (k, mat.apply(v.coords) == tuple(l ** (n - k) * c for c in v.coords))
-                for k, v in ((k, eigenvector(n, k)) for k in range(n))
-            )
-            assert verify_eigen_relation(n, l) == want, (n, l)
-            assert all(ok for _, ok in want), (n, l)
+            want = [
+                mat.apply(v.coords) == tuple(l**v.eigenvalue_exponent * c for c in v.coords)
+                for v in (eigenvector(n, k) for k in range(n))
+            ]
+            assert all(want), (n, l)
+            assert _unitary_certified(n, l), (n, l)
 
 
-def test_relation_fails_on_a_changed_matrix(monkeypatch):
+def test_relation_fails_on_a_changed_matrix():
     # one raised entry must break the relation for some level, never all
-    real = eigen.adams_matrix
-
-    def changed(group, l):
-        mat = real(group, l)
-        rows = [list(row) for row in mat.entries]
-        rows[1][2] += 1
-        return AdamsMatrix(mat.group, l, tuple(map(tuple, rows)))
-
-    monkeypatch.setattr(eigen, "adams_matrix", changed)
-    results = verify_eigen_relation(5, 3)
-    assert [k for k, _ in results] == [0, 1, 2, 3, 4]
-    assert not all(ok for _, ok in results)
+    group, l = GroupSpec("U", 5), 3
+    rows = [list(row) for row in adams_matrix(group, l).entries]
+    rows[1][2] += 1
+    vb = eigenbasis(group)
+    holds = [
+        _times(rows, col) == [l**e * x for x in col]
+        for e, col in zip(vb.eigenvalue_exponents, vb.columns)
+    ]
+    assert any(holds) and not all(holds)
+    assert not _certifies(vb, rows, l)
 
 
 def test_eigen_never_applies_a_matrix_in_fractions():
     assert ".apply(" not in inspect.getsource(eigen)
-    assert "Fraction" not in inspect.getsource(eigen.verify_eigen_relation)
+    for f in (eigen._certifies, eigen._run_holds):
+        assert "Fraction" not in inspect.getsource(f)
 
 
 def test_relation_exactness_is_fractional():
@@ -527,7 +537,10 @@ def _columnwise_certifies(vb, entries, l):
         and all(
             any(u[i] * v[j] != u[j] * v[i] for i in range(d) for j in range(i)) for u, v in pairs
         )
-        and all(_is_eigenvector(entries, col, l**e) for e, col in zip(exponents, vb.columns))
+        and all(
+            _times(entries, col) == [l**e * x for x in col]
+            for e, col in zip(exponents, vb.columns)
+        )
     )
 
 

@@ -40,6 +40,16 @@ def test_binomial_rejects_negative_top():
         binomial(-2, 2)
 
 
+@pytest.mark.parametrize(
+    "a, b, argument",
+    [(True, 1, "top"), (2, 5.0, "bottom"), (3.0, 1, "top"), (4, False, "bottom")],
+)
+def test_binomial_rejects_bools_and_floats(a, b, argument):
+    # True would count as 1 and 5.0 as 5; 3.0 used to reach math.comb's TypeError
+    with pytest.raises(ValueError, match=f"binomial: {argument} argument must be an int"):
+        binomial(a, b)
+
+
 def test_binomial_matches_math_comb():
     for a in range(31):
         for b in range(a + 1):

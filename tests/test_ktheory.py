@@ -8,10 +8,11 @@ tests pin both routes at once.
 
 import fractions
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from adamsops import counts, ktheory
+from adamsops import ktheory
 from adamsops.ktheory import (
     FAMILIES,
     ConsistencyError,
@@ -19,7 +20,6 @@ from adamsops.ktheory import (
     adams_matrix,
     basis,
     defining_dimension,
-    pullback_adams_matrix,
 )
 
 # (family, rank, l) -> row-major entries, frozen from the oracle routes
@@ -82,12 +82,6 @@ def test_apply_rejects_a_vector_of_the_wrong_length():
     mat = adams_matrix(GroupSpec("Sp", 3), 2)
     with pytest.raises(ValueError, match="vector length 2 != matrix dimension 3"):
         mat.apply([1, 0])
-
-
-@pytest.mark.parametrize("family", ["U", "SU"])
-def test_the_pipeline_refuses_the_unitary_families(family):
-    with pytest.raises(ValueError, match=r"applies to Sp, SpinOdd, SpinEven, G2; got S?U\(3\)"):
-        pullback_adams_matrix(GroupSpec(family, 3), 2)
 
 
 def test_rank_one_coincidences():
@@ -161,7 +155,8 @@ def test_l_validation():
     ("SpinOdd", 1), ("SpinOdd", 4), ("SpinEven", 3), ("SpinEven", 5), ("G2", 2),
 ])
 def test_identity_at_l_one(family, rank):
-    assert adams_matrix(GroupSpec(family, rank), 1).is_identity()
+    mat = adams_matrix(GroupSpec(family, rank), 1)
+    assert mat.entries == tuple(tuple(int(i == j) for j in range(mat.dim)) for i in range(mat.dim))
 
 
 def test_composition_is_multiplicativity():
@@ -305,18 +300,49 @@ def test_intertwining_fails_on_a_changed_middle_row(monkeypatch, fresh_restricti
         adams_matrix(group, 2)
 
 
-def test_pipeline_agrees_with_closed_forms():
-    groups = (
-        [GroupSpec("Sp", n) for n in range(1, 7)]
-        + [GroupSpec("SpinOdd", n) for n in range(1, 7)]
-        + [GroupSpec("SpinEven", n) for n in (3, 4, 5, 6)]
-        + [GroupSpec("G2")]
-    )
-    for g in groups:
-        for l in range(1, 6):
-            closed = adams_matrix(g, l, cross_check=False)
-            piped = pullback_adams_matrix(g, l)
-            assert closed.entries == piped.entries, (str(g), l)
+def _ranks_up_to(family, dimension):
+    """The ranks of the family whose defining dimension is at most the one given."""
+    if family.fixed_rank:
+        return [family.fixed_rank]
+    return [n for n in range(family.min_rank, dimension + 1) if family.dimension(n) <= dimension]
+
+
+def test_the_routes_agree_at_every_l():
+    # Every entry of either route is a polynomial in l of degree <= m, the
+    # defining dimension: a block entry is l times a count of degree <= m-1
+    # (the proof in `signed_table`'s docstring), both routes combine block
+    # entries with coefficients free of l, Spin(2n)'s term l^n 2^(n-1) comes
+    # from `_half_spin_columns`, which both share, and G2's closed form has
+    # degree 6.  So the routes' difference vanishes at every l >= 1 once it
+    # vanishes at l = 1..m+1.
+    built = 0
+    for family in ktheory.FAMILY_TABLE.values():
+        if family.pipeline is None:
+            continue
+        for n in _ranks_up_to(family, 30):
+            group, m = GroupSpec(family.name, n), family.dimension(n)
+            for l in range(1, m + 2):
+                closed = adams_matrix(group, l, cross_check=False)
+                assert closed.entries == ktheory._pullback(group, l).entries, (str(group), l)
+                built += 1
+    assert built == 748
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_entry_is_a_polynomial_in_l_of_degree_at_most_m(family):
+    # the degree bound the test above rests on: the (m+1)-th finite
+    # difference of every entry over l = 1..m+2 is 0, for the two least
+    # ranks and the largest with m <= 12
+    ranks = _ranks_up_to(ktheory.FAMILY_TABLE[family], 12)
+    for n in sorted({*ranks[:2], ranks[-1]}):
+        group = GroupSpec(family, n)
+        m = defining_dimension(group)
+        mats = [adams_matrix(group, l).entries for l in range(1, m + 3)]
+        weights = [(-1) ** (m + 1 - i) * comb(m + 1, i) for i in range(m + 2)]
+        for row in range(len(mats[0])):
+            for col in range(len(mats[0])):
+                values = [mat[row][col] for mat in mats]
+                assert sum(w * v for w, v in zip(weights, values)) == 0, (str(group), row, col)
 
 
 def test_g2_closed_route_is_its_polynomial_expressions(monkeypatch):
@@ -326,12 +352,12 @@ def test_g2_closed_route_is_its_polynomial_expressions(monkeypatch):
             (Fraction(2 * l**6 + 13 * l**2, 15), Fraction(l**2 - l**6, 30)),
             (Fraction(52 * l**2 * (1 - l**4), 15), Fraction(l**2 * (13 * l**4 + 2), 15)),
         )
-        columns = ktheory.g2_closed_columns(l)  # numerators over 30
+        columns = ktheory._g2_numerators(l)  # numerators over 30
         assert columns == tuple(tuple(30 * e for e in col) for col in expressions), l
         assert all(type(v) is int for col in columns for v in col), l
         closed = adams_matrix(g2, l, cross_check=False)
         assert closed.entries == tuple(zip(*expressions)), l
-        assert closed.entries == pullback_adams_matrix(g2, l).entries, l
+        assert closed.entries == ktheory._pullback(g2, l).entries, l
     # without the cross-check the pipeline does not run
     monkeypatch.setattr(ktheory, "_pullback", lambda g, m: pytest.fail("pipeline ran"))
     closed = adams_matrix(g2, 1000, cross_check=False)
@@ -378,12 +404,6 @@ def test_l_rejects_bool_and_non_int():
         for bad in (True, False, 2.0, 2.5, "2"):
             with pytest.raises(ValueError):
                 adams_matrix(GroupSpec(fam, n), bad)
-    # the public routes that `adams_matrix` calls unchecked check l themselves
-    for bad in (True, 0):
-        with pytest.raises(ValueError):
-            pullback_adams_matrix(GroupSpec("Sp", 2), bad)
-        with pytest.raises(ValueError):
-            ktheory.g2_closed_columns(bad)
 
 
 def test_entries_are_plain_ints():
@@ -449,7 +469,7 @@ def test_a_perturbed_count_breaks_the_spin_columns_on_both_routes(monkeypatch, n
         monkeypatch.setattr(ktheory, "signed_table", table)
         for route, build in (
             ("closed form", lambda: adams_matrix(group, l, cross_check=False)),
-            ("pipeline", lambda: pullback_adams_matrix(group, l)),
+            ("pipeline", lambda: ktheory._pullback(group, l)),
         ):
             with pytest.raises(ConsistencyError, match="non-integer entry") as info:
                 build()
@@ -479,7 +499,7 @@ def test_a_successful_assembly_builds_no_fraction(monkeypatch):
 
 def test_consistency_error_names_the_first_difference(monkeypatch):
     group, l = GroupSpec("Sp", 20), 50
-    good = pullback_adams_matrix(group, l)
+    good = ktheory._pullback(group, l)
     entries = [list(row) for row in good.entries]
     entries[3][5] += 1
     wrong = ktheory.AdamsMatrix(group, l, tuple(tuple(row) for row in entries))
@@ -503,7 +523,7 @@ def test_consistency_error_names_the_first_difference(monkeypatch):
 
 
 def test_g2_consistency_error_fields(monkeypatch):
-    good = pullback_adams_matrix(GroupSpec("G2"), 3)
+    good = ktheory._pullback(GroupSpec("G2"), 3)
     entries = ((good.entries[0][0], good.entries[0][1]), (good.entries[1][0] - 1, good.entries[1][1]))
     wrong = ktheory.AdamsMatrix(good.group, 3, entries)
     monkeypatch.setattr(ktheory, "_pullback", lambda g, m: wrong)
@@ -553,7 +573,6 @@ def test_family_table_covers_every_family(monkeypatch):
 @pytest.mark.parametrize("cross_check", [True, False])
 def test_l_is_rejected_before_any_count_is_built(monkeypatch, family, cross_check):
     monkeypatch.setattr(ktheory, "signed_table", lambda n, l: pytest.fail("a count was built"))
-    monkeypatch.setattr(counts, "count_table", lambda n, l: pytest.fail("a count was built"))
     group = GroupSpec(family, 3)
     for bad in (0, -1, True, 2.0, "2"):
         with pytest.raises(ValueError):

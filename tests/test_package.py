@@ -63,6 +63,29 @@ def test_the_per_family_matrix_entries_are_gone(name):
     assert name not in ktheory.__all__
 
 
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (counts, "count_table"),
+        (ktheory, "pullback_adams_matrix"),
+        (ktheory, "g2_closed_columns"),
+        (eigen, "verify_eigen_relation"),
+        (eigen, "_is_eigenvector"),
+    ],
+)
+def test_the_retired_public_names_are_gone(module, name):
+    with pytest.raises(AttributeError):
+        getattr(adamsops, name)
+    assert name not in adamsops.__all__
+    assert name not in dir(adamsops)
+    assert not hasattr(module, name)
+    assert name not in module.__all__
+
+
+def test_the_identity_test_method_is_gone():
+    assert not hasattr(ktheory.AdamsMatrix, "is_identity")
+
+
 def test_the_package_exports_each_module_list_as_written():
     assert adamsops.__all__ == [
         "__version__", *counts.__all__, *exactmath.__all__, *ktheory.__all__, *adamsops._LAZY

@@ -21,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import adamsops.cli as cli  # noqa: E402
 import adamsops.eigen as eigen  # noqa: E402
-from adamsops.counts import _count_row, count_table, mu_closed, signed_table  # noqa: E402
+from adamsops.counts import _count_row, mu_closed, signed_table  # noqa: E402
 from adamsops.eigen import (  # noqa: E402
     _certifies,
     char_poly,
@@ -71,17 +71,18 @@ def test_row_and_table_match_closed_form(n, l, data):
     k = -(-s // l)  # coefficient s is mu(n, l, k, l*k - s) for this k
     assert row[min(s, n * (l - 1) - s)] == mu_closed(n, l, k, l * k - s)
     k, p = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
-    assert count_table(n, l)[k][p] == mu_closed(n, l, k, p)
+    assert signed_table(n, l)[k][p] == (-1) ** (k + p) * l * mu_closed(n, l, k, p)
 
 
 @budget
 @given(n=st.integers(1, 80), l=st.integers(1, 200), data=st.data())
 def test_count_duality(n, l, data):
     # reversing every part, k_r -> l-1-k_r, sends the tuples counted by
-    # mu(n, l, k, p) to those counted by mu(n, l, n-k, n-p)
+    # mu(n, l, k, p) to those counted by mu(n, l, n-k, n-p), and the sign
+    # (-1)^(k+p) of the block entry is that of (n-k) + (n-p)
     k = data.draw(st.integers(0, n))
     p = data.draw(st.integers(0, n))
-    table = count_table(n, l)
+    table = signed_table(n, l)
     assert table[k][p] == table[n - k][n - p]
     p = data.draw(st.integers(-2 * l * n - 2, 2 * l * n + 2))
     assert mu_closed(n, l, k, p) == mu_closed(n, l, n - k, n - p)
@@ -92,12 +93,12 @@ def test_count_duality(n, l, data):
 def test_table_above_the_switch_matches_closed_form(n, data):
     # above l = n+1 the windows of the table's rows are disjoint, each runs
     # from its own seed, and the second half mirrors the first,
-    # T[k][p] = T[n-k][n-p]
+    # A[k][p] = A[n-k][n-p]
     l = data.draw(st.integers(n + 2, 100 * n * (n + 1)))
-    table = count_table(n, l)
+    table = signed_table(n, l)
     for _ in range(3):
         k, p = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
-        assert table[k][p] == table[n - k][n - p] == mu_closed(n, l, k, p)
+        assert table[k][p] == table[n - k][n - p] == (-1) ** (k + p) * l * mu_closed(n, l, k, p)
 
 
 @budget
