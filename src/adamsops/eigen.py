@@ -5,12 +5,13 @@ basis of common eigenvectors independent of l.  The eigenvector for the
 eigenvalue l^(n-k) is written in closed form through the even Taylor
 coefficients of (t/sinh t)^y: coefficient j is a degree-j polynomial q_j(y)
 satisfying a Bernoulli-number recurrence.  One cached run of that recurrence
-on numbers at y = n serves every level.  The levels of U(n) are cached as
-integer numerators over one denominator per level, which
-`eigenbasis_determinant` reads, and the `Eigenvector` records of all n
-levels are built from them once per rank and cached beside them, which
-`eigenvector` returns.  `sinh_pow_coeff_poly` builds the polynomials
-themselves and serves as the independent check on the numbers.
+on numbers at y = n serves every level.  The levels of U(n) are built from
+it as integer numerators over one denominator per level, which
+`eigenbasis_determinant` reads, and from which the `Eigenvector` records
+of all n levels are built, which `eigenvector` returns; the determinant and
+the records are each cached once per rank.  `sinh_pow_coeff_poly` builds
+the polynomials themselves and serves as the independent check on the
+numbers.
 
 Every other family gets its eigenvectors by restriction from U(m), m the
 defining dimension.  The restriction R from the primitives of U(m) to those
@@ -37,23 +38,26 @@ if a part fails does it compute the characteristic polynomial, by
 Berkowitz's division-free algorithm over the integers (`char_poly`), which
 is also the check on the certificate in the tests.
 
-The relations M.w = l^e.w are checked several columns per integer mat-vec
-(Kronecker substitution in mixed radix).  A run of columns w_1..w_r, w_t
-with eigenvalue l^(e_t) and its own digit width K_t, is packed as
-u = sum_t w_t B_t and u' = sum_t l^(e_t) w_t B_t, with B_r = 1 and
-B_(t-1) = B_t 2^(K_t), and M.u = u' is compared exactly.  The difference in
-row i is sum_t D_t B_t with D_t = (M.w_t - l^(e_t) w_t)_i, and
-|D_t| <= (||M|| + l^(e_t)) max|w_t|, ||M|| the largest row L1 norm.  Each
-K_t is chosen so that its own column's bound is below 2^(K_t - 1).  Mixed-
-radix balanced digits are unique when every digit is below half of its own
-base: the difference is congruent to D_r modulo 2^(K_r), so a zero
-difference forces D_r = 0, and dividing by 2^(K_r) leaves the same
-question for the run without w_r.  So
-the packed rows are equal exactly when every D_t is zero.  A column thus
-takes only the bits its own bound needs, not those of the widest column
-of its run.  Packing saves a Python-level product per extra column but
-lengthens each one by about the bits of ||M||, so columns are packed only
-while ||M|| < 2^256, up to 2048 bits of summed width per packed entry.
+The relations M.w = l^e.w are checked by one integer mat-vec (Kronecker
+substitution in mixed radix).  The columns w_1..w_r, w_t with eigenvalue
+l^(e_t) and its own digit width K_t, are packed as u = sum_t w_t B_t and
+u' = sum_t l^(e_t) w_t B_t, with B_r = 1 and B_(t-1) = B_t 2^(K_t), and
+M.u = u' is compared exactly.  The difference in row i is sum_t D_t B_t
+with D_t = (M.w_t - l^(e_t) w_t)_i, and |D_t| <= (||M|| + l^(e_t)) max|w_t|,
+||M|| the largest row L1 norm.  Each K_t is chosen so that its own column's
+bound is below 2^(K_t - 1).  Mixed-radix balanced digits are unique when
+every digit is below half of its own base: the difference is congruent to
+D_r modulo 2^(K_r), so a zero difference forces D_r = 0, and dividing by
+2^(K_r) leaves the same question for the columns without w_r.  So the
+packed rows are equal exactly when every D_t is zero.  A column thus takes
+only the bits its own bound needs, not those of the widest column.  u and
+u' are built by merging neighbouring columns pairwise, (a << K_b) + b row
+by row, round after round: the integers one Horner run over the columns
+would build, but with each column shifted about log2(r) times instead of
+up to r times.  Packing saves a Python-level product per extra column but
+lengthens the one left by about the bits of ||M|| per column, so the
+columns are packed only while ||M|| < 2^256, and otherwise each takes its
+own mat-vec.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import itemgetter, mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .exactmath import _require_int
 from .ktheory import (
@@ -90,17 +94,16 @@ __all__ = [
 ]
 
 # Ranks and groups kept by each eigen cache.  eigen-spectrum's lap touches
-# 5 unitary ranks and 26 groups.  The levels of U(80) take about 0.4 MB and
-# the eigenbasis of Spin(161) about 0.7 MB (tracemalloc).
+# 5 unitary ranks and 26 groups.  The eigenvector records of U(80) take
+# about 0.9 MB and the eigenbasis of Spin(161) about 0.7 MB (tracemalloc).
 _BASIS_CACHE_SIZE = 64
 
-# The packed certificate's limits, from interleaved timings of the
-# certificate at ranks 34 and 80 with l from 2 to 1000: packing ran 1.2-2.9x
-# faster than one mat-vec per column where ||M|| < 2^256, and 0.5-0.8x as
-# fast where ||M|| > 2^380, as the longer products outweigh the saved ones.
-# Packed entries wider than 2048 bits gained no more.
+# Where ||M|| < 2^256 the certificate packs every column into one product,
+# and otherwise takes one mat-vec per column.  In interleaved timings at
+# ranks 34-80 with l up to 400, the packed product ran 1.35-2.2x faster
+# where ||M|| < 2^250 and 1.2-2.2x slower where ||M|| > 2^450, as the longer
+# product outweighs the saved ones; between the two neither led.
 _PACK_NORM_BITS = 256
-_PACK_BITS = 2048
 
 
 def _recurrence_weights(j: int) -> list[Fraction]:
@@ -171,12 +174,12 @@ def _unitary_level(n: int, k: int, q: Sequence[Fraction]) -> tuple[tuple[int, ..
     return tuple(nums), den
 
 
-@lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _unitary_basis(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every level k = 0..n-1 of U(n), as `_unitary_level` gives it: the
-    integer form that `eigenbasis_determinant` reads, and from which
-    `_unitary_vectors` builds the records of `eigenvector`.  Both are kept
-    per rank in caches of the same bound."""
+    """Every level k = 0..n-1 of U(n), as `_unitary_level` gives it, from
+    the cached `_sinh_values(n)`: the integer form that
+    `eigenbasis_determinant` reads, and from which `_unitary_vectors` builds
+    the records of `eigenvector`.  Those two are each cached per rank, so
+    the levels are not."""
     q = _sinh_values(n)
     return tuple(_unitary_level(n, k, q) for k in range(n))
 
@@ -220,7 +223,7 @@ def eigenvector(n: int, k: int) -> Eigenvector:
     The numbers q_j(n) come from the recurrence of `sinh_pow_coeff_poly`
     run at y = n.  The rank and the level are checked first; then the
     record is read from the records of U(n), built once per rank from its
-    cached levels, so a repeated call returns the same record.
+    levels and cached, so a repeated call returns the same record.
     """
     _require_rank(n)
     _require_int("level k", k)
@@ -268,9 +271,9 @@ def eigenbasis_determinant(n: int) -> Fraction:
           = prod_k 1/k! * 2^(n(n-1)/2) prod_{i<j} (j - i) = 2^(n(n-1)/2),
 
     since x_j - x_i = -2(j - i) and prod_{i<j} (j - i) = prod_k k!.  The
-    tests hold the computation, one Bareiss pass over the cached integer
-    numerators, each row first divided by the gcd of its entries, to that
-    value.  The value for each n is kept in a bounded cache.
+    tests hold the computation, one Bareiss pass over the integer
+    numerators of the levels, each row first divided by the gcd of its
+    entries, to that value.  The value for each n is kept in a bounded cache.
     """
     _require_rank(n)
     levels = _unitary_basis(n)
@@ -418,41 +421,29 @@ class SpectrumReport(Record):
     expected_coeffs: tuple[int, ...]
 
 
-# A run of eigenbasis columns for the packed check: (K, l^e, w) triples,
-# K the column's own digit width.
-_Run = list[tuple[int, int, tuple[int, ...]]]
-
-
-def _runs(vb: Eigenbasis, norm: int, l: int) -> Iterator[_Run]:
-    """The columns of V, in order, as runs [(K, l^e, w), ...] to pack, each
-    column with its own digit width K, 2^(K-1) > (||M|| + l^e) max|w| and
-    ||M|| = norm.  A run takes columns while their widths sum to at most
-    2048 bits where ||M|| < 2^256, and only one column where
-    ||M|| >= 2^256."""
-    budget = _PACK_BITS if norm.bit_length() <= _PACK_NORM_BITS else 0
-    run: _Run = []
-    total = 0
+def _columns(vb: Eigenbasis, norm: int, l: int) -> list[tuple[int, list[int]]]:
+    """The columns w of V, in order, as (K, w stacked on l^e.w), K the
+    column's own digit width: 2^(K-1) > (||M|| + l^e) max|w|, ||M|| = norm."""
+    columns = []
     for e, col, height in zip(vb.eigenvalue_exponents, vb.columns, vb.heights):
         value = l**e
-        bits = ((norm + value) * height).bit_length() + 1
-        if run and total + bits > budget:
-            yield run
-            run, total = [], 0
-        run.append((bits, value, col))
-        total += bits
-    if run:
-        yield run
+        width = ((norm + value) * height).bit_length() + 1
+        columns.append((width, [*col, *[value * x for x in col]]))
+    return columns
 
 
-def _run_holds(entries: Sequence[Sequence[int]], run: _Run) -> bool:
-    """Whether M.w = value.w for every (width, value, w) of the run: one
-    integer mat-vec on the columns packed in mixed radix, each column
-    shifted in by its own width, so the last column is least significant."""
-    packed = image = [0] * len(entries)
-    for width, value, col in run:
-        packed = [(a << width) + x for a, x in zip(packed, col)]
-        image = [(a << width) + value * x for a, x in zip(image, col)]
-    return _times(entries, packed) == image
+def _merged(columns: list[tuple[int, list[int]]]) -> tuple[int, list[int]]:
+    """The columns (K, w) packed into one in mixed radix, the first most
+    significant.  Neighbours merge entry by entry into
+    (K_a + K_b, (w_a << K_b) + w_b), and an unpaired last column waits for
+    the next round, until one column is left."""
+    while len(columns) > 1:
+        merged = [
+            (ka + kb, [(x << kb) + y for x, y in zip(wa, wb)])
+            for (ka, wa), (kb, wb) in zip(columns[::2], columns[1::2])
+        ]
+        columns = merged + columns[2 * len(merged) :]
+    return columns[0]
 
 
 def _proportional(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -479,19 +470,23 @@ def _certifies(vb: Eigenbasis, entries: Sequence[Sequence[int]], l: int) -> bool
     independent too.  So V is invertible and M = V.diag(l^e).V^-1, which
     has the wanted characteristic polynomial.  No determinant is needed.
 
-    The relations are checked a run of columns at a time, packed into one
-    integer column each (`_runs`, `_run_holds`).  With ||M|| the largest
-    row L1 norm, each packed digit of M.u - u' is at most
-    (||M|| + l^e) max|w| < 2^(K-1) in absolute value, K that column's own
-    width, so the packed check holds exactly when every column's does (see
-    the module docstring)."""
+    The relations are checked by one product of M with the columns packed
+    into one integer column (`_columns`, `_merged`), or one per column
+    where ||M|| >= 2^256.  With ||M|| the largest row L1 norm, each packed
+    digit of M.u - u' is at most (||M|| + l^e) max|w| < 2^(K-1) in absolute
+    value, K that column's own width, so the packed check holds exactly
+    when every column's does (see the module docstring)."""
     if not (len(vb.columns) == len(entries) and vb.well_formed):
         return False
     if l == 1:
         # row i is the unit row e_i: its entry i is 1 and its L1 norm is 1
         return all(row[i] == 1 == sum(map(abs, row)) for i, row in enumerate(entries))
     norm = max((sum(map(abs, row)) for row in entries), default=0)
-    return all(_run_holds(entries, run) for run in _runs(vb, norm, l))
+    columns = _columns(vb, norm, l)
+    if norm.bit_length() <= _PACK_NORM_BITS:
+        columns = [_merged(columns)]
+    d = len(entries)
+    return all(_times(entries, w[:d]) == w[d:] for _, w in columns)
 
 
 def spectrum_check(group: GroupSpec, l: int) -> SpectrumReport:
@@ -500,7 +495,10 @@ def spectrum_check(group: GroupSpec, l: int) -> SpectrumReport:
 
     The group's cached `eigenbasis` proves the equality when it certifies
     the matrix; only when it does not is the characteristic polynomial
-    computed, by `char_poly`, to fill the report.
+    computed, by `char_poly`, to fill the report.  `ok` compares the two
+    polynomials, so it stays True when `char_poly` finds the wanted one
+    that the certificate did not prove; `_certifies` alone says whether
+    the eigenbasis proved it.
     """
     mat = adams_matrix(group, l)
     want = expected_char_poly(group, l)

@@ -14,7 +14,8 @@ from adamsops.eigen import (
     SpectrumReport,
     _bareiss_det,
     _certifies,
-    _runs,
+    _columns,
+    _merged,
     _sinh_values,
     _unitary_basis,
     _unitary_vectors,
@@ -85,14 +86,17 @@ def test_sinh_values_match_the_polynomials():
 
 
 def test_eigenvectors_share_one_run_of_the_recurrence(monkeypatch):
-    # every level of U(30) takes the weights of one recurrence: B_0..B_28
+    # every level of U(30) takes the weights of one recurrence: B_0..B_28.
+    # The records and the determinant each build the levels, from that one
+    # cached run
     calls, real = [], eigen.bernoulli_even
     monkeypatch.setattr(eigen, "bernoulli_even", lambda k: calls.append(k) or real(k))
     _sinh_values.cache_clear()
-    _unitary_basis.cache_clear()
     _unitary_vectors.cache_clear()
+    eigenbasis_determinant.cache_clear()
     for k in range(30):
         eigenvector(30, k)
+    assert eigenbasis_determinant(30) == 2 ** (30 * 29 // 2)
     assert sorted(calls) == list(range(0, 30, 2))
 
 
@@ -235,7 +239,7 @@ def test_relation_fails_on_a_changed_matrix():
 
 def test_eigen_never_applies_a_matrix_in_fractions():
     assert ".apply(" not in inspect.getsource(eigen)
-    for f in (eigen._certifies, eigen._run_holds):
+    for f in (eigen._certifies, eigen._columns, eigen._merged):
         assert "Fraction" not in inspect.getsource(f)
 
 
@@ -560,19 +564,35 @@ def _changed(entries, cells, delta):
     return tuple(map(tuple, rows))
 
 
+def _horner(columns):
+    """The (K, w) columns packed by one Horner run, the first most
+    significant: the integer the packed certificate's proof is about."""
+    packed = [0] * len(columns[0][1])
+    for width, col in columns:
+        packed = [(a << width) + x for a, x in zip(packed, col)]
+    return sum(width for width, _ in columns), packed
+
+
 def test_packed_certificate_matches_the_columnwise_check(monkeypatch):
     def unreachable(entries):
         raise AssertionError("a valid matrix reached char_poly")
 
+    products = []
     monkeypatch.setattr(eigen, "char_poly", unreachable)
-    run_sizes, mixed, unpacked = set(), 0, 0
+    monkeypatch.setattr(eigen, "_times", lambda rows, v: products.append(v) or _times(rows, v))
+    odd, mixed, unpacked = 0, 0, 0
     for group in _groups(20):
         vb = eigenbasis(group)
         for l in (2, 3, 50, 1000):
             entries = adams_matrix(group, l).entries
-            assert _certifies(vb, entries, l) and _columnwise_certifies(vb, entries, l)
-            assert spectrum_check(group, l) == _columnwise_spectrum(group, l), (str(group), l)
             d = len(entries)
+            norm = max(sum(map(abs, row)) for row in entries)
+            products.clear()
+            assert _certifies(vb, entries, l) and _columnwise_certifies(vb, entries, l)
+            # one product of the packed column, or one per column where
+            # ||M|| >= 2^256
+            assert len(products) == (1 if norm < 2**256 else d), (str(group), l)
+            assert spectrum_check(group, l) == _columnwise_spectrum(group, l), (str(group), l)
             # one entry, and two adjacent ones in a row and in a column
             shapes = [[(d - 1, 0)]]
             if d > 1:
@@ -582,52 +602,59 @@ def test_packed_certificate_matches_the_columnwise_check(monkeypatch):
                     changed = _changed(entries, cells, delta)
                     assert not _certifies(vb, changed, l), (str(group), l, cells, delta)
                     assert not _columnwise_certifies(vb, changed, l)
-            # every packed digit stays below half of its own base, and the
-            # widths of a packed run sum to at most the budget
-            norm = max(sum(map(abs, row)) for row in entries)
-            unpacked += norm >= 2**256
-            runs = list(_runs(vb, norm, l))
-            columns = [(value, col) for run in runs for _, value, col in run]
-            assert columns == [(l**e, col) for e, col in zip(vb.eigenvalue_exponents, vb.columns)]
-            for run in runs:
-                run_sizes.add(len(run))
-                widths = [width for width, _, _ in run]
-                mixed += len(set(widths)) > 1
-                if len(run) > 1:
-                    assert sum(widths) <= 2048
-                for width, value, col in run:
-                    assert (norm + value) * max(map(abs, col)) < 2 ** (width - 1)
-    # the grid checks runs of one column, packed runs of mixed widths, and
-    # unpacked matrices
-    assert 1 in run_sizes and max(run_sizes) >= 10 and mixed and unpacked
+            # the columns of V in order, each stacked on l^e times itself,
+            # and every packed digit below half of its own base
+            columns = _columns(vb, norm, l)
+            assert [col for _, col in columns] == [
+                [*w, *(l**e * x for x in w)] for e, w in zip(vb.eigenvalue_exponents, vb.columns)
+            ]
+            for e, (width, col) in zip(vb.eigenvalue_exponents, columns):
+                assert (norm + l**e) * max(map(abs, col[:d])) < 2 ** (width - 1)
+            mixed += len({width for width, _ in columns}) > 1
+            if norm < 2**256:
+                # merging pairwise builds the integers one Horner run would,
+                # with a column left unpaired where d is odd
+                assert _merged(columns) == _horner(columns), (str(group), l)
+                odd += d % 2 and d > 1
+            else:
+                unpacked += 1
+    # the grid checks packed columns of mixed widths, merges with an
+    # unpaired column, and unpacked matrices
+    assert mixed and odd and unpacked
 
 
 @pytest.mark.parametrize(
     "group, l", [(GroupSpec("U", 6), 3), (GroupSpec("Sp", 5), 2), (GroupSpec("SpinEven", 8), 3)]
 )
 def test_a_mixed_width_run_refuses_a_change_at_either_end(group, l):
-    # a change at the entry that meets the most significant column of a run
-    # whose widths differ, and at the one that meets its least significant
+    # a change at the entry that meets the most significant column of the
+    # packed column, whose widths differ, and at the one that meets its
+    # least significant
     vb = eigenbasis(group)
     entries = adams_matrix(group, l).entries
+    d = len(entries)
     norm = max(sum(map(abs, row)) for row in entries)
-    run = next(run for run in _runs(vb, norm, l) if len({width for width, _, _ in run}) > 1)
+    columns = _columns(vb, norm, l)
+    assert norm < 2**256 and len({width for width, _ in columns}) > 1
     assert _certifies(vb, entries, l)
-    for _, _, col in (run[0], run[-1]):
-        j = max(range(len(col)), key=lambda i: abs(col[i]))
+    for _, col in (columns[0], columns[-1]):
+        j = max(range(d), key=lambda i: abs(col[i]))
         for delta in (1, -(2**70)):
-            for i in (0, j, len(entries) - 1):
+            for i in (0, j, d - 1):
                 changed = _changed(entries, [(i, j)], delta)
                 assert not _certifies(vb, changed, l), (i, j, delta)
 
 
 def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
-    caches = (eigenbasis, _unitary_basis, _unitary_vectors, _sinh_values)
+    caches = (eigenbasis, eigenbasis_determinant, _unitary_vectors, _sinh_values)
     for cache in caches:
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 1024
+    # the levels are built through the two caches of each rank, not kept
+    assert not hasattr(_unitary_basis, "cache_info")
     eigenbasis(GroupSpec("Sp", 3))
     eigenvector(5, 2)
+    eigenbasis_determinant(5)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     try:
         import workloads
