@@ -16,9 +16,12 @@ There are two independent routes to the counts:
   (1 + x + ... + x^(l-1))^n at the window of degrees l*k - n .. l*k.
   Where the windows overlap or abut, l <= n+1, they are read off the
   first half of one coefficient row; above that each window is run on
-  its own from one seed (`_windows`), so the cost stops growing with l.  The matrix
-  assembly in `ktheory` reads the block as it is; `mu_enumerate`,
-  `alpha` and `beta` read it unsigned.  Outside the block
+  its own from one seed (`_windows`), so the cost stops growing with l.
+  The block is kept as one or two flat strips (`SignedBlock`), laid out
+  so that each of its columns over any range of k is one strided slice;
+  no (n+1)^2 block of rows is built.  The matrix assembly in `ktheory`
+  reads it by columns; `mu_enumerate`, `alpha` and `beta` read single
+  entries unsigned.  Outside the block
   `mu_enumerate` folds its degree into the first half of the row
   and takes the same two routes, uncached: the half row up to l = n+1,
   and above it the chain of windows, one every l degrees, that ends at
@@ -49,15 +52,17 @@ from functools import lru_cache
 from itertools import cycle, islice
 from math import comb
 from operator import mul, neg
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .exactmath import _require_int
+from .record import Record
 
-__all__ = ["signed_table", "mu_enumerate", "mu_closed", "alpha", "beta"]
+__all__ = ["SignedBlock", "signed_table", "mu_enumerate", "mu_closed", "alpha", "beta"]
 
 # Distinct (n, l) blocks kept by `signed_table`.  Sweeps over every family
-# at ranks up to 10 with l up to 144 touch about 350 blocks of 2-20 KiB
-# each; one block at n = 80, l = 50 takes about 520 KiB.
+# at ranks up to 10 with l up to 144 touch about 350 blocks of 0.5-14 KiB
+# each; one block at n = 80 takes about 8 KiB at l = 2 or 3 and 360 KiB at
+# l = 50 (tracemalloc).
 _TABLE_CACHE_SIZE = 512
 
 # Oracle counts kept.  `adamsops verify` at its defaults leaves 11,773
@@ -159,20 +164,62 @@ def _windows(n: int, l: int, r: int, count: int) -> Iterator[list[int]]:
         yield window
 
 
+class SignedBlock(Record):
+    """The block A[k][p] = (-1)^(k+p) * l * mu(n, l, k, p), 0 <= k, p <= n,
+    as `signed_table` keeps it: one or two flat strips, a stride and an
+    offset, with
+
+        A[k][p] = S[stride*k + offset - p],  S = strips[ceil(p/l) mod len(strips)],
+
+    the strip that `by_column[p]` names for each column p.  So column p over
+    any range of k is one strided slice of one strip, and no row of the
+    block is built.  `columns` and `entry` read every layout alike."""
+
+    strips: tuple[tuple[int, ...], ...]
+    stride: int
+    offset: int
+    by_column: tuple[tuple[int, ...], ...]
+
+    def columns(self, ps: Iterable[int], ks: range) -> list[tuple[int, ...]]:
+        """Column p of the block over the k of `ks`, a range of step 1, for
+        each p in `ps`: the U(n) matrix row p over those wedges."""
+        by_column, step = self.by_column, self.stride
+        lo, hi = step * ks.start + self.offset, step * ks.stop + self.offset
+        return [by_column[p][lo - p : hi - p : step] for p in ps]
+
+    def entry(self, k: int, p: int) -> int:
+        """A[k][p]."""
+        return self.by_column[p][self.stride * k + self.offset - p]
+
+
 @lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
-def signed_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
+def signed_table(n: int, l: int) -> SignedBlock:
     """The block A[k][p] = (-1)^(k+p) * l * mu(n, l, k, p) for 0 <= k, p <= n:
     entry (p, k) of the unitary formula for psi^l on U(n), for every p and
-    k, so the U(n) matrix is this block without row and column 0.
+    k, so the U(n) matrix is this block without row and column 0.  It is
+    kept as the strips of a `SignedBlock`, in one of three layouts; column
+    p of the block is the matrix row p.
 
-    Row k reads the count row at the window of degrees s = l*k - p, and
-    (-1)^(k+p) is (-1)^s, times (-1)^k when l is even.  Where the windows
-    overlap or abut, l <= n+1, the first half of the count row, which
-    `_count_row` gives, is scaled once by (-1)^s * l, about n(l-1)/2
-    products, and mirrored into one zero-padded tuple: the signed row is
-    a palindrome up to the sign (-1)^(n(l-1)).  Every row of the block is
-    one reversed slice of that tuple, or, for odd k when l is even, of its
-    negation.
+    Row k reads the count row at the window of degrees s = l*k - p.  Where
+    the windows overlap or abut, l <= n+1, the strips hold the whole count
+    row, scaled once, about n(l-1)/2 products for the first half of the
+    row (`_count_row`), and mirrored, since the row is a palindrome.  Each
+    is padded with n zeros on either side, so that entry s of the row
+    sits at s + n: stride l and offset n.
+
+    * Odd l: (-1)^(k+p) = (-1)^s, so one strip, the signed row
+      (-1)^s * l * a[s], a palindrome.
+    * Even l: (-1)^(k+p) = (-1)^s (-1)^k, and with s = l*k - p,
+      floor(s/l) = k - ceil(p/l).  So A[k][p] = (-1)^ceil(p/l) G[s] with
+
+          G[s] = (-1)^(floor(s/l) + s) * l * a[s],
+
+      and the strips are G and -G.  The first half of G is the first half
+      of the row scaled by a sign pattern of period 2l, and -G's is its
+      negation.  Their second halves mirror their first by
+      G[N - t] = e(t mod l) G[t], N = n(l-1) and e(r) = (-1)^ceil((n+r)/l),
+      which switches sign once in each run of l degrees: each is cut by
+      slicing from the two first halves, with no further product.
 
     Above that the windows are disjoint, and no row is built.  Window k,
     extended by one degree to l*k - n - 1 .. l*k, runs `_recur` from the
@@ -183,8 +230,11 @@ def signed_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     as `_windows` gives it with r = 0: window 0 is zero but for a[0] = 1.
     The seed is no entry of the block, so every entry still comes from the
     recurrence and its check.  Since A[k][p] = A[n-k][n-p], as for the
-    counts, only the windows k <= n/2 are run and scaled, and the rest
-    mirror them: about n^2/2 steps and (n+1)^2/2 products at any l.
+    counts, only the windows k <= n/2 are run, and the one strip holds
+    them signed, degree l*k - n first, row after row: stride n+1 and
+    offset n.  The rows k > n/2 mirror them, and together they are the
+    first rows reversed.  That is about n^2/2 steps and (n+1)^2/2
+    products at any l.
 
     Every count mu(n, l, k, p) of the block is a polynomial in l of degree
     <= n-1, for every l >= 1, so every entry is one of degree <= n.  With
@@ -207,27 +257,38 @@ def signed_table(n: int, l: int) -> tuple[tuple[int, ...], ...]:
     """
     _validate(n, l)
     w = n + 1
-    if l <= w:
-        row = _count_row(n, l)
-        size = n * (l - 1) + 1
-        # the first half of the signed row, and for even l its negation:
-        # the second half of either is the first half of the one of sign
-        # (-1)^(n(l-1)) reversed, without the middle entry where size is odd
-        halves = [tuple(map(mul, row, cycle((l, -l))))]
-        if l % 2 == 0:
-            halves.append(tuple(map(neg, halves[0])))
-        flip = (size - 1) % 2
-        rows = [
-            (0,) * w + h + halves[(i + flip) % len(halves)][: size - len(h)][::-1] + (0,) * n
-            for i, h in enumerate(halves)
-        ]
-        return tuple(rows[k % len(rows)][l * k + w : l * k : -1] for k in range(w))
-    signs = ([l, -l] * w, [-l, l] * w)
-    rows = [
-        tuple(map(mul, window[:0:-1], signs[k % 2]))
-        for k, window in enumerate(_windows(n, l, 0, (w + 1) // 2))
-    ]
-    return tuple(rows + [row[::-1] for row in reversed(rows[: w // 2])])
+    pad = (0,) * n
+    if l > w:
+        # window k holds degrees l*k - n - 1 .. l*k, that is p = n+1 .. 0,
+        # whose sign (-1)^(k+p) alternates along the window and flips with k
+        signs = [(-1) ** (n - j) * l for j in range(w)]
+        signs = signs, [-x for x in signs]
+        flat = []
+        for k, window in enumerate(_windows(n, l, 0, (w + 1) // 2)):
+            flat += map(mul, islice(window, 1, None), signs[k % 2])
+        flat += flat[w * (w // 2) - 1 :: -1]  # the rows k > n/2
+        strips = (tuple(flat),)
+        return SignedBlock(strips, w, n, strips * w)
+    row = _count_row(n, l)
+    tail = n * (l - 1) + 1 - len(row)  # degrees above the first half
+    if l % 2:
+        half = list(map(mul, row, cycle((l, -l))))
+        strips = ((*pad, *half, *half[:tail][::-1], *pad),)
+        return SignedBlock(strips, l, n, strips * w)
+    half = list(map(mul, row, cycle([l, -l] * (l // 2) + [-l, l] * (l // 2))))
+    halves = half, list(map(neg, half))
+    # the first half of each strip times e(t mod l), read backwards: e is
+    # (-1)^ceil(n/l) below degree cut in each run of l, and its negation from cut on
+    cut, flip = -n % l + 1, -(-n // l) % 2
+    strips = []
+    for i in range(2):
+        mirror, other = list(halves[(i + flip) % 2]), halves[(i + flip + 1) % 2]
+        for t in range(cut, tail, l):
+            mirror[t : t + l - cut] = other[t : t + l - cut]
+        strips.append((*pad, *halves[i], *mirror[tail - 1 :: -1], *pad))
+    # column p lies in strip ceil(p/l) mod 2: G at p = 0, then runs of l
+    by_column = strips[:1] + (strips[1:] * l + strips[:1] * l) * (n // (2 * l) + 1)
+    return SignedBlock(tuple(strips), l, n, tuple(by_column[:w]))
 
 
 def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
@@ -243,7 +304,7 @@ def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
     """
     _validate(n, l, k, p)
     if k <= n and 0 <= p <= n:
-        return abs(signed_table(n, l)[k][p]) // l
+        return abs(signed_table(n, l).entry(k, p)) // l
     s = l * k - p
     if s < 0 or s > n * (l - 1):
         return 0

@@ -72,6 +72,7 @@ from .exactmath import _require_int
 from .ktheory import (
     FAMILY_TABLE,
     GroupSpec,
+    _require_l,
     _restrict,
     _times,
     adams_matrix,
@@ -344,10 +345,12 @@ def eigenbasis(group: GroupSpec) -> Eigenbasis:
     wanted = {e + 1 for e in family.exponents(n)}
     levels = [k for k in range(m) if m - k in wanted]
     q = _sinh_values(m)
+    # the levels are the columns of the matrix `_restrict` maps, which it takes by rows:
     # a level's numerators are its coordinates over wedges 1..m; wedge 0 has none
-    cols = _restrict(group, ((0, *_unitary_level(m, k, q)[0]) for k in levels))
+    wedges = zip(*(_unitary_level(m, k, q)[0] for k in levels))
+    images = _restrict(group, [(0,) * len(levels), *wedges])
     found = []
-    for k, col in zip(levels, cols):
+    for k, col in zip(levels, zip(*images)):
         g = gcd(*col)
         if g:
             found.append((m - k, tuple(x // g for x in col)))
@@ -374,6 +377,12 @@ def char_poly(entries: Sequence[Sequence[int]]) -> tuple[int, ...]:
             f"char_poly needs a square matrix, got {d} rows of lengths "
             f"{sorted({len(row) for row in entries})}"
         )
+    for i, row in enumerate(entries):
+        for j, x in enumerate(row):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(
+                    f"char_poly needs integer entries, got {x!r} at row {i}, column {j}"
+                )
     cols = list(zip(*entries))
     poly = [1]  # descending coefficients of det(x*I - A)
     for r in range(d):
@@ -403,8 +412,9 @@ def family_exponents(group: GroupSpec) -> tuple[int, ...]:
 
 
 def expected_char_poly(group: GroupSpec, l: int) -> tuple[int, ...]:
-    """Coefficients of prod_i (x - l^(m_i + 1))."""
-    _require_int("Adams operation index l", l)
+    """Coefficients of prod_i (x - l^(m_i + 1)), for an l >= 1 like every
+    matrix's."""
+    _require_l(l)
     coeffs = [1]
     for m in family_exponents(group):
         root = l ** (m + 1)
@@ -413,12 +423,18 @@ def expected_char_poly(group: GroupSpec, l: int) -> tuple[int, ...]:
 
 
 class SpectrumReport(Record):
+    """What `spectrum_check` found: `ok` says whether the characteristic
+    polynomial `char_coeffs` is the `expected_coeffs` of the eigenvalues,
+    and `certified` whether the group's eigenbasis proved it, so that no
+    characteristic polynomial was computed."""
+
     group: GroupSpec
     l: int
     ok: bool
     eigenvalues: tuple[int, ...]
     char_coeffs: tuple[int, ...]
     expected_coeffs: tuple[int, ...]
+    certified: bool = False
 
 
 def _columns(vb: Eigenbasis, norm: int, l: int) -> list[tuple[int, list[int]]]:
@@ -497,11 +513,12 @@ def spectrum_check(group: GroupSpec, l: int) -> SpectrumReport:
     the matrix; only when it does not is the characteristic polynomial
     computed, by `char_poly`, to fill the report.  `ok` compares the two
     polynomials, so it stays True when `char_poly` finds the wanted one
-    that the certificate did not prove; `_certifies` alone says whether
-    the eigenbasis proved it.
+    that the certificate did not prove; `certified` says whether the
+    eigenbasis proved it.
     """
     mat = adams_matrix(group, l)
     want = expected_char_poly(group, l)
-    got = want if _certifies(eigenbasis(group), mat.entries, l) else char_poly(mat.entries)
+    certified = _certifies(eigenbasis(group), mat.entries, l)
+    got = want if certified else char_poly(mat.entries)
     eigenvalues = tuple(sorted(l ** (m + 1) for m in family_exponents(group)))
-    return SpectrumReport(group, l, got == want, eigenvalues, got, want)
+    return SpectrumReport(group, l, got == want, eigenvalues, got, want, certified)

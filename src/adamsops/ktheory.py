@@ -15,9 +15,12 @@ that matrix by two independent routes:
 
 Both read one block, `counts.signed_table(m, l)`: the counts with the sign
 pattern and the factor l of the unitary formula already applied, that is,
-the U(m) matrix with its trivial wedge 0 added.  The U and SU closed forms
-slice it, the other closed forms add and subtract its entries, and the
-pipeline restricts its rows, so no route scales a count by its sign or by l.
+the U(m) matrix with its trivial wedge 0 added.  Both read it by columns,
+each one strided slice of the block's strips, which is one row of the U(m)
+matrix: the U and SU closed forms take those rows as they are, the other
+closed forms add and subtract them, and the pipeline restricts them.  So
+every route emits the rows of its matrix, and no route scales a count by
+its sign or by l.
 
 `adams_matrix` runs both routes and raises ConsistencyError when they
 disagree, or when an entry that must be an integer is not.
@@ -46,10 +49,10 @@ matrix product M(m) . M(l) = M(m*l).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import cycle, repeat
+from itertools import repeat
 from math import lcm
-from operator import add, mul, sub
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from operator import add, itemgetter, mul, sub
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .counts import signed_table
 from .exactmath import _require_int
@@ -70,6 +73,12 @@ __all__ = [
     "defining_dimension",
     "adams_matrix",
 ]
+
+# A row over the images of the wedges 1..w without its last entry, the
+# wedge that enters the spin columns only through their sums, and its
+# entries at the wedges w, w-2, ...
+_ALL_BUT_LAST = itemgetter(slice(-1))
+_EVERY_OTHER_FROM_LAST = itemgetter(slice(None, None, -2))
 
 # Groups kept by the `_restriction` cache.  A sweep over every family at
 # ranks up to 40 touches about 200 groups.
@@ -137,8 +146,9 @@ class BasisElement(Record):
     label: str
 
 
-# What a family's pipeline returns: integer columns, numerator columns, den.
-_Piped = tuple[list[list[int]], Sequence[Sequence[int]], int]
+# What a family's pipeline returns: the rows of its integer columns, its
+# numerator columns, den.
+_Piped = tuple[Sequence[Sequence[int]], Sequence[Sequence[int]], int]
 # The (wedge, coefficient) terms of a restriction, one tuple per basis element.
 _Terms = tuple[tuple[tuple[int, int], ...], ...]
 
@@ -162,10 +172,10 @@ class Family(Record):
       neither a basis wedge nor a mirror image (see `_restriction`).  U and
       SU have none.  A family with a pipeline route gives
       `pipeline(group, l)`, which reads the restricted wedge images and
-      returns (integer columns, numerator columns, den): the integer
-      columns of the matrix, then its rational columns as integer
-      numerators over the one denominator den (1 when there are none), for
-      `_finalize` to divide.
+      returns (rows, numerator columns, den): the rows of the matrix's
+      integer columns, then its rational columns as integer numerators
+      over the one denominator den (1 when there are none), for
+      `_finalize` to divide and append to the rows.
     * `extra_eigenvectors(n)` lists, as (e, column) pairs, the eigenvectors
       of every psi^l, with eigenvalue l^e, that restriction from U(m) misses
       (see `eigen.eigenbasis`): d(S+) - d(S-) for Spin(2n), none otherwise.
@@ -255,32 +265,31 @@ def _require_l(l: int) -> None:
 def _finalize(
     group: GroupSpec,
     l: int,
-    cols: Sequence[Sequence[int]],
+    rows: Sequence[Sequence[int]],
     route: str,
     rational: Sequence[Sequence[int]] = (),
     den: int = 1,
 ) -> AdamsMatrix:
-    """Turn the columns `route` computed into an AdamsMatrix: `cols`, whose
-    entries are ints and pass as they are, followed by the `rational`
-    columns, given as integer numerators over the one positive denominator
-    `den`.  Every numerator must be divisible by `den` exactly; a `Fraction`
-    is built only for an entry that is not, to report it."""
-    checked = list(cols)
-    for k, col in enumerate(rational, start=len(checked)):
-        ints = []
-        for p, v in enumerate(col):
-            q, r = divmod(v, den)
-            if r:
-                from fractions import Fraction
+    """Turn the rows `route` computed into an AdamsMatrix: `rows`, whose
+    entries are ints and pass as they are, each followed by its entries of
+    the `rational` columns, given as integer numerators over the one
+    positive denominator `den`.  Every numerator must be divisible by `den`
+    exactly; a `Fraction` is built only for an entry that is not, to report
+    it, the first in column order."""
+    entries = map(tuple, rows)
+    for k, col in enumerate(rational, start=len(rows[0])):
+        if any(map(den.__rmod__, col)):
+            from fractions import Fraction
 
-                value = Fraction(v, den)
-                raise ConsistencyError(
-                    f"non-integer entry {value} at row {p}, column {k} for {group}, l={l}",
-                    group=group, l=l, routes=(route,), cell=(p, k), values=(value,),
-                )
-            ints.append(q)
-        checked.append(ints)
-    return AdamsMatrix(group, l, tuple(zip(*checked)))
+            p = next(p for p, v in enumerate(col) if v % den)
+            value = Fraction(col[p], den)
+            raise ConsistencyError(
+                f"non-integer entry {value} at row {p}, column {k} for {group}, l={l}",
+                group=group, l=l, routes=(route,), cell=(p, k), values=(value,),
+            )
+        # each row takes its quotient as a tuple of one
+        entries = map(add, entries, zip(map(den.__rfloordiv__, col)))
+    return AdamsMatrix(group, l, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +297,9 @@ def _finalize(
 #
 # Each reads the signed block A[k][p] = (-1)^(k+p) l mu(m, l, k, p) of
 # `signed_table`, m the defining dimension, which already carries the sign
-# pattern and the factor l of the unitary formula.  Its symmetrized
-# combinations take only additions: A[k][p] + A[k][m-p] is
+# pattern and the factor l of the unitary formula, by columns: column p over
+# the wedges k of the basis is row p of the U(m) matrix.  Its symmetrized
+# combinations take only additions: column p plus column m-p is
 # (-1)^(k+p) l alpha(m, l, k, p) for even m and (-1)^(k+p) l beta(m, l, k, p)
 # for odd m, since (-1)^(m-p) = (-1)^(m+p).
 
@@ -298,10 +308,11 @@ def _unitary_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     """U(n) and SU(n): the image of the degree-k wedge class has p-th
     coordinate (-1)^(k+p) * l * mu(n, l, k, p), over the family's wedges
     1..w: w = n for U(n), and n-1 for SU(n), whose top-wedge row and column
-    drop out (the class of the determinant representation vanishes)."""
+    drop out (the class of the determinant representation vanishes).  Row
+    p is column p of the block over those wedges."""
     n, w = group.n, FAMILY_TABLE[group.family].wedges(group.n)
-    cols = [row[1 : w + 1] for row in signed_table(n, l)[1 : w + 1]]
-    return _finalize(group, l, cols, "closed form")
+    wedges = range(1, w + 1)
+    return _finalize(group, l, signed_table(n, l).columns(wedges, wedges), "closed form")
 
 
 def _symplectic_closed(group: GroupSpec, l: int) -> AdamsMatrix:
@@ -309,9 +320,9 @@ def _symplectic_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     coordinate p < n uses alpha(2n, l, k, p), coordinate n uses mu(2n, l, k, n)."""
     n = group.n
     m = 2 * n
-    table = signed_table(m, l)
-    cols = [list(map(add, a[1:n], a[m - 1 : n : -1])) + [a[n]] for a in table[1 : n + 1]]
-    return _finalize(group, l, cols, "closed form")
+    a = signed_table(m, l).columns(range(m + 1), range(1, n + 1))
+    rows = [list(map(add, a[p], a[m - p])) for p in range(1, n)]
+    return _finalize(group, l, rows + [a[n]], "closed form")
 
 
 def _spin_odd_closed(group: GroupSpec, l: int) -> AdamsMatrix:
@@ -321,14 +332,24 @@ def _spin_odd_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     n = group.n
     m = 2 * n + 1
     den = 2 ** (n + 1)
-    # b[k][p] = (-1)^(k+p) l beta(m, l, k, p), p = 0..n
-    b = [list(map(add, a[: n + 1], a[m:n:-1])) for a in signed_table(m, l)[: n + 1]]
-    # w[k][p-1] = b[k][p] - b[k][n], p = 1..n-1
-    w = [list(map(sub, bk[1:n], repeat(bk[n]))) for bk in b]
-    cols = [w[k] + [den * b[k][n]] for k in range(1, n)]
-    # the spin column, sum over k = 1..n, as numerators over 2^(n+1)
-    spin_col = list(map(sum, zip(*w[1:]))) + [den * sum(bk[n] for bk in b[1:])]
-    return _finalize(group, l, cols, "closed form", [spin_col], den)
+    # b_p = (-1)^(k+p) l beta(m, l, k, p) over k = 1..n
+    a = signed_table(m, l).columns(range(m + 1), range(1, n + 1))
+    b_n = list(map(add, a[n], a[n + 1]))
+    # row p = 1..n-1 is b_p - b_n over the wedges k = 1..n-1, then the spin
+    # entry, the sum over k = 1..n, as a numerator over 2^(n+1); the spin
+    # row is 2^(n+1) b_n, its spin entry 2^(n+1) times the sum over k = 1..n
+    rows = [list(map(sub, map(add, a[p], a[m - p]), b_n)) for p in range(1, n)]
+    rows.append(list(map(mul, b_n, repeat(den))))
+    wedges, spin = _spin_split(rows)
+    return _finalize(group, l, wedges, "closed form", spin, den)
+
+
+def _spin_split(rows: list[list[int]]) -> tuple[list, list]:
+    """Rows of the Spin(2n+1) matrix over the images of the wedges 1..n, as
+    the rows of its wedge columns 1..n-1 and its spin column, as numerators
+    over 2^(n+1): d(S) is the sum of the wedges 1..n over 2^(n+1), one sum
+    per row."""
+    return list(map(_ALL_BUT_LAST, rows)), [list(map(sum, rows))]
 
 
 def _spin_difference(n: int) -> tuple[int, ...]:
@@ -337,19 +358,22 @@ def _spin_difference(n: int) -> tuple[int, ...]:
     return (0,) * (n - 2) + (1, -1)
 
 
-def _half_spin_columns(sum_img: Sequence[int], n: int, l: int) -> tuple[list[int], list[int]]:
-    """The images of d(S+) and d(S-) for Spin(2n) as numerators over 2^n,
-    given the image of d(S+)+d(S-) as numerators over 2^(n-1): half of it,
-    plus or minus half of l^n (d(S+)-d(S-)), since d(S+)-d(S-) is an
-    eigenvector with eigenvalue l^n."""
+def _half_spin_split(rows: Sequence[Sequence[int]], n: int, l: int) -> tuple[list, tuple]:
+    """Rows of the Spin(2n) matrix over the images of the wedges 1..n-1, as
+    the rows of its wedge columns 1..n-2 and its half-spin columns, the
+    images of d(S+) and d(S-) as numerators over 2^n.  The image of
+    d(S+)+d(S-), as numerators over 2^(n-1), is the sum of the images of
+    the wedges n-1, n-3, ..., one sum per row.  Each half-spin image is
+    half of it, plus or minus half of l^n (d(S+)-d(S-)), since
+    d(S+)-d(S-) is an eigenvector with eigenvalue l^n."""
+    col_plus = list(map(sum, map(_EVERY_OTHER_FROM_LAST, rows)))
+    col_minus = col_plus[:]
     half_diff = l**n * 2 ** (n - 1)
-    col_plus = list(sum_img)
-    col_minus = list(sum_img)
     for i, x in enumerate(_spin_difference(n)):
         if x:
             col_plus[i] += x * half_diff
             col_minus[i] -= x * half_diff
-    return col_plus, col_minus
+    return list(map(_ALL_BUT_LAST, rows)), (col_plus, col_minus)
 
 
 def _spin_even_closed(group: GroupSpec, l: int) -> AdamsMatrix:
@@ -363,24 +387,18 @@ def _spin_even_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     n = group.n
     m = 2 * n
     half = 2 ** (n - 1)
-    # a[p] = (-1)^(k+p) l alpha(m, l, k, p), p = 0..n, with alpha(m, l, k, n)
-    # = 2 mu(m, l, k, n); each wedge coordinate q = 1..n-2 subtracts the one
-    # of a[n-1], a[n] whose index has the parity of q, and the half-spin
-    # coordinates carry a[n] + a[n-1]
-    parts, tops = [], []
-    for row in signed_table(m, l)[:n]:
-        a = list(map(add, row[: n + 1], row[m : n - 1 : -1]))
-        first = (a[n], a[n - 1]) if n % 2 else (a[n - 1], a[n])  # at q = 1, 2
-        parts.append(list(map(sub, a[1 : n - 1], cycle(first))))
-        tops.append(a[n] + a[n - 1])
-    cols = [parts[k] + [half * tops[k]] * 2 for k in range(1, n - 1)]
-
-    # image of d(S+) + d(S-) as numerators over 2^(n-1), summed over the
-    # wedges j = n-1, n-3, ...
-    odd = range(n - 1, 0, -2)
-    sum_img = list(map(sum, zip(*(parts[j] for j in odd))))
-    sum_img += [half * sum(tops[j] for j in odd)] * 2
-    return _finalize(group, l, cols, "closed form", _half_spin_columns(sum_img, n, l), 2**n)
+    # alpha_p = (-1)^(k+p) l alpha(m, l, k, p) over k = 1..n-1, with
+    # alpha(m, l, k, n) = 2 mu(m, l, k, n); each wedge row q = 1..n-2
+    # subtracts the one of alpha_(n-1), alpha_n whose index has the parity
+    # of q, and the half-spin rows carry 2^(n-1) (alpha_n + alpha_(n-1))
+    a = signed_table(m, l).columns(range(m + 1), range(1, n))
+    last, second = list(map(add, a[n], a[n])), list(map(add, a[n - 1], a[n + 1]))
+    by_parity = (second, last) if n % 2 else (last, second)  # at even q, odd q
+    rows = [list(map(sub, map(add, a[q], a[m - q]), by_parity[q % 2])) for q in range(1, n - 1)]
+    spins = list(map(mul, map(add, last, second), repeat(half)))
+    rows += [spins, spins]
+    wedges, half_spins = _half_spin_split(rows, n, l)
+    return _finalize(group, l, wedges, "closed form", half_spins, 2**n)
 
 
 def _g2_numerators(l: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -396,7 +414,7 @@ def _g2_numerators(l: int) -> tuple[tuple[int, int], tuple[int, int]]:
 def _g2_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     """G2's closed form: the numerators of `_g2_numerators` over 30, each
     of which must divide exactly."""
-    return _finalize(group, l, [], "closed form", _g2_numerators(l), 30)
+    return _finalize(group, l, [(), ()], "closed form", _g2_numerators(l), 30)
 
 
 # ---------------------------------------------------------------------------
@@ -437,44 +455,45 @@ def _restriction(group: GroupSpec) -> tuple[int, _Terms]:
     return w + len(middle), tuple(map(tuple, terms))
 
 
-def _restrict(group: GroupSpec, vectors: Iterable[Sequence[int]]) -> list[list[int]]:
-    """R applied to each vector, given by its coordinates over the wedge
-    classes 0..m of U(m).
+def _restrict(group: GroupSpec, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """R times the matrix X whose columns are vectors over the wedge
+    classes 0..m of U(m), given by its rows: rows[p] holds coordinate p of
+    every vector.  The result is R.X by its rows, one per basis element of
+    the group, each holding that element's coordinate of every vector's
+    image.
 
-    The map is applied to all vectors at once, one wedge at a time: the
-    vectors are transposed into one column per wedge, each wedge p beyond
-    the terms of `_restriction` is added onto wedge m-p, and each basis
-    element's image is a lazy chain of column operations over its terms,
-    read out per vector by one final transpose."""
-    cols = list(zip(*vectors))
-    if not cols:
-        return []
+    The map is applied to all vectors at once, one wedge row at a time:
+    each wedge p beyond the terms of `_restriction` is added onto wedge
+    m-p, and each basis element's row is a lazy chain of row operations
+    over its terms."""
+    rows = list(rows)
     top, terms = _restriction(group)
-    m = len(cols) - 1
+    m = len(rows) - 1
     for p in range(top + 1, m):
-        cols[m - p] = list(map(add, cols[m - p], cols[p]))
+        rows[m - p] = list(map(add, rows[m - p], rows[p]))
     images = []
     for row in terms:
         image = None
         for p, v in row:
-            col = cols[p]
+            wedge = rows[p]
             if image is None:
-                image = col if v == 1 else map(mul, col, repeat(v))
+                image = wedge if v == 1 else map(mul, wedge, repeat(v))
             elif v == 1 or v == -1:
-                image = map(add if v == 1 else sub, image, col)
+                image = map(add if v == 1 else sub, image, wedge)
             else:
-                image = map(add, image, map(mul, col, repeat(v)))
-        images.append(image)
-    return list(map(list, zip(*images)))
+                image = map(add, image, map(mul, wedge, repeat(v)))
+        images.append(list(image))
+    return images
 
 
 def _wedge_images(group: GroupSpec, l: int, degrees: range) -> list[list[int]]:
     """The restricted images of d(wedge^k of the defining representation),
-    one per k in `degrees`: the unitary formula over all degrees 0..m, with
-    coordinate p equal to (-1)^(k+p) l mu(m, l, k, p), then R.  Those are
-    the rows of `signed_table(m, l)`, which go to `_restrict` as they are."""
-    table = signed_table(defining_dimension(group), l)
-    return _restrict(group, [table[k] for k in degrees])
+    for the k in `degrees`, by rows: the unitary formula over all degrees
+    0..m, with coordinate p equal to (-1)^(k+p) l mu(m, l, k, p), then R.
+    Coordinate p of every image is column p of `signed_table(m, l)` over
+    those k, which goes to `_restrict` as it is."""
+    m = defining_dimension(group)
+    return _restrict(group, signed_table(m, l).columns(range(m + 1), degrees))
 
 
 def _pullback(group: GroupSpec, l: int) -> AdamsMatrix:
@@ -484,8 +503,8 @@ def _pullback(group: GroupSpec, l: int) -> AdamsMatrix:
     d(S) over the wedges 1..n with the factor 2^-(n+1); the half-spin
     columns are the halved image of d(S+)+d(S-) (wedges n-1, n-3, ... with
     factor 2^-(n-1)) plus or minus half of l^n (d(S+)-d(S-))."""
-    cols, rational, den = FAMILY_TABLE[group.family].pipeline(group, l)
-    return _finalize(group, l, cols, "pipeline", rational, den)
+    rows, rational, den = FAMILY_TABLE[group.family].pipeline(group, l)
+    return _finalize(group, l, rows, "pipeline", rational, den)
 
 
 def _symplectic_pipeline(group: GroupSpec, l: int) -> _Piped:
@@ -494,20 +513,16 @@ def _symplectic_pipeline(group: GroupSpec, l: int) -> _Piped:
 
 def _spin_odd_pipeline(group: GroupSpec, l: int) -> _Piped:
     n = group.n
-    images = _wedge_images(group, l, range(1, n + 1))
-    return images[: n - 1], [list(map(sum, zip(*images)))], 2 ** (n + 1)
+    return *_spin_split(_wedge_images(group, l, range(1, n + 1))), 2 ** (n + 1)
 
 
 def _spin_even_pipeline(group: GroupSpec, l: int) -> _Piped:
     n = group.n
-    images = _wedge_images(group, l, range(1, n))
-    summed = images[n - 2 :: -2]  # wedges n-1, n-3, ...
-    return images[: n - 2], _half_spin_columns(list(map(sum, zip(*summed))), n, l), 2**n
+    return *_half_spin_split(_wedge_images(group, l, range(1, n)), n, l), 2**n
 
 
 def _g2_pipeline(group: GroupSpec, l: int) -> _Piped:
-    img1, img2 = _wedge_images(group, l, range(1, 3))
-    return [img1, [a - b for a, b in zip(img2, img1)]], (), 1
+    return [[x, y - x] for x, y in _wedge_images(group, l, range(1, 3))], (), 1
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def test_criterion_13_spinor_classes():
             wedge_square = [0] * n
             j = n - 2
             while j >= 1:
-                (row,) = _restrict(g, [[int(p == j) for p in range(2 * n + 1)]])
+                row = [x for (x,) in _restrict(g, [[int(p == j)] for p in range(2 * n + 1)])]
                 wedge_square = [a + b for a, b in zip(wedge_square, row)]
                 j -= 4
             for slot in (n - 2, n - 1):  # S+ then S-

@@ -19,10 +19,16 @@ from adamsops.counts import (
 from adamsops.exactmath import binomial
 
 
+def _block(n, l):
+    """The rows of the block `signed_table(n, l)`, entry by entry."""
+    block = signed_table(n, l)
+    return tuple(tuple(block.entry(k, p) for p in range(n + 1)) for k in range(n + 1))
+
+
 def _unsigned(n, l):
     """The block mu(n, l, k, p), 0 <= k, p <= n: `signed_table` without its
     signs and its factor l."""
-    return tuple(tuple(abs(e) // l for e in row) for row in signed_table(n, l))
+    return tuple(tuple(abs(e) // l for e in row) for row in _block(n, l))
 
 
 def _count_row_reference(n, l):
@@ -271,8 +277,8 @@ def test_signed_table_at_the_edges_of_its_routes(monkeypatch):
                 rows.clear()
                 read(n, l)
                 assert rows == ([(n, l)] if l <= n + 1 else []), (read, n, l)
-            assert signed_table(n, l) == expected, (n, l)
-            assert all(type(e) is int for row in signed_table(n, l) for e in row)
+            assert _block(n, l) == expected, (n, l)
+            assert all(type(e) is int for strip in signed_table(n, l).strips for e in strip)
     with pytest.raises(ValueError):
         signed_table(3, 0)
 

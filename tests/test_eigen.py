@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -156,6 +157,14 @@ def test_eigen_rejects_non_int_arguments(bad):
         sinh_pow_coeff_poly(bad)
     with pytest.raises(ValueError, match="Adams operation index l must be an int"):
         expected_char_poly(GroupSpec("U", 3), bad)
+
+
+@pytest.mark.parametrize("l", [0, -2])
+def test_a_nonpositive_l_is_rejected_like_the_matrix(l):
+    # no product of (x - l^(m_i + 1)) is computed for an l no matrix has
+    for call in (expected_char_poly, spectrum_check, adams_matrix):
+        with pytest.raises(ValueError, match=f"must be a positive integer, got l={l}"):
+            call(GroupSpec("U", 3), l)
 
 
 def test_sinh_coefficient_rejects_a_negative_index():
@@ -332,6 +341,22 @@ def test_char_poly_rejects_non_square(entries):
         char_poly(entries)
 
 
+@pytest.mark.parametrize(
+    "entries, bad",
+    [
+        (((1.5, 2), (3, 4)), "1.5 at row 0, column 0"),
+        (((1, 2), (3, 4.0)), "4.0 at row 1, column 1"),
+        (((True, False), (False, True)), "True at row 0, column 0"),
+        (((1, 2), (Fraction(3), 4)), "Fraction(3, 1) at row 1, column 0"),
+    ],
+)
+def test_char_poly_rejects_entries_that_are_not_ints(entries, bad):
+    # a float would round and a bool would pass as 0 or 1: the matrix is
+    # refused before any product, naming the first such entry
+    with pytest.raises(ValueError, match=f"char_poly needs integer entries, got {re.escape(bad)}"):
+        char_poly(entries)
+
+
 def test_char_poly_matches_reference_for_families():
     for family in FAMILIES:
         ranks = [2] if family == "G2" else range(1, 9)
@@ -421,7 +446,7 @@ def test_eigenbasis_certifies_every_family():
             got, want = char_poly(entries), expected_char_poly(group, l)
             eigenvalues = tuple(sorted(l ** (m + 1) for m in family_exponents(group)))
             assert spectrum_check(group, l) == SpectrumReport(
-                group, l, got == want, eigenvalues, got, want
+                group, l, got == want, eigenvalues, got, want, certified=True
             ), (str(group), l)
             assert got == want and _certifies(vb, entries, l), (str(group), l)
 
@@ -448,6 +473,19 @@ def test_spectrum_check_reports_a_changed_matrix(monkeypatch, group):
     assert not report.ok
     assert report.char_coeffs == char_poly(changed(group, 3).entries)
     assert report.expected_coeffs == expected_char_poly(group, 3)
+
+
+def test_the_report_says_whether_the_eigenbasis_proved_it(monkeypatch):
+    group = GroupSpec("U", 5)
+    assert spectrum_check(group, 3).certified
+    # the last column of U(5)'s matrix is 3 e_5, so one more in its last
+    # row, off the diagonal, keeps the characteristic polynomial but breaks
+    # an eigen-relation: the report is ok, from char_poly, and not certified
+    changed = _changed(adams_matrix(group, 3).entries, [(4, 0)], 1)
+    monkeypatch.setattr(eigen, "adams_matrix", lambda g, l: AdamsMatrix(g, l, changed))
+    report = spectrum_check(group, 3)
+    assert report.ok and not report.certified
+    assert not _certifies(eigenbasis(group), changed, 3)
 
 
 def test_spectrum_check_falls_back_on_a_singular_basis(monkeypatch):
@@ -552,9 +590,10 @@ def _columnwise_spectrum(group, l):
     """`spectrum_check` with the column-by-column certificate."""
     entries = adams_matrix(group, l).entries
     want = expected_char_poly(group, l)
-    got = want if _columnwise_certifies(eigenbasis(group), entries, l) else char_poly(entries)
+    certified = _columnwise_certifies(eigenbasis(group), entries, l)
+    got = want if certified else char_poly(entries)
     eigenvalues = tuple(sorted(l ** (m + 1) for m in family_exponents(group)))
-    return SpectrumReport(group, l, got == want, eigenvalues, got, want)
+    return SpectrumReport(group, l, got == want, eigenvalues, got, want, certified)
 
 
 def _changed(entries, cells, delta):

@@ -13,6 +13,7 @@ from math import comb
 import pytest
 
 from adamsops import ktheory
+from adamsops.counts import SignedBlock, signed_table
 from adamsops.ktheory import (
     FAMILIES,
     ConsistencyError,
@@ -187,7 +188,7 @@ def restriction_rows(group):
     defining dimension."""
     m = defining_dimension(group)
     units = [[int(p == k) for p in range(m + 1)] for k in range(m + 1)]
-    return tuple(map(tuple, ktheory._restrict(group, units)))
+    return tuple(zip(*ktheory._restrict(group, units)))
 
 
 def test_reduction_table_symplectic():
@@ -253,7 +254,7 @@ def _intertwining_failures(group, l, cross_check=True):
     """The wedges k = 0..m of U(m) at which R.M_U(m)(l).e_k != M_G(l).R.e_k."""
     m = defining_dimension(group)
     entries = adams_matrix(group, l, cross_check=cross_check).entries
-    images = ktheory._wedge_images(group, l, range(m + 1))
+    images = [list(col) for col in zip(*ktheory._wedge_images(group, l, range(m + 1)))]
     return [
         k for k, (image, row) in enumerate(zip(images, restriction_rows(group)))
         if image != ktheory._times(entries, row)
@@ -312,7 +313,7 @@ def test_the_routes_agree_at_every_l():
     # defining dimension: a block entry is l times a count of degree <= m-1
     # (the proof in `signed_table`'s docstring), both routes combine block
     # entries with coefficients free of l, Spin(2n)'s term l^n 2^(n-1) comes
-    # from `_half_spin_columns`, which both share, and G2's closed form has
+    # from `_half_spin_split`, which both share, and G2's closed form has
     # degree 6.  So the routes' difference vanishes at every l >= 1 once it
     # vanishes at l = 1..m+1.
     built = 0
@@ -417,23 +418,24 @@ def test_finalize_rejects_a_fractional_entry():
     group = GroupSpec("U", 2)
     # rational columns are integer numerators over one denominator
     with pytest.raises(ConsistencyError, match="row 1, column 0") as info:
-        ktheory._finalize(group, 2, [], "closed form", [[8, 1], [0, 4]], 2)
+        ktheory._finalize(group, 2, [[], []], "closed form", [[8, 1], [0, 4]], 2)
     err = info.value
     assert str(err) == "non-integer entry 1/2 at row 1, column 0 for U(2), l=2"
     assert (err.group, err.l, err.routes) == (group, 2, ("closed form",))
     assert (err.cell, err.values) == ((1, 0), (Fraction(1, 2),))
-    # rational columns follow the integer ones, and are numbered after them
+    # rational columns follow each row's integer entries, and are numbered
+    # after them
     with pytest.raises(ConsistencyError, match="row 0, column 1") as info:
-        ktheory._finalize(group, 2, [[4, 0]], "pipeline", [[3, 8]], 4)
+        ktheory._finalize(group, 2, [[4], [0]], "pipeline", [[3, 8]], 4)
     assert (info.value.routes, info.value.cell) == (("pipeline",), (0, 1))
     assert info.value.values == (Fraction(3, 4),)
     # a negative numerator is reported with its sign
     with pytest.raises(ConsistencyError) as info:
-        ktheory._finalize(group, 2, [[4, 0]], "pipeline", [[-6, 8]], 4)
+        ktheory._finalize(group, 2, [[4], [0]], "pipeline", [[-6, 8]], 4)
     assert (info.value.cell, info.value.values) == ((0, 1), (Fraction(-3, 2),))
-    mat = ktheory._finalize(group, 2, [[4, 0]], "pipeline", [[6, 6]], 3)
+    mat = ktheory._finalize(group, 2, [[4], [0]], "pipeline", [[6, 6]], 3)
     assert mat.entries == ((4, 2), (0, 2))
-    mat = ktheory._finalize(group, 2, [[4, 0]], "pipeline", [[-8, 16]], 8)
+    mat = ktheory._finalize(group, 2, [[4], [0]], "pipeline", [[-8, 16]], 8)
     assert mat.entries == ((4, -1), (0, 2))
     assert all(type(e) is int for row in mat.entries for e in row)
 
@@ -450,10 +452,14 @@ def test_a_perturbed_count_breaks_the_spin_columns_on_both_routes(monkeypatch, n
         (-1)^(k+p) l mu(size, l, k, p) moves by (-1)^(k+p) l."""
 
         def table(m, at):
-            rows = [list(row) for row in real(m, at)]
-            if (m, at) == (size, l):
-                rows[k][p] += (-1) ** (k + p) * l
-            return tuple(map(tuple, rows))
+            block = real(m, at)
+            if (m, at) != (size, l):
+                return block
+            rows = [[block.entry(i, j) for j in range(m + 1)] for i in range(m + 1)]
+            rows[k][p] += (-1) ** (k + p) * l
+            # one strip of the rows reversed, one after another
+            strips = (tuple(x for row in rows for x in reversed(row)),)
+            return SignedBlock(strips, m + 1, m, strips * (m + 1))
 
         return table
 
@@ -597,3 +603,20 @@ def test_a_matrix_builds_no_second_group(monkeypatch, family):
     group = GroupSpec(family, 3)
     monkeypatch.setattr(GroupSpec, "__post_init__", lambda self: pytest.fail(f"built {self!r}"))
     assert adams_matrix(group, 3, cross_check=True).group is group
+
+
+@pytest.mark.parametrize(
+    "family, n, l", [("Sp", 10, 3), ("SpinEven", 10, 4), ("SpinOdd", 9, 2), ("SU", 20, 7)]
+)
+def test_a_cold_matrix_caches_fewer_counts_than_the_block_has(family, n, l):
+    # both routes read the one cached strip record: at l < m its one or two
+    # strips, and the strip of each column, hold fewer items than the
+    # (m+1)^2 entries of the block
+    group = GroupSpec(family, n)
+    m = defining_dimension(group)
+    assert l < m
+    signed_table.cache_clear()
+    adams_matrix(group, l)
+    assert signed_table.cache_info().currsize == 1
+    block = signed_table(m, l)
+    assert sum(map(len, block.strips)) + len(block.by_column) < (m + 1) ** 2

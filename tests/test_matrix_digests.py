@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from adamsops import ktheory
-from adamsops.counts import mu_closed
+from adamsops.counts import SignedBlock, mu_closed
 from adamsops.ktheory import GroupSpec, adams_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,12 +23,20 @@ matrix_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(matrix_digests)
 
 
+def block_from_rows(rows, l):
+    """A `SignedBlock` whose entry [k][p] is rows[k][p]: one strip holding
+    each row reversed, row after row, with stride m+1 and offset m."""
+    m = len(rows) - 1
+    strips = (tuple(x for row in rows for x in reversed(row)),)
+    return SignedBlock(strips, m + 1, m, strips * (m + 1))
+
+
 def _oracle_block(m, l):
     """`counts.signed_table(m, l)` from the oracle: the block
     (-1)^(k+p) * l * mu_closed(m, l, k, p) for 0 <= k, p <= m."""
-    return tuple(
-        tuple((-1) ** (k + p) * l * mu_closed(m, l, k, p) for p in range(m + 1))
-        for k in range(m + 1)
+    return block_from_rows(
+        [[(-1) ** (k + p) * l * mu_closed(m, l, k, p) for p in range(m + 1)] for k in range(m + 1)],
+        l,
     )
 
 
@@ -65,14 +73,15 @@ def test_a_mismatch_names_the_first_cell_that_moved(monkeypatch):
     real = ktheory.signed_table
 
     def perturbed(m, l):
-        rows = [list(row) for row in real(m, l)]
+        block = real(m, l)
+        rows = [[block.entry(k, p) for p in range(m + 1)] for k in range(m + 1)]
         rows[2][1] += 1
-        return tuple(map(tuple, rows))
+        return block_from_rows(rows, l)
 
     for group in (GroupSpec("U", 4), GroupSpec("Sp", 3)):
         assert first_difference(group, 2).startswith("it equals the matrix from the oracle's")
     monkeypatch.setattr(ktheory, "signed_table", perturbed)
-    entry = real(4, 2)[2][1]
+    entry = real(4, 2).entry(2, 1)
     assert first_difference(GroupSpec("U", 4), 2) == (
         f"first differing cell (0, 1): {entry + 1}, from the oracle's counts {entry}"
     )

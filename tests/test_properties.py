@@ -3,8 +3,8 @@
 Each property runs MAX_EXAMPLES examples, each under DEADLINE_MS (the
 symbolic oracle's and the command line's under SLOW_DEADLINE_MS, since one
 uncached oracle call at n = 5, l = 6 takes about 0.2 s); on a 2-vCPU Xeon
-VM the twelve take about 4 seconds together, and the deadlines bound them
-at 10 * 100 * 0.5 s plus 2 * 100 * 2 s.
+VM the thirteen take about 4 seconds together, and the deadlines bound
+them at 11 * 100 * 0.5 s plus 2 * 100 * 2 s.
 The module is skipped where `hypothesis` is not installed.
 """
 
@@ -37,6 +37,7 @@ from adamsops.ktheory import (  # noqa: E402
     _restrict,
     _wedge_images,
     adams_matrix,
+    basis,
     defining_dimension,
 )
 from adamsops.symoracle import (  # noqa: E402
@@ -71,7 +72,7 @@ def test_row_and_table_match_closed_form(n, l, data):
     k = -(-s // l)  # coefficient s is mu(n, l, k, l*k - s) for this k
     assert row[min(s, n * (l - 1) - s)] == mu_closed(n, l, k, l * k - s)
     k, p = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
-    assert signed_table(n, l)[k][p] == (-1) ** (k + p) * l * mu_closed(n, l, k, p)
+    assert signed_table(n, l).entry(k, p) == (-1) ** (k + p) * l * mu_closed(n, l, k, p)
 
 
 @budget
@@ -83,7 +84,7 @@ def test_count_duality(n, l, data):
     k = data.draw(st.integers(0, n))
     p = data.draw(st.integers(0, n))
     table = signed_table(n, l)
-    assert table[k][p] == table[n - k][n - p]
+    assert table.entry(k, p) == table.entry(n - k, n - p)
     p = data.draw(st.integers(-2 * l * n - 2, 2 * l * n + 2))
     assert mu_closed(n, l, k, p) == mu_closed(n, l, n - k, n - p)
 
@@ -98,7 +99,8 @@ def test_table_above_the_switch_matches_closed_form(n, data):
     table = signed_table(n, l)
     for _ in range(3):
         k, p = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
-        assert table[k][p] == table[n - k][n - p] == (-1) ** (k + p) * l * mu_closed(n, l, k, p)
+        want = (-1) ** (k + p) * l * mu_closed(n, l, k, p)
+        assert table.entry(k, p) == table.entry(n - k, n - p) == want
 
 
 @budget
@@ -115,10 +117,35 @@ def test_signed_table_matches_closed_form(n, data):
         )
     )
     table = signed_table(n, l)
-    assert len(table) == n + 1 and all(len(row) == n + 1 for row in table)
+    assert all(len(col) == n + 1 for col in table.columns(range(n + 1), range(n + 1)))
     for _ in range(4):
         k, p = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
-        assert table[k][p] == table[n - k][n - p] == (-1) ** (k + p) * l * mu_closed(n, l, k, p)
+        want = (-1) ** (k + p) * l * mu_closed(n, l, k, p)
+        assert table.entry(k, p) == table.entry(n - k, n - p) == want
+
+
+@budget
+@given(n=st.integers(1, 40), data=st.data())
+def test_every_column_slice_of_the_strips_matches_closed_form(n, data):
+    # each layout of the strips: the signed row at odd l and G, -G at even
+    # l (both up to the edge l = n+1, where the windows abut), and the
+    # windows above it; every column over every range of k is one slice
+    l = data.draw(
+        st.one_of(
+            st.integers(1, n + 1).filter(lambda l: l % 2),
+            st.integers(1, n + 1).filter(lambda l: l % 2 == 0),
+            st.just(n + 1),
+            st.integers(n + 2, 5 * n * (n + 1)),
+        )
+    )
+    block = signed_table(n, l)
+    assert len(block.strips) == (2 if l <= n + 1 and l % 2 == 0 else 1)
+    lo = data.draw(st.integers(0, n + 1))
+    ks = range(lo, data.draw(st.integers(lo, n + 1)))
+    ps = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=4))
+    for p, col in zip(ps, block.columns(ps, ks)):
+        want = tuple((-1) ** (k + p) * l * mu_closed(n, l, k, p) for k in ks)
+        assert col == want == tuple(block.entry(k, p) for k in ks), (l, p, ks)
 
 
 @budget
@@ -201,7 +228,11 @@ def test_columnwise_restriction_matches_the_row_loop(group, data):
     size = defining_dimension(group) + 1
     coordinate = st.integers(-(2**200), 2**200)
     vectors = data.draw(st.lists(st.lists(coordinate, min_size=size, max_size=size), max_size=6))
-    assert _restrict(group, vectors) == restrict_by_rows(group, vectors)
+    # `_restrict` takes the vectors as columns, by rows, and returns the
+    # images the same way
+    rows = [[u[p] for u in vectors] for p in range(size)]
+    images = [list(image) for image in zip(*_restrict(group, rows))]
+    assert images == restrict_by_rows(group, vectors)
 
 
 @budget
@@ -212,15 +243,18 @@ def test_wedge_images_restrict_the_signed_unitary_formula(group, l, data):
     lo = data.draw(st.integers(0, m))
     degrees = range(lo, data.draw(st.integers(lo, m)) + 1)
     unitary = [[(-1) ** (k + p) * l * mu_closed(m, l, k, p) for p in range(m + 1)] for k in degrees]
-    assert _wedge_images(group, l, degrees) == restrict_by_rows(group, unitary)
+    images = [list(image) for image in zip(*_wedge_images(group, l, degrees))]
+    assert images == restrict_by_rows(group, unitary)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_restriction_of_one_vector_and_of_none(family):
     group = GroupSpec(family, FAMILY_TABLE[family].fixed_rank or 4)
-    assert _restrict(group, []) == []
-    u = [3**p - 7 * p for p in range(defining_dimension(group) + 1)]
-    assert _restrict(group, [u]) == restrict_by_rows(group, [u])
+    size = defining_dimension(group) + 1
+    assert _restrict(group, [()] * size) == [[]] * len(basis(group))
+    u = [3**p - 7 * p for p in range(size)]
+    (image,) = restrict_by_rows(group, [u])
+    assert _restrict(group, [(x,) for x in u]) == [[x] for x in image]
 
 
 # Command-line tokens: small and boundary integers, words that are not ints,
