@@ -15,9 +15,11 @@ loads only what `compute` and `mu` run: the counts, the integer matrix
 assembly and argparse.  The rest loads on first use: `suites` for
 `verify`, `eigen` and `series` for `eigen` and the eigen suite,
 `symoracle` for the oracle suite, `json` for json output, and `fractions`
-only where a `Fraction` is built (`eigen`).  csv and pretty output are
-plain lines; a csv line is its fields joined by commas and ended by CR LF,
-the bytes of `csv.writer`, as no field holds a comma, a quote or a line break.
+with `eigen`, whose recurrence runs in them; the `eigen` command prints
+from the records' integer numerators and denominators and builds no
+`Fraction` itself.  csv and pretty output are plain lines; a csv line is
+its fields joined by commas and ended by CR LF, the bytes of `csv.writer`,
+as no field holds a comma, a quote or a line break.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 a verification property failed, 2 invalid arguments, 3 an internal
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import lcm
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .counts import mu_closed, mu_enumerate
@@ -57,14 +59,15 @@ __all__ = ["MAX_DIMENSION", "MAX_ROW", "main"]
 # off one count row of m*(l-1) + 1 integers, which grows like m*l; above that
 # they run about m/2 windows of m+1 degrees each, about m^2/2 steps at any l.
 # Plain `mu` sums at most m + 1 binomials of the same size; `eigen` builds m
-# vectors of m rationals, and with --l --format json the matrix of U(m).  At
-# the corners, `compute --group U` at rank 256, l = 1024 takes 1.0 s in csv
-# and in pretty and 1.0-1.4 s in json, at 104-115 MB peak RSS, and in csv
+# vectors of m integer numerators over one denominator each, and with --l
+# --format json the matrix of U(m).  At the corners, `compute --group U` at
+# rank 256, l = 1024 takes 1.0 s in csv and in pretty and 1.0-1.4 s in json,
+# at 104-115 MB peak RSS, and in csv
 # 0.36 s and 66 MB at rank 256, l = 64 and 0.21 s and 30 MB at rank 128,
 # l = 2048; `mu 63 4032 30 31 --check` takes 0.08 s and 18 MB and
 # `mu 256 1024 128 100 --check` 0.17 s and 27 MB; `eigen --rank 256` takes
-# 2.2-2.8 s and 97 MB, as much with --l 1024 in csv or pretty, and about 3.3 s
-# and 157 MB with --l 1024 --format json, which is written to stdout as it is
+# 1.4-1.5 s and 78 MB, as much with --l 1024 in csv or pretty, and about 2.4 s
+# and 137 MB with --l 1024 --format json, which is written to stdout as it is
 # encoded (child wall time and ru_maxrss, medians of 3-5 runs with stdout to
 # a file; 2-vCPU Xeon VM, Python 3.11.7).
 # Under the caps an entry has at most about 800 digits.
@@ -142,6 +145,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fraction_text(num: int, den: int) -> str:
+    """num/den, den > 0, as `str(Fraction(num, den))` writes it: reduced,
+    and the numerator alone where the denominator reduces to 1."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def cmd_eigen(args: argparse.Namespace) -> int:
     if args.rank < 1:
         raise ValueError(f"rank must be positive, got {args.rank}")
@@ -157,9 +167,13 @@ def cmd_eigen(args: argparse.Namespace) -> int:
     mat = adams_matrix(group, args.l) if args.l is not None and args.format == "json" else None
     labels = [b.label for b in basis(group)]
     # display variant: --integral scales each vector by the lcm of its
-    # denominators (any nonzero multiple of an eigenvector is an eigenvector)
-    scales = [lcm(*(c.denominator for c in v.coords)) if args.integral else 1 for v in vectors]
-    coords = [[str(c * s) for c in v.coords] for v, s in zip(vectors, scales)]
+    # denominators (any nonzero multiple of an eigenvector is an eigenvector).
+    # A record is in lowest terms, so that lcm is its den and the scaled
+    # vector its nums.
+    if args.integral:
+        coords = [list(map(str, v.nums)) for v in vectors]
+    else:
+        coords = [[_fraction_text(x, v.den) for x in v.nums] for v in vectors]
     eigenvalues = [
         f"l^{v.eigenvalue_exponent}" if args.l is None else str(args.l**v.eigenvalue_exponent)
         for v in vectors

@@ -5,13 +5,13 @@ basis of common eigenvectors independent of l.  The eigenvector for the
 eigenvalue l^(n-k) is written in closed form through the even Taylor
 coefficients of (t/sinh t)^y: coefficient j is a degree-j polynomial q_j(y)
 satisfying a Bernoulli-number recurrence.  One cached run of that recurrence
-on numbers at y = n serves every level.  The levels of U(n) are built from
-it as integer numerators over one denominator per level, which
-`eigenbasis_determinant` reads, and from which the `Eigenvector` records
-of all n levels are built, which `eigenvector` returns; the determinant and
-the records are each cached once per rank.  `sinh_pow_coeff_poly` builds
-the polynomials themselves and serves as the independent check on the
-numbers.
+on numbers at y = n serves every level.  Each level of U(n) is built from
+it as integer numerators over one positive denominator, in lowest terms,
+and kept in that one form: the `Eigenvector` record, which `eigenvector`
+returns, `eigenbasis_determinant` reads and the command line prints.  The
+records of all n levels and the determinant are each cached once per rank.
+`sinh_pow_coeff_poly` builds the polynomials themselves and serves as the
+independent check on the numbers.
 
 Every other family gets its eigenvectors by restriction from U(m), m the
 defining dimension.  The restriction R from the primitives of U(m) to those
@@ -96,7 +96,7 @@ __all__ = [
 
 # Ranks and groups kept by each eigen cache.  eigen-spectrum's lap touches
 # 5 unitary ranks and 26 groups.  The eigenvector records of U(80) take
-# about 0.9 MB and the eigenbasis of Spin(161) about 0.7 MB (tracemalloc).
+# about 0.4 MB and the eigenbasis of Spin(161) about 0.6 MB (tracemalloc).
 _BASIS_CACHE_SIZE = 64
 
 # Where ||M|| < 2^256 the certificate packs every column into one product,
@@ -153,11 +153,12 @@ def _sinh_values(y: int) -> tuple[Fraction, ...]:
 
 def _unitary_level(n: int, k: int, q: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Level k of U(n) as integer numerators over one positive denominator,
-    with q = `_sinh_values(n)`; `eigenvector` gives the formula.
+    in lowest terms, with q = `_sinh_values(n)`; `eigenvector` gives the
+    formula.
 
     The weights q_j(n) / (k-2j)! are put over one common denominator D, so
     each numerator is a single integer Horner evaluation in (n-2i)^2, times
-    (n-2i) when k is odd.
+    (n-2i) when k is odd.  One gcd then reduces the level.
     """
     weights = [q[j] / factorial(k - 2 * j) for j in range(k // 2 + 1)]
     den = lcm(*(w.denominator for w in weights))
@@ -172,17 +173,8 @@ def _unitary_level(n: int, k: int, q: Sequence[Fraction]) -> tuple[tuple[int, ..
         if k % 2:
             s *= x
         nums.append(s if i % 2 else -s)
-    return tuple(nums), den
-
-
-def _unitary_basis(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every level k = 0..n-1 of U(n), as `_unitary_level` gives it, from
-    the cached `_sinh_values(n)`: the integer form that
-    `eigenbasis_determinant` reads, and from which `_unitary_vectors` builds
-    the records of `eigenvector`.  Those two are each cached per rank, so
-    the levels are not."""
-    q = _sinh_values(n)
-    return tuple(_unitary_level(n, k, q) for k in range(n))
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
 
 
 def _require_rank(n: int) -> None:
@@ -193,11 +185,19 @@ def _require_rank(n: int) -> None:
 
 class Eigenvector(Record):
     """The closed-form eigenvector of the U(n) Adams matrices at level k;
-    its eigenvalue under psi^l is l^(n-k) for every l >= 1 simultaneously."""
+    its eigenvalue under psi^l is l^(n-k) for every l >= 1 simultaneously.
+    Coordinate i is nums[i] / den: n integer numerators over one positive
+    denominator, in lowest terms (gcd(den, *nums) = 1)."""
 
     n: int
     k: int
-    coords: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as exact fractions, built on each read."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @property
     def eigenvalue_exponent(self) -> int:
@@ -206,12 +206,10 @@ class Eigenvector(Record):
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _unitary_vectors(n: int) -> tuple[Eigenvector, ...]:
-    """The `Eigenvector` record of every level k = 0..n-1 of U(n): the
-    numerators of `_unitary_basis(n)` over their level's denominator."""
-    return tuple(
-        Eigenvector(n, k, tuple(Fraction(s, den) for s in nums))
-        for k, (nums, den) in enumerate(_unitary_basis(n))
-    )
+    """The `Eigenvector` record of every level k = 0..n-1 of U(n), each
+    built from `_unitary_level` over the one cached `_sinh_values(n)`."""
+    q = _sinh_values(n)
+    return tuple(Eigenvector(n, k, *_unitary_level(n, k, q)) for k in range(n))
 
 
 def eigenvector(n: int, k: int) -> Eigenvector:
@@ -273,14 +271,15 @@ def eigenbasis_determinant(n: int) -> Fraction:
 
     since x_j - x_i = -2(j - i) and prod_{i<j} (j - i) = prod_k k!.  The
     tests hold the computation, one Bareiss pass over the integer
-    numerators of the levels, each row first divided by the gcd of its
-    entries, to that value.  The value for each n is kept in a bounded cache.
+    numerators of the n cached records, each row first divided by the gcd
+    of its entries, to that value.  The value for each n is kept in a
+    bounded cache.
     """
     _require_rank(n)
-    levels = _unitary_basis(n)
-    gcds = [gcd(*nums) or 1 for nums, _ in levels]
-    rows = [[x // g for x in nums] for (nums, _), g in zip(levels, gcds)]
-    return Fraction(_bareiss_det(rows) * prod(gcds), prod(den for _, den in levels))
+    vectors = _unitary_vectors(n)
+    gcds = [gcd(*v.nums) or 1 for v in vectors]
+    rows = [[x // g for x in v.nums] for v, g in zip(vectors, gcds)]
+    return Fraction(_bareiss_det(rows) * prod(gcds), prod(v.den for v in vectors))
 
 
 class Eigenbasis(Record):

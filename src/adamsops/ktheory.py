@@ -31,9 +31,8 @@ half-spin columns of Spin(2n), 15ths and 30ths for G2) is carried as
 integer numerators over one denominator, a power of two or 30, and each
 numerator is checked to divide exactly; a `Fraction` is built only to
 report an entry that does not, so a successful assembly builds none.
-`fractions` is imported only where a `Fraction` is built or tested
-(`AdamsMatrix.apply` and that report), so no command that computes a
-matrix loads it.
+`fractions` is imported only in that report, so no command that computes
+a matrix loads it.
 
 What a family is lives in one place: the `Family` records of `FAMILY_TABLE`
 at the end of the module give each family's ranks, defining dimension,
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from math import lcm
 from operator import add, itemgetter, mul, sub
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -209,7 +207,7 @@ def basis(group: GroupSpec) -> tuple[BasisElement, ...]:
     return tuple(BasisElement("wedge", k, f"d(L^{k} s_{m})") for k in wedges) + family.extra
 
 
-def _times(rows: Sequence[Sequence[int]], v: Sequence[int | Fraction]) -> list:
+def _times(rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     """The matrix with these rows times the column v, exactly."""
     return [sum(map(mul, row, v)) for row in rows]
 
@@ -228,25 +226,6 @@ class AdamsMatrix(Record):
     @property
     def basis(self) -> tuple[BasisElement, ...]:
         return basis(self.group)
-
-    def column(self, k: int) -> tuple[int, ...]:
-        return tuple(row[k] for row in self.entries)
-
-    def apply(self, coords: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        """The image of the vector with these coordinates, exactly.  Each
-        coordinate must be an int or a Fraction (a float or a bool raises
-        ValueError); the product runs in integers over the coordinates' one
-        common denominator, and each entry becomes one Fraction."""
-        if len(coords) != self.dim:
-            raise ValueError(f"vector length {len(coords)} != matrix dimension {self.dim}")
-        from fractions import Fraction
-
-        for i, c in enumerate(coords):
-            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                raise ValueError(f"coordinate {i} must be an int or a Fraction, got {c!r}")
-        den = lcm(*(c.denominator for c in coords))
-        nums = [c.numerator * (den // c.denominator) for c in coords]
-        return tuple(Fraction(x, den) for x in _times(self.entries, nums))
 
     def compose(self, other: "AdamsMatrix") -> "AdamsMatrix":
         """Matrix product self . other, i.e. apply `other` first."""

@@ -2,9 +2,12 @@ import csv
 import inspect
 import io
 import json
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -172,6 +175,31 @@ def test_eigen_csv(capsys):
     assert rows[0] == ["level", "eigenvalue", "d(L^1 s_2)", "d(L^2 s_2)"]
     assert rows[1] == ["0", "9", "1", "-1"]
     assert rows[2] == ["1", "3", "0", "2"]
+
+
+def test_eigen_csv_rows_match_the_fraction_rendering(capsys):
+    # the integer printer against the rule it replaced, rebuilt from the
+    # coordinates as Fractions: str(c), and with --integral str(c * s), s
+    # the lcm of the vector's denominators
+    for n in range(1, 41):
+        vectors = [eigen.eigenvector(n, k) for k in range(n)]
+        scales = [lcm(*(c.denominator for c in v.coords)) for v in vectors]
+        for flag, rendered in (
+            ([], [[str(c) for c in v.coords] for v in vectors]),
+            (["--integral"], [[str(c * s) for c in v.coords] for v, s in zip(vectors, scales)]),
+        ):
+            code, out, _ = run(capsys, "eigen", "--rank", str(n), "--format", "csv", *flag)
+            want = [",".join([str(k), f"l^{n - k}", *row]) for k, row in enumerate(rendered)]
+            assert code == 0 and out.split("\r\n")[1:] == [*want, ""], (n, flag)
+
+
+def test_fraction_text_is_str_of_a_fraction():
+    rng = random.Random(31)
+    pairs = [(0, 1), (0, 7), (5, 1), (-5, 1), (-4, 6), (6, 3), (-6, 3), (-1, 2)]
+    pairs += [(rng.randint(-60, 60), rng.randint(1, 60)) for _ in range(500)]
+    pairs += [(rng.randint(-(10**40), 10**40), rng.randint(1, 10**15)) for _ in range(500)]
+    for num, den in pairs:
+        assert cli._fraction_text(num, den) == str(Fraction(num, den)), (num, den)
 
 
 def test_no_basis_label_needs_csv_quoting():

@@ -18,7 +18,7 @@ from adamsops.eigen import (
     _columns,
     _merged,
     _sinh_values,
-    _unitary_basis,
+    _unitary_level,
     _unitary_vectors,
     char_poly,
     eigenbasis,
@@ -134,6 +134,17 @@ def test_eigenvector_matches_polynomial_oracle():
             assert all(type(c) is Fraction for c in got), (n, k)
 
 
+def test_eigenvector_records_are_reduced_integer_levels():
+    # n numerators over one positive denominator, in lowest terms, and the
+    # coordinates are those quotients
+    for n in range(1, 41):
+        for k in range(n):
+            v = eigenvector(n, k)
+            assert len(v.nums) == n and v.den > 0 and gcd(v.den, *v.nums) == 1, (n, k)
+            assert all(type(x) is int for x in (*v.nums, v.den)), (n, k)
+            assert v.coords == tuple(Fraction(x, v.den) for x in v.nums), (n, k)
+
+
 def test_eigenvector_validation():
     with pytest.raises(ValueError):
         eigenvector(0, 0)
@@ -215,20 +226,26 @@ def test_relation_holds():
         vb = eigenbasis(GroupSpec("U", n))
         assert vb.eigenvalue_exponents == tuple(range(1, n + 1))
         for e, col in zip(vb.eigenvalue_exponents, vb.columns):
-            assert eigen._proportional(col, _unitary_basis(n)[n - e][0]), (n, e)
+            assert eigen._proportional(col, eigenvector(n, n - e).nums), (n, e)
+
+
+def _fraction_image(mat, coords):
+    """M.v with every product taken in Fraction: the rational reference."""
+    return tuple(sum(Fraction(a) * c for a, c in zip(row, coords)) for row in mat.entries)
 
 
 def test_relation_matches_the_rational_route():
-    # the integer certificate against the rational route: each
-    # eigenvector's coordinates through `AdamsMatrix.apply` in Fraction
+    # the integer certificate against each record's numerators, and those
+    # against the product in Fraction on the coordinates
     for n in range(1, 31):
         for l in (1, 2, 3, 5, 50):
             mat = adams_matrix(GroupSpec("U", n), l)
-            want = [
-                mat.apply(v.coords) == tuple(l**v.eigenvalue_exponent * c for c in v.coords)
-                for v in (eigenvector(n, k) for k in range(n))
-            ]
-            assert all(want), (n, l)
+            for v in (eigenvector(n, k) for k in range(n)):
+                value = l**v.eigenvalue_exponent
+                assert _times(mat.entries, v.nums) == [value * x for x in v.nums], (n, l, v.k)
+                if n <= 12:
+                    want = tuple(value * c for c in v.coords)
+                    assert _fraction_image(mat, v.coords) == want, (n, l, v.k)
             assert _unitary_certified(n, l), (n, l)
 
 
@@ -247,7 +264,6 @@ def test_relation_fails_on_a_changed_matrix():
 
 
 def test_eigen_never_applies_a_matrix_in_fractions():
-    assert ".apply(" not in inspect.getsource(eigen)
     for f in (eigen._certifies, eigen._columns, eigen._merged):
         assert "Fraction" not in inspect.getsource(f)
 
@@ -257,8 +273,9 @@ def test_relation_exactness_is_fractional():
     # over the rationals with no clearing of denominators
     mat = adams_matrix(GroupSpec("U", 4), 2)
     v = eigenvector(4, 2)
-    image = mat.apply(v.coords)
-    assert image == tuple(4 * c for c in v.coords)
+    assert (v.nums, v.den) == ((4, 2, 4, -22), 3)
+    assert _times(mat.entries, v.nums) == [4 * x for x in v.nums]
+    assert _fraction_image(mat, v.coords) == tuple(4 * c for c in v.coords)
 
 
 def test_eigenbasis_independent():
@@ -689,8 +706,8 @@ def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
     for cache in caches:
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 1024
-    # the levels are built through the two caches of each rank, not kept
-    assert not hasattr(_unitary_basis, "cache_info")
+    # the levels are built into the records, cached per rank, and not kept
+    assert not hasattr(_unitary_level, "cache_info")
     eigenbasis(GroupSpec("Sp", 3))
     eigenvector(5, 2)
     eigenbasis_determinant(5)

@@ -3,7 +3,6 @@ immutability, pickling and copying, as a frozen dataclass would give them."""
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -24,7 +23,7 @@ RECORDS = [
     U3,
     BasisElement("wedge", 1, "d(L^1 s_3)"),
     AdamsMatrix(U3, 2, ((2, 0, 0), (0, 2, 0), (0, 0, 2))),
-    Eigenvector(2, 1, (Fraction(1), Fraction(-1, 2))),
+    Eigenvector(2, 1, (2, -1), 2),
     Eigenbasis(GroupSpec("U", 1), (1,), ((1,),)),
     SpectrumReport(U3, 2, True, (2, 4, 8), (1, -14, 56, -64), (1, -14, 56, -64)),
     CheckResult("count: a check", True, "n<=3"),
@@ -73,9 +72,7 @@ def test_repr_names_each_field():
         "AdamsMatrix(group=GroupSpec(family='U', n=1), l=5, entries=((5,),))"
     )
     assert repr(CheckResult("a", False, "n=1")) == "CheckResult(name='a', ok=False, detail='n=1')"
-    assert repr(Eigenvector(1, 0, (Fraction(1),))) == (
-        "Eigenvector(n=1, k=0, coords=(Fraction(1, 1),))"
-    )
+    assert repr(Eigenvector(1, 0, (1,), 1)) == "Eigenvector(n=1, k=0, nums=(1,), den=1)"
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
