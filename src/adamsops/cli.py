@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -184,9 +185,10 @@ def cmd_eigen(args: argparse.Namespace) -> int:
         doc = {"group": "U", "rank": args.rank, "basis": labels}
     doc["eigen"] = {"levels": [v.k for v in vectors], "eigenvalues": eigenvalues, "vectors": coords}
     rows = [[v.k, value, *row] for v, value, row in zip(vectors, eigenvalues, coords)]
-    pretty = [f"eigenvectors of the Adams operations on U({args.rank})"] + [
-        f"  level {k}  eigenvalue {value}  ({', '.join(row)})" for k, value, *row in rows
-    ]
+    pretty = chain(
+        [f"eigenvectors of the Adams operations on U({args.rank})"],
+        (f"  level {k}  eigenvalue {value}  ({', '.join(row)})" for k, value, *row in rows),
+    )
     _write(args.format, doc, [["level", "eigenvalue", *labels], *rows], pretty)
     return 0
 

@@ -21,11 +21,11 @@ There are two independent routes to the counts:
   so that each of its columns over any range of k is one strided slice;
   no (n+1)^2 block of rows is built.  The matrix assembly in `ktheory`
   reads it by columns; `mu_enumerate`, `alpha` and `beta` read single
-  entries unsigned.  Outside the block
-  `mu_enumerate` folds its degree into the first half of the row
-  and takes the same two routes, uncached: the half row up to l = n+1,
-  and above it the chain of windows, one every l degrees, that ends at
-  its degree.
+  counts unsigned.  Up to l = n+1 the strips hold the whole row, so
+  `mu_enumerate` reads any degree from the cached block.  Above that,
+  outside the block, it folds its degree into the first half of the row
+  and runs the chain of windows, one every l degrees, that ends there,
+  uncached.
 * the oracle, `mu_closed`: an inclusion-exclusion sum over binomials,
   which the test suite and `adamsops mu --check` compare the block with.
 
@@ -173,7 +173,7 @@ class SignedBlock(Record):
 
     the strip that `by_column[p]` names for each column p.  So column p over
     any range of k is one strided slice of one strip, and no row of the
-    block is built.  `columns` and `entry` read every layout alike."""
+    block is built.  Its methods read every layout alike."""
 
     strips: tuple[tuple[int, ...], ...]
     stride: int
@@ -190,6 +190,12 @@ class SignedBlock(Record):
     def entry(self, k: int, p: int) -> int:
         """A[k][p]."""
         return self.by_column[p][self.stride * k + self.offset - p]
+
+    def unsigned(self, k: int, p: int) -> int:
+        """|A[k][p]| = l * mu(n, l, k, p), the same in either strip.  Where
+        they hold the whole row, l <= n+1, it is |S[s + n]| at the degree
+        s = l*k - p, so any k, p with s in 0..n(l-1) may be read."""
+        return abs(self.strips[0][self.stride * k + self.offset - p])
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
@@ -294,23 +300,21 @@ def signed_table(n: int, l: int) -> SignedBlock:
 def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
     """The count as a coefficient of (1 + x + ... + x^(l-1))^n.
 
-    Inside the block 0 <= k, p <= n it is read from `signed_table`.
-    Outside it nothing is cached.  Degree s = l*k - p is folded to
-    n(l-1) - s where that is lower, since the row is a palindrome.  Up to
-    l = n+1 the first half of the coefficient row is rebuilt and read at
-    that degree.  Above that the degree is reached by the chain of windows
-    of `_windows` that ends at it, one every l degrees: at most n/2 + 1
-    windows of n+1 recurrence steps, at any l.
+    It is read from the cached block of `signed_table` inside the block
+    0 <= k, p <= n, and up to l = n+1 at any degree s = l*k - p, since the
+    strips hold the whole row.  Above that a count outside the block is
+    not cached: s is folded to n(l-1) - s where that is lower, since the
+    row is a palindrome, and reached by the chain of windows of `_windows`
+    that ends at it, one every l degrees: at most n/2 + 1 windows of n+1
+    recurrence steps, at any l.
     """
     _validate(n, l, k, p)
-    if k <= n and 0 <= p <= n:
-        return abs(signed_table(n, l).entry(k, p)) // l
+    if k <= n and 0 <= p <= n or l <= n + 1 and 0 <= l * k - p <= n * (l - 1):
+        return signed_table(n, l).unsigned(k, p) // l
     s = l * k - p
     if s < 0 or s > n * (l - 1):
         return 0
     s = min(s, n * (l - 1) - s)
-    if l <= n + 1:
-        return _count_row(n, l)[s]
     for window in _windows(n, l, s % l, s // l + 1):
         pass
     return window[-1]

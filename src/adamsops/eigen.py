@@ -129,14 +129,20 @@ def sinh_pow_coeff_poly(j: int) -> UniPoly:
     _require_int("coefficient index j", j)
     if j < 0:
         raise ValueError(f"coefficient index must be nonnegative, got {j}")
-    c = _recurrence_weights(j)
+    return _sinh_pow_coeff_polys(j)[j]
+
+
+def _sinh_pow_coeff_polys(top: int) -> list[UniPoly]:
+    """q_0, ..., q_top of `sinh_pow_coeff_poly`, from one run of its
+    recurrence, for top >= 0."""
+    c = _recurrence_weights(top)
     q = [UniPoly((1,))]
-    for i in range(1, j + 1):
+    for i in range(1, top + 1):
         acc = UniPoly()
         for k in range(1, i + 1):
             acc = acc + q[i - k] * c[k]
         q.append(UniPoly((0, Fraction(-1, 2 * i))) * acc)
-    return q[j]
+    return q
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)

@@ -173,8 +173,8 @@ def eigen_suite(max_rank: int = 8, max_l: int | None = None) -> list[CheckResult
     """The eigen checks at l = 2, 3, 5, or at l = 2..max_l if max_l is given."""
     from .eigen import (
         _certifies,
+        _sinh_pow_coeff_polys,
         eigenbasis,
-        sinh_pow_coeff_poly,
         spectrum_check,
     )
     from .series import t_over_sinh_pow
@@ -187,8 +187,7 @@ def eigen_suite(max_rank: int = 8, max_l: int | None = None) -> list[CheckResult
         base, series = t_over_sinh_pow(1, 22), [t_over_sinh_pow(0, 22)]
         for _ in range(10):
             series.append(series[-1] * base)
-        for j in range(11):
-            poly = sinh_pow_coeff_poly(j)
+        for j, poly in enumerate(_sinh_pow_coeff_polys(10)):
             if poly.degree != j:
                 yield f"degree of coefficient polynomial {j} is {poly.degree}"
             for y in range(11):

@@ -364,12 +364,14 @@ def test_enumeration_outside_the_block_matches_closed_form():
 def test_enumeration_outside_the_block_reads_every_degree(monkeypatch):
     # k = 0, p = -s reaches every degree s of the row from outside the
     # block, and p in n+1..l-1 the gaps between the block's windows: up to
-    # l = n+1 through the count row, above it through windows alone
+    # l = n+1 through the cached block's row, built once, above it through
+    # windows alone
     rows = []
     monkeypatch.setattr(counts, "_count_row", lambda n, l: rows.append((n, l)) or _count_row(n, l))
     for n in (1, 2, 3, 5, 8):
         for l in sorted({2, n, n + 1, n + 2, n + 3, 2 * n + 5, 50} - {1}):
             want = _count_row_reference(n, l)
+            signed_table.cache_clear()
             rows.clear()
             assert [mu_enumerate(n, l, 0, -s) for s in range(len(want))] == want, (n, l)
             for k in range(n + 3):
@@ -377,7 +379,7 @@ def test_enumeration_outside_the_block_reads_every_degree(monkeypatch):
                     s = l * k - p
                     got = mu_enumerate(n, l, k, p)
                     assert got == (want[s] if 0 <= s < len(want) else 0), (n, l, k, p)
-            assert bool(rows) == (l <= n + 1), (n, l)
+            assert rows == ([(n, l)] if l <= n + 1 else []), (n, l)
     # far above l = n+1, between and beyond the windows, against the oracle
     rng = random.Random(20261019)
     for n, l in [(40, 2000), (16, 40), (63, 4100), (80, 81 + rng.randint(1, 500))]:
@@ -385,6 +387,20 @@ def test_enumeration_outside_the_block_reads_every_degree(monkeypatch):
             (rng.randint(0, n + 2), rng.randint(-l, l)) for _ in range(6)
         ]:
             assert mu_enumerate(n, l, k, p) == mu_closed(n, l, k, p), (n, l, k, p)
+
+
+def test_enumeration_up_to_l_n_plus_1_reads_only_the_cached_block(monkeypatch):
+    # with the block warm, every count up to l = n+1, inside the block or
+    # not, is read from its strips: no row is built and no window is run
+    for n in (1, 2, 3, 4, 7, 8):
+        for l in sorted({1, 2, 3, n, n + 1} & set(range(1, n + 2))):
+            signed_table(n, l)
+            with monkeypatch.context() as patch:
+                patch.setattr(counts, "_count_row", lambda *a: pytest.fail("a row was built"))
+                patch.setattr(counts, "_windows", lambda *a: pytest.fail("a window was run"))
+                for k in range(n + 4):
+                    for p in range(-n - 3, l * n + 4):
+                        assert mu_enumerate(n, l, k, p) == mu_closed(n, l, k, p), (n, l, k, p)
 
 
 @pytest.mark.parametrize(

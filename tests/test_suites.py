@@ -88,7 +88,7 @@ BREAKS = [
     ("matrices", 4, ktheory, "_unitary_closed", _leak_a_fraction),
     ("eigen", 1, eigen, "eigenbasis", _moved_entry),
     ("eigen", 2, eigen, "eigenbasis", _zero_column),
-    ("eigen", 3, eigen, "sinh_pow_coeff_poly", lambda f: lambda j: f(j + 1)),
+    ("eigen", 3, eigen, "_sinh_pow_coeff_polys", lambda f: lambda top: f(top + 1)[1:]),
     (
         "eigen", 4, eigen, "spectrum_check",
         lambda f: lambda group, l: SpectrumReport(group, l, False, (), (1, 0), (1, -1)),
@@ -133,8 +133,10 @@ def test_the_integer_row_catches_an_entry_that_only_equals_an_integer(monkeypatc
 
 def test_the_series_row_names_a_wrong_value(monkeypatch):
     # one more than each coefficient polynomial: every degree stays right
-    real = eigen.sinh_pow_coeff_poly
-    monkeypatch.setattr(eigen, "sinh_pow_coeff_poly", lambda j: real(j) + UniPoly((1,)))
+    real = eigen._sinh_pow_coeff_polys
+    monkeypatch.setattr(
+        eigen, "_sinh_pow_coeff_polys", lambda top: [q + UniPoly((1,)) for q in real(top)]
+    )
     row = suites.eigen_suite(*SUITE_ARGS["eigen"])[2]
     assert (row.name, row.ok) == ("eigen: recurrence matches the series expansion", False)
     assert row.detail == "j=0, y=0"
