@@ -21,11 +21,12 @@ There are two independent routes to the counts:
   so that each of its columns over any range of k is one strided slice;
   no (n+1)^2 block of rows is built.  The matrix assembly in `ktheory`
   reads it by columns; `mu_enumerate`, `alpha` and `beta` read single
-  counts unsigned.  Up to l = n+1 the strips hold the whole row, so
-  `mu_enumerate` reads any degree from the cached block.  Above that,
-  outside the block, it folds its degree into the first half of the row
-  and runs the chain of windows, one every l degrees, that ends there,
-  uncached.
+  counts unsigned, through one reader after one check of the arguments
+  (`alpha` and `beta` check once for their two counts).  Up to l = n+1
+  the strips hold the whole row, so `mu_enumerate` reads any degree from
+  the cached block.  Above that, outside the block, it folds its degree
+  into the first half of the row and runs the chain of windows, one every
+  l degrees, that ends there, uncached.
 * the oracle, `mu_closed`: an inclusion-exclusion sum over binomials,
   which the test suite and `adamsops mu --check` compare the block with.
 
@@ -309,6 +310,11 @@ def mu_enumerate(n: int, l: int, k: int, p: int) -> int:
     recurrence steps, at any l.
     """
     _validate(n, l, k, p)
+    return _enumerated(n, l, k, p)
+
+
+def _enumerated(n: int, l: int, k: int, p: int) -> int:
+    """`mu_enumerate` for arguments it has already checked."""
     if k <= n and 0 <= p <= n or l <= n + 1 and 0 <= l * k - p <= n * (l - 1):
         return signed_table(n, l).unsigned(k, p) // l
     s = l * k - p
@@ -345,10 +351,14 @@ def mu_closed(n: int, l: int, k: int, p: int) -> int:
 
 
 def alpha(n: int, l: int, k: int, p: int) -> int:
-    """mu(n, l, k, p) + mu(n, l, k, n-p)."""
-    return mu_enumerate(n, l, k, p) + mu_enumerate(n, l, k, n - p)
+    """mu(n, l, k, p) + mu(n, l, k, n-p).  The arguments are checked once
+    for both counts: n - p is an int wherever n and p are."""
+    _validate(n, l, k, p)
+    return _enumerated(n, l, k, p) + _enumerated(n, l, k, n - p)
 
 
 def beta(n: int, l: int, k: int, p: int) -> int:
-    """mu(n, l, k, p) - mu(n, l, k, n-p); antisymmetric under p -> n-p."""
-    return mu_enumerate(n, l, k, p) - mu_enumerate(n, l, k, n - p)
+    """mu(n, l, k, p) - mu(n, l, k, n-p); antisymmetric under p -> n-p.  The
+    arguments are checked once, as in `alpha`."""
+    _validate(n, l, k, p)
+    return _enumerated(n, l, k, p) - _enumerated(n, l, k, n - p)

@@ -58,6 +58,17 @@ up to r times.  Packing saves a Python-level product per extra column but
 lengthens the one left by about the bits of ||M|| per column, so the
 columns are packed only while ||M|| < 2^256, and otherwise each takes its
 own mat-vec.
+
+The packed column depends only on the basis, l and ||M||, which fix every
+width K_t, and not on the rest of the matrix.  So each `Eigenbasis` keeps
+the last few it built, by (l, ||M||) (`Eigenbasis.packings`), and a
+repeated certificate computes ||M|| from the matrix it is given, reads
+the columns stored under that key, and makes the one product and the one
+comparison.  The widths are then the ones that call's ||M|| and l
+determine, so every digit is still below half its own base and the proof
+above holds as it stands.  One mat-vec per column is not kept: its
+columns hold more than the basis itself (Spin(161) at l = 50: 948 KiB
+against 547 KiB, tracemalloc).
 """
 
 from __future__ import annotations
@@ -97,13 +108,28 @@ __all__ = [
 # Ranks and groups kept by each eigen cache.  eigen-spectrum's lap touches
 # 5 unitary ranks and 26 groups.  The eigenvector records of U(80) take
 # about 0.4 MB and the eigenbasis of Spin(161) about 0.6 MB (tracemalloc).
+# Each eigenbasis also keeps its last _PACKING_CACHE_SIZE packed certificate
+# columns, the first stored dropped first: enough for the eigen suite's three
+# default levels and one more.  An entry is 2d integers of sum_t K_t bits,
+# so it grows about as d^2 times the bits of ||M||.  Measured with
+# tracemalloc, the packings kept after eigen-spectrum's lap take 568 KiB (29
+# entries), after the eigen suite 58 KiB at its defaults and 1.45 MiB at its
+# caps (208 entries over 52 bases).  The largest measured, four entries for
+# U(80) at l = 2, 3, 5, 8 (||M|| up to 241 bits), take 2.2 MiB against the
+# basis's 342 KiB, and Spin(161)'s one entry at l = 2 1.1 MiB.
 _BASIS_CACHE_SIZE = 64
+_PACKING_CACHE_SIZE = 4
 
 # Where ||M|| < 2^256 the certificate packs every column into one product,
-# and otherwise takes one mat-vec per column.  In interleaved timings at
-# ranks 34-80 with l up to 400, the packed product ran 1.35-2.2x faster
-# where ||M|| < 2^250 and 1.2-2.2x slower where ||M|| > 2^450, as the longer
-# product outweighs the saved ones; between the two neither led.
+# and otherwise takes one mat-vec per column, which keeps nothing.  Packed
+# time over per-column time, with the packing built (a miss) and kept (a
+# hit), interleaved, median of 7-9 rounds: U(80) l = 8 (||M|| of 241 bits)
+# 0.71 and 0.65, l = 12 (287 bits) 0.85 and 0.77, l = 20 (346) 1.03 and
+# 1.00, l = 50 (452) 1.44 and 1.42; SpinOdd(80) l = 3 (332) 0.93 and 0.83,
+# l = 50 (981) 2.3 and 2.3; but U(50) l = 100 (333) 1.18 and 1.06 and U(30)
+# l = 1000 (299) 1.11 and 0.93.  The crossover moves with d, near 2^300 at
+# d = 30 and 2^340 at d = 80, and later on a hit than on a miss, so no bound
+# on ||M|| picks the faster path at every one of them, on both sides.
 _PACK_NORM_BITS = 256
 
 
@@ -297,7 +323,8 @@ class Eigenbasis(Record):
 
     What does not depend on l is computed once per record, on first use:
     `heights`, and `well_formed`, the conditions of the certificate that
-    hold or fail for every l alike."""
+    hold or fail for every l alike.  `packings` keeps the packed columns
+    the certificate last built for this record, by (l, ||M||)."""
 
     group: GroupSpec
     eigenvalue_exponents: tuple[int, ...]
@@ -308,6 +335,13 @@ class Eigenbasis(Record):
         """The largest absolute entry of each column, which bounds the
         packed certificate's digits."""
         return tuple(max(map(abs, col), default=0) for col in self.columns)
+
+    @cached_property
+    def packings(self) -> dict[tuple[int, int], list[tuple[int, list[int]]]]:
+        """The packed columns `_certifies` has multiplied, by (l, ||M||),
+        which fix every width: at most `_PACKING_CACHE_SIZE`, the first
+        stored dropped first."""
+        return {}
 
     @cached_property
     def well_formed(self) -> bool:
@@ -496,16 +530,28 @@ def _certifies(vb: Eigenbasis, entries: Sequence[Sequence[int]], l: int) -> bool
     where ||M|| >= 2^256.  With ||M|| the largest row L1 norm, each packed
     digit of M.u - u' is at most (||M|| + l^e) max|w| < 2^(K-1) in absolute
     value, K that column's own width, so the packed check holds exactly
-    when every column's does (see the module docstring)."""
+    when every column's does (see the module docstring).
+
+    The packed column is built once per (l, ||M||) and kept by the basis
+    (`Eigenbasis.packings`).  Every call computes ||M|| from `entries`, so
+    a matrix that shares it reuses columns of exactly the widths its own
+    ||M|| and l give, and the same bound holds for it; any other matrix
+    packs its own."""
     if not (len(vb.columns) == len(entries) and vb.well_formed):
         return False
     if l == 1:
         # row i is the unit row e_i: its entry i is 1 and its L1 norm is 1
         return all(row[i] == 1 == sum(map(abs, row)) for i, row in enumerate(entries))
     norm = max((sum(map(abs, row)) for row in entries), default=0)
-    columns = _columns(vb, norm, l)
-    if norm.bit_length() <= _PACK_NORM_BITS:
-        columns = [_merged(columns)]
+    packings = vb.packings
+    columns = packings.get((l, norm))
+    if columns is None:
+        columns = _columns(vb, norm, l)
+        if norm.bit_length() <= _PACK_NORM_BITS:
+            columns = [_merged(columns)]
+            if len(packings) == _PACKING_CACHE_SIZE:
+                del packings[next(iter(packings))]
+            packings[l, norm] = columns
     d = len(entries)
     return all(_times(entries, w[:d]) == w[d:] for _, w in columns)
 

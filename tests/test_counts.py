@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 from itertools import accumulate
@@ -81,8 +82,12 @@ def test_argument_validation():
     for bad in [(0, 2, 1, 1), (3, 0, 1, 1), (3, 2, -1, 1)]:
         with pytest.raises(ValueError):
             mu_closed(*bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             mu_enumerate(*bad)
+        # alpha and beta check once, with mu_enumerate's messages
+        for f in (alpha, beta):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+                f(*bad)
 
 
 @pytest.mark.parametrize("position", range(4))

@@ -701,6 +701,39 @@ def test_a_mixed_width_run_refuses_a_change_at_either_end(group, l):
                 assert not _certifies(vb, changed, l), (i, j, delta)
 
 
+@pytest.mark.parametrize(
+    "group, l", [(GroupSpec("U", 80), 8), (GroupSpec("U", 80), 12), (GroupSpec("SpinOdd", 80), 3)]
+)
+def test_the_packed_and_the_columnwise_path_agree_near_the_crossover(monkeypatch, group, l):
+    # ||M|| of 241, 287 and 332 bits, on either side of _PACK_NORM_BITS: each
+    # path, forced, certifies the matrix on a miss and on a hit, and refuses
+    # it with two entries of one row swapped
+    vb = eigenbasis(group)
+    entries = adams_matrix(group, l).entries
+    d = len(entries)
+    for bits, per_call in ((10**4, 1), (0, d)):
+        monkeypatch.setattr(eigen, "_PACK_NORM_BITS", bits)
+        basis = Eigenbasis(group, vb.eigenvalue_exponents, vb.columns)
+        products = []
+        with monkeypatch.context() as m:
+            m.setattr(eigen, "_times", lambda rows, v: products.append(v) or _times(rows, v))
+            assert _certifies(basis, entries, l) and _certifies(basis, entries, l), bits
+        assert len(products) == 2 * per_call and len(basis.packings) == (per_call == 1)
+        assert not _certifies(basis, _swapped(entries), l), bits
+
+
+def _swapped(entries):
+    """The matrix with two unequal entries of one row swapped: every row's
+    L1 norm, so ||M||, is kept."""
+    rows = [list(row) for row in entries]
+    for row in rows:
+        j = next((j for j in range(1, len(row)) if row[j] != row[0]), None)
+        if j is not None:
+            row[0], row[j] = row[j], row[0]
+            return tuple(map(tuple, rows))
+    raise AssertionError("no row has two unequal entries")
+
+
 def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
     caches = (eigenbasis, eigenbasis_determinant, _unitary_vectors, _sinh_values)
     for cache in caches:
@@ -708,7 +741,52 @@ def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
         assert maxsize is not None and 0 < maxsize <= 1024
     # the levels are built into the records, cached per rank, and not kept
     assert not hasattr(_unitary_level, "cache_info")
-    eigenbasis(GroupSpec("Sp", 3))
+    # each eigenbasis keeps its packed columns by (l, ||M||), at most
+    # _PACKING_CACHE_SIZE of them, the first stored dropped first
+    cap = eigen._PACKING_CACHE_SIZE
+    assert 3 <= cap <= 8
+    eigenbasis.cache_clear()
+    vb = eigenbasis(group := GroupSpec("U", 6))
+    for l in range(2, cap + 6):
+        assert _certifies(vb, adams_matrix(group, l).entries, l)
+        assert [key[0] for key in vb.packings] == list(range(max(2, l - cap + 1), l + 1))
+    # a hit reuses the columns alone: a matrix of the same ||M|| that differs
+    # is refused, and packs nothing
+    for group in (GroupSpec("U", 12), GroupSpec("Sp", 9), GroupSpec("SpinOdd", 10), GroupSpec("SpinEven", 8)):
+        vb = eigenbasis(group)
+        for l in (2, 3, 50):
+            entries = adams_matrix(group, l).entries
+            norm = max(sum(map(abs, row)) for row in entries)
+            assert norm < 2**eigen._PACK_NORM_BITS and _certifies(vb, entries, l)
+            stored = vb.packings[l, norm]
+            with monkeypatch.context() as m:
+                m.setattr(eigen, "_columns", None)
+                assert not _certifies(vb, _swapped(entries), l), (str(group), l)
+                assert _certifies(vb, entries, l)
+            assert vb.packings[l, norm] is stored and len(vb.packings) <= cap
+            # a matrix of another ||M|| packs its own columns, at its own widths
+            packed = []
+            with monkeypatch.context() as m:
+                m.setattr(eigen, "_columns", lambda *args: packed.append(args) or _columns(*args))
+                changed = _changed(entries, [(0, 0)], 3 * norm)
+                assert not _certifies(vb, changed, l), (str(group), l)
+            assert packed == [(vb, max(sum(map(abs, row)) for row in changed), l)]
+            # a second basis of the same group, one entry moved, has its own
+            # columns: it is refused though the cached basis holds this key
+            columns = [list(col) for col in vb.columns]
+            columns[-1][0] += 1
+            moved = Eigenbasis(group, vb.eigenvalue_exponents, tuple(map(tuple, columns)))
+            assert moved.well_formed and not _certifies(moved, entries, l), (str(group), l)
+            with monkeypatch.context() as m:
+                m.setattr(eigen, "eigenbasis", lambda g: moved)
+                assert not spectrum_check(group, l).certified
+    # a repeated check returns the report of the first, packed or not
+    eigenbasis.cache_clear()
+    for group in _groups(12):
+        for l in (1, 2, 3, 50):
+            assert spectrum_check(group, l) == spectrum_check(group, l), (str(group), l)
+        assert len(eigenbasis(group).packings) <= cap
+    assert spectrum_check(sp3 := GroupSpec("Sp", 3), 2).certified and eigenbasis(sp3).packings
     eigenvector(5, 2)
     eigenbasis_determinant(5)
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -722,3 +800,5 @@ def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
         for name in ("workloads", "reference"):
             sys.modules.pop(name, None)
     assert all(cache.cache_info().currsize == 0 for cache in caches)
+    # the packings went with the basis that kept them
+    assert not eigenbasis(sp3).packings
