@@ -22,23 +22,24 @@ closed forms add and subtract them, and the pipeline restricts them.  So
 every route emits the rows of its matrix, and no route scales a count by
 its sign or by l.
 
-`adams_matrix` runs both routes and raises ConsistencyError when they
-disagree, or when an entry that must be an integer is not.
-
-Both routes compute in integers only.  A column with a rational prefactor
-(2^-(n+1) on the spin column of Spin(2n+1), 2^-(n-1) and 1/2 on the
-half-spin columns of Spin(2n), 15ths and 30ths for G2) is carried as
-integer numerators over one denominator, a power of two or 30, and each
-numerator is checked to divide exactly; a `Fraction` is built only to
-report an entry that does not, so a successful assembly builds none.
-`fractions` is imported only in that report, so no command that computes
-a matrix loads it.
+Both routes have one shape and compute in integers only: each is a module
+function, named in the family's record and called as f(group, l), that
+returns the rows of its matrix's integer columns and its rational columns
+as integer numerators over one denominator.  A column with a rational
+prefactor (2^-(n+1) on the spin column of Spin(2n+1), 2^-(n-1) and 1/2 on
+the half-spin columns of Spin(2n), 15ths and 30ths for G2) makes that
+denominator a power of two or 30.  `adams_matrix` alone turns what a route
+returns into a matrix, with `_finalize`, once per route it runs, and raises
+ConsistencyError when the routes disagree, or when a numerator does not
+divide exactly.  A `Fraction` is built only to report such an entry, so a
+successful assembly builds none, and `fractions` is imported only in that
+report, so no command that computes a matrix loads it.
 
 What a family is lives in one place: the `Family` records of `FAMILY_TABLE`
 at the end of the module give each family's ranks, defining dimension,
 basis, display name, exponents, middle restriction rows and routes, and
 every function here reads them.  Adding a family means one record plus its
-closed-form route, called by `adams_matrix` as f(group, l).
+closed-form route.
 
 Convention: entries[p][k] is the coefficient of basis element p in the
 image of basis element k (columns are images), so composition is the plain
@@ -144,9 +145,10 @@ class BasisElement(Record):
     label: str
 
 
-# What a family's pipeline returns: the rows of its integer columns, its
-# numerator columns, den.
-_Piped = tuple[Sequence[Sequence[int]], Sequence[Sequence[int]], int]
+# What every route returns: the rows of its integer columns, its rational
+# columns as integer numerators, and their one positive denominator (1 when
+# there are none), which `adams_matrix` hands to `_finalize`.
+_Raw = tuple[Sequence[Sequence[int]], Sequence[Sequence[int]], int]
 # The (wedge, coefficient) terms of a restriction, one tuple per basis element.
 _Terms = tuple[tuple[tuple[int, int], ...], ...]
 
@@ -161,19 +163,16 @@ class Family(Record):
     * `dimension(n)` is m.  The basis is the wedge classes 1..`wedges(n)`
       of the defining representation, then the `extra` classes.
     * `exponents(n)` are the m_i; the psi^l eigenvalues are l^(m_i + 1).
-    * `closed` names this module's closed-form route, called as f(group, l)
-      once `adams_matrix` has checked l.  It is a name, looked up when
-      called, so that wrapping or replacing the module attribute reaches
-      every call.
+    * `closed` names this module's closed-form route and `pipeline`, for a
+      family that has one, its pipeline route, which reads the restricted
+      wedge images.  Each is called as f(group, l) once `adams_matrix` has
+      checked l, and returns the matrix raw (see `_Raw`).  Both are names,
+      looked up when called, so that wrapping or replacing the module
+      attribute reaches every call.
     * `middle_rows(n)` are the images of wedges w+1..m//2, w = wedges(n),
       over the basis: the rows of the restriction from U(m) that are
       neither a basis wedge nor a mirror image (see `_restriction`).  U and
-      SU have none.  A family with a pipeline route gives
-      `pipeline(group, l)`, which reads the restricted wedge images and
-      returns (rows, numerator columns, den): the rows of the matrix's
-      integer columns, then its rational columns as integer numerators
-      over the one denominator den (1 when there are none), for
-      `_finalize` to divide and append to the rows.
+      SU have none.
     * `extra_eigenvectors(n)` lists, as (e, column) pairs, the eigenvectors
       of every psi^l, with eigenvalue l^e, that restriction from U(m) misses
       (see `eigen.eigenbasis`): d(S+) - d(S-) for Spin(2n), none otherwise.
@@ -188,7 +187,7 @@ class Family(Record):
     closed: str
     extra: tuple[BasisElement, ...] = ()
     middle_rows: Callable[[int], list[list[int]]] = lambda n: []
-    pipeline: Callable[[GroupSpec, int], _Piped] | None = None
+    pipeline: str | None = None
     fixed_rank: int | None = None
     extra_eigenvectors: Callable[[int], list[tuple[int, tuple[int, ...]]]] = lambda n: []
 
@@ -241,20 +240,15 @@ def _require_l(l: int) -> None:
         raise ValueError(f"Adams operation index must be a positive integer, got l={l}")
 
 
-def _finalize(
-    group: GroupSpec,
-    l: int,
-    rows: Sequence[Sequence[int]],
-    route: str,
-    rational: Sequence[Sequence[int]] = (),
-    den: int = 1,
-) -> AdamsMatrix:
-    """Turn the rows `route` computed into an AdamsMatrix: `rows`, whose
-    entries are ints and pass as they are, each followed by its entries of
-    the `rational` columns, given as integer numerators over the one
-    positive denominator `den`.  Every numerator must be divisible by `den`
-    exactly; a `Fraction` is built only for an entry that is not, to report
-    it, the first in column order."""
+def _finalize(group: GroupSpec, l: int, route: str, raw: _Raw) -> AdamsMatrix:
+    """Turn what `route` returned into an AdamsMatrix; only `adams_matrix`
+    calls it, once per route it runs.  `raw` is (rows, rational, den): the
+    `rows`, whose entries are ints, pass as they are, each followed by its
+    entries of the `rational` columns, given as integer numerators over the
+    one positive denominator `den`.  Every numerator must be divisible by
+    `den` exactly; a `Fraction` is built only for an entry that is not, to
+    report it, the first in column order."""
+    rows, rational, den = raw
     entries = map(tuple, rows)
     for k, col in enumerate(rational, start=len(rows[0])):
         if any(map(den.__rmod__, col)):
@@ -283,7 +277,7 @@ def _finalize(
 # for odd m, since (-1)^(m-p) = (-1)^(m+p).
 
 
-def _unitary_closed(group: GroupSpec, l: int) -> AdamsMatrix:
+def _unitary_closed(group: GroupSpec, l: int) -> _Raw:
     """U(n) and SU(n): the image of the degree-k wedge class has p-th
     coordinate (-1)^(k+p) * l * mu(n, l, k, p), over the family's wedges
     1..w: w = n for U(n), and n-1 for SU(n), whose top-wedge row and column
@@ -291,20 +285,20 @@ def _unitary_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     p is column p of the block over those wedges."""
     n, w = group.n, FAMILY_TABLE[group.family].wedges(group.n)
     wedges = range(1, w + 1)
-    return _finalize(group, l, signed_table(n, l).columns(wedges, wedges), "closed form")
+    return signed_table(n, l).columns(wedges, wedges), (), 1
 
 
-def _symplectic_closed(group: GroupSpec, l: int) -> AdamsMatrix:
+def _symplectic_closed(group: GroupSpec, l: int) -> _Raw:
     """Sp(n), over the wedges of the defining 2n-dimensional representation:
     coordinate p < n uses alpha(2n, l, k, p), coordinate n uses mu(2n, l, k, n)."""
     n = group.n
     m = 2 * n
     a = signed_table(m, l).columns(range(m + 1), range(1, n + 1))
     rows = [list(map(add, a[p], a[m - p])) for p in range(1, n)]
-    return _finalize(group, l, rows + [a[n]], "closed form")
+    return rows + [a[n]], (), 1
 
 
-def _spin_odd_closed(group: GroupSpec, l: int) -> AdamsMatrix:
+def _spin_odd_closed(group: GroupSpec, l: int) -> _Raw:
     """Spin(2n+1), over (wedges 1..n-1 of the defining representation, spin
     class): wedge columns via beta, the spin column carrying the factor
     l / 2^(n+1); entries are nevertheless integers."""
@@ -319,8 +313,7 @@ def _spin_odd_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     # row is 2^(n+1) b_n, its spin entry 2^(n+1) times the sum over k = 1..n
     rows = [list(map(sub, map(add, a[p], a[m - p]), b_n)) for p in range(1, n)]
     rows.append(list(map(mul, b_n, repeat(den))))
-    wedges, spin = _spin_split(rows)
-    return _finalize(group, l, wedges, "closed form", spin, den)
+    return *_spin_split(rows), den
 
 
 def _spin_split(rows: list[list[int]]) -> tuple[list, list]:
@@ -355,7 +348,7 @@ def _half_spin_split(rows: Sequence[Sequence[int]], n: int, l: int) -> tuple[lis
     return list(map(_ALL_BUT_LAST, rows)), (col_plus, col_minus)
 
 
-def _spin_even_closed(group: GroupSpec, l: int) -> AdamsMatrix:
+def _spin_even_closed(group: GroupSpec, l: int) -> _Raw:
     """Spin(2n), n >= 3, over (wedges 1..n-2, S+, S-).
 
     Wedge columns follow the closed form in alpha and mu.  The two half-spin
@@ -376,8 +369,7 @@ def _spin_even_closed(group: GroupSpec, l: int) -> AdamsMatrix:
     rows = [list(map(sub, map(add, a[q], a[m - q]), by_parity[q % 2])) for q in range(1, n - 1)]
     spins = list(map(mul, map(add, last, second), repeat(half)))
     rows += [spins, spins]
-    wedges, half_spins = _half_spin_split(rows, n, l)
-    return _finalize(group, l, wedges, "closed form", half_spins, 2**n)
+    return *_half_spin_split(rows, n, l), 2**n
 
 
 def _g2_numerators(l: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -390,14 +382,18 @@ def _g2_numerators(l: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return col1, col2
 
 
-def _g2_closed(group: GroupSpec, l: int) -> AdamsMatrix:
+def _g2_closed(group: GroupSpec, l: int) -> _Raw:
     """G2's closed form: the numerators of `_g2_numerators` over 30, each
     of which must divide exactly."""
-    return _finalize(group, l, [(), ()], "closed form", _g2_numerators(l), 30)
+    return [(), ()], _g2_numerators(l), 30
 
 
 # ---------------------------------------------------------------------------
 # the restriction from U(m) and the functoriality pipeline
+#
+# A family's pipeline builds its matrix purely by functoriality: the unitary
+# formula on the defining representation, then restriction; the (half-)spin
+# columns are split off as the closed forms split theirs.
 
 
 @lru_cache(maxsize=_GROUP_CACHE_SIZE)
@@ -475,32 +471,21 @@ def _wedge_images(group: GroupSpec, l: int, degrees: range) -> list[list[int]]:
     return _restrict(group, signed_table(m, l).columns(range(m + 1), degrees))
 
 
-def _pullback(group: GroupSpec, l: int) -> AdamsMatrix:
-    """The matrix for a family with a pipeline (Sp, SpinOdd, SpinEven, G2)
-    purely by functoriality, for an l already checked: unitary formula on
-    the defining representation, then restriction.  The spin column expands
-    d(S) over the wedges 1..n with the factor 2^-(n+1); the half-spin
-    columns are the halved image of d(S+)+d(S-) (wedges n-1, n-3, ... with
-    factor 2^-(n-1)) plus or minus half of l^n (d(S+)-d(S-))."""
-    rows, rational, den = FAMILY_TABLE[group.family].pipeline(group, l)
-    return _finalize(group, l, rows, "pipeline", rational, den)
-
-
-def _symplectic_pipeline(group: GroupSpec, l: int) -> _Piped:
+def _symplectic_pipeline(group: GroupSpec, l: int) -> _Raw:
     return _wedge_images(group, l, range(1, group.n + 1)), (), 1
 
 
-def _spin_odd_pipeline(group: GroupSpec, l: int) -> _Piped:
+def _spin_odd_pipeline(group: GroupSpec, l: int) -> _Raw:
     n = group.n
     return *_spin_split(_wedge_images(group, l, range(1, n + 1))), 2 ** (n + 1)
 
 
-def _spin_even_pipeline(group: GroupSpec, l: int) -> _Piped:
+def _spin_even_pipeline(group: GroupSpec, l: int) -> _Raw:
     n = group.n
     return *_half_spin_split(_wedge_images(group, l, range(1, n)), n, l), 2**n
 
 
-def _g2_pipeline(group: GroupSpec, l: int) -> _Piped:
+def _g2_pipeline(group: GroupSpec, l: int) -> _Raw:
     return [[x, y - x] for x, y in _wedge_images(group, l, range(1, 3))], (), 1
 
 
@@ -516,13 +501,14 @@ def adams_matrix(group: GroupSpec, l: int, cross_check: bool = True) -> AdamsMat
     ConsistencyError otherwise, naming the first differing entry.  Without
     it, every family returns its closed form.  l is checked here, once,
     before any route runs; the routes called from here do not check it
-    again.
+    again.  Each route's raw rows are finalized here, the only place that
+    does, so a route's non-integer entry raises under its own name.
     """
     family = FAMILY_TABLE[group.family]
     _require_l(l)
-    closed = globals()[family.closed](group, l)
+    closed = _finalize(group, l, "closed form", globals()[family.closed](group, l))
     if cross_check and family.pipeline is not None:
-        piped = _pullback(group, l)
+        piped = _finalize(group, l, "pipeline", globals()[family.pipeline](group, l))
         if piped.entries != closed.entries:
             i, j = next(
                 (i, j)
@@ -574,21 +560,21 @@ FAMILY_TABLE: dict[str, Family] = {
         Family(
             "Sp", "Sp({n})", 1, dimension=lambda n: 2 * n, wedges=lambda n: n,
             exponents=_odd_exponents, closed="_symplectic_closed",
-            pipeline=_symplectic_pipeline,
+            pipeline="_symplectic_pipeline",
         ),
         Family(
             "SpinOdd", "Spin({m})", 1, dimension=lambda n: 2 * n + 1, wedges=lambda n: n - 1,
             exponents=_odd_exponents, closed="_spin_odd_closed",
             extra=(BasisElement("spin", 0, "d(S)"),),
             middle_rows=lambda n: [[-1] * (n - 1) + [2 ** (n + 1)]],
-            pipeline=_spin_odd_pipeline,
+            pipeline="_spin_odd_pipeline",
         ),
         Family(
             "SpinEven", "Spin({m})", 3, dimension=lambda n: 2 * n, wedges=lambda n: n - 2,
             exponents=lambda n: tuple(sorted([*range(1, 2 * n - 2, 2), n - 1])),
             closed="_spin_even_closed",
             extra=(BasisElement("spin+", 0, "d(S+)"), BasisElement("spin-", 0, "d(S-)")),
-            middle_rows=_spin_even_rows, pipeline=_spin_even_pipeline,
+            middle_rows=_spin_even_rows, pipeline="_spin_even_pipeline",
             extra_eigenvectors=lambda n: [(n, _spin_difference(n))],
         ),
         Family(
@@ -596,7 +582,7 @@ FAMILY_TABLE: dict[str, Family] = {
             exponents=lambda n: (1, 5), closed="_g2_closed",
             extra=(BasisElement("rho1", 0, "d(rho1)"), BasisElement("rho2", 0, "d(rho2)")),
             middle_rows=lambda n: [[1, 0], [1, 1], [14, -1]],
-            pipeline=_g2_pipeline, fixed_rank=2,
+            pipeline="_g2_pipeline", fixed_rank=2,
         ),
     )
 }

@@ -276,6 +276,15 @@ def test_intertwining_fails_on_a_changed_middle_row(monkeypatch, fresh_restricti
         adams_matrix(group, 2)
 
 
+def _finalized(group, l, route):
+    """One route's matrix alone, finalized as `adams_matrix` finalizes it:
+    route is "closed form" or "pipeline", looked up by its name in the
+    family's record, so a route replaced by name is the one that runs."""
+    family = ktheory.FAMILY_TABLE[group.family]
+    name = family.pipeline if route == "pipeline" else family.closed
+    return ktheory._finalize(group, l, route, getattr(ktheory, name)(group, l))
+
+
 def _ranks_up_to(family, dimension):
     """The ranks of the family whose defining dimension is at most the one given."""
     if family.fixed_rank:
@@ -299,7 +308,7 @@ def test_the_routes_agree_at_every_l():
             group, m = GroupSpec(family.name, n), family.dimension(n)
             for l in range(1, m + 2):
                 closed = adams_matrix(group, l, cross_check=False)
-                assert closed.entries == ktheory._pullback(group, l).entries, (str(group), l)
+                assert closed.entries == _finalized(group, l, "pipeline").entries, (str(group), l)
                 built += 1
     assert built == 748
 
@@ -333,9 +342,9 @@ def test_g2_closed_route_is_its_polynomial_expressions(monkeypatch):
         assert all(type(v) is int for col in columns for v in col), l
         closed = adams_matrix(g2, l, cross_check=False)
         assert closed.entries == tuple(zip(*expressions)), l
-        assert closed.entries == ktheory._pullback(g2, l).entries, l
+        assert closed.entries == _finalized(g2, l, "pipeline").entries, l
     # without the cross-check the pipeline does not run
-    monkeypatch.setattr(ktheory, "_pullback", lambda g, m: pytest.fail("pipeline ran"))
+    monkeypatch.setattr(ktheory, "_g2_pipeline", lambda g, m: pytest.fail("pipeline ran"))
     closed = adams_matrix(g2, 1000, cross_check=False)
     assert closed.entries[0][1] == 52 * 10**6 * (1 - 10**12) // 15
     # a non-integral expression is rejected like any other closed form's entry
@@ -394,7 +403,7 @@ def test_finalize_rejects_a_fractional_entry():
     group = GroupSpec("U", 2)
     # rational columns are integer numerators over one denominator
     with pytest.raises(ConsistencyError, match="row 1, column 0") as info:
-        ktheory._finalize(group, 2, [[], []], "closed form", [[8, 1], [0, 4]], 2)
+        ktheory._finalize(group, 2, "closed form", ([[], []], [[8, 1], [0, 4]], 2))
     err = info.value
     assert str(err) == "non-integer entry 1/2 at row 1, column 0 for U(2), l=2"
     assert (err.group, err.l, err.routes) == (group, 2, ("closed form",))
@@ -402,16 +411,16 @@ def test_finalize_rejects_a_fractional_entry():
     # rational columns follow each row's integer entries, and are numbered
     # after them
     with pytest.raises(ConsistencyError, match="row 0, column 1") as info:
-        ktheory._finalize(group, 2, [[4], [0]], "pipeline", [[3, 8]], 4)
+        ktheory._finalize(group, 2, "pipeline", ([[4], [0]], [[3, 8]], 4))
     assert (info.value.routes, info.value.cell) == (("pipeline",), (0, 1))
     assert info.value.values == (Fraction(3, 4),)
     # a negative numerator is reported with its sign
     with pytest.raises(ConsistencyError) as info:
-        ktheory._finalize(group, 2, [[4], [0]], "pipeline", [[-6, 8]], 4)
+        ktheory._finalize(group, 2, "pipeline", ([[4], [0]], [[-6, 8]], 4))
     assert (info.value.cell, info.value.values) == ((0, 1), (Fraction(-3, 2),))
-    mat = ktheory._finalize(group, 2, [[4], [0]], "pipeline", [[6, 6]], 3)
+    mat = ktheory._finalize(group, 2, "pipeline", ([[4], [0]], [[6, 6]], 3))
     assert mat.entries == ((4, 2), (0, 2))
-    mat = ktheory._finalize(group, 2, [[4], [0]], "pipeline", [[-8, 16]], 8)
+    mat = ktheory._finalize(group, 2, "pipeline", ([[4], [0]], [[-8, 16]], 8))
     assert mat.entries == ((4, -1), (0, 2))
     assert all(type(e) is int for row in mat.entries for e in row)
 
@@ -451,7 +460,7 @@ def test_a_perturbed_count_breaks_the_spin_columns_on_both_routes(monkeypatch, n
         monkeypatch.setattr(ktheory, "signed_table", table)
         for route, build in (
             ("closed form", lambda: adams_matrix(group, l, cross_check=False)),
-            ("pipeline", lambda: ktheory._pullback(group, l)),
+            ("pipeline", lambda: _finalized(group, l, "pipeline")),
         ):
             with pytest.raises(ConsistencyError, match="non-integer entry") as info:
                 build()
@@ -479,36 +488,57 @@ def test_a_successful_assembly_builds_no_fraction(monkeypatch):
         assert all(type(e) is int for row in mat.entries for e in row)
 
 
-def test_consistency_error_names_the_first_difference(monkeypatch):
-    group, l = GroupSpec("Sp", 20), 50
-    good = ktheory._pullback(group, l)
+def _one_more_at(route, i, j):
+    """The route with entry (i, j) of its matrix one larger: an integer
+    column's entry, or a rational column's numerator plus the denominator."""
+    def changed(group, l):
+        rows, rational, den = route(group, l)
+        rows, rational = [list(row) for row in rows], [list(col) for col in rational]
+        if j < len(rows[0]):
+            rows[i][j] += 1
+        else:
+            rational[j - len(rows[0])][i] += den
+        return rows, rational, den
+    return changed
+
+
+@pytest.mark.parametrize(
+    "family, name, cell",
+    # a wedge column of Sp(20); the spin column of Spin(41), numerators over
+    # 2^21; the d(S+) column of Spin(40), numerators over 2^20
+    [("Sp", "Sp(20)", (3, 5)), ("SpinOdd", "Spin(41)", (3, 19)), ("SpinEven", "Spin(40)", (3, 18))],
+    ids=["Sp", "SpinOdd", "SpinEven"],
+)
+def test_consistency_error_names_the_first_difference(monkeypatch, family, name, cell):
+    group, l = GroupSpec(family, 20), 50
+    good = _finalized(group, l, "pipeline")
     entries = [list(row) for row in good.entries]
-    entries[3][5] += 1
-    wrong = ktheory.AdamsMatrix(group, l, tuple(tuple(row) for row in entries))
-    monkeypatch.setattr(ktheory, "_pullback", lambda g, m: wrong)
+    i, j = cell
+    entries[i][j] += 1
+    pipeline = ktheory.FAMILY_TABLE[family].pipeline
+    monkeypatch.setattr(ktheory, pipeline, _one_more_at(getattr(ktheory, pipeline), i, j))
     with pytest.raises(ConsistencyError) as info:
         adams_matrix(group, l)
     message = str(info.value)
-    assert "Sp(20)" in message and "l=50" in message
+    assert name in message and "l=50" in message
     assert "closed form" in message and "pipeline" in message
-    assert "row 3, column 5" in message
-    assert str(good.entries[3][5]) in message and str(entries[3][5]) in message
+    assert f"row {i}, column {j}" in message
+    assert str(good.entries[i][j]) in message and str(entries[i][j]) in message
     assert len(message) < 400, len(message)
     err = info.value
     assert (err.group, err.l, err.routes) == (group, l, ("closed form", "pipeline"))
-    assert err.cell == (3, 5)
-    assert err.values == (good.entries[3][5], entries[3][5])
+    assert err.cell == cell
+    assert err.values == (good.entries[i][j], entries[i][j])
     assert message == (
-        f"closed form and pipeline disagree for Sp(20), l=50: first at row 3, column 5: "
-        f"closed form {good.entries[3][5]} != pipeline {entries[3][5]}"
+        f"closed form and pipeline disagree for {name}, l=50: first at row {i}, column {j}: "
+        f"closed form {good.entries[i][j]} != pipeline {entries[i][j]}"
     )
 
 
 def test_g2_consistency_error_fields(monkeypatch):
-    good = ktheory._pullback(GroupSpec("G2"), 3)
+    good = _finalized(GroupSpec("G2"), 3, "pipeline")
     entries = ((good.entries[0][0], good.entries[0][1]), (good.entries[1][0] - 1, good.entries[1][1]))
-    wrong = ktheory.AdamsMatrix(good.group, 3, entries)
-    monkeypatch.setattr(ktheory, "_pullback", lambda g, m: wrong)
+    monkeypatch.setattr(ktheory, "_g2_pipeline", lambda g, m: (entries, (), 1))
     with pytest.raises(ConsistencyError) as info:
         adams_matrix(GroupSpec("G2"), 3)
     err = info.value
@@ -543,12 +573,23 @@ def test_family_table_covers_every_family(monkeypatch):
         # a family with a pipeline has a basis wedge or middle row up to m//2
         if family.pipeline is not None:
             assert family.wedges(n) + len(family.middle_rows(n)) == family.dimension(n) // 2
-        # the closed routes are named, so that they are looked up when called
+        # the routes are named, so that they are looked up when called
         assert callable(getattr(ktheory, family.closed))
-    monkeypatch.setattr(ktheory, "_symplectic_closed", lambda group, l: ("replaced", group, l))
-    assert adams_matrix(GroupSpec("Sp", 3), 2, cross_check=False) == (
-        "replaced", GroupSpec("Sp", 3), 2
+        assert family.pipeline is None or callable(getattr(ktheory, family.pipeline))
+    # a route replaced by name is the one `adams_matrix` runs, for either route
+    group = GroupSpec("Sp", 3)
+
+    def replaced(g, l):
+        return [[g.n, l, 0]] * 3, (), 1
+
+    monkeypatch.setattr(ktheory, "_symplectic_closed", replaced)
+    assert adams_matrix(group, 2, cross_check=False) == ktheory.AdamsMatrix(
+        group, 2, ((3, 2, 0),) * 3
     )
+    with pytest.raises(ConsistencyError, match="row 0, column 0"):
+        adams_matrix(group, 2, cross_check=True)
+    monkeypatch.setattr(ktheory, "_symplectic_pipeline", replaced)
+    assert adams_matrix(group, 2, cross_check=True).entries == ((3, 2, 0),) * 3
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -564,14 +605,21 @@ def test_l_is_rejected_before_any_count_is_built(monkeypatch, family, cross_chec
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("cross_check", [True, False])
 def test_l_is_checked_once_per_matrix(monkeypatch, family, cross_check):
-    calls = []
-    real = ktheory._require_l
+    # and each route it runs is finalized once, by `adams_matrix`
+    calls, routes = [], []
+    real, finalize = ktheory._require_l, ktheory._finalize
     monkeypatch.setattr(ktheory, "_require_l", lambda l: calls.append(l) or real(l))
+    monkeypatch.setattr(
+        ktheory, "_finalize", lambda *args: routes.append(args[2]) or finalize(*args)
+    )
     group = GroupSpec(family, 3)
+    cross_checked = cross_check and family not in ("U", "SU")
     for l in (1, 2, 7):
         calls.clear()
+        routes.clear()
         adams_matrix(group, l, cross_check=cross_check)
         assert calls == [l], (group, l)
+        assert routes == ["closed form", "pipeline"][: 1 + cross_checked], (group, l)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

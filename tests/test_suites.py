@@ -23,8 +23,8 @@ SUITE_ARGS = {"counts": (3, 2), "matrices": (3, 2), "eigen": (2, 3), "oracle": (
 def _leak_a_fraction(closed):
     """The closed route with its top-left entry an equal Fraction."""
     def leaky(group, l):
-        (first, *rest) = closed(group, l).entries
-        return AdamsMatrix(group, l, ((Fraction(first[0]), *first[1:]), *rest))
+        (first, *rest), rational, den = closed(group, l)
+        return ((Fraction(first[0]), *first[1:]), *rest), rational, den
     return leaky
 
 
@@ -33,9 +33,10 @@ def _off_by_one(f):
 
 
 def _changed_pipeline(f):
+    """The pipeline with one more in each entry of its integer columns."""
     def pipeline(group, l):
-        mat = f(group, l)
-        return AdamsMatrix(group, l, tuple(tuple(e + 1 for e in row) for row in mat.entries))
+        rows, rational, den = f(group, l)
+        return [[e + 1 for e in row] for row in rows], rational, den
     return pipeline
 
 
@@ -82,7 +83,7 @@ BREAKS = [
     ("counts", 3, suites, "mu_closed", _off_by_one),
     ("counts", 4, suites, "binomial", _off_by_one),
     ("counts", 5, suites, "beta", _off_by_one),
-    ("matrices", 1, ktheory, "_pullback", _changed_pipeline),
+    ("matrices", 1, ktheory, "_symplectic_pipeline", _changed_pipeline),
     ("matrices", 2, AdamsMatrix, "compose", lambda f: lambda self, other: self),
     ("matrices", 3, ktheory, "_unitary_closed", _at_twice_l),
     ("matrices", 4, ktheory, "_unitary_closed", _leak_a_fraction),
