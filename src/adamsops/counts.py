@@ -72,10 +72,12 @@ _ORACLE_CACHE_SIZE = 2**15
 
 
 def _validate(n: int, l: int, k: int = 0, p: int = 0) -> None:
-    _require_int("number of parts n", n)
-    _require_int("part bound parameter l", l)
-    _require_int("wedge degree k", k)
-    _require_int("offset p", p)
+    # exact ints pass at once; anything else gets each check, in order
+    if not type(n) is type(l) is type(k) is type(p) is int:
+        _require_int("number of parts n", n)
+        _require_int("part bound parameter l", l)
+        _require_int("wedge degree k", k)
+        _require_int("offset p", p)
     if n < 1:
         raise ValueError(f"number of parts must be positive, got n={n}")
     if l < 1:

@@ -59,16 +59,14 @@ lengthens the one left by about the bits of ||M|| per column, so the
 columns are packed only while ||M|| < 2^256, and otherwise each takes its
 own mat-vec.
 
-The packed column depends only on the basis, l and ||M||, which fix every
-width K_t, and not on the rest of the matrix.  So each `Eigenbasis` keeps
-the last few it built, by (l, ||M||) (`Eigenbasis.packings`), and a
-repeated certificate computes ||M|| from the matrix it is given, reads
-the columns stored under that key, and makes the one product and the one
-comparison.  The widths are then the ones that call's ||M|| and l
-determine, so every digit is still below half its own base and the proof
-above holds as it stands.  One mat-vec per column is not kept: its
-columns hold more than the basis itself (Spin(161) at l = 50: 948 KiB
-against 547 KiB, tracemalloc).
+Each `Eigenbasis` keeps the last few matrices it proved, by l
+(`Eigenbasis.proved`), as tuples of rows taken from the matrix before the
+proof runs.  A later call whose matrix equals the one kept for its l, entry
+for entry, returns True with no ||M||, no packing and no product.  The
+proof's conclusion depends only on V, M and l: it was drawn for this very
+basis, for exactly these entries and at this l, so it holds as it stands.
+Equality is exact, never a hash, and a matrix the proof refused is never
+kept, so a hit cannot certify a matrix that was not proved.
 """
 
 from __future__ import annotations
@@ -108,28 +106,24 @@ __all__ = [
 # Ranks and groups kept by each eigen cache.  eigen-spectrum's lap touches
 # 5 unitary ranks and 26 groups.  The eigenvector records of U(80) take
 # about 0.4 MB and the eigenbasis of Spin(161) about 0.6 MB (tracemalloc).
-# Each eigenbasis also keeps its last _PACKING_CACHE_SIZE packed certificate
-# columns, the first stored dropped first: enough for the eigen suite's three
-# default levels and one more.  An entry is 2d integers of sum_t K_t bits,
-# so it grows about as d^2 times the bits of ||M||.  Measured with
-# tracemalloc, the packings kept after eigen-spectrum's lap take 568 KiB (29
-# entries), after the eigen suite 58 KiB at its defaults and 1.45 MiB at its
-# caps (208 entries over 52 bases).  The largest measured, four entries for
-# U(80) at l = 2, 3, 5, 8 (||M|| up to 241 bits), take 2.2 MiB against the
-# basis's 342 KiB, and Spin(161)'s one entry at l = 2 1.1 MiB.
+# Each eigenbasis also keeps the last matrix it proved at each of at most
+# _PROVED_CACHE_SIZE levels l, the first stored dropped first: enough for
+# the eigen suite's three default levels and one more.  An entry is the d^2
+# entries of one matrix.  Measured with tracemalloc, the matrices kept after
+# eigen-spectrum's lap take 356 KiB (29 entries), after the eigen suite
+# 54 KiB at its defaults and 1.06 MiB at its caps (208 entries over 52
+# bases), and U(80) at l = 2, 3, 5, 8 215 KiB against the basis's 349 KiB.
 _BASIS_CACHE_SIZE = 64
-_PACKING_CACHE_SIZE = 4
+_PROVED_CACHE_SIZE = 4
 
 # Where ||M|| < 2^256 the certificate packs every column into one product,
-# and otherwise takes one mat-vec per column, which keeps nothing.  Packed
-# time over per-column time, with the packing built (a miss) and kept (a
-# hit), interleaved, median of 7-9 rounds: U(80) l = 8 (||M|| of 241 bits)
-# 0.71 and 0.65, l = 12 (287 bits) 0.85 and 0.77, l = 20 (346) 1.03 and
-# 1.00, l = 50 (452) 1.44 and 1.42; SpinOdd(80) l = 3 (332) 0.93 and 0.83,
-# l = 50 (981) 2.3 and 2.3; but U(50) l = 100 (333) 1.18 and 1.06 and U(30)
-# l = 1000 (299) 1.11 and 0.93.  The crossover moves with d, near 2^300 at
-# d = 30 and 2^340 at d = 80, and later on a hit than on a miss, so no bound
-# on ||M|| picks the faster path at every one of them, on both sides.
+# and otherwise takes one mat-vec per column.  Packed time over per-column
+# time, packing included, interleaved, median of 7-9 rounds: U(80) l = 8
+# (||M|| of 241 bits) 0.71, l = 12 (287 bits) 0.85, l = 20 (346) 1.03,
+# l = 50 (452) 1.44; SpinOdd(80) l = 3 (332) 0.93, l = 50 (981) 2.3; but
+# U(50) l = 100 (333) 1.18 and U(30) l = 1000 (299) 1.11.  The crossover
+# moves with d, near 2^300 at d = 30 and 2^340 at d = 80, so no bound on
+# ||M|| picks the faster path at every one of them, on both sides.
 _PACK_NORM_BITS = 256
 
 
@@ -323,8 +317,8 @@ class Eigenbasis(Record):
 
     What does not depend on l is computed once per record, on first use:
     `heights`, and `well_formed`, the conditions of the certificate that
-    hold or fail for every l alike.  `packings` keeps the packed columns
-    the certificate last built for this record, by (l, ||M||)."""
+    hold or fail for every l alike.  `proved` keeps the matrices the
+    certificate last proved with this record, by l."""
 
     group: GroupSpec
     eigenvalue_exponents: tuple[int, ...]
@@ -337,9 +331,9 @@ class Eigenbasis(Record):
         return tuple(max(map(abs, col), default=0) for col in self.columns)
 
     @cached_property
-    def packings(self) -> dict[tuple[int, int], list[tuple[int, list[int]]]]:
-        """The packed columns `_certifies` has multiplied, by (l, ||M||),
-        which fix every width: at most `_PACKING_CACHE_SIZE`, the first
+    def proved(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """The last matrix `_certifies` proved with these columns at each l,
+        as a tuple of rows: at most `_PROVED_CACHE_SIZE` levels, the first
         stored dropped first."""
         return {}
 
@@ -532,28 +526,32 @@ def _certifies(vb: Eigenbasis, entries: Sequence[Sequence[int]], l: int) -> bool
     value, K that column's own width, so the packed check holds exactly
     when every column's does (see the module docstring).
 
-    The packed column is built once per (l, ||M||) and kept by the basis
-    (`Eigenbasis.packings`).  Every call computes ||M|| from `entries`, so
-    a matrix that shares it reuses columns of exactly the widths its own
-    ||M|| and l give, and the same bound holds for it; any other matrix
-    packs its own."""
+    A matrix that passes is kept by the basis under its l
+    (`Eigenbasis.proved`), as the tuple of rows the proof read.  A later
+    call whose entries equal it exactly returns True at once: the same
+    basis, the same l and the same entries have already passed every step
+    above.  Any other matrix is proved from the start."""
     if not (len(vb.columns) == len(entries) and vb.well_formed):
         return False
     if l == 1:
         # row i is the unit row e_i: its entry i is 1 and its L1 norm is 1
         return all(row[i] == 1 == sum(map(abs, row)) for i, row in enumerate(entries))
-    norm = max((sum(map(abs, row)) for row in entries), default=0)
-    packings = vb.packings
-    columns = packings.get((l, norm))
-    if columns is None:
-        columns = _columns(vb, norm, l)
-        if norm.bit_length() <= _PACK_NORM_BITS:
-            columns = [_merged(columns)]
-            if len(packings) == _PACKING_CACHE_SIZE:
-                del packings[next(iter(packings))]
-            packings[l, norm] = columns
-    d = len(entries)
-    return all(_times(entries, w[:d]) == w[d:] for _, w in columns)
+    # a snapshot, so that a later change to `entries` cannot reach the kept matrix
+    matrix = tuple(map(tuple, entries))
+    proved = vb.proved
+    if proved.get(l) == matrix:
+        return True
+    norm = max((sum(map(abs, row)) for row in matrix), default=0)
+    columns = _columns(vb, norm, l)
+    if norm.bit_length() <= _PACK_NORM_BITS:
+        columns = [_merged(columns)]
+    d = len(matrix)
+    if not all(_times(matrix, w[:d]) == w[d:] for _, w in columns):
+        return False
+    if l not in proved and len(proved) == _PROVED_CACHE_SIZE:
+        del proved[next(iter(proved))]
+    proved[l] = matrix
+    return True
 
 
 def spectrum_check(group: GroupSpec, l: int) -> SpectrumReport:

@@ -643,11 +643,15 @@ def test_packed_certificate_matches_the_columnwise_check(monkeypatch):
             entries = adams_matrix(group, l).entries
             d = len(entries)
             norm = max(sum(map(abs, row)) for row in entries)
+            # on a basis that has proved nothing yet: one product of the
+            # packed column, or one per column where ||M|| >= 2^256; then a
+            # repeat on that basis makes none
+            fresh = Eigenbasis(group, vb.eigenvalue_exponents, vb.columns)
             products.clear()
-            assert _certifies(vb, entries, l) and _columnwise_certifies(vb, entries, l)
-            # one product of the packed column, or one per column where
-            # ||M|| >= 2^256
+            assert _certifies(fresh, entries, l) and _columnwise_certifies(vb, entries, l)
             assert len(products) == (1 if norm < 2**256 else d), (str(group), l)
+            assert _certifies(fresh, entries, l) and len(products) == (1 if norm < 2**256 else d)
+            assert _certifies(vb, entries, l)
             assert spectrum_check(group, l) == _columnwise_spectrum(group, l), (str(group), l)
             # one entry, and two adjacent ones in a row and in a column
             shapes = [[(d - 1, 0)]]
@@ -706,8 +710,9 @@ def test_a_mixed_width_run_refuses_a_change_at_either_end(group, l):
 )
 def test_the_packed_and_the_columnwise_path_agree_near_the_crossover(monkeypatch, group, l):
     # ||M|| of 241, 287 and 332 bits, on either side of _PACK_NORM_BITS: each
-    # path, forced, certifies the matrix on a miss and on a hit, and refuses
-    # it with two entries of one row swapped
+    # path, forced on a fresh basis, certifies the matrix with its own
+    # products and keeps it, certifies it again with none, and refuses it
+    # with two entries of one row swapped
     vb = eigenbasis(group)
     entries = adams_matrix(group, l).entries
     d = len(entries)
@@ -717,9 +722,11 @@ def test_the_packed_and_the_columnwise_path_agree_near_the_crossover(monkeypatch
         products = []
         with monkeypatch.context() as m:
             m.setattr(eigen, "_times", lambda rows, v: products.append(v) or _times(rows, v))
-            assert _certifies(basis, entries, l) and _certifies(basis, entries, l), bits
-        assert len(products) == 2 * per_call and len(basis.packings) == (per_call == 1)
+            assert _certifies(basis, entries, l), bits
+            assert len(products) == per_call and basis.proved == {l: entries}
+            assert _certifies(basis, entries, l) and len(products) == per_call, bits
         assert not _certifies(basis, _swapped(entries), l), bits
+        assert basis.proved == {l: entries}
 
 
 def _swapped(entries):
@@ -741,52 +748,84 @@ def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
         assert maxsize is not None and 0 < maxsize <= 1024
     # the levels are built into the records, cached per rank, and not kept
     assert not hasattr(_unitary_level, "cache_info")
-    # each eigenbasis keeps its packed columns by (l, ||M||), at most
-    # _PACKING_CACHE_SIZE of them, the first stored dropped first
-    cap = eigen._PACKING_CACHE_SIZE
+    # each eigenbasis keeps the last matrix it proved at each l, at most
+    # _PROVED_CACHE_SIZE of them, the first stored dropped first
+    cap = eigen._PROVED_CACHE_SIZE
     assert 3 <= cap <= 8
     eigenbasis.cache_clear()
     vb = eigenbasis(group := GroupSpec("U", 6))
     for l in range(2, cap + 6):
-        assert _certifies(vb, adams_matrix(group, l).entries, l)
-        assert [key[0] for key in vb.packings] == list(range(max(2, l - cap + 1), l + 1))
-    # a hit reuses the columns alone: a matrix of the same ||M|| that differs
-    # is refused, and packs nothing
-    for group in (GroupSpec("U", 12), GroupSpec("Sp", 9), GroupSpec("SpinOdd", 10), GroupSpec("SpinEven", 8)):
+        assert _certifies(vb, entries := adams_matrix(group, l).entries, l)
+        assert list(vb.proved) == list(range(max(2, l - cap + 1), l + 1))
+        assert vb.proved[l] == entries
+    # a hit makes no product: only the very matrix proved at that l, or one
+    # equal to it entry for entry, is certified without one; every change
+    # of one entry of the first, middle or last row or column, one that
+    # keeps ||M|| or not, two entries swapped, and the same entries at
+    # another l are proved afresh and refused.  U(50) at l = 50 takes one
+    # mat-vec per column; there only the nine cells where those rows and
+    # columns cross are changed
+    keeps_norm = 0
+    cases = [
+        (GroupSpec(family, n), l)
+        for family, n in (("U", 12), ("Sp", 9), ("SpinOdd", 10), ("SpinEven", 8))
+        for l in (2, 3, 50)
+    ]
+    for group, l in cases + [(GroupSpec("U", 50), 50)]:
         vb = eigenbasis(group)
-        for l in (2, 3, 50):
-            entries = adams_matrix(group, l).entries
-            norm = max(sum(map(abs, row)) for row in entries)
-            assert norm < 2**eigen._PACK_NORM_BITS and _certifies(vb, entries, l)
-            stored = vb.packings[l, norm]
-            with monkeypatch.context() as m:
-                m.setattr(eigen, "_columns", None)
-                assert not _certifies(vb, _swapped(entries), l), (str(group), l)
-                assert _certifies(vb, entries, l)
-            assert vb.packings[l, norm] is stored and len(vb.packings) <= cap
-            # a matrix of another ||M|| packs its own columns, at its own widths
-            packed = []
-            with monkeypatch.context() as m:
-                m.setattr(eigen, "_columns", lambda *args: packed.append(args) or _columns(*args))
-                changed = _changed(entries, [(0, 0)], 3 * norm)
-                assert not _certifies(vb, changed, l), (str(group), l)
-            assert packed == [(vb, max(sum(map(abs, row)) for row in changed), l)]
-            # a second basis of the same group, one entry moved, has its own
-            # columns: it is refused though the cached basis holds this key
-            columns = [list(col) for col in vb.columns]
-            columns[-1][0] += 1
-            moved = Eigenbasis(group, vb.eigenvalue_exponents, tuple(map(tuple, columns)))
-            assert moved.well_formed and not _certifies(moved, entries, l), (str(group), l)
-            with monkeypatch.context() as m:
-                m.setattr(eigen, "eigenbasis", lambda g: moved)
-                assert not spectrum_check(group, l).certified
+        entries = adams_matrix(group, l).entries
+        d = len(entries)
+        norm = max(sum(map(abs, row)) for row in entries)
+        assert (norm < 2**eigen._PACK_NORM_BITS) == (d < 50), (str(group), l)
+        assert _certifies(vb, entries, l) and vb.proved[l] == entries
+        with monkeypatch.context() as m:
+            m.setattr(eigen, "_columns", None)
+            m.setattr(eigen, "_times", None)
+            assert _certifies(vb, entries, l) and _certifies(vb, [list(r) for r in entries], l)
+        lines = sorted({0, d // 2, d - 1})
+        cells = [(i, j) for i in lines for j in lines]
+        if d < 50:
+            cells = {cell for i in lines for j in range(d) for cell in ((i, j), (j, i))}
+        for i, j in cells:
+            for delta in (1, -1):
+                changed = _changed(entries, [(i, j)], delta)
+                keeps_norm += max(sum(map(abs, row)) for row in changed) == norm
+                assert not _certifies(vb, changed, l), (str(group), l, i, j, delta)
+        assert not _certifies(vb, _swapped(entries), l), (str(group), l)
+        assert not _certifies(vb, entries, l + 1) and not _certifies(vb, entries, 2 * l)
+        assert vb.proved[l] == entries and len(vb.proved) <= cap
+        # a matrix of another ||M|| packs its own columns, at its own widths
+        packed = []
+        with monkeypatch.context() as m:
+            m.setattr(eigen, "_columns", lambda *args: packed.append(args) or _columns(*args))
+            changed = _changed(entries, [(0, 0)], 3 * norm)
+            assert not _certifies(vb, changed, l), (str(group), l)
+        assert packed == [(vb, max(sum(map(abs, row)) for row in changed), l)]
+        # the basis keeps a snapshot: rows proved as lists and changed later
+        # are proved again, and refused
+        fresh = Eigenbasis(group, vb.eigenvalue_exponents, vb.columns)
+        rows = [list(row) for row in entries]
+        assert _certifies(fresh, rows, l) and fresh.proved == {l: entries}
+        rows[d // 2][d // 2] += 1
+        assert not _certifies(fresh, rows, l) and fresh.proved == {l: entries}
+        # a second basis of the same group, one entry moved, keeps its own
+        # matrices: it is refused though the cached basis holds this one
+        columns = [list(col) for col in vb.columns]
+        columns[-1][0] += 1
+        moved = Eigenbasis(group, vb.eigenvalue_exponents, tuple(map(tuple, columns)))
+        assert moved.well_formed and not _certifies(moved, entries, l), (str(group), l)
+        assert not moved.proved
+        with monkeypatch.context() as m:
+            m.setattr(eigen, "eigenbasis", lambda g: moved)
+            assert not spectrum_check(group, l).certified
+    assert keeps_norm
     # a repeated check returns the report of the first, packed or not
     eigenbasis.cache_clear()
     for group in _groups(12):
         for l in (1, 2, 3, 50):
             assert spectrum_check(group, l) == spectrum_check(group, l), (str(group), l)
-        assert len(eigenbasis(group).packings) <= cap
-    assert spectrum_check(sp3 := GroupSpec("Sp", 3), 2).certified and eigenbasis(sp3).packings
+        assert len(eigenbasis(group).proved) <= cap
+    assert spectrum_check(sp3 := GroupSpec("Sp", 3), 2).certified and eigenbasis(sp3).proved
     eigenvector(5, 2)
     eigenbasis_determinant(5)
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -800,5 +839,5 @@ def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
         for name in ("workloads", "reference"):
             sys.modules.pop(name, None)
     assert all(cache.cache_info().currsize == 0 for cache in caches)
-    # the packings went with the basis that kept them
-    assert not eigenbasis(sp3).packings
+    # the proved matrices went with the basis that kept them
+    assert not eigenbasis(sp3).proved
