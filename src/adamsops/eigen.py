@@ -59,14 +59,14 @@ lengthens the one left by about the bits of ||M|| per column, so the
 columns are packed only while ||M|| < 2^256, and otherwise each takes its
 own mat-vec.
 
-Each `Eigenbasis` keeps the last few matrices it proved, by l
-(`Eigenbasis.proved`), as tuples of rows taken from the matrix before the
-proof runs.  A later call whose matrix equals the one kept for its l, entry
-for entry, returns True with no ||M||, no packing and no product.  The
-proof's conclusion depends only on V, M and l: it was drawn for this very
-basis, for exactly these entries and at this l, so it holds as it stands.
-Equality is exact, never a hash, and a matrix the proof refused is never
-kept, so a hit cannot certify a matrix that was not proved.
+`spectrum_check` keeps its reports in one bounded memo by (group, l).  A
+`SpectrumReport` depends on nothing else: the cross-checked matrix, the
+eigenbasis and the expected polynomial are each a function of the group and
+l alone, and so is what the certificate or `char_poly` makes of them.  So a
+repeat returns the report a fresh run would make, the same object, with no
+matrix, no polynomial and no certificate.  A `ConsistencyError` from the
+matrix is raised, never kept, so it is raised again on every call.  The
+certificate itself keeps nothing: a miss proves its matrix from the start.
 """
 
 from __future__ import annotations
@@ -103,18 +103,14 @@ __all__ = [
     "spectrum_check",
 ]
 
-# Ranks and groups kept by each eigen cache.  eigen-spectrum's lap touches
-# 5 unitary ranks and 26 groups.  The eigenvector records of U(80) take
-# about 0.4 MB and the eigenbasis of Spin(161) about 0.6 MB (tracemalloc).
-# Each eigenbasis also keeps the last matrix it proved at each of at most
-# _PROVED_CACHE_SIZE levels l, the first stored dropped first: enough for
-# the eigen suite's three default levels and one more.  An entry is the d^2
-# entries of one matrix.  Measured with tracemalloc, the matrices kept after
-# eigen-spectrum's lap take 356 KiB (29 entries), after the eigen suite
-# 54 KiB at its defaults and 1.06 MiB at its caps (208 entries over 52
-# bases), and U(80) at l = 2, 3, 5, 8 215 KiB against the basis's 349 KiB.
+# Ranks, groups and (group, l) reports kept by each eigen cache.
+# eigen-spectrum's lap touches 5 unitary ranks and 26 groups and makes 30
+# spectrum reports, 25 of them on a (group, l) of the lap before.  Measured
+# with tracemalloc, the eigenvector records of U(80) take about 0.4 MB and
+# the eigenbasis of Spin(161) about 0.6 MB.  A report holds no matrix: the
+# memo takes 83 KiB after that lap (30 reports), and 24 KiB after the eigen
+# suite at its defaults and 30 KiB at its caps (64 reports each time).
 _BASIS_CACHE_SIZE = 64
-_PROVED_CACHE_SIZE = 4
 
 # Where ||M|| < 2^256 the certificate packs every column into one product,
 # and otherwise takes one mat-vec per column.  Packed time over per-column
@@ -317,8 +313,7 @@ class Eigenbasis(Record):
 
     What does not depend on l is computed once per record, on first use:
     `heights`, and `well_formed`, the conditions of the certificate that
-    hold or fail for every l alike.  `proved` keeps the matrices the
-    certificate last proved with this record, by l."""
+    hold or fail for every l alike."""
 
     group: GroupSpec
     eigenvalue_exponents: tuple[int, ...]
@@ -329,13 +324,6 @@ class Eigenbasis(Record):
         """The largest absolute entry of each column, which bounds the
         packed certificate's digits."""
         return tuple(max(map(abs, col), default=0) for col in self.columns)
-
-    @cached_property
-    def proved(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        """The last matrix `_certifies` proved with these columns at each l,
-        as a tuple of rows: at most `_PROVED_CACHE_SIZE` levels, the first
-        stored dropped first."""
-        return {}
 
     @cached_property
     def well_formed(self) -> bool:
@@ -371,7 +359,7 @@ def eigenbasis(group: GroupSpec) -> Eigenbasis:
     zero image is dropped and a nonzero one divided by the gcd of its
     entries.  The family's `extra_eigenvectors` follow, and the columns
     are ordered by exponent.  `spectrum_check` does not
-    trust the result: it checks it on every call.
+    trust the result: it checks it for every report it makes.
     """
     family = FAMILY_TABLE[group.family]
     n, m = group.n, family.dimension(group.n)
@@ -524,34 +512,18 @@ def _certifies(vb: Eigenbasis, entries: Sequence[Sequence[int]], l: int) -> bool
     where ||M|| >= 2^256.  With ||M|| the largest row L1 norm, each packed
     digit of M.u - u' is at most (||M|| + l^e) max|w| < 2^(K-1) in absolute
     value, K that column's own width, so the packed check holds exactly
-    when every column's does (see the module docstring).
-
-    A matrix that passes is kept by the basis under its l
-    (`Eigenbasis.proved`), as the tuple of rows the proof read.  A later
-    call whose entries equal it exactly returns True at once: the same
-    basis, the same l and the same entries have already passed every step
-    above.  Any other matrix is proved from the start."""
+    when every column's does (see the module docstring)."""
     if not (len(vb.columns) == len(entries) and vb.well_formed):
         return False
     if l == 1:
         # row i is the unit row e_i: its entry i is 1 and its L1 norm is 1
         return all(row[i] == 1 == sum(map(abs, row)) for i, row in enumerate(entries))
-    # a snapshot, so that a later change to `entries` cannot reach the kept matrix
-    matrix = tuple(map(tuple, entries))
-    proved = vb.proved
-    if proved.get(l) == matrix:
-        return True
-    norm = max((sum(map(abs, row)) for row in matrix), default=0)
+    norm = max((sum(map(abs, row)) for row in entries), default=0)
     columns = _columns(vb, norm, l)
     if norm.bit_length() <= _PACK_NORM_BITS:
         columns = [_merged(columns)]
-    d = len(matrix)
-    if not all(_times(matrix, w[:d]) == w[d:] for _, w in columns):
-        return False
-    if l not in proved and len(proved) == _PROVED_CACHE_SIZE:
-        del proved[next(iter(proved))]
-    proved[l] = matrix
-    return True
+    d = len(entries)
+    return all(_times(entries, w[:d]) == w[d:] for _, w in columns)
 
 
 def spectrum_check(group: GroupSpec, l: int) -> SpectrumReport:
@@ -564,7 +536,22 @@ def spectrum_check(group: GroupSpec, l: int) -> SpectrumReport:
     polynomials, so it stays True when `char_poly` finds the wanted one
     that the certificate did not prove; `certified` says whether the
     eigenbasis proved it.
+
+    The group and l are checked first.  The report is then read from a
+    bounded memo by (group, l), so a repeat returns the same object; see
+    the module docstring for why that is the report a fresh run would make.
     """
+    if not isinstance(group, GroupSpec):
+        raise ValueError(f"spectrum_check needs a GroupSpec, got {group!r}")
+    _require_l(l)
+    return _spectrum_report(group, l)
+
+
+# typed, so that a report's l is always of the type it was asked for
+@lru_cache(maxsize=_BASIS_CACHE_SIZE, typed=True)
+def _spectrum_report(group: GroupSpec, l: int) -> SpectrumReport:
+    """The report of `spectrum_check` on a checked group and l, made
+    afresh: kept by (group, l), and read by `spectrum_check` alone."""
     mat = adams_matrix(group, l)
     want = expected_char_poly(group, l)
     certified = _certifies(eigenbasis(group), mat.entries, l)

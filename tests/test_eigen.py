@@ -29,7 +29,16 @@ from adamsops.eigen import (
     sinh_pow_coeff_poly,
     spectrum_check,
 )
-from adamsops.ktheory import FAMILIES, FAMILY_TABLE, AdamsMatrix, GroupSpec, _times, adams_matrix
+import adamsops.ktheory as ktheory
+from adamsops.ktheory import (
+    FAMILIES,
+    FAMILY_TABLE,
+    AdamsMatrix,
+    ConsistencyError,
+    GroupSpec,
+    _times,
+    adams_matrix,
+)
 from adamsops.series import UniPoly, t_over_sinh_pow
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -168,6 +177,18 @@ def test_eigen_rejects_non_int_arguments(bad):
         sinh_pow_coeff_poly(bad)
     with pytest.raises(ValueError, match="Adams operation index l must be an int"):
         expected_char_poly(GroupSpec("U", 3), bad)
+    with pytest.raises(ValueError, match="Adams operation index l must be an int"):
+        spectrum_check(GroupSpec("U", 3), bad)
+
+
+@pytest.mark.parametrize("group", [("U", 3), ["U", 3], "U", None], ids=repr)
+def test_spectrum_check_rejects_a_group_that_is_not_a_groupspec(group):
+    # named in a ValueError before the memo is read, not failed on deep
+    # inside the matrix or as a key no memo can hash
+    info = eigen._spectrum_report.cache_info()
+    with pytest.raises(ValueError, match=re.escape(f"needs a GroupSpec, got {group!r}")):
+        spectrum_check(group, 2)
+    assert eigen._spectrum_report.cache_info() == info
 
 
 @pytest.mark.parametrize("l", [0, -2])
@@ -479,7 +500,7 @@ def test_eigenbasis_restricts_the_unitary_levels():
 
 
 @pytest.mark.parametrize("group", list(_groups(4)), ids=str)
-def test_spectrum_check_reports_a_changed_matrix(monkeypatch, group):
+def test_spectrum_check_reports_a_changed_matrix(monkeypatch, fresh_spectrum_reports, group):
     def changed(group, l):
         entries = [list(row) for row in adams_matrix(group, l).entries]
         entries[0][0] += 1
@@ -492,7 +513,7 @@ def test_spectrum_check_reports_a_changed_matrix(monkeypatch, group):
     assert report.expected_coeffs == expected_char_poly(group, 3)
 
 
-def test_the_report_says_whether_the_eigenbasis_proved_it(monkeypatch):
+def test_the_report_says_whether_the_eigenbasis_proved_it(monkeypatch, fresh_spectrum_reports):
     group = GroupSpec("U", 5)
     assert spectrum_check(group, 3).certified
     # the last column of U(5)'s matrix is 3 e_5, so one more in its last
@@ -500,12 +521,13 @@ def test_the_report_says_whether_the_eigenbasis_proved_it(monkeypatch):
     # an eigen-relation: the report is ok, from char_poly, and not certified
     changed = _changed(adams_matrix(group, 3).entries, [(4, 0)], 1)
     monkeypatch.setattr(eigen, "adams_matrix", lambda g, l: AdamsMatrix(g, l, changed))
+    fresh_spectrum_reports()
     report = spectrum_check(group, 3)
     assert report.ok and not report.certified
     assert not _certifies(eigenbasis(group), changed, 3)
 
 
-def test_spectrum_check_falls_back_on_a_singular_basis(monkeypatch):
+def test_spectrum_check_falls_back_on_a_singular_basis(monkeypatch, fresh_spectrum_reports):
     # each basis below keeps the exponents, yet proves nothing: the
     # certificate must refuse it, and the report must be the one char_poly
     # fills
@@ -526,6 +548,7 @@ def test_spectrum_check_falls_back_on_a_singular_basis(monkeypatch):
         monkeypatch.setattr(eigen, "adams_matrix", lambda g, l: AdamsMatrix(g, l, entries))
         if exponents is not None:
             monkeypatch.setattr(eigen, "family_exponents", lambda g: exponents)
+        fresh_spectrum_reports()
         assert not _certifies(basis, entries, l)
         assert not _columnwise_certifies(basis, entries, l)
         before = len(calls)
@@ -629,7 +652,7 @@ def _horner(columns):
     return sum(width for width, _ in columns), packed
 
 
-def test_packed_certificate_matches_the_columnwise_check(monkeypatch):
+def test_packed_certificate_matches_the_columnwise_check(monkeypatch, fresh_spectrum_reports):
     def unreachable(entries):
         raise AssertionError("a valid matrix reached char_poly")
 
@@ -643,15 +666,11 @@ def test_packed_certificate_matches_the_columnwise_check(monkeypatch):
             entries = adams_matrix(group, l).entries
             d = len(entries)
             norm = max(sum(map(abs, row)) for row in entries)
-            # on a basis that has proved nothing yet: one product of the
-            # packed column, or one per column where ||M|| >= 2^256; then a
-            # repeat on that basis makes none
-            fresh = Eigenbasis(group, vb.eigenvalue_exponents, vb.columns)
+            # one product of the packed column, or one per column where
+            # ||M|| >= 2^256
             products.clear()
-            assert _certifies(fresh, entries, l) and _columnwise_certifies(vb, entries, l)
+            assert _certifies(vb, entries, l) and _columnwise_certifies(vb, entries, l)
             assert len(products) == (1 if norm < 2**256 else d), (str(group), l)
-            assert _certifies(fresh, entries, l) and len(products) == (1 if norm < 2**256 else d)
-            assert _certifies(vb, entries, l)
             assert spectrum_check(group, l) == _columnwise_spectrum(group, l), (str(group), l)
             # one entry, and two adjacent ones in a row and in a column
             shapes = [[(d - 1, 0)]]
@@ -710,23 +729,18 @@ def test_a_mixed_width_run_refuses_a_change_at_either_end(group, l):
 )
 def test_the_packed_and_the_columnwise_path_agree_near_the_crossover(monkeypatch, group, l):
     # ||M|| of 241, 287 and 332 bits, on either side of _PACK_NORM_BITS: each
-    # path, forced on a fresh basis, certifies the matrix with its own
-    # products and keeps it, certifies it again with none, and refuses it
-    # with two entries of one row swapped
+    # path, forced, certifies the matrix with its own products and refuses
+    # it with two entries of one row swapped
     vb = eigenbasis(group)
     entries = adams_matrix(group, l).entries
     d = len(entries)
     for bits, per_call in ((10**4, 1), (0, d)):
         monkeypatch.setattr(eigen, "_PACK_NORM_BITS", bits)
-        basis = Eigenbasis(group, vb.eigenvalue_exponents, vb.columns)
         products = []
         with monkeypatch.context() as m:
             m.setattr(eigen, "_times", lambda rows, v: products.append(v) or _times(rows, v))
-            assert _certifies(basis, entries, l), bits
-            assert len(products) == per_call and basis.proved == {l: entries}
-            assert _certifies(basis, entries, l) and len(products) == per_call, bits
-        assert not _certifies(basis, _swapped(entries), l), bits
-        assert basis.proved == {l: entries}
+            assert _certifies(vb, entries, l) and len(products) == per_call, bits
+        assert not _certifies(vb, _swapped(entries), l), bits
 
 
 def _swapped(entries):
@@ -741,30 +755,12 @@ def _swapped(entries):
     raise AssertionError("no row has two unequal entries")
 
 
-def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
-    caches = (eigenbasis, eigenbasis_determinant, _unitary_vectors, _sinh_values)
-    for cache in caches:
-        maxsize = cache.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize <= 1024
-    # the levels are built into the records, cached per rank, and not kept
-    assert not hasattr(_unitary_level, "cache_info")
-    # each eigenbasis keeps the last matrix it proved at each l, at most
-    # _PROVED_CACHE_SIZE of them, the first stored dropped first
-    cap = eigen._PROVED_CACHE_SIZE
-    assert 3 <= cap <= 8
-    eigenbasis.cache_clear()
-    vb = eigenbasis(group := GroupSpec("U", 6))
-    for l in range(2, cap + 6):
-        assert _certifies(vb, entries := adams_matrix(group, l).entries, l)
-        assert list(vb.proved) == list(range(max(2, l - cap + 1), l + 1))
-        assert vb.proved[l] == entries
-    # a hit makes no product: only the very matrix proved at that l, or one
-    # equal to it entry for entry, is certified without one; every change
-    # of one entry of the first, middle or last row or column, one that
-    # keeps ||M|| or not, two entries swapped, and the same entries at
-    # another l are proved afresh and refused.  U(50) at l = 50 takes one
-    # mat-vec per column; there only the nine cells where those rows and
-    # columns cross are changed
+def test_the_certificate_proves_each_matrix_afresh(monkeypatch, fresh_spectrum_reports):
+    # every change of one entry of the first, middle or last row or column,
+    # one that keeps ||M|| or not, two entries swapped, and the same entries
+    # at another l are refused right after the matrix itself is certified.
+    # U(50) at l = 50 takes one mat-vec per column; there only the nine
+    # cells where those rows and columns cross are changed
     keeps_norm = 0
     cases = [
         (GroupSpec(family, n), l)
@@ -777,11 +773,7 @@ def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
         d = len(entries)
         norm = max(sum(map(abs, row)) for row in entries)
         assert (norm < 2**eigen._PACK_NORM_BITS) == (d < 50), (str(group), l)
-        assert _certifies(vb, entries, l) and vb.proved[l] == entries
-        with monkeypatch.context() as m:
-            m.setattr(eigen, "_columns", None)
-            m.setattr(eigen, "_times", None)
-            assert _certifies(vb, entries, l) and _certifies(vb, [list(r) for r in entries], l)
+        assert _certifies(vb, entries, l) and _certifies(vb, [list(r) for r in entries], l)
         lines = sorted({0, d // 2, d - 1})
         cells = [(i, j) for i in lines for j in lines]
         if d < 50:
@@ -793,7 +785,6 @@ def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
                 assert not _certifies(vb, changed, l), (str(group), l, i, j, delta)
         assert not _certifies(vb, _swapped(entries), l), (str(group), l)
         assert not _certifies(vb, entries, l + 1) and not _certifies(vb, entries, 2 * l)
-        assert vb.proved[l] == entries and len(vb.proved) <= cap
         # a matrix of another ||M|| packs its own columns, at its own widths
         packed = []
         with monkeypatch.context() as m:
@@ -801,31 +792,70 @@ def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
             changed = _changed(entries, [(0, 0)], 3 * norm)
             assert not _certifies(vb, changed, l), (str(group), l)
         assert packed == [(vb, max(sum(map(abs, row)) for row in changed), l)]
-        # the basis keeps a snapshot: rows proved as lists and changed later
-        # are proved again, and refused
-        fresh = Eigenbasis(group, vb.eigenvalue_exponents, vb.columns)
+        # rows certified as lists and changed later are refused
         rows = [list(row) for row in entries]
-        assert _certifies(fresh, rows, l) and fresh.proved == {l: entries}
+        assert _certifies(vb, rows, l)
         rows[d // 2][d // 2] += 1
-        assert not _certifies(fresh, rows, l) and fresh.proved == {l: entries}
-        # a second basis of the same group, one entry moved, keeps its own
-        # matrices: it is refused though the cached basis holds this one
+        assert not _certifies(vb, rows, l)
+        # a second basis of the same group, one entry moved, is refused
+        # though the cached basis has just certified this very matrix
         columns = [list(col) for col in vb.columns]
         columns[-1][0] += 1
         moved = Eigenbasis(group, vb.eigenvalue_exponents, tuple(map(tuple, columns)))
         assert moved.well_formed and not _certifies(moved, entries, l), (str(group), l)
-        assert not moved.proved
         with monkeypatch.context() as m:
             m.setattr(eigen, "eigenbasis", lambda g: moved)
+            fresh_spectrum_reports()
             assert not spectrum_check(group, l).certified
+            fresh_spectrum_reports()
     assert keeps_norm
-    # a repeated check returns the report of the first, packed or not
-    eigenbasis.cache_clear()
+
+
+def test_a_repeated_check_returns_the_report_a_fresh_one_makes(fresh_spectrum_reports):
+    # the memo gives back the very report it kept, and that report equals
+    # the one made after the memo is emptied
     for group in _groups(12):
         for l in (1, 2, 3, 50):
-            assert spectrum_check(group, l) == spectrum_check(group, l), (str(group), l)
-        assert len(eigenbasis(group).proved) <= cap
-    assert spectrum_check(sp3 := GroupSpec("Sp", 3), 2).certified and eigenbasis(sp3).proved
+            kept = spectrum_check(group, l)
+            assert spectrum_check(group, l) is kept, (str(group), l)
+            fresh_spectrum_reports()
+            assert spectrum_check(group, l) == kept, (str(group), l)
+
+
+def test_a_consistency_error_is_raised_on_every_call(monkeypatch, fresh_spectrum_reports):
+    # a disagreement of the two routes is raised, never kept as a report
+    real = ktheory._symplectic_pipeline
+
+    def changed(group, l):
+        rows, rational, den = real(group, l)
+        return [[e + 1 for e in row] for row in rows], rational, den
+
+    monkeypatch.setattr(ktheory, "_symplectic_pipeline", changed)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ConsistencyError) as info:
+            spectrum_check(GroupSpec("Sp", 4), 3)
+        raised.append((info.value.routes, info.value.cell, info.value.values))
+    assert raised[0] == raised[1]
+    assert eigen._spectrum_report.cache_info().currsize == 0
+
+
+def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
+    caches = (
+        eigenbasis, eigenbasis_determinant, _unitary_vectors, _sinh_values, eigen._spectrum_report
+    )
+    for cache in caches:
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1024
+    # the levels are built into the records, cached per rank, and not kept
+    assert not hasattr(_unitary_level, "cache_info")
+    # more distinct (group, l) than the memo holds leave it at its bound
+    groups = [group for group in _groups(12) if group.family != "G2"]
+    for group in groups:
+        for l in (2, 3):
+            spectrum_check(group, l)
+    info = eigen._spectrum_report.cache_info()
+    assert 2 * len(groups) > info.maxsize and info.currsize == info.maxsize
     eigenvector(5, 2)
     eigenbasis_determinant(5)
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -839,5 +869,3 @@ def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
         for name in ("workloads", "reference"):
             sys.modules.pop(name, None)
     assert all(cache.cache_info().currsize == 0 for cache in caches)
-    # the proved matrices went with the basis that kept them
-    assert not eigenbasis(sp3).proved

@@ -186,8 +186,12 @@ def test_certificate_rejects_a_changed_matrix(group, l, data):
         entries[a][b] += data.draw(nonzero)
     changed = tuple(map(tuple, entries))
     assert not _certifies(eigenbasis(group), changed, l)
+    # the memo is emptied under the patch, so that the report is made from
+    # the changed matrix and does not outlive it
     with patch.object(eigen, "adams_matrix", lambda g, l: AdamsMatrix(g, l, changed)):
+        eigen._spectrum_report.cache_clear()
         report = spectrum_check(group, l)
+        eigen._spectrum_report.cache_clear()
     got = char_poly(changed)
     assert report.char_coeffs == got
     assert report.ok == (got == expected_char_poly(group, l))

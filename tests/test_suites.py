@@ -114,10 +114,13 @@ def test_the_breaks_cover_every_row():
 @pytest.mark.parametrize(
     "suite, row, owner, name, wrong", BREAKS, ids=[f"{b[0]}-{b[1]}" for b in BREAKS]
 )
-def test_every_suite_row_can_fail(monkeypatch, suite, row, owner, name, wrong):
+def test_every_suite_row_can_fail(
+    monkeypatch, fresh_spectrum_reports, suite, row, owner, name, wrong
+):
     passed = _run(suite)[row - 1]
     assert passed.ok
     monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+    fresh_spectrum_reports()
     failed = _run(suite)[row - 1]
     assert failed.name == passed.name
     assert not failed.ok
