@@ -212,9 +212,9 @@ def cmd_mu(args: argparse.Namespace) -> int:
 # name: least and largest (--max-rank, --max-l).  Each suite's defaults are
 # its own, in `suites`.  Below the least values some check of the suite would
 # sweep nothing and pass.  The largest values are work caps: with both flags
-# at their caps, counts takes 0.9 s, matrices 2.5 s, eigen 0.75 s and oracle
+# at their caps, counts takes 0.9 s, matrices 2.5 s, eigen 0.38 s and oracle
 # 1.4 s, and past them the cost climbs fast (counts 14/12 1.6 s and 20/16
-# 11 s, matrices 30/6 4.0 s and 40/5 7.4 s, eigen 40/50 2.1 s, oracle 7/4
+# 11 s, matrices 30/6 4.0 s and 40/5 7.4 s, eigen 40/50 1.3 s, oracle 7/4
 # 2.3 s and 6/8 13 s; medians of 4-6 runs, each timed in process in a fresh
 # interpreter, 2-vCPU Xeon VM, Python 3.11.7).
 _SUITES: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
@@ -304,7 +304,7 @@ def _parser() -> argparse.ArgumentParser:
         "--max-l",
         type=int,
         dest="max_l",
-        help="bound for l (for the eigen suite: use l = 2..max-l instead of 2, 3, 5)",
+        help="bound for l (the eigen suite's spectrum row sweeps l = 2..max-l)",
     )
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -79,8 +79,8 @@ from typing import Sequence
 
 from .exactmath import _require_int
 from .ktheory import (
-    FAMILY_TABLE,
     GroupSpec,
+    _family_of,
     _require_l,
     _restrict,
     _times,
@@ -361,7 +361,7 @@ def eigenbasis(group: GroupSpec) -> Eigenbasis:
     are ordered by exponent.  `spectrum_check` does not
     trust the result: it checks it for every report it makes.
     """
-    family = FAMILY_TABLE[group.family]
+    family = _family_of(group, "eigenbasis")
     n, m = group.n, family.dimension(group.n)
     wanted = {e + 1 for e in family.exponents(n)}
     levels = [k for k in range(m) if m - k in wanted]
@@ -429,13 +429,14 @@ def family_exponents(group: GroupSpec) -> tuple[int, ...]:
     U(n): 0..n-1; SU(n): 1..n-1; Sp(n) and Spin(2n+1): 1, 3, ..., 2n-1;
     Spin(2n): 1, 3, ..., 2n-3 together with n-1; G2: 1, 5.
     """
-    return FAMILY_TABLE[group.family].exponents(group.n)
+    return _family_of(group, "family_exponents").exponents(group.n)
 
 
 def expected_char_poly(group: GroupSpec, l: int) -> tuple[int, ...]:
     """Coefficients of prod_i (x - l^(m_i + 1)), for an l >= 1 like every
     matrix's."""
     _require_l(l)
+    _family_of(group, "expected_char_poly")  # refuses anything but a GroupSpec
     coeffs = [1]
     for m in family_exponents(group):
         root = l ** (m + 1)

@@ -111,28 +111,42 @@ class ConsistencyError(Exception):
         self.values = values
 
 
+# The rank of a `GroupSpec` that leaves it out, which only a family of
+# fixed rank may do.
+_NO_RANK = object()
+
+
 class GroupSpec(Record):
     """A group family tag plus its rank parameter n.
 
     U(n): n >= 1; SU(n): n >= 2; Sp(n): n >= 1; SpinOdd is Spin(2n+1) with
     n >= 1; SpinEven is Spin(2n) with n >= 3 (Spin(4) is not simple and its
-    generator list degenerates).  G2 has fixed rank; n is normalized to 2.
+    generator list degenerates).  G2 has fixed rank; n is normalized to 2,
+    and only such a family may leave n out.
     """
 
     family: str
-    n: int = 2
+    n: int = _NO_RANK
 
     def __post_init__(self) -> None:
-        family = FAMILY_TABLE.get(self.family)
-        if family is None:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        _require_int("rank", self.n)
-        if family.fixed_rank is not None:
-            object.__setattr__(self, "n", family.fixed_rank)
-        elif self.n < family.min_rank:
+        try:
+            family = FAMILY_TABLE[self.family]
+        except (KeyError, TypeError):  # TypeError: a family no dict can hash
             raise ValueError(
-                f"rank {self.n} too small for {self.family} (minimum {family.min_rank})"
-            )
+                f"unknown family {self.family!r}; expected one of {FAMILIES}"
+            ) from None
+        n = self.n
+        if family.fixed_rank is not None:
+            if n is not _NO_RANK:
+                _require_int("rank", n)
+            object.__setattr__(self, "n", family.fixed_rank)
+            return
+        if type(n) is not int:  # a plain int needs no further type check
+            if n is _NO_RANK:
+                raise ValueError(f"rank is required for family {self.family}")
+            _require_int("rank", n)
+        if n < family.min_rank:
+            raise ValueError(f"rank {n} too small for {self.family} (minimum {family.min_rank})")
 
     def __str__(self) -> str:
         family = FAMILY_TABLE[self.family]
@@ -192,15 +206,24 @@ class Family(Record):
     extra_eigenvectors: Callable[[int], list[tuple[int, tuple[int, ...]]]] = lambda n: []
 
 
+def _family_of(group: GroupSpec, caller: str) -> Family:
+    """The family record of a group given to a public function, `caller`:
+    anything but a `GroupSpec` is refused here with a ValueError naming the
+    caller, not met deep inside as an AttributeError."""
+    if not isinstance(group, GroupSpec):
+        raise ValueError(f"{caller} needs a GroupSpec, got {group!r}")
+    return FAMILY_TABLE[group.family]
+
+
 def defining_dimension(group: GroupSpec) -> int:
     """Dimension of the defining representation whose exterior powers feed
     the pipeline: n, n, 2n, 2n+1, 2n, 7 for U, SU, Sp, SpinOdd, SpinEven, G2."""
-    return FAMILY_TABLE[group.family].dimension(group.n)
+    return _family_of(group, "defining_dimension").dimension(group.n)
 
 
 def basis(group: GroupSpec) -> tuple[BasisElement, ...]:
     """The fixed, ordered basis of primitive generators for the group."""
-    family = FAMILY_TABLE[group.family]
+    family = _family_of(group, "basis")
     m = family.dimension(group.n)
     wedges = range(1, family.wedges(group.n) + 1)
     return tuple(BasisElement("wedge", k, f"d(L^{k} s_{m})") for k in wedges) + family.extra
@@ -504,7 +527,7 @@ def adams_matrix(group: GroupSpec, l: int, cross_check: bool = True) -> AdamsMat
     again.  Each route's raw rows are finalized here, the only place that
     does, so a route's non-integer entry raises under its own name.
     """
-    family = FAMILY_TABLE[group.family]
+    family = _family_of(group, "adams_matrix")
     _require_l(l)
     closed = _finalize(group, l, "closed form", globals()[family.closed](group, l))
     if cross_check and family.pipeline is not None:

@@ -376,13 +376,15 @@ def test_verify_caps_admit_every_default_sweep():
         parameters = inspect.signature(getattr(suites, f"{suite}_suite")).parameters
         defaults = (parameters["max_rank"].default, parameters["max_l"].default)
         for default, low, high in zip(defaults, least, most):
-            assert default is None or low <= default <= high, suite
+            assert low <= default <= high, suite
 
 
 def test_verify_runs_at_the_least_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "eigen", "--max-rank", "1", "--max-l", "2")
     assert code == 0
-    assert "l in (2,)" in out
+    # the certificate row works out its own l; --max-l bounds the spectrum row
+    assert "[n<=1, every l >= 1 (l = 1..n+1), all levels]" in out
+    assert "[all families, rank<=1, l in (2,)]" in out
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-rank", "2", "--max-l", "1")
     assert (code, out.splitlines()[-1]) == (0, "4/4 checks passed")
 

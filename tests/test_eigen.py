@@ -191,6 +191,24 @@ def test_spectrum_check_rejects_a_group_that_is_not_a_groupspec(group):
     assert eigen._spectrum_report.cache_info() == info
 
 
+@pytest.mark.parametrize("group", [("U", 3), ["U", 3], "U", None], ids=repr)
+@pytest.mark.parametrize("call", [
+    ktheory.adams_matrix, ktheory.basis, ktheory.defining_dimension,
+    family_exponents, expected_char_poly, eigenbasis,
+], ids=lambda f: f.__name__)
+def test_a_group_that_is_not_a_groupspec_is_named_in_a_value_error(call, group):
+    # each used to fail deep inside, on an attribute a tuple lacks
+    args = (group, 2) if call in (ktheory.adams_matrix, expected_char_poly) else (group,)
+    if call is eigenbasis and isinstance(group, list):
+        # the cache meets an unhashable group first, as `lru_cache` does
+        with pytest.raises(TypeError, match="unhashable"):
+            call(*args)
+        return
+    message = f"{call.__name__} needs a GroupSpec, got {group!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)
+
+
 @pytest.mark.parametrize("l", [0, -2])
 def test_a_nonpositive_l_is_rejected_like_the_matrix(l):
     # no product of (x - l^(m_i + 1)) is computed for an l no matrix has

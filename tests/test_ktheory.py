@@ -7,6 +7,7 @@ tests pin both routes at once.
 """
 
 import fractions
+import re
 from fractions import Fraction
 from math import comb
 
@@ -294,12 +295,9 @@ def _ranks_up_to(family, dimension):
 
 def test_the_routes_agree_at_every_l():
     # Every entry of either route is a polynomial in l of degree <= m, the
-    # defining dimension: a block entry is l times a count of degree <= m-1
-    # (the proof in `signed_table`'s docstring), both routes combine block
-    # entries with coefficients free of l, Spin(2n)'s term l^n 2^(n-1) comes
-    # from `_half_spin_split`, which both share, and G2's closed form has
-    # degree 6.  So the routes' difference vanishes at every l >= 1 once it
-    # vanishes at l = 1..m+1.
+    # defining dimension (the argument is in the `suites` module docstring),
+    # so the routes' difference vanishes at every l >= 1 once it vanishes at
+    # l = 1..m+1.
     built = 0
     for family in ktheory.FAMILY_TABLE.values():
         if family.pipeline is None:
@@ -315,9 +313,9 @@ def test_the_routes_agree_at_every_l():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_entry_is_a_polynomial_in_l_of_degree_at_most_m(family):
-    # the degree bound the test above rests on: the (m+1)-th finite
-    # difference of every entry over l = 1..m+2 is 0, for the two least
-    # ranks and the largest with m <= 12
+    # the degree bound the test above and the eigen suite's certificate row
+    # rest on: the (m+1)-th finite difference of every entry over
+    # l = 1..m+2 is 0, for the two least ranks and the largest with m <= 12
     ranks = _ranks_up_to(ktheory.FAMILY_TABLE[family], 12)
     for n in sorted({*ranks[:2], ranks[-1]}):
         group = GroupSpec(family, n)
@@ -382,6 +380,23 @@ def test_group_spec_rejects_non_int_rank():
         for bad in (True, False, 2.5, 3.0, "3", None):
             with pytest.raises(ValueError):
                 GroupSpec(family, bad)
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "G2"])
+def test_only_a_fixed_rank_family_may_leave_out_its_rank(family):
+    # U used to become U(2) silently
+    with pytest.raises(ValueError, match=f"^rank is required for family {family}$"):
+        GroupSpec(family)
+    with pytest.raises(ValueError, match="^rank must be an int, got None$"):
+        GroupSpec(family, None)
+    assert GroupSpec("G2") == GroupSpec("G2", 2) == GroupSpec(family="G2")
+
+
+@pytest.mark.parametrize("family", [["U"], {"U": 1}, ("U",), 3, None], ids=repr)
+def test_a_family_that_is_no_name_is_unknown(family):
+    # an unhashable one used to raise TypeError from the family table
+    with pytest.raises(ValueError, match=re.escape(f"unknown family {family!r}; expected one of")):
+        GroupSpec(family, 2)
 
 
 def test_l_rejects_bool_and_non_int():

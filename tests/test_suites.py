@@ -88,10 +88,9 @@ BREAKS = [
     ("matrices", 3, ktheory, "_unitary_closed", _at_twice_l),
     ("matrices", 4, ktheory, "_unitary_closed", _leak_a_fraction),
     ("eigen", 1, eigen, "eigenbasis", _moved_entry),
-    ("eigen", 2, eigen, "eigenbasis", _zero_column),
-    ("eigen", 3, eigen, "_sinh_pow_coeff_polys", lambda f: lambda top: f(top + 1)[1:]),
+    ("eigen", 2, eigen, "_sinh_pow_coeff_polys", lambda f: lambda top: f(top + 1)[1:]),
     (
-        "eigen", 4, eigen, "spectrum_check",
+        "eigen", 3, eigen, "spectrum_check",
         lambda f: lambda group, l: SpectrumReport(group, l, False, (), (1, 0), (1, -1)),
     ),
     ("oracle", 1, symoracle, "adams_symbolic_coefficients", _doubled),
@@ -108,7 +107,7 @@ def _run(suite):
 def test_the_breaks_cover_every_row():
     rows = [(suite, row) for suite in SUITE_ARGS for row in range(1, len(_run(suite)) + 1)]
     assert [(suite, row) for suite, row, *_ in BREAKS] == rows
-    assert len(rows) == 17
+    assert len(rows) == 16
 
 
 @pytest.mark.parametrize(
@@ -135,13 +134,45 @@ def test_the_integer_row_catches_an_entry_that_only_equals_an_integer(monkeypatc
     assert row.detail == "U(1), l=1"
 
 
+def test_the_certificate_row_fails_on_dependent_columns(monkeypatch, fresh_spectrum_reports):
+    # a zero column satisfies every eigen-relation, so only the independence
+    # half of the row, the basis's well-formedness, can see it
+    monkeypatch.setattr(eigen, "eigenbasis", _zero_column(eigen.eigenbasis))
+    row = suites.eigen_suite(*SUITE_ARGS["eigen"])[0]
+    assert (row.name, row.ok) == ("eigen: closed-form vectors are independent eigenvectors", False)
+    assert row.detail == "n=1, l=1"
+
+
+def _wrong_at(n, at_l, closed):
+    """The closed route with one more in its top-left entry for U(n) at this
+    l alone."""
+    def route(group, l):
+        rows, rational, den = closed(group, l)
+        if (group, l) == (ktheory.GroupSpec("U", n), at_l):
+            first, *rest = rows
+            rows = [(first[0] + 1, *first[1:]), *rest]
+        return rows, rational, den
+    return route
+
+
+@pytest.mark.parametrize("n, l", [(3, 4), (1, 1), (5, 6), (8, 9)])
+def test_the_certificate_row_proves_every_l(monkeypatch, n, l):
+    # a U(n) matrix wrong at any one l of 1..n+1 fails the row at that l,
+    # whatever l the spectrum row sweeps (here only l = 2)
+    monkeypatch.setattr(ktheory, "_unitary_closed", _wrong_at(n, l, ktheory._unitary_closed))
+    row = suites.eigen_suite(8, 2)[0]
+    assert (row.name, row.ok, row.detail) == (
+        "eigen: closed-form vectors are independent eigenvectors", False, f"n={n}, l={l}"
+    )
+
+
 def test_the_series_row_names_a_wrong_value(monkeypatch):
     # one more than each coefficient polynomial: every degree stays right
     real = eigen._sinh_pow_coeff_polys
     monkeypatch.setattr(
         eigen, "_sinh_pow_coeff_polys", lambda top: [q + UniPoly((1,)) for q in real(top)]
     )
-    row = suites.eigen_suite(*SUITE_ARGS["eigen"])[2]
+    row = suites.eigen_suite(*SUITE_ARGS["eigen"])[1]
     assert (row.name, row.ok) == ("eigen: recurrence matches the series expansion", False)
     assert row.detail == "j=0, y=0"
 
