@@ -13,11 +13,12 @@ only the flags given.  The groups of `--group` come from the family table,
 Each command pays for its imports at start-up, so importing this module
 loads only what `compute` and `mu` run: the counts, the integer matrix
 assembly and argparse.  The rest loads on first use: `suites` for
-`verify`, `eigen` and `series` for `eigen` and the eigen suite,
-`symoracle` for the oracle suite, `json` for json output, and `fractions`
-with `eigen`, whose recurrence runs in them; the `eigen` command prints
-from the records' integer numerators and denominators and builds no
-`Fraction` itself.  csv and pretty output are plain lines; a csv line is
+`verify`, `eigen` for `eigen` and the eigen suite, `series` for the eigen
+suite's recurrence row, `symoracle` for the oracle suite, `json` for json
+output, and `fractions` with `eigen`, whose records give their
+coordinates as `Fraction`s on request; the `eigen` command prints from the
+records' integer numerators and denominators and builds no `Fraction`
+itself.  csv and pretty output are plain lines; a csv line is
 its fields joined by commas and ended by CR LF, the bytes of `csv.writer`,
 as no field holds a comma, a quote or a line break.
 
@@ -38,7 +39,6 @@ from typing import Iterable, Iterator, Sequence
 from .counts import mu_closed, mu_enumerate
 from .ktheory import (
     FAMILIES,
-    FAMILY_TABLE,
     AdamsMatrix,
     ConsistencyError,
     GroupSpec,
@@ -93,13 +93,6 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _group_from_args(family: str, rank: int | None) -> GroupSpec:
-    rank = FAMILY_TABLE[family].fixed_rank or rank  # a fixed-rank family ignores --rank
-    if rank is None:
-        raise ValueError(f"--rank is required for family {family}")
-    return GroupSpec(family, rank)
-
-
 def _rendered(mat: AdamsMatrix) -> list[list[str]]:
     """The matrix entries as text, each converted once for every format."""
     return [list(map(str, row)) for row in mat.entries]
@@ -135,7 +128,8 @@ def _write(fmt: str, doc: dict, table: Iterable[list], pretty_lines: Iterable[st
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    group = _group_from_args(args.group, args.rank)
+    # GroupSpec refuses a missing rank, and a fixed-rank family ignores one given
+    group = GroupSpec(args.group) if args.rank is None else GroupSpec(args.group, args.rank)
     m = defining_dimension(group)
     _require_within_caps(f"{group} at l={args.l}", "defining dimension", m, args.l)
     mat = adams_matrix(group, args.l)

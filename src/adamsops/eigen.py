@@ -4,14 +4,53 @@ The unitary matrix for psi^l has simple spectrum l^n, l^(n-1), ..., l and a
 basis of common eigenvectors independent of l.  The eigenvector for the
 eigenvalue l^(n-k) is written in closed form through the even Taylor
 coefficients of (t/sinh t)^y: coefficient j is a degree-j polynomial q_j(y)
-satisfying a Bernoulli-number recurrence.  One cached run of that recurrence
-on numbers at y = n serves every level.  Each level of U(n) is built from
-it as integer numerators over one positive denominator, in lowest terms,
-and kept in that one form: the `Eigenvector` record, which `eigenvector`
-returns, `eigenbasis_determinant` reads and the command line prints.  The
-records of all n levels and the determinant are each cached once per rank.
-`sinh_pow_coeff_poly` builds the polynomials themselves and serves as the
-independent check on the numbers.
+(`sinh_pow_coeff_poly`, the paper's formula), and coordinate c = 1..n of
+level k is
+
+    (-1)^(c-1) sum_j q_j(n) / (k-2j)! * (n-2c)^(k-2j).
+
+The levels are built from integers alone, by the identity
+
+    coordinate c of level k = (-1)^(c-1) 2^k e_k(n-c-1, ..., 1-c) / perm(n-1, k),
+
+with e_k the elementary symmetric polynomial of the n-1 consecutive
+integers n-c-1 down to 1-c and perm(n-1, k) = (n-1)!/(n-1-k)!.  Write
+N = n-1 and a = (n-2, n-4, ..., 2-n), a_i = n - 2i for i = 1..N.  The proof
+takes two steps.
+
+1. q_j(n) = e_2j(a) (N-2j)! / N!.  The central factorial numbers of the
+   first kind t(n, m), the coefficients of x^m in
+   x prod_{i=1..N} (x + n/2 - i), have the generating function
+   sum_n t(n, m) v^n / n! = g(v)^m / m!, with g(v) = 2 arcsinh(v/2) the
+   inverse of f(u) = 2 sinh(u/2).  Lagrange inversion gives
+   [v^n] g^m = (m/n) [u^(n-m)] (u/f(u))^n, so
+   [u^(n-m)] (u/f(u))^n = (m-1)! t(n, m) / N!.  Put u = 2t, so that
+   u/f(u) = t/sinh t, and m = n-2j: q_j(n) = 2^(2j) (n-2j-1)! t(n, n-2j) / N!,
+   and t(n, n-2j) = e_2j(n/2 - 1, ..., n/2 - N) = 2^(-2j) e_2j(a).
+2. The shift formula e_k(x + a_1, ..., x + a_N) = sum_i e_i(a) C(N-i, k-i)
+   x^(k-i), where every odd e_i(a) vanishes because the a_i are symmetric
+   about 0.  At x = n - 2c the entries x + a_i = 2(n-c-i) are twice the
+   integers above, and C(N-2j, k-2j) / perm(N, k) = (N-2j)! / (N! (k-2j)!),
+   so by step 1 the identity divided by (-1)^(c-1) is the sum above, term
+   by term in x^(k-2j).
+
+e_k(n-c-1, ..., 1-c) is the coefficient of t^k in
+G_c(t) = prod_{i=1..N} (1 + (n-c-i) t).  G_1 = prod_{j=0..n-2} (1 + j t), and
+G_(c+1) = G_c (1 - c t) / (1 + (n-1-c) t), since G_(c+1) trades the factor
+of n-c-1 for one of -c: one linear multiply and one exact division per
+coordinate, so the whole rank takes O(n^2) integer steps.  The division
+runs as a power series from the constant term up and must end by degree
+N, the degree of every G_c; a nonzero coefficient at degree n raises
+ArithmeticError.  So G_c must have the factor it is divided by, and the
+last division, by 1, must leave no factor too many.  Together the
+divisions fix G_1 up to a constant factor: it must vanish at t = -1/j for
+j = 1..n-2, and have no further factor.  Each level is then reduced by one gcd to integer
+numerators over one positive denominator, in lowest terms, and kept in
+that one form: the `Eigenvector` record, which `eigenvector` returns,
+`eigenbasis_determinant` reads and the command line prints.  The records
+of all n levels and the determinant are each cached once per rank.
+`sinh_pow_coeff_poly` builds the polynomials of the paper's formula and
+serves as the independent check on the levels in the tests.
 
 Every other family gets its eigenvectors by restriction from U(m), m the
 defining dimension.  The restriction R from the primitives of U(m) to those
@@ -73,12 +112,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, perm, prod
 from operator import itemgetter, mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .exactmath import _require_int
 from .ktheory import (
+    FAMILY_TABLE,
     GroupSpec,
     _family_of,
     _require_l,
@@ -87,7 +127,9 @@ from .ktheory import (
     adams_matrix,
 )
 from .record import Record
-from .series import UniPoly, bernoulli_even
+
+if TYPE_CHECKING:
+    from .series import UniPoly
 
 __all__ = [
     "sinh_pow_coeff_poly",
@@ -106,8 +148,9 @@ __all__ = [
 # Ranks, groups and (group, l) reports kept by each eigen cache.
 # eigen-spectrum's lap touches 5 unitary ranks and 26 groups and makes 30
 # spectrum reports, 25 of them on a (group, l) of the lap before.  Measured
-# with tracemalloc, the eigenvector records of U(80) take about 0.4 MB and
-# the eigenbasis of Spin(161) about 0.6 MB.  A report holds no matrix: the
+# with tracemalloc, the eigenvector records of U(80) take 0.34 MiB (their
+# build peaks at 0.74 MiB, all n rows of G_c held at once) and the
+# eigenbasis of Spin(161) 0.51 MiB.  A report holds no matrix: the
 # memo takes 83 KiB after that lap (30 reports), and 24 KiB after the eigen
 # suite at its defaults and 30 KiB at its caps (64 reports each time).
 _BASIS_CACHE_SIZE = 64
@@ -123,13 +166,6 @@ _BASIS_CACHE_SIZE = 64
 _PACK_NORM_BITS = 256
 
 
-def _recurrence_weights(j: int) -> list[Fraction]:
-    """The weights c_k = 2^(2k) B_{2k} / (2k)! for k = 0..j (c_0 unused)."""
-    return [
-        Fraction(2 ** (2 * k), factorial(2 * k)) * bernoulli_even(2 * k) for k in range(j + 1)
-    ]
-
-
 def sinh_pow_coeff_poly(j: int) -> UniPoly:
     """The coefficient of t^(2j) in (t/sinh t)^y, as a polynomial in y.
 
@@ -141,6 +177,9 @@ def sinh_pow_coeff_poly(j: int) -> UniPoly:
 
     with B_{2k} the Bernoulli numbers; q_j has degree exactly j.  The
     recurrence runs as a loop, so no index is too deep for the stack.
+    These are the polynomials of the paper's formula for the eigenvectors;
+    the levels themselves are built from integers (see the module
+    docstring), and the polynomials check them in the tests.
     """
     _require_int("coefficient index j", j)
     if j < 0:
@@ -150,8 +189,11 @@ def sinh_pow_coeff_poly(j: int) -> UniPoly:
 
 def _sinh_pow_coeff_polys(top: int) -> list[UniPoly]:
     """q_0, ..., q_top of `sinh_pow_coeff_poly`, from one run of its
-    recurrence, for top >= 0."""
-    c = _recurrence_weights(top)
+    recurrence, for top >= 0.  Only these polynomials need `series`, so it
+    is imported here."""
+    from .series import UniPoly, bernoulli_even
+
+    c = [Fraction(2 ** (2 * k), factorial(2 * k)) * bernoulli_even(2 * k) for k in range(top + 1)]
     q = [UniPoly((1,))]
     for i in range(1, top + 1):
         acc = UniPoly()
@@ -161,42 +203,48 @@ def _sinh_pow_coeff_polys(top: int) -> list[UniPoly]:
     return q
 
 
-@lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _sinh_values(y: int) -> tuple[Fraction, ...]:
-    """q_j(y) for j = 0..(y-1)//2, enough for every level of U(y): the
-    recurrence of `sinh_pow_coeff_poly` run once on numbers."""
-    top = (y - 1) // 2
-    c = _recurrence_weights(top)
-    q = [Fraction(1)]
-    for j in range(1, top + 1):
-        q.append(Fraction(-y, 2 * j) * sum(c[m] * q[j - m] for m in range(1, j + 1)))
-    return tuple(q)
+def _level_rows(n: int, g: list[int]) -> list[list[int]]:
+    """G_1, ..., G_n of the module docstring, from g = G_1: the coefficients
+    of each, degree 0..n-1, with G_(c+1) = G_c (1 - c t) / (1 + (n-1-c) t).
 
-
-def _unitary_level(n: int, k: int, q: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """Level k of U(n) as integer numerators over one positive denominator,
-    in lowest terms, with q = `_sinh_values(n)`; `eigenvector` gives the
-    formula.
-
-    The weights q_j(n) / (k-2j)! are put over one common denominator D, so
-    each numerator is a single integer Horner evaluation in (n-2i)^2, times
-    (n-2i) when k is odd.  One gcd then reduces the level.
+    The division runs as a power series from the constant term up: with
+    P = G_c (1 - c t), the quotient's coefficient i is P_i - (n-1-c) times
+    the one before.  It is exact when its coefficient at degree n is zero;
+    otherwise G_c lacks the factor it is divided by, so g or a step is
+    wrong, and it raises.
     """
-    weights = [q[j] / factorial(k - 2 * j) for j in range(k // 2 + 1)]
-    den = lcm(*(w.denominator for w in weights))
-    ints = [w.numerator * (den // w.denominator) for w in weights]
-    nums = []
-    for i in range(1, n + 1):
-        x = n - 2 * i
-        square = x * x
-        s = 0
-        for a in ints:
-            s = s * square + a
-        if k % 2:
-            s *= x
-        nums.append(s if i % 2 else -s)
-    g = gcd(den, *nums)
-    return tuple(x // g for x in nums), den // g
+    rows = [g]
+    for c in range(1, n):
+        d, below, acc, quotient = n - 1 - c, 0, 0, []
+        for x in g:
+            acc = x - c * below - d * acc
+            below = x
+            quotient.append(acc)
+        if r := c * below + d * acc:
+            raise ArithmeticError(f"levels of U({n}): G_{c + 1} leaves remainder {-r}")
+        g = quotient
+        rows.append(g)
+    return rows
+
+
+def _unitary_levels(n: int, levels: Iterable[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each level k of U(n) in `levels`, in turn, as integer numerators over
+    one positive denominator, in lowest terms.
+
+    Coordinate c is (-1)^(c-1) 2^k [t^k] G_c / perm(n-1, k), with G_c from
+    `_level_rows` and G_1 = prod_{j=0..n-2} (1 + j t); one gcd then reduces
+    the level (see the module docstring).
+    """
+    g = [1] + [0] * (n - 1)
+    for j in range(1, n - 1):  # times (1 + j t), the top coefficient first
+        for i in range(j, 0, -1):
+            g[i] += j * g[i - 1]
+    rows = _level_rows(n, g)
+    for k in levels:
+        nums = [row[k] << k if c % 2 == 0 else -row[k] << k for c, row in enumerate(rows)]
+        den = perm(n - 1, k)
+        r = gcd(den, *nums)
+        yield tuple(x // r for x in nums), den // r
 
 
 def _require_rank(n: int) -> None:
@@ -228,21 +276,26 @@ class Eigenvector(Record):
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _unitary_vectors(n: int) -> tuple[Eigenvector, ...]:
-    """The `Eigenvector` record of every level k = 0..n-1 of U(n), each
-    built from `_unitary_level` over the one cached `_sinh_values(n)`."""
-    q = _sinh_values(n)
-    return tuple(Eigenvector(n, k, *_unitary_level(n, k, q)) for k in range(n))
+    """The `Eigenvector` record of every level k = 0..n-1 of U(n), from one
+    run of `_unitary_levels`."""
+    return tuple(Eigenvector(n, k, *level) for k, level in enumerate(_unitary_levels(n, range(n))))
 
 
 def eigenvector(n: int, k: int) -> Eigenvector:
     """Coordinate i (over the wedge basis of U(n), i = 1..n) is
 
-        (-1)^(i-1) * sum_{j=0}^{floor(k/2)} q_j(n) / (k-2j)! * (n-2i)^(k-2j),
+        (-1)^(i-1) * sum_{j=0}^{floor(k/2)} q_j(n) / (k-2j)! * (n-2i)^(k-2j)
+          = (-1)^(i-1) * 2^k * e_k(n-i-1, ..., 1-i) / perm(n-1, k),
 
-    with q_j the sinh-power coefficient polynomials and 0^0 = 1.
+    with q_j the sinh-power coefficient polynomials, 0^0 = 1, and e_k the
+    elementary symmetric polynomial of the n-1 consecutive integers n-i-1
+    down to 1-i.  The module docstring proves the identity.
 
-    The numbers q_j(n) come from the recurrence of `sinh_pow_coeff_poly`
-    run at y = n.  The rank and the level are checked first; then the
+    The levels are built by the right-hand side: e_k(...) is the
+    coefficient of t^k in a product of n-1 linear factors, and the product
+    for coordinate i+1 is the one for i times one factor and divided by
+    another.  Each division is checked to be exact, and a remainder raises
+    ArithmeticError.  The rank and the level are checked first; then the
     record is read from the records of U(n), built once per rank from its
     levels and cached, so a repeated call returns the same record.
     """
@@ -348,27 +401,35 @@ class Eigenbasis(Record):
         )
 
 
-@lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def eigenbasis(group: GroupSpec) -> Eigenbasis:
     """The l-independent eigenbasis of the group's psi^l matrices, by
     restriction from U(m), m the defining dimension.
 
     Only the levels k of U(m) whose eigenvalue exponent m - k is one of the
-    m_i + 1 are built.  They are restricted together by
+    m_i + 1 are reduced.  They are restricted together by
     `ktheory._restrict`, the map the functoriality pipeline applies; a
     zero image is dropped and a nonzero one divided by the gcd of its
     entries.  The family's `extra_eigenvectors` follow, and the columns
     are ordered by exponent.  `spectrum_check` does not
     trust the result: it checks it for every report it makes.
+
+    The group is checked first; the basis is then read from a bounded
+    cache by group.
     """
-    family = _family_of(group, "eigenbasis")
+    _family_of(group, "eigenbasis")
+    return _eigenbasis(group)
+
+
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _eigenbasis(group: GroupSpec) -> Eigenbasis:
+    """The `eigenbasis` of a checked group, made afresh: kept by group."""
+    family = FAMILY_TABLE[group.family]
     n, m = group.n, family.dimension(group.n)
     wanted = {e + 1 for e in family.exponents(n)}
     levels = [k for k in range(m) if m - k in wanted]
-    q = _sinh_values(m)
     # the levels are the columns of the matrix `_restrict` maps, which it takes by rows:
     # a level's numerators are its coordinates over wedges 1..m; wedge 0 has none
-    wedges = zip(*(_unitary_level(m, k, q)[0] for k in levels))
+    wedges = zip(*(nums for nums, _ in _unitary_levels(m, levels)))
     images = _restrict(group, [(0,) * len(levels), *wedges])
     found = []
     for k, col in zip(levels, zip(*images)):

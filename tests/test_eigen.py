@@ -4,7 +4,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -16,9 +16,9 @@ from adamsops.eigen import (
     _bareiss_det,
     _certifies,
     _columns,
+    _level_rows,
     _merged,
-    _sinh_values,
-    _unitary_level,
+    _unitary_levels,
     _unitary_vectors,
     char_poly,
     eigenbasis,
@@ -86,28 +86,82 @@ def test_coefficient_polynomials_match_series():
             assert poly(y) == series[y].coefficient(2 * j), (j, y)
 
 
-def test_sinh_values_match_the_polynomials():
-    # the recurrence run once on numbers, against the polynomial oracle
+def _paper_level(n, k, q):
+    """Level k of U(n) by the paper's formula, with q[j] = q_j(n): the
+    weights q_j(n) / (k-2j)! over one common denominator, each numerator a
+    Horner evaluation in (n-2i)^2, times (n-2i) when k is odd, and the level
+    reduced by one gcd."""
+    weights = [q[j] / factorial(k - 2 * j) for j in range(k // 2 + 1)]
+    den = lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (den // w.denominator) for w in weights]
+    nums = []
+    for i in range(1, n + 1):
+        x = n - 2 * i
+        s = 0
+        for a in ints:
+            s = s * x * x + a
+        if k % 2:
+            s *= x
+        nums.append(s if i % 2 else -s)
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
+
+
+def test_levels_match_the_paper_formula():
+    # every level of U(n), built from integers, against the sinh-power
+    # polynomials evaluated at y = n
     polys = [sinh_pow_coeff_poly(j) for j in range(20)]
-    for m in range(1, 41):
-        values = _sinh_values(m)
-        assert len(values) == (m - 1) // 2 + 1, m
-        assert values == tuple(polys[j](m) for j in range(len(values))), m
+    for n in range(1, 41):
+        q = [poly(n) for poly in polys[: (n - 1) // 2 + 1]]
+        want = [_paper_level(n, k, q) for k in range(n)]
+        assert list(_unitary_levels(n, range(n))) == want, n
+        assert [(v.nums, v.den) for v in _unitary_vectors(n)] == want, n
 
 
-def test_eigenvectors_share_one_run_of_the_recurrence(monkeypatch):
-    # every level of U(30) takes the weights of one recurrence: B_0..B_28.
-    # The records and the determinant each build the levels, from that one
-    # cached run
-    calls, real = [], eigen.bernoulli_even
-    monkeypatch.setattr(eigen, "bernoulli_even", lambda k: calls.append(k) or real(k))
-    _sinh_values.cache_clear()
+def _start(n):
+    """G_1 = prod_{j=0..n-2} (1 + j t), as `_unitary_levels` starts from it."""
+    g = [1] + [0] * (n - 1)
+    for j in range(1, n - 1):
+        g = [a + j * b for a, b in zip(g, [0, *g[:-1]])]
+    return g
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 30])
+def test_a_wrong_start_polynomial_raises(monkeypatch, n):
+    # the divisions fix G_1 up to a constant factor: one coefficient more,
+    # patched into the builder's start, or G_1 of the rank below leaves a
+    # remainder at some step
+    rows = _level_rows(n, _start(n))
+    assert len(rows) == n and all(len(row) == n for row in rows)
+    assert _level_rows(n, [-3 * x for x in _start(n)]) == [[-3 * x for x in row] for row in rows]
+    starts, real = [], eigen._level_rows
+    monkeypatch.setattr(eigen, "_level_rows", lambda n, g: starts.append(g[:]) or real(n, g))
+    list(_unitary_levels(n, range(n)))
+    assert starts == [_start(n)]  # the builder starts from the G_1 built here
+    for i in range(n):
+        def changed(n, g, i=i):
+            return real(n, [x + (j == i) for j, x in enumerate(g)])
+
+        monkeypatch.setattr(eigen, "_level_rows", changed)
+        with pytest.raises(ArithmeticError, match=rf"levels of U\({n}\): G_\d+ leaves remainder"):
+            list(_unitary_levels(n, range(n)))
+    with pytest.raises(ArithmeticError, match=rf"levels of U\({n}\): G_2 leaves remainder"):
+        real(n, _start(n - 1) + [0])
+
+
+def test_the_records_and_the_determinant_share_one_level_build(monkeypatch):
+    # every record of U(30) and its determinant read the levels of one
+    # build, kept in the records
+    calls, real = [], eigen._unitary_levels
+    monkeypatch.setattr(
+        eigen, "_unitary_levels", lambda n, levels: calls.append(n) or real(n, levels)
+    )
     _unitary_vectors.cache_clear()
     eigenbasis_determinant.cache_clear()
     for k in range(30):
         eigenvector(30, k)
     assert eigenbasis_determinant(30) == 2 ** (30 * 29 // 2)
-    assert sorted(calls) == list(range(0, 30, 2))
+    assert calls == [30]
 
 
 def test_eigenvector_frozen_values():
@@ -199,11 +253,6 @@ def test_spectrum_check_rejects_a_group_that_is_not_a_groupspec(group):
 def test_a_group_that_is_not_a_groupspec_is_named_in_a_value_error(call, group):
     # each used to fail deep inside, on an attribute a tuple lacks
     args = (group, 2) if call in (ktheory.adams_matrix, expected_char_poly) else (group,)
-    if call is eigenbasis and isinstance(group, list):
-        # the cache meets an unhashable group first, as `lru_cache` does
-        with pytest.raises(TypeError, match="unhashable"):
-            call(*args)
-        return
     message = f"{call.__name__} needs a GroupSpec, got {group!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(*args)
@@ -859,14 +908,12 @@ def test_a_consistency_error_is_raised_on_every_call(monkeypatch, fresh_spectrum
 
 
 def test_eigen_caches_are_bounded_and_cleared_by_the_benchmark(monkeypatch):
-    caches = (
-        eigenbasis, eigenbasis_determinant, _unitary_vectors, _sinh_values, eigen._spectrum_report
-    )
+    caches = (eigen._eigenbasis, eigenbasis_determinant, _unitary_vectors, eigen._spectrum_report)
     for cache in caches:
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 1024
     # the levels are built into the records, cached per rank, and not kept
-    assert not hasattr(_unitary_level, "cache_info")
+    assert not any(hasattr(f, "cache_info") for f in (eigenbasis, _unitary_levels, _level_rows))
     # more distinct (group, l) than the memo holds leave it at its bound
     groups = [group for group in _groups(12) if group.family != "G2"]
     for group in groups:

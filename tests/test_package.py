@@ -186,7 +186,8 @@ def test_a_command_imports_only_what_it_uses():
     assert not {"adamsops.series", "fractions", "decimal"} & matrices
     for argv, modules in zip(commands[:4], (compute, mu, matrices, refused)):
         assert not {"adamsops.eigen", "adamsops.symoracle"} & modules, argv
-    assert {"adamsops.eigen", "adamsops.series"} <= eigen_csv
+    assert "adamsops.eigen" in eigen_csv
+    assert "adamsops.series" not in eigen_csv  # the levels are built from integers
     assert "csv" not in eigen_csv  # csv lines are written without the csv module
     assert "adamsops.symoracle" not in eigen_csv
     assert "adamsops.symoracle" in oracle
