@@ -44,9 +44,12 @@ N, the degree of every G_c; a nonzero coefficient at degree n raises
 ArithmeticError.  So G_c must have the factor it is divided by, and the
 last division, by 1, must leave no factor too many.  Together the
 divisions fix G_1 up to a constant factor: it must vanish at t = -1/j for
-j = 1..n-2, and have no further factor.  Each level is then reduced by one gcd to integer
-numerators over one positive denominator, in lowest terms, and kept in
-that one form: the `Eigenvector` record, which `eigenvector` returns,
+j = 1..n-2, and have no further factor.  The coefficients are then
+regrouped by level, and each level is reduced by one gcd to integer
+numerators over one positive denominator, in lowest terms, its
+coefficients dropped as it is done, so that a rank's coefficients and its
+reduced levels are never all held at once.  Each level is kept in that
+one form: the `Eigenvector` record, which `eigenvector` returns,
 `eigenbasis_determinant` reads and the command line prints.  The records
 of all n levels and the determinant are each cached once per rank.
 `sinh_pow_coeff_poly` builds the polynomials of the paper's formula and
@@ -113,7 +116,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, perm, prod
-from operator import itemgetter, mul
+from operator import itemgetter, mul, neg
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .exactmath import _require_int
@@ -149,10 +152,11 @@ __all__ = [
 # eigen-spectrum's lap touches 5 unitary ranks and 26 groups and makes 30
 # spectrum reports, 25 of them on a (group, l) of the lap before.  Measured
 # with tracemalloc, the eigenvector records of U(80) take 0.34 MiB (their
-# build peaks at 0.74 MiB, all n rows of G_c held at once) and the
-# eigenbasis of Spin(161) 0.51 MiB.  A report holds no matrix: the
-# memo takes 83 KiB after that lap (30 reports), and 24 KiB after the eigen
-# suite at its defaults and 30 KiB at its caps (64 reports each time).
+# build peaks at 0.44 MiB, each level's coefficients dropped once it is
+# reduced) and the eigenbasis of Spin(161) 0.51 MiB.  A report holds no
+# matrix: the memo takes 83 KiB after that lap (30 reports), and 24 KiB
+# after the eigen suite at its defaults and 30 KiB at its caps (64 reports
+# each time).
 _BASIS_CACHE_SIZE = 64
 
 # Where ||M|| < 2^256 the certificate packs every column into one product,
@@ -229,19 +233,22 @@ def _level_rows(n: int, g: list[int]) -> list[list[int]]:
 
 def _unitary_levels(n: int, levels: Iterable[int]) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each level k of U(n) in `levels`, in turn, as integer numerators over
-    one positive denominator, in lowest terms.
+    one positive denominator, in lowest terms; no level may come twice.
 
     Coordinate c is (-1)^(c-1) 2^k [t^k] G_c / perm(n-1, k), with G_c from
     `_level_rows` and G_1 = prod_{j=0..n-2} (1 + j t); one gcd then reduces
-    the level (see the module docstring).
+    the level (see the module docstring).  The coefficients are held by
+    level, and each level's are dropped once it is reduced.
     """
     g = [1] + [0] * (n - 1)
     for j in range(1, n - 1):  # times (1 + j t), the top coefficient first
         for i in range(j, 0, -1):
             g[i] += j * g[i - 1]
-    rows = _level_rows(n, g)
+    columns = list(zip(*_level_rows(n, g)))
     for k in levels:
-        nums = [row[k] << k if c % 2 == 0 else -row[k] << k for c, row in enumerate(rows)]
+        column, columns[k] = columns[k], None
+        nums = [x << k for x in column]
+        nums[1::2] = map(neg, nums[1::2])
         den = perm(n - 1, k)
         r = gcd(den, *nums)
         yield tuple(x // r for x in nums), den // r
@@ -295,12 +302,19 @@ def eigenvector(n: int, k: int) -> Eigenvector:
     coefficient of t^k in a product of n-1 linear factors, and the product
     for coordinate i+1 is the one for i times one factor and divided by
     another.  Each division is checked to be exact, and a remainder raises
-    ArithmeticError.  The rank and the level are checked first; then the
-    record is read from the records of U(n), built once per rank from its
-    levels and cached, so a repeated call returns the same record.
+    ArithmeticError.  The rank and the level are checked first, in order:
+    the rank's type and sign, then the level's type and range.  A pair of
+    exact ints skips only the two type tests, which it would pass, so every
+    argument meets the same first failing check either way.  The record
+    is then read from the records of U(n), built once per rank from
+    its levels and cached, so a repeated call returns the same record.
     """
-    _require_rank(n)
-    _require_int("level k", k)
+    # exact ints skip the type tests; anything else gets each check, in order
+    if not type(n) is type(k) is int:
+        _require_rank(n)
+        _require_int("level k", k)
+    elif n < 1:
+        _require_rank(n)  # raises, with the rank's own message
     if not 0 <= k <= n - 1:
         raise ValueError(f"level must satisfy 0 <= k <= n-1, got k={k}, n={n}")
     return _unitary_vectors(n)[k]

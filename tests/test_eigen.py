@@ -292,6 +292,62 @@ def test_eigenvector_records_are_built_once_per_rank():
     assert _unitary_vectors.cache_info() == info
 
 
+class _Int(int):
+    """An int subclass: not an exact int, but accepted as one."""
+
+
+_READ_ARGUMENTS = [True, False, 2.0, "3", None, [3], 0, -1, 3, 7, _Int(3)]
+
+
+def _read_refusal(n, k):
+    """The message `eigenvector(n, k)` refuses with, or None: the rank's type,
+    then its sign, then the level's type, then its range."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        return f"rank n must be an int, got {n!r}"
+    if n < 1:
+        return f"rank must be positive, got n={n}"
+    if isinstance(k, bool) or not isinstance(k, int):
+        return f"level k must be an int, got {k!r}"
+    if not 0 <= k <= n - 1:
+        return f"level must satisfy 0 <= k <= n-1, got k={k}, n={n}"
+    return None
+
+
+def test_every_read_is_refused_or_returned_as_the_checks_say():
+    # exact ints skip only the type tests: each pair is refused by its first
+    # failing check, in order, or gets the cached record of its level
+    assert _read_refusal(True, "3") == "rank n must be an int, got True"
+    assert _read_refusal(0, "3") == "rank must be positive, got n=0"
+    assert _read_refusal(3, [3]) == "level k must be an int, got [3]"
+    assert _read_refusal(3, 7) == "level must satisfy 0 <= k <= n-1, got k=7, n=3"
+    records = {n: [eigenvector(n, k) for k in range(n)] for n in (3, 7)}
+    for n in _READ_ARGUMENTS:
+        for k in _READ_ARGUMENTS:
+            message = _read_refusal(n, k)
+            if message is None:
+                read = eigenvector(n, k)
+                assert read == records[n][k], (n, k)
+                # the records' cache keys a rank of an int subclass apart
+                assert read is records[n][k] or type(n) is not int, (n, k)
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    eigenvector(n, k)
+
+
+def test_a_repeated_exact_int_read_runs_no_type_test(monkeypatch):
+    first = [eigenvector(34, k) for k in range(34)]
+
+    def checked(*args):
+        raise AssertionError(f"type test re-run on {args}")
+
+    monkeypatch.setattr(eigen, "_require_rank", checked)
+    monkeypatch.setattr(eigen, "_require_int", checked)
+    assert all(eigenvector(34, k) is v for k, v in enumerate(first))
+    assert eigenvector(10, 3) is eigenvector(10, 3)
+    with pytest.raises(ValueError, match=r"^level must satisfy 0 <= k <= n-1, got k=34, n=34$"):
+        eigenvector(34, 34)
+
+
 def test_eigenvalue_exponent():
     v = eigenvector(5, 2)
     assert v.eigenvalue_exponent == 3
