@@ -13,14 +13,14 @@ only the flags given.  The groups of `--group` come from the family table,
 Each command pays for its imports at start-up, so importing this module
 loads only what `compute` and `mu` run: the counts, the integer matrix
 assembly and argparse.  The rest loads on first use: `suites` for
-`verify`, `eigen` for `eigen` and the eigen suite, `series` for the eigen
-suite's recurrence row, `symoracle` for the oracle suite, `json` for json
-output, and `fractions` with `eigen`, whose records give their
-coordinates as `Fraction`s on request; the `eigen` command prints from the
-records' integer numerators and denominators and builds no `Fraction`
-itself.  csv and pretty output are plain lines; a csv line is
-its fields joined by commas and ended by CR LF, the bytes of `csv.writer`,
-as no field holds a comma, a quote or a line break.
+`verify`, `eigen` for `eigen` and the eigen suite, `symoracle` for the
+oracle suite, `json` for json output, and `fractions` with `eigen`,
+whose records give their coordinates as `Fraction`s on request; the
+`eigen` command prints from the records' integer numerators and
+denominators and builds no `Fraction` itself.  csv and pretty output are
+plain lines; a csv line is its fields joined by commas and ended by CR LF,
+the bytes of `csv.writer`, as no field holds a comma, a quote or a line
+break.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 a verification property failed, 2 invalid arguments, 3 an internal

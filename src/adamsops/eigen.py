@@ -52,8 +52,11 @@ reduced levels are never all held at once.  Each level is kept in that
 one form: the `Eigenvector` record, which `eigenvector` returns,
 `eigenbasis_determinant` reads and the command line prints.  The records
 of all n levels and the determinant are each cached once per rank.
-`sinh_pow_coeff_poly` builds the polynomials of the paper's formula and
-serves as the independent check on the levels in the tests.
+`sinh_pow_coeff_poly` builds the polynomials of the paper's formula, each
+a tuple of `Fraction` coefficients in y, from the Bernoulli numbers
+(`bernoulli_even`), and `t_over_sinh_pow` expands (t/sinh t)^y directly.
+No level is built from either: the polynomials check the levels, and the
+expansion checks the polynomials, in the tests and the eigen suite.
 
 Every other family gets its eigenvectors by restriction from U(m), m the
 defining dimension.  The restriction R from the primitives of U(m) to those
@@ -117,7 +120,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, perm, prod
 from operator import itemgetter, mul, neg
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactmath import _require_int
 from .ktheory import (
@@ -131,10 +134,9 @@ from .ktheory import (
 )
 from .record import Record
 
-if TYPE_CHECKING:
-    from .series import UniPoly
-
 __all__ = [
+    "bernoulli_even",
+    "t_over_sinh_pow",
     "sinh_pow_coeff_poly",
     "Eigenvector",
     "eigenvector",
@@ -170,8 +172,63 @@ _BASIS_CACHE_SIZE = 64
 _PACK_NORM_BITS = 256
 
 
-def sinh_pow_coeff_poly(j: int) -> UniPoly:
-    """The coefficient of t^(2j) in (t/sinh t)^y, as a polynomial in y.
+def _bernoulli_evens(k: int) -> list[Fraction]:
+    """B_0, B_2, ..., B_2k from the tangent numbers T_1..T_k:
+
+        B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
+
+    Brent and Harvey's integer triangle yields every T_j at once, in
+    O(k^2) steps of a loop, so no index needs a deep stack or a cache."""
+    t = [0, *(factorial(i) for i in range(k))]
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return [Fraction(1)] + [
+        Fraction(2 * j * t[j] if j % 2 else -2 * j * t[j], 4**j * (4**j - 1))
+        for j in range(1, k + 1)
+    ]
+
+
+def bernoulli_even(m: int) -> Fraction:
+    """The Bernoulli number B_m for even m >= 0 (B_0 = 1, B_2 = 1/6, ...).
+
+    Only even indices are served; the odd ones vanish beyond B_1.
+    """
+    _require_int("Bernoulli index m", m)
+    if m < 0 or m % 2 != 0:
+        raise ValueError(f"bernoulli_even: index must be even and nonnegative, got {m}")
+    return _bernoulli_evens(m // 2)[-1]
+
+
+def t_over_sinh_pow(y: int, order: int) -> tuple[Fraction, ...]:
+    """The coefficients of t^0..t^order in (t/sinh t)^y, for integer y >= 0.
+
+    With a_i the coefficients of sinh(t)/t, 1/(i+1)! at even i and 0 at
+    odd i, the power b = (sinh(t)/t)^(-y) follows from J. C. P. Miller's
+    recurrence for a power of a series with a_0 = 1:
+
+        b_0 = 1,  b_k = (1/k) sum_{i=1}^{k} ((1-y) i - k) a_i b_{k-i}.
+
+    No Bernoulli number enters, so the coefficient of t^(2j), q_j(y) of
+    `sinh_pow_coeff_poly`, is reached by a second route; the odd
+    coefficients vanish.
+    """
+    _require_int("exponent y", y)
+    _require_int("series order", order)
+    if y < 0:
+        raise ValueError(f"t_over_sinh_pow: exponent must be nonnegative, got {y}")
+    if order < 0:
+        raise ValueError(f"t_over_sinh_pow: order must be nonnegative, got {order}")
+    b = [Fraction(1)]
+    for k in range(1, order + 1):
+        terms = (((1 - y) * i - k) * b[k - i] / factorial(i + 1) for i in range(2, k + 1, 2))
+        b.append(sum(terms, Fraction(0)) / k)
+    return tuple(b)
+
+
+def sinh_pow_coeff_poly(j: int) -> tuple[Fraction, ...]:
+    """The coefficient of t^(2j) in (t/sinh t)^y, as a polynomial in y: its
+    j + 1 coefficients, in ascending degree.
 
     Defined by the recurrence
 
@@ -191,19 +248,18 @@ def sinh_pow_coeff_poly(j: int) -> UniPoly:
     return _sinh_pow_coeff_polys(j)[j]
 
 
-def _sinh_pow_coeff_polys(top: int) -> list[UniPoly]:
+def _sinh_pow_coeff_polys(top: int) -> list[tuple[Fraction, ...]]:
     """q_0, ..., q_top of `sinh_pow_coeff_poly`, from one run of its
-    recurrence, for top >= 0.  Only these polynomials need `series`, so it
-    is imported here."""
-    from .series import UniPoly, bernoulli_even
-
-    c = [Fraction(2 ** (2 * k), factorial(2 * k)) * bernoulli_even(2 * k) for k in range(top + 1)]
-    q = [UniPoly((1,))]
+    recurrence over one run of the Bernoulli numbers, for top >= 0."""
+    c = [Fraction(4**k, factorial(2 * k)) * b for k, b in enumerate(_bernoulli_evens(top))]
+    q = [(Fraction(1),)]
     for i in range(1, top + 1):
-        acc = UniPoly()
+        acc = [Fraction(0)] * i  # sum_k c_k q_(i-k), of degree i - 1
         for k in range(1, i + 1):
-            acc = acc + q[i - k] * c[k]
-        q.append(UniPoly((0, Fraction(-1, 2 * i))) * acc)
+            for d, x in enumerate(q[i - k]):
+                acc[d] += c[k] * x
+        scale = Fraction(-1, 2 * i)
+        q.append((Fraction(0), *(scale * a for a in acc)))
     return q
 
 
@@ -307,12 +363,14 @@ def eigenvector(n: int, k: int) -> Eigenvector:
     exact ints skips only the two type tests, which it would pass, so every
     argument meets the same first failing check either way.  The record
     is then read from the records of U(n), built once per rank from
-    its levels and cached, so a repeated call returns the same record.
+    its levels and cached, so a repeated call returns the same record, and
+    a rank of an int subclass the record of the equal int.
     """
     # exact ints skip the type tests; anything else gets each check, in order
     if not type(n) is type(k) is int:
         _require_rank(n)
         _require_int("level k", k)
+        n = int(n)  # a rank of an int subclass reads the records of the equal int
     elif n < 1:
         _require_rank(n)  # raises, with the rank's own message
     if not 0 <= k <= n - 1:
@@ -365,7 +423,7 @@ def eigenbasis_determinant(n: int) -> Fraction:
     bounded cache.
     """
     _require_rank(n)
-    vectors = _unitary_vectors(n)
+    vectors = _unitary_vectors(int(n))
     gcds = [gcd(*v.nums) or 1 for v in vectors]
     rows = [[x // g for x in v.nums] for v, g in zip(vectors, gcds)]
     return Fraction(_bareiss_det(rows) * prod(gcds), prod(v.den for v in vectors))

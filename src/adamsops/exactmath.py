@@ -2,9 +2,9 @@
 
 Every quantity in this package is an arbitrary-precision integer or a
 `fractions.Fraction`; nothing ever rounds.  This module holds the integer
-part that every command uses.  The rational layer (Bernoulli numbers,
-polynomials and power series) lives in `series`, which only the eigen
-routes import.
+part that every command uses.  The rational numbers of the paper's
+eigenvector formula (Bernoulli numbers, the coefficients of (t/sinh t)^y)
+live in `eigen`, as tuples of `Fraction`.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ max_l)` with its own defaults, which `verify` uses for a flag left out.
 These are the one implementation of each sweep: the acceptance gate,
 `tests/test_acceptance.py`, runs them and pins each row's swept domain.
 The command line imports this module only for `verify`, and the eigen and
-oracle suites import `eigen`, `series` and `symoracle` only when they run.
+oracle suites import `eigen` and `symoracle` only when they run.
 
 A row that checks a polynomial identity in l of degree <= m at l = 1..m+1
 proves it for every l >= 1.  Every entry of a psi^l matrix is such a
@@ -193,22 +193,23 @@ def eigen_suite(max_rank: int = 8, max_l: int = 5) -> list[CheckResult]:
         _sinh_pow_coeff_polys,
         eigenbasis,
         spectrum_check,
+        t_over_sinh_pow,
     )
-    from .series import t_over_sinh_pow
 
     levels = tuple(range(2, max_l + 1))
     small = min(max_rank, 6)
 
     def recurrence_vs_series() -> Iterator[str]:
-        # (t/sinh t)^y for y = 0..10: one inverted series, multiplied up
-        base, series = t_over_sinh_pow(1, 22), [t_over_sinh_pow(0, 22)]
-        for _ in range(10):
-            series.append(series[-1] * base)
+        series = [t_over_sinh_pow(y, 20) for y in range(11)]
         for j, poly in enumerate(_sinh_pow_coeff_polys(10)):
-            if poly.degree != j:
-                yield f"degree of coefficient polynomial {j} is {poly.degree}"
+            degree = max((d for d, c in enumerate(poly) if c), default=-1)
+            if degree != j:
+                yield f"degree of coefficient polynomial {j} is {degree}"
             for y in range(11):
-                if poly(y) != series[y].coefficient(2 * j):
+                value = 0
+                for c in reversed(poly):  # Horner
+                    value = value * y + c
+                if value != series[y][2 * j]:
                     yield f"j={j}, y={y}"
 
     return _run_checks([

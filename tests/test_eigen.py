@@ -28,6 +28,7 @@ from adamsops.eigen import (
     family_exponents,
     sinh_pow_coeff_poly,
     spectrum_check,
+    t_over_sinh_pow,
 )
 import adamsops.ktheory as ktheory
 from adamsops.ktheory import (
@@ -39,7 +40,6 @@ from adamsops.ktheory import (
     _times,
     adams_matrix,
 )
-from adamsops.series import UniPoly, t_over_sinh_pow
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,15 +54,25 @@ def _groups(max_rank):
             yield from (GroupSpec(family, n) for n in range(record.min_rank, max_rank + 1))
 
 
+def _at(poly, y):
+    """The polynomial with ascending coefficients `poly`, at y, by Horner."""
+    value = Fraction(0)
+    for c in reversed(poly):
+        value = value * y + c
+    return value
+
+
 def test_coefficient_polynomials_small():
-    assert sinh_pow_coeff_poly(0) == UniPoly((1,))
-    assert sinh_pow_coeff_poly(1) == UniPoly((0, Fraction(-1, 6)))
-    assert sinh_pow_coeff_poly(2) == UniPoly((0, Fraction(1, 180), Fraction(1, 72)))
+    assert sinh_pow_coeff_poly(0) == (1,)
+    assert sinh_pow_coeff_poly(1) == (0, Fraction(-1, 6))
+    assert sinh_pow_coeff_poly(2) == (0, Fraction(1, 180), Fraction(1, 72))
+    assert all(type(c) is Fraction for j in range(3) for c in sinh_pow_coeff_poly(j))
 
 
 def test_coefficient_polynomial_degree():
     for j in range(13):
-        assert sinh_pow_coeff_poly(j).degree == j
+        poly = sinh_pow_coeff_poly(j)
+        assert len(poly) == j + 1 and poly[-1] != 0, j
 
 
 def test_coefficient_polynomial_needs_no_deep_stack():
@@ -74,7 +84,7 @@ def test_coefficient_polynomial_needs_no_deep_stack():
         poly = sinh_pow_coeff_poly(60)
     finally:
         sys.setrecursionlimit(old)
-    assert poly.degree == 60
+    assert len(poly) == 61 and poly[-1] != 0
 
 
 def test_coefficient_polynomials_match_series():
@@ -83,7 +93,7 @@ def test_coefficient_polynomials_match_series():
     for j in range(11):
         poly = sinh_pow_coeff_poly(j)
         for y in range(11):
-            assert poly(y) == series[y].coefficient(2 * j), (j, y)
+            assert _at(poly, y) == series[y][2 * j], (j, y)
 
 
 def _paper_level(n, k, q):
@@ -112,10 +122,29 @@ def test_levels_match_the_paper_formula():
     # polynomials evaluated at y = n
     polys = [sinh_pow_coeff_poly(j) for j in range(20)]
     for n in range(1, 41):
-        q = [poly(n) for poly in polys[: (n - 1) // 2 + 1]]
+        q = [_at(poly, n) for poly in polys[: (n - 1) // 2 + 1]]
         want = [_paper_level(n, k, q) for k in range(n)]
         assert list(_unitary_levels(n, range(n))) == want, n
         assert [(v.nums, v.den) for v in _unitary_vectors(n)] == want, n
+
+
+def test_the_levels_need_no_rational_series(monkeypatch, fresh_spectrum_reports):
+    # the paper's polynomials, their Bernoulli numbers and the expansion of
+    # (t/sinh t)^y only check the levels: with each made to raise, every
+    # level, eigenbasis and spectrum is still built, from cold caches
+    def unreachable(*args):
+        raise AssertionError(f"a rational series was built from {args}")
+
+    for name in ("bernoulli_even", "_bernoulli_evens", "sinh_pow_coeff_poly",
+                 "_sinh_pow_coeff_polys", "t_over_sinh_pow"):
+        monkeypatch.setattr(eigen, name, unreachable)
+    _unitary_vectors.cache_clear()
+    eigen._eigenbasis.cache_clear()
+    for n in (1, 2, 9, 30):
+        assert len(_unitary_vectors(n)) == n
+    for group in _groups(7):
+        assert eigenbasis(group).well_formed, group
+        assert spectrum_check(group, 3).certified, group
 
 
 def _start(n):
@@ -187,7 +216,7 @@ def test_eigenvector_matches_polynomial_oracle():
             want = tuple(
                 (-1) ** (i - 1)
                 * sum(
-                    polys[j](n) / factorial(k - 2 * j) * (n - 2 * i) ** (k - 2 * j)
+                    _at(polys[j], n) / factorial(k - 2 * j) * (n - 2 * i) ** (k - 2 * j)
                     for j in range(k // 2 + 1)
                 )
                 for i in range(1, n + 1)
@@ -321,17 +350,19 @@ def test_every_read_is_refused_or_returned_as_the_checks_say():
     assert _read_refusal(3, [3]) == "level k must be an int, got [3]"
     assert _read_refusal(3, 7) == "level must satisfy 0 <= k <= n-1, got k=7, n=3"
     records = {n: [eigenvector(n, k) for k in range(n)] for n in (3, 7)}
+    builds = _unitary_vectors.cache_info().misses
     for n in _READ_ARGUMENTS:
         for k in _READ_ARGUMENTS:
             message = _read_refusal(n, k)
             if message is None:
-                read = eigenvector(n, k)
-                assert read == records[n][k], (n, k)
-                # the records' cache keys a rank of an int subclass apart
-                assert read is records[n][k] or type(n) is not int, (n, k)
+                # a rank of an int subclass reads the records of the equal int
+                assert eigenvector(n, k) is records[n][k], (n, k)
             else:
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     eigenvector(n, k)
+    eigenbasis_determinant.cache_clear()
+    assert eigenbasis_determinant(_Int(3)) == 8
+    assert _unitary_vectors.cache_info().misses == builds
 
 
 def test_a_repeated_exact_int_read_runs_no_type_test(monkeypatch):
@@ -462,16 +493,15 @@ def _char_poly_reference(entries):
             [(x if i == j else 0) - entries[i][j] for j in range(d)] for i in range(d)
         ]
         ys.append(_bareiss_det(shifted))
-    poly = UniPoly()
+    coeffs = [Fraction(0)] * (d + 1)
     for i, xi in enumerate(xs):
-        num = UniPoly((1,))
-        denom = Fraction(1)
+        num, denom = [1], 1  # prod_{j != i} (x - x_j), ascending, and its value at x_i
         for j, xj in enumerate(xs):
             if j != i:
-                num = num * UniPoly((-xj, 1))
+                num = [a - xj * b for a, b in zip([0, *num], [*num, 0])]
                 denom *= xi - xj
-        poly = poly + num * (Fraction(ys[i]) / denom)
-    coeffs = list(poly.coeffs) + [Fraction(0)] * (d + 1 - len(poly.coeffs))
+        for p, c in enumerate(num):
+            coeffs[p] += c * Fraction(ys[i], denom)
     assert all(c.denominator == 1 for c in coeffs), coeffs
     return tuple(int(c) for c in coeffs)
 

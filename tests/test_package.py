@@ -1,6 +1,7 @@
 """What the package exports, and what a command-line call imports."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -13,11 +14,10 @@ import adamsops.counts as counts
 import adamsops.eigen as eigen
 import adamsops.exactmath as exactmath
 import adamsops.ktheory as ktheory
-import adamsops.series as series
 import adamsops.symoracle as symoracle
 
 # the names the package serves from a module imported on first use
-LAZY = {name: module for module in (series, eigen, symoracle) for name in module.__all__}
+LAZY = {name: module for module in (eigen, symoracle) for name in module.__all__}
 
 
 def test_every_exported_name_resolves_to_its_module_object():
@@ -33,7 +33,7 @@ def test_every_exported_name_resolves_to_its_module_object():
 def test_every_lazy_name_is_exported_once_in_module_order():
     assert len(adamsops.__all__) == len(set(adamsops.__all__))
     lazy = adamsops.__all__[-len(LAZY):]
-    assert lazy == series.__all__ + eigen.__all__ + symoracle.__all__
+    assert lazy == eigen.__all__ + symoracle.__all__
     assert not set(lazy) & set(vars(adamsops))
 
 
@@ -71,6 +71,8 @@ def test_the_per_family_matrix_entries_are_gone(name):
         (ktheory, "g2_closed_columns"),
         (eigen, "verify_eigen_relation"),
         (eigen, "_is_eigenvector"),
+        (eigen, "UniPoly"),
+        (eigen, "TruncSeries"),
     ],
 )
 def test_the_retired_public_names_are_gone(module, name):
@@ -80,6 +82,12 @@ def test_the_retired_public_names_are_gone(module, name):
     assert name not in dir(adamsops)
     assert not hasattr(module, name)
     assert name not in module.__all__
+
+
+def test_the_rational_series_module_is_gone():
+    # its Bernoulli numbers and (t/sinh t)^y are served by `eigen`
+    assert importlib.util.find_spec("adamsops.series") is None
+    assert adamsops._LAZY["bernoulli_even"] == adamsops._LAZY["t_over_sinh_pow"] == "eigen"
 
 
 def test_the_identity_test_method_is_gone():
@@ -145,7 +153,7 @@ print(repr(loaded))
 # what no command may load at start-up
 _LAZY_MODULES = {
     "fractions", "decimal", "json", "csv", "dataclasses", "inspect",
-    "adamsops.series", "adamsops.suites", "adamsops.eigen", "adamsops.symoracle",
+    "adamsops.suites", "adamsops.eigen", "adamsops.symoracle",
 }
 
 
@@ -181,13 +189,12 @@ def test_a_command_imports_only_what_it_uses():
     assert "json" in compute
     assert not {"csv", "fractions", "decimal"} & compute
     for argv, modules in zip(commands[:2], (compute, mu)):
-        assert not {"adamsops.series", "adamsops.suites"} & modules, argv
+        assert "adamsops.suites" not in modules, argv
     assert "adamsops.suites" in matrices
-    assert not {"adamsops.series", "fractions", "decimal"} & matrices
+    assert not {"fractions", "decimal"} & matrices
     for argv, modules in zip(commands[:4], (compute, mu, matrices, refused)):
         assert not {"adamsops.eigen", "adamsops.symoracle"} & modules, argv
     assert "adamsops.eigen" in eigen_csv
-    assert "adamsops.series" not in eigen_csv  # the levels are built from integers
     assert "csv" not in eigen_csv  # csv lines are written without the csv module
     assert "adamsops.symoracle" not in eigen_csv
     assert "adamsops.symoracle" in oracle
@@ -204,4 +211,4 @@ def test_compute_loads_only_its_output_format(family, fmt, loads):
     [(code, modules)] = _footprint(f"compute --group {family} --rank 4 --l 3 --format {fmt}")
     assert code == 0
     assert modules & {"json", "csv", "fractions"} == loads
-    assert not {"adamsops.series", "adamsops.suites", "adamsops.eigen"} & modules
+    assert not {"adamsops.suites", "adamsops.eigen"} & modules

@@ -13,7 +13,6 @@ import adamsops.suites as suites
 import adamsops.symoracle as symoracle
 from adamsops.eigen import Eigenbasis, SpectrumReport
 from adamsops.ktheory import AdamsMatrix
-from adamsops.series import UniPoly
 from adamsops.symoracle import SymPoly
 
 # small sweeps: each suite's arguments
@@ -177,7 +176,7 @@ def test_the_series_row_names_a_wrong_value(monkeypatch):
     # one more than each coefficient polynomial: every degree stays right
     real = eigen._sinh_pow_coeff_polys
     monkeypatch.setattr(
-        eigen, "_sinh_pow_coeff_polys", lambda top: [q + UniPoly((1,)) for q in real(top)]
+        eigen, "_sinh_pow_coeff_polys", lambda top: [(q[0] + 1, *q[1:]) for q in real(top)]
     )
     row = suites.eigen_suite(*SUITE_ARGS["eigen"])[1]
     assert (row.name, row.ok) == ("eigen: recurrence matches the series expansion", False)
